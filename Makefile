@@ -6,7 +6,7 @@ BENCH_BASELINE ?= BENCH_pagerank.json
 BENCH_DIVISOR  ?= 1024
 BENCH_DATASET  ?= journal
 
-.PHONY: all build test vet staticcheck race race-prep bench-prep ci bench bench-gate bench-baseline smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke clean
+.PHONY: all build test vet staticcheck race race-prep bench-prep ci bench bench-module bench-gate bench-baseline smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke clean
 
 all: build
 
@@ -46,13 +46,19 @@ race-prep:
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
 
-ci: vet staticcheck build race race-prep bench-prep bench smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
+ci: vet staticcheck build race race-prep bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
 
 # One-iteration pass over the root benchmarks (compile-and-run validation of
 # every benchmark body; not a timing run). `smoke` used to duplicate this —
 # it is now the single place the root benchmarks run in CI.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . > /dev/null
+
+# The wall-clock benchmark's own tests (tiny runs of every workload, its
+# checkers and its compare verdicts). bench/ is a module of its own, so the
+# root `go test ./...` does not reach it.
+bench-module:
+	cd bench && $(GO) test ./...
 
 # End-to-end smoke: a tiny fig6 sweep through the real CLI, exercising the
 # shared prep cache across the thread sweep.

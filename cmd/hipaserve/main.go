@@ -17,9 +17,9 @@
 // accepted, so scripts can scrape it.
 //
 // Endpoints: GET /v1/rank, /v1/ppr, /v1/topk, /v1/neighbors, /v1/graphs; POST
-// /v1/admin/reload with a mutation-stream body ("+/-/commit" lines) applies
-// graph updates and atomically swaps the serving artifact — in-flight
-// queries finish on the version they started with. /metrics, /healthz,
+// /v1/admin/reload with a mutation-stream body ("+/-/commit" lines, at most
+// 64 MiB) applies graph updates and atomically swaps the serving artifact —
+// in-flight queries finish on the version they started with. /metrics, /healthz,
 // /runs, and /debug/pprof/ serve telemetry on the same listener.
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes,
@@ -102,7 +102,9 @@ func run(configPath, graphPath, dataset string, divisor int, name, engine, liste
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	// IdleTimeout closes keep-alive connections a client has abandoned, so
+	// they cannot pile up; ReadHeaderTimeout does the same for slow headers.
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 2 * time.Minute}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Printf("hipaserve: serving http://%s\n", ln.Addr())

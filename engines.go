@@ -10,7 +10,6 @@ import (
 	"hipa/internal/engines/polymer"
 	"hipa/internal/engines/ppr"
 	"hipa/internal/engines/vpr"
-	"hipa/internal/graph"
 	"hipa/internal/platform"
 )
 
@@ -137,62 +136,7 @@ func ReferencePageRank(g *Graph, iterations int, damping float64) []float64 {
 // RankSum returns the sum of a rank vector (≈1 for a correct run).
 func RankSum(ranks []float32) float64 { return common.RankSum(ranks) }
 
-// TopK returns the k highest-ranked vertices in descending rank order.
-func TopK(ranks []float32, k int) []VertexID {
-	if k > len(ranks) {
-		k = len(ranks)
-	}
-	idx := make([]VertexID, len(ranks))
-	for i := range idx {
-		idx[i] = graph.VertexID(i)
-	}
-	// Partial selection sort is fine for small k; sort fully otherwise.
-	if k*len(ranks) > 1<<22 {
-		sortByRank(idx, ranks)
-		return idx[:k]
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if ranks[idx[j]] > ranks[idx[best]] {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:k]
-}
-
-func sortByRank(idx []VertexID, ranks []float32) {
-	// Simple heap-free quicksort by descending rank.
-	var qs func(lo, hi int)
-	qs = func(lo, hi int) {
-		for lo < hi {
-			p := ranks[idx[(lo+hi)/2]]
-			i, j := lo, hi
-			for i <= j {
-				for ranks[idx[i]] > p {
-					i++
-				}
-				for ranks[idx[j]] < p {
-					j--
-				}
-				if i <= j {
-					idx[i], idx[j] = idx[j], idx[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				qs(lo, j)
-				lo = i
-			} else {
-				qs(i, hi)
-				hi = j
-			}
-		}
-	}
-	if len(idx) > 1 {
-		qs(0, len(idx)-1)
-	}
-}
+// TopK returns the min(k, len(ranks)) highest-ranked vertices, highest
+// rank first; equal ranks are listed by ascending vertex ID. It is the order
+// hipaserve's /v1/topk and /v1/ppr answer in.
+func TopK(ranks []float32, k int) []VertexID { return common.TopK(ranks, k) }

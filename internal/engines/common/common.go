@@ -19,9 +19,11 @@
 package common
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"hipa/internal/graph"
 	"hipa/internal/machine"
@@ -287,6 +289,62 @@ func RankSum(ranks []float32) float64 {
 		s += float64(r)
 	}
 	return s
+}
+
+// topKSelectMax is the largest k TopK selects by insertion; larger k sort
+// the whole vector, which is cheaper than shifting a long prefix per vertex.
+const topKSelectMax = 128
+
+// rankOrder compares two vertices in top-k order: higher rank first, ties by
+// ascending vertex ID.
+func rankOrder(ranks []float32) func(a, b graph.VertexID) int {
+	return func(a, b graph.VertexID) int {
+		switch ra, rb := ranks[a], ranks[b]; {
+		case ra > rb:
+			return -1
+		case ra < rb:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// RankOrder returns every vertex sorted highest rank first, ties by
+// ascending vertex ID, so RankOrder(ranks)[:k] is TopK(ranks, k).
+func RankOrder(ranks []float32) []graph.VertexID {
+	order := make([]graph.VertexID, len(ranks))
+	for i := range order {
+		order[i] = graph.VertexID(i)
+	}
+	slices.SortFunc(order, rankOrder(ranks))
+	return order
+}
+
+// TopK returns the min(k, len(ranks)) highest-ranked vertices, highest
+// first, ties by ascending vertex ID. Small k cost one pass over ranks.
+func TopK(ranks []float32, k int) []graph.VertexID {
+	k = min(k, len(ranks))
+	if k <= 0 {
+		return nil
+	}
+	if k > topKSelectMax {
+		return RankOrder(ranks)[:k]
+	}
+	order := rankOrder(ranks)
+	top := make([]graph.VertexID, 0, k+1)
+	for v, r := range ranks {
+		// Vertices arrive in ascending ID order, so one that ties the
+		// current tail sorts after it.
+		if len(top) == k && r <= ranks[top[k-1]] {
+			continue
+		}
+		id := graph.VertexID(v)
+		i, _ := slices.BinarySearchFunc(top, id, order)
+		if top = slices.Insert(top, i, id); len(top) > k {
+			top = top[:k]
+		}
+	}
+	return top
 }
 
 // MaxAbsDiff returns the L∞ distance between two rank vectors, or +Inf if

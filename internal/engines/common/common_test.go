@@ -2,6 +2,9 @@ package common
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -216,6 +219,37 @@ func TestMaxAbsDiffLengthMismatch(t *testing.T) {
 		d := MaxAbsDiff(pair[0], pair[1])
 		if !math.IsInf(d, 1) {
 			t.Errorf("MaxAbsDiff(len %d, len %d) = %v, want +Inf", len(pair[0]), len(pair[1]), d)
+		}
+	}
+}
+
+// TestTopKMatchesFullSort pins the one top-k order (rank descending, ties by
+// ascending vertex ID) against a stable full sort, across the insertion
+// path, the sort path past topKSelectMax, and k beyond the vector length.
+func TestTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	tied := make([]float32, 500)
+	for i := range tied {
+		tied[i] = float32(rng.IntN(40)) / 40 // plenty of ties
+	}
+	ascending := make([]float32, 500) // every vertex displaces the current tail
+	for i := range ascending {
+		ascending[i] = float32(i)
+	}
+	for name, ranks := range map[string][]float32{"tied": tied, "ascending": ascending} {
+		want := make([]graph.VertexID, len(ranks))
+		for i := range want {
+			want[i] = graph.VertexID(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool { return ranks[want[a]] > ranks[want[b]] })
+		if got := RankOrder(ranks); !slices.Equal(got, want) {
+			t.Fatalf("%s: RankOrder differs from the stable full sort", name)
+		}
+		for _, k := range []int{-1, 0, 1, 7, topKSelectMax, topKSelectMax + 1, 499, 500, 900} {
+			got := TopK(ranks, k)
+			if wantK := want[:max(0, min(k, len(want)))]; !slices.Equal(got, wantK) {
+				t.Fatalf("%s: TopK(k=%d) = %v, want %v", name, k, got, wantK)
+			}
 		}
 	}
 }

@@ -2,15 +2,22 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
+	"hipa/internal/engines/common"
 	"hipa/internal/graph"
 	"hipa/internal/obs/telemetry"
 )
+
+// maxReloadBodyBytes caps a POST /v1/admin/reload body (about four million
+// mutations); a longer stream is refused with 413 before it is applied.
+const maxReloadBodyBytes = 64 << 20
 
 // Handler returns the service's full routing table: the /v1 query and admin
 // endpoints plus the telemetry surface (/metrics, /healthz, /runs,
@@ -46,16 +53,24 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // instrument wraps an endpoint with the per-endpoint latency histogram, the
-// per-status request counter, and the in-flight gauge.
+// per-status request counter, and the in-flight gauge. The histogram and the
+// 200 counter are resolved here, once; other status codes are rare enough to
+// be looked up per request.
 func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.Handler {
+	seconds := s.metrics.reg.Histogram(MetricHTTPSeconds, "endpoint", endpoint)
+	ok := s.metrics.httpRequests(endpoint, strconv.Itoa(http.StatusOK))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		s.metrics.httpSeconds(endpoint).Observe(time.Since(start).Seconds())
-		s.metrics.httpRequests(endpoint, strconv.Itoa(sw.code)).Inc()
+		seconds.Observe(time.Since(start).Seconds())
+		if sw.code == http.StatusOK {
+			ok.Inc()
+		} else {
+			s.metrics.httpRequests(endpoint, strconv.Itoa(sw.code)).Inc()
+		}
 	})
 }
 
@@ -76,23 +91,23 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// requestGraph resolves the ?graph= parameter, defaulting to the registry's
-// only entry when the config serves exactly one graph.
-func (s *Service) requestGraph(r *http.Request) (*servingGraph, error) {
-	name := r.URL.Query().Get("graph")
+// requestGraph resolves the ?graph= parameter of the request's query q,
+// defaulting to the registry's only entry when the config serves exactly one
+// graph. Handlers parse the query once and hand q to every parser.
+func (s *Service) requestGraph(q url.Values) (*servingGraph, error) {
+	name := q.Get("graph")
 	if name == "" {
-		if names := s.graphNames(); len(names) == 1 {
-			name = names[0]
-		} else {
-			return nil, fmt.Errorf("?graph= is required (serving %d graphs)", len(names))
+		if len(s.order) != 1 {
+			return nil, fmt.Errorf("?graph= is required (serving %d graphs)", len(s.order))
 		}
+		name = s.order[0]
 	}
 	return s.graph(name)
 }
 
 // parseVertex parses the ?vertex= parameter and bounds-checks it against g.
-func parseVertex(r *http.Request, g *graph.Graph) (graph.VertexID, error) {
-	raw := r.URL.Query().Get("vertex")
+func parseVertex(q url.Values, g *graph.Graph) (graph.VertexID, error) {
+	raw := q.Get("vertex")
 	if raw == "" {
 		return 0, fmt.Errorf("?vertex= is required")
 	}
@@ -115,18 +130,19 @@ func (s *Service) handleRank(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	sg, err := s.requestGraph(r)
+	q := r.URL.Query()
+	sg, err := s.requestGraph(q)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	snap := sg.cur.Load()
-	v, err := parseVertex(r, snap.g)
+	v, err := parseVertex(q, snap.g)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	recompute := r.URL.Query().Get("recompute") == "1"
+	recompute := q.Get("recompute") == "1"
 	res, err := s.ranksFor(sg, snap, recompute)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "exec: %v", err)
@@ -145,8 +161,8 @@ func (s *Service) handleRank(w http.ResponseWriter, r *http.Request) {
 // empty = the uniform restart vector) and validates against g: in range,
 // duplicate-free — ExecBatch would reject the whole batch otherwise, so a
 // malformed query must never reach its batch-mates.
-func parseSeeds(r *http.Request, g *graph.Graph) ([]graph.VertexID, error) {
-	raw := r.URL.Query().Get("seeds")
+func parseSeeds(q url.Values, g *graph.Graph) ([]graph.VertexID, error) {
+	raw := q.Get("seeds")
 	if raw == "" {
 		return nil, nil
 	}
@@ -182,30 +198,29 @@ func (s *Service) handlePPR(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	sg, err := s.requestGraph(r)
+	q := r.URL.Query()
+	sg, err := s.requestGraph(q)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	snap := sg.cur.Load()
-	seeds, err := parseSeeds(r, snap.g)
+	seeds, err := parseSeeds(q, snap.g)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k := 10
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		if k, err = strconv.Atoi(raw); err != nil || k <= 0 {
-			httpError(w, http.StatusBadRequest, "bad k %q", raw)
-			return
-		}
+	k, err := parseK(q)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	req := &pprReq{seeds: seeds, k: k, snap: snap, resp: make(chan pprResp, 1)}
 	if !s.enqueuePPR(sg, req) {
 		httpError(w, http.StatusServiceUnavailable, "ppr queue full (depth %d)", cap(sg.pprCh))
 		return
 	}
-	s.metrics.pprQueries(sg.name).Inc()
+	sg.m.pprQueries.Inc()
 	var resp pprResp
 	select {
 	case resp = <-req.resp:
@@ -217,15 +232,7 @@ func (s *Service) handlePPR(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "exec: %v", resp.err)
 		return
 	}
-	type entry struct {
-		Vertex int32   `json:"vertex"`
-		Rank   float64 `json:"rank"`
-	}
-	ids := topKOf(resp.ranks, k)
-	top := make([]entry, len(ids))
-	for i, id := range ids {
-		top[i] = entry{id, float64(resp.ranks[id])}
-	}
+	top := rankEntries(resp.ranks, common.TopK(resp.ranks, k))
 	writeJSON(w, struct {
 		Graph      string           `json:"graph"`
 		Version    graph.Version    `json:"version"`
@@ -233,28 +240,57 @@ func (s *Service) handlePPR(w http.ResponseWriter, r *http.Request) {
 		K          int              `json:"k"`
 		Batch      int              `json:"batch"`
 		Iterations int              `json:"iterations"`
-		Top        []entry          `json:"top"`
+		Top        []rankEntry      `json:"top"`
 	}{sg.name, snap.ver, seeds, len(top), resp.batch, resp.iterations, top})
 }
 
+// parseK parses the ?k= parameter of /v1/topk and /v1/ppr (default 10).
+func parseK(q url.Values) (int, error) {
+	raw := q.Get("k")
+	if raw == "" {
+		return 10, nil
+	}
+	k, err := strconv.Atoi(raw)
+	if err != nil || k <= 0 {
+		return 0, fmt.Errorf("bad k %q", raw)
+	}
+	return k, nil
+}
+
+// rankEntry is one line of a top-k listing.
+type rankEntry struct {
+	Vertex graph.VertexID `json:"vertex"`
+	Rank   float64        `json:"rank"`
+}
+
+// rankEntries lists ids with their ranks, in the order given.
+func rankEntries(ranks []float32, ids []graph.VertexID) []rankEntry {
+	top := make([]rankEntry, len(ids))
+	for i, id := range ids {
+		top[i] = rankEntry{id, float64(ranks[id])}
+	}
+	return top
+}
+
 // handleTopK serves GET /v1/topk?graph=NAME&k=K: the K highest-ranked
-// vertices with their scores, highest first.
+// vertices with their scores, highest first, ties by ascending vertex ID.
+// The listing is a prefix of the rank result's cached order, so a request
+// costs O(K) once the first /v1/topk on that result has sorted it.
 func (s *Service) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	sg, err := s.requestGraph(r)
+	q := r.URL.Query()
+	sg, err := s.requestGraph(q)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	k := 10
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		if k, err = strconv.Atoi(raw); err != nil || k <= 0 {
-			httpError(w, http.StatusBadRequest, "bad k %q", raw)
-			return
-		}
+	k, err := parseK(q)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	snap := sg.cur.Load()
 	res, err := s.ranksFor(sg, snap, false)
@@ -262,21 +298,14 @@ func (s *Service) handleTopK(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "exec: %v", err)
 		return
 	}
-	type entry struct {
-		Vertex int32   `json:"vertex"`
-		Rank   float64 `json:"rank"`
-	}
-	ids := topKOf(res.Ranks, k)
-	top := make([]entry, len(ids))
-	for i, id := range ids {
-		top[i] = entry{id, float64(res.Ranks[id])}
-	}
+	order := res.Order()
+	top := rankEntries(res.Ranks, order[:min(k, len(order))])
 	writeJSON(w, struct {
 		Graph      string        `json:"graph"`
 		Version    graph.Version `json:"version"`
 		K          int           `json:"k"`
 		Iterations int           `json:"iterations"`
-		Top        []entry       `json:"top"`
+		Top        []rankEntry   `json:"top"`
 	}{sg.name, snap.ver, len(top), res.Iterations, top})
 }
 
@@ -288,19 +317,20 @@ func (s *Service) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	sg, err := s.requestGraph(r)
+	q := r.URL.Query()
+	sg, err := s.requestGraph(q)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	snap := sg.cur.Load()
-	v, err := parseVertex(r, snap.g)
+	v, err := parseVertex(q, snap.g)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var adj []graph.VertexID
-	dir := r.URL.Query().Get("dir")
+	dir := q.Get("dir")
 	switch dir {
 	case "", "out":
 		dir = "out"
@@ -312,7 +342,7 @@ func (s *Service) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degree := len(adj)
-	if raw := r.URL.Query().Get("limit"); raw != "" {
+	if raw := q.Get("limit"); raw != "" {
 		limit, err := strconv.Atoi(raw)
 		if err != nil || limit < 0 {
 			httpError(w, http.StatusBadRequest, "bad limit %q", raw)
@@ -348,11 +378,8 @@ func (s *Service) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		Ranked   bool          `json:"ranked"`
 	}
 	var out []entry
-	for _, name := range s.graphNames() {
-		sg, err := s.graph(name)
-		if err != nil {
-			continue
-		}
+	for _, name := range s.order {
+		sg := s.graphs[name]
 		snap := sg.cur.Load()
 		snap.mu.Lock()
 		ranked := snap.ranks != nil
@@ -369,6 +396,7 @@ func (s *Service) handleGraphs(w http.ResponseWriter, r *http.Request) {
 // stream body ("+ src dst" / "- src dst" / "commit" lines): the versioned
 // graph advances, the artifact is patched, and the serving snapshot swaps
 // atomically. In-flight queries complete on the snapshot they started with.
+// A body over maxReloadBodyBytes is refused with 413 and applies nothing.
 func (s *Service) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a mutation stream")
@@ -376,16 +404,19 @@ func (s *Service) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.URL.Query().Get("graph")
 	if name == "" {
-		if names := s.graphNames(); len(names) == 1 {
-			name = names[0]
-		} else {
+		if len(s.order) != 1 {
 			httpError(w, http.StatusBadRequest, "?graph= is required")
 			return
 		}
+		name = s.order[0]
 	}
-	rep, err := s.Reload(name, r.Body)
+	rep, err := s.Reload(name, http.MaxBytesReader(w, r.Body, maxReloadBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reload: %v", err)
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "reload: %v", err)
 		return
 	}
 	writeJSON(w, rep)

@@ -28,9 +28,11 @@ const (
 	MetricPPRFlushSecs  = "hipa_serve_ppr_flush_seconds"
 )
 
-// serveMetrics holds the service's registry handles. Per-graph and
-// per-endpoint series are materialized on first touch through the registry's
-// own interning, so the accessor methods are cheap enough for request paths.
+// serveMetrics holds the service-wide registry handles. Each lookup through
+// the registry takes its mutex and builds a label signature, so request
+// paths never look a series up: per-graph handles are resolved once in
+// forGraph when the graph loads, and per-endpoint handles once when Handler
+// builds the mux (only non-200 status counters are looked up per request).
 type serveMetrics struct {
 	reg             *obs.Registry
 	execWait        *obs.Histogram
@@ -68,48 +70,27 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	}
 }
 
-func (m *serveMetrics) execs(graph string) *obs.Counter {
-	return m.reg.Counter(MetricExecs, "graph", graph)
+// graphMetrics are one graph's registry series.
+type graphMetrics struct {
+	execs, execCoalesced, rankCacheHits, reloads  *obs.Counter
+	pprQueries, pprBatches, pprExecs, pprRejected *obs.Counter
+	version, pprQueueDepth                        *obs.Gauge
 }
 
-func (m *serveMetrics) execCoalesced(graph string) *obs.Counter {
-	return m.reg.Counter(MetricExecCoalesced, "graph", graph)
-}
-
-func (m *serveMetrics) rankCacheHits(graph string) *obs.Counter {
-	return m.reg.Counter(MetricRankCacheHits, "graph", graph)
-}
-
-func (m *serveMetrics) reloads(graph string) *obs.Counter {
-	return m.reg.Counter(MetricReloads, "graph", graph)
-}
-
-func (m *serveMetrics) version(graph string) *obs.Gauge {
-	return m.reg.Gauge(MetricGraphVersion, "graph", graph)
-}
-
-func (m *serveMetrics) pprQueries(graph string) *obs.Counter {
-	return m.reg.Counter(MetricPPRQueries, "graph", graph)
-}
-
-func (m *serveMetrics) pprBatches(graph string) *obs.Counter {
-	return m.reg.Counter(MetricPPRBatches, "graph", graph)
-}
-
-func (m *serveMetrics) pprExecs(graph string) *obs.Counter {
-	return m.reg.Counter(MetricPPRExecs, "graph", graph)
-}
-
-func (m *serveMetrics) pprRejected(graph string) *obs.Counter {
-	return m.reg.Counter(MetricPPRRejected, "graph", graph)
-}
-
-func (m *serveMetrics) pprQueueDepth(graph string) *obs.Gauge {
-	return m.reg.Gauge(MetricPPRQueueDepth, "graph", graph)
-}
-
-func (m *serveMetrics) httpSeconds(endpoint string) *obs.Histogram {
-	return m.reg.Histogram(MetricHTTPSeconds, "endpoint", endpoint)
+func (m *serveMetrics) forGraph(graph string) graphMetrics {
+	c := func(name string) *obs.Counter { return m.reg.Counter(name, "graph", graph) }
+	return graphMetrics{
+		execs:         c(MetricExecs),
+		execCoalesced: c(MetricExecCoalesced),
+		rankCacheHits: c(MetricRankCacheHits),
+		reloads:       c(MetricReloads),
+		pprQueries:    c(MetricPPRQueries),
+		pprBatches:    c(MetricPPRBatches),
+		pprExecs:      c(MetricPPRExecs),
+		pprRejected:   c(MetricPPRRejected),
+		version:       m.reg.Gauge(MetricGraphVersion, "graph", graph),
+		pprQueueDepth: m.reg.Gauge(MetricPPRQueueDepth, "graph", graph),
+	}
 }
 
 func (m *serveMetrics) httpRequests(endpoint, code string) *obs.Counter {

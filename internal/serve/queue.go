@@ -58,10 +58,10 @@ func (s *Service) enqueuePPR(sg *servingGraph, req *pprReq) bool {
 	sg.pprOnce.Do(func() { go s.pprCollector(sg) })
 	select {
 	case sg.pprCh <- req:
-		s.metrics.pprQueueDepth(sg.name).Set(float64(len(sg.pprCh)))
+		sg.m.pprQueueDepth.Set(float64(len(sg.pprCh)))
 		return true
 	default:
-		s.metrics.pprRejected(sg.name).Inc()
+		sg.m.pprRejected.Inc()
 		return false
 	}
 }
@@ -97,7 +97,7 @@ func (s *Service) pprCollector(sg *servingGraph) {
 			}
 			return
 		case req := <-sg.pprCh:
-			s.metrics.pprQueueDepth(sg.name).Set(float64(len(sg.pprCh)))
+			sg.m.pprQueueDepth.Set(float64(len(sg.pprCh)))
 			if len(batch) > 0 && req.snap != snap {
 				// A reload swapped the snapshot mid-batch: the open batch
 				// keeps the version its requests pinned, the newcomer opens
@@ -124,7 +124,7 @@ func (s *Service) pprCollector(sg *servingGraph) {
 // per-column results back out to the waiting handlers.
 func (s *Service) execPPRBatch(sg *servingGraph, snap *snapshot, batch []*pprReq) {
 	start := time.Now()
-	s.metrics.pprBatches(sg.name).Inc()
+	sg.m.pprBatches.Inc()
 	s.metrics.pprBatchSize.Observe(float64(len(batch)))
 	fail := func(err error) {
 		for _, r := range batch {
@@ -148,7 +148,7 @@ func (s *Service) execPPRBatch(sg *servingGraph, snap *snapshot, batch []*pprReq
 		fail(err)
 		return
 	}
-	s.metrics.pprExecs(sg.name).Inc()
+	sg.m.pprExecs.Inc()
 	for i, r := range batch {
 		r.resp <- pprResp{ranks: br.Ranks[i], iterations: br.Iterations[i], batch: len(batch)}
 	}

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,7 +176,7 @@ type Service struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	mu     sync.Mutex
+	// The registry is fixed once New returns, so lookups take no lock.
 	order  []string // registry listing order = config order
 	graphs map[string]*servingGraph
 
@@ -200,6 +199,7 @@ type servingGraph struct {
 	opts common.Options
 	vg   *graph.Versioned
 	cur  atomic.Pointer[snapshot]
+	m    graphMetrics
 
 	// pprCh feeds the graph's /v1/ppr batching collector, started on first
 	// use by pprOnce (see queue.go).
@@ -235,11 +235,24 @@ type snapshot struct {
 }
 
 // rankResult is one completed Exec's outcome, shared by every request that
-// hit the cache or coalesced onto the run.
+// hit the cache or coalesced onto the run. It is immutable apart from the
+// top-k order, sorted once on first demand: a reload or recompute yields a
+// new result and with it a new order.
 type rankResult struct {
 	Ranks      []float32
 	Iterations int
 	Seconds    float64
+
+	orderOnce sync.Once
+	order     []graph.VertexID
+}
+
+// Order returns every vertex in top-k order (common.RankOrder), sorting on
+// the first call. Only /v1/topk asks for it, so neither the Exec nor a
+// reload's eager re-rank pays for the sort.
+func (r *rankResult) Order() []graph.VertexID {
+	r.orderOnce.Do(func() { r.order = common.RankOrder(r.Ranks) })
+	return r.order
 }
 
 // rankFlight is an in-progress Exec other callers can join.
@@ -289,7 +302,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.graphs[spec.Name] = sg
 		s.order = append(s.order, spec.Name)
-		s.metrics.version(spec.Name).Set(float64(sg.cur.Load().ver))
+		sg.m.version.Set(float64(sg.cur.Load().ver))
 	}
 	return s, nil
 }
@@ -341,6 +354,7 @@ func (s *Service) loadGraph(spec GraphSpec) (*servingGraph, error) {
 	}
 	sg := &servingGraph{
 		name: spec.Name, spec: spec, opts: opts, vg: graph.NewVersioned(g),
+		m:     s.metrics.forGraph(spec.Name),
 		pprCh: make(chan *pprReq, s.cfg.BatchQueueDepth),
 	}
 	sg.cur.Store(&snapshot{ver: sg.vg.Version(), g: g, prep: prep})
@@ -352,20 +366,11 @@ func (s *Service) EngineName() string { return s.engine.Name() }
 
 // graph resolves a registry entry by name.
 func (s *Service) graph(name string) (*servingGraph, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sg, ok := s.graphs[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown graph %q", name)
 	}
 	return sg, nil
-}
-
-// graphNames returns the registry names in config order.
-func (s *Service) graphNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
 }
 
 // warmable reports whether the serving engine accepts Options.Warm (HiPa
@@ -389,12 +394,12 @@ func (s *Service) ranksFor(sg *servingGraph, snap *snapshot, recompute bool) (*r
 	if snap.ranks != nil && !recompute {
 		res := snap.ranks
 		snap.mu.Unlock()
-		s.metrics.rankCacheHits(sg.name).Inc()
+		sg.m.rankCacheHits.Inc()
 		return res, nil
 	}
 	if fl := snap.flight; fl != nil {
 		snap.mu.Unlock()
-		s.metrics.execCoalesced(sg.name).Inc()
+		sg.m.execCoalesced.Inc()
 		<-fl.done
 		return fl.res, fl.err
 	}
@@ -432,7 +437,7 @@ func (s *Service) execSnapshot(sg *servingGraph, snap *snapshot) (*rankResult, e
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.execs(sg.name).Inc()
+	sg.m.execs.Inc()
 	return &rankResult{Ranks: res.Ranks, Iterations: res.Iterations, Seconds: res.WallSeconds}, nil
 }
 
@@ -552,8 +557,8 @@ func (s *Service) Reload(name string, r io.Reader) (*ReloadReport, error) {
 	}
 	sg.cur.Store(next)
 	sg.reloads.Add(1)
-	s.metrics.reloads(name).Inc()
-	s.metrics.version(name).Set(float64(rep.ToVersion))
+	sg.m.reloads.Inc()
+	sg.m.version.Set(float64(rep.ToVersion))
 	s.metrics.reloadSeconds.Observe(time.Since(start).Seconds())
 	return rep, nil
 }
@@ -563,38 +568,4 @@ func perturbedOf(d *graph.Delta) int {
 		return 0
 	}
 	return len(d.Perturbed)
-}
-
-// topKOf selects the k highest-ranked vertices (ties broken by lower vertex
-// ID) in O(V log k) with a small insertion-sorted tail — k is request-bound
-// and tiny next to V.
-func topKOf(ranks []float32, k int) []int32 {
-	if k > len(ranks) {
-		k = len(ranks)
-	}
-	if k <= 0 {
-		return nil
-	}
-	top := make([]int32, 0, k)
-	less := func(a, b int32) bool { // is a ranked below b
-		if ranks[a] != ranks[b] {
-			return ranks[a] < ranks[b]
-		}
-		return a > b
-	}
-	for v := range ranks {
-		id := int32(v)
-		if len(top) == k && !less(top[k-1], id) {
-			continue
-		}
-		pos := sort.Search(len(top), func(i int) bool { return less(top[i], id) })
-		if len(top) < k {
-			top = append(top, 0)
-		}
-		copy(top[pos+1:], top[pos:len(top)-1])
-		if pos < len(top) {
-			top[pos] = id
-		}
-	}
-	return top
 }

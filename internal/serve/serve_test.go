@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -248,36 +246,6 @@ func TestConfigValidation(t *testing.T) {
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted a bad config", name)
-		}
-	}
-}
-
-func TestTopKOfMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
-	ranks := make([]float32, 500)
-	for i := range ranks {
-		ranks[i] = float32(rng.IntN(40)) / 40 // plenty of ties
-	}
-	for _, k := range []int{0, 1, 7, 499, 500, 900} {
-		want := make([]int32, len(ranks))
-		for i := range want {
-			want[i] = int32(i)
-		}
-		sort.SliceStable(want, func(a, b int) bool {
-			if ranks[want[a]] != ranks[want[b]] {
-				return ranks[want[a]] > ranks[want[b]]
-			}
-			return want[a] < want[b]
-		})
-		wantK := want[:min(k, len(want))]
-		got := topKOf(ranks, k)
-		if len(got) != len(wantK) {
-			t.Fatalf("k=%d: got %d ids, want %d", k, len(got), len(wantK))
-		}
-		for i := range got {
-			if got[i] != wantK[i] {
-				t.Fatalf("k=%d: topKOf[%d] = %d, want %d", k, i, got[i], wantK[i])
-			}
 		}
 	}
 }
