@@ -42,7 +42,10 @@ const MaxBatch = 64
 // per-column L∞ residual below the tolerance retires the column from the
 // active list, after which it contributes no scatter, decode, or update
 // work — its trajectory, iteration count included, is the one it would have
-// at any other batch width.
+// at any other batch width. While a single column is active (every width-1
+// batch, and any batch narrowed to one column by retirement) the kernels
+// run it column-scalar, without the per-column loops — the same float32
+// operations in the same order, so the contracts above hold bit for bit.
 //
 // All reductions (dangling fold, residual fold, retirement) are serial and
 // in global partition/column order, so results are bit-deterministic at any
@@ -195,16 +198,33 @@ func (s *BlockSG) ScatterPartition(p int, tid int) {
 			continue
 		}
 		iv := inv[v]
+		dst := lay.IntraDst[lo:hi:hi]
+		if len(cols) == 1 {
+			j := int(cols[0])
+			addColumn(acc, dst, b, j, ranks[v*b+j]*iv)
+			continue
+		}
 		rb := ranks[v*b : v*b+b : v*b+b]
 		for k, j := range cols {
 			cb[k] = rb[j] * iv
 		}
-		for _, d := range lay.IntraDst[lo:hi:hi] {
+		for _, d := range dst {
 			ab := acc[int(d)*b : int(d)*b+b : int(d)*b+b]
 			for k, j := range cols {
 				ab[j] += cb[k]
 			}
 		}
+	}
+}
+
+// addColumn is the single-active-column form of the per-edge accumulation
+// (every width-1 batch, and every batch narrowed to one column by
+// retirement): acc[d*B+j] += c for each destination, without the per-column
+// loop and block re-slice. Same float32 operations in the same order, so
+// the result is bitwise the general loop's.
+func addColumn(acc []float32, dst []graph.VertexID, b, j int, c float32) {
+	for _, d := range dst {
+		acc[int(d)*b+j] += c
 	}
 }
 
@@ -269,12 +289,18 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 		msgOff := lay.MsgDstOff[blk.MsgStart : blk.MsgEnd+1 : blk.MsgEnd+1]
 		for i, u := range src {
 			iv := inv[u]
+			lo, hi := msgOff[i], msgOff[i+1]
+			dst := lay.MsgDst[lo:hi:hi]
+			if len(cols) == 1 {
+				j := int(cols[0])
+				addColumn(acc, dst, b, j, ranks[int(u)*b+j]*iv)
+				continue
+			}
 			rb := ranks[int(u)*b : int(u)*b+b : int(u)*b+b]
 			for k, j := range cols {
 				cb[k] = rb[j] * iv
 			}
-			lo, hi := msgOff[i], msgOff[i+1]
-			for _, dv := range lay.MsgDst[lo:hi:hi] {
+			for _, dv := range dst {
 				ab := acc[int(dv)*b : int(dv)*b+b : int(dv)*b+b]
 				for k, j := range cols {
 					ab[j] += cb[k]
@@ -288,6 +314,33 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 	seedAdd := s.seedAdd
 	d := float32(s.Damping)
 	lanes := s.lanes[tid*s.laneStride : (tid+1)*s.laneStride : (tid+1)*s.laneStride]
+	pd := s.partDang[p*b : (p+1)*b : (p+1)*b]
+	if len(cols) == 1 {
+		// The same update, column-scalar: one active column needs no
+		// per-column loop or scratch.
+		j := int(cols[0])
+		base, redis, res := s.baseS[j], s.redisS[j], lanes[j]
+		var dang float64
+		for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
+			i := v*b + j
+			old := ranks[i]
+			nv := base + d*acc[i] + redis + seedAdd[i]
+			next[i] = nv
+			acc[i] = 0
+			if inv[v] == 0 {
+				dang += float64(nv)
+			}
+			diff := float64(nv - old)
+			if diff < 0 {
+				diff = -diff
+			}
+			if diff > res {
+				res = diff
+			}
+		}
+		lanes[j], pd[j] = res, dang
+		return
+	}
 	var dang [MaxBatch]float64
 	for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
 		i := v * b
@@ -309,7 +362,6 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 			}
 		}
 	}
-	pd := s.partDang[p*b : (p+1)*b : (p+1)*b]
 	for k, j := range cols {
 		pd[j] = dang[k]
 	}

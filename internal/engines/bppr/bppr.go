@@ -129,10 +129,12 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 }
 
 // ExecBatch runs one batched iterative phase for queries (width
-// len(queries), 1..MaxBatch) against a Prepared artifact. Safe for
-// concurrent calls sharing one artifact.
+// len(queries), 1..MaxBatch) against a Prepared artifact of the HiPa family
+// — one built by hipa.PrepareArtifact under any engine stamp, so a server
+// holding a HiPa artifact runs its batches on it, warm arenas included.
+// Safe for concurrent calls sharing one artifact.
 func ExecBatch(prep *common.Prepared, o common.Options, queries []Query) (*BatchResult, error) {
-	if err := prep.CheckExec(Name, common.PrepPartition); err != nil {
+	if err := prep.CheckExecFamily(Name, hipa.Family, common.PrepPartition); err != nil {
 		return nil, err
 	}
 	if len(queries) < 1 || len(queries) > MaxBatch {

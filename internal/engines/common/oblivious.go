@@ -64,7 +64,7 @@ func PrepareOblivious(g *graph.Graph, o Options, cfg ObliviousPartitionConfig) (
 		Compress:       !o.NoCompress,
 		Nodes:          1,
 	}
-	prep, err := MakePrepared(cfg.Name, g, m, o, key, func() (any, error) {
+	prep, err := MakePrepared(cfg.Name, "", g, m, o, key, func() (any, error) {
 		tr := rec.T()
 		partStart := time.Now()
 		stopPart := rec.C().Phase(PhasePrepPartition)

@@ -67,6 +67,7 @@ type VertexArtifact struct {
 // immutable after Prepare returns.
 type Prepared struct {
 	engine  string
+	family  string
 	key     PrepKey
 	g       *graph.Graph
 	machine *machine.Machine
@@ -90,8 +91,15 @@ type Prepared struct {
 }
 
 // Engine returns the name of the engine that prepared the artifact; Exec
-// rejects artifacts prepared by a different engine.
+// rejects artifacts prepared by a different engine (unless it accepts the
+// artifact's Family).
 func (p *Prepared) Engine() string { return p.engine }
+
+// Family returns the name of the builder family the artifact came from
+// ("" when its engine shares its builder with no other): artifacts of one
+// family are byte-identical whatever engine stamped them, so an engine that
+// runs on the family's layout can accept any of them (CheckExecFamily).
+func (p *Prepared) Family() string { return p.family }
 
 // Graph returns the graph the artifact was built for.
 func (p *Prepared) Graph() *graph.Graph { return p.g }
@@ -126,10 +134,17 @@ func (p *Prepared) Vertex() *VertexArtifact { return p.vert }
 // CheckExec validates that the artifact can back an Exec for the named
 // engine with the given kind. Shared by all engine Exec implementations.
 func (p *Prepared) CheckExec(engine string, kind PrepKind) error {
+	return p.CheckExecFamily(engine, "", kind)
+}
+
+// CheckExecFamily is CheckExec for an engine that also runs on artifacts
+// other engines of family built: the engine stamp may differ when the
+// artifact's Family is family (a non-empty name).
+func (p *Prepared) CheckExecFamily(engine, family string, kind PrepKind) error {
 	if p == nil {
 		return fmt.Errorf("%s: Exec needs a non-nil Prepared artifact", engine)
 	}
-	if p.engine != engine {
+	if p.engine != engine && (family == "" || p.family != family) {
 		return fmt.Errorf("%s: artifact was prepared by %s", engine, p.engine)
 	}
 	if p.key.Kind != kind || (kind == PrepPartition && p.part == nil) || (kind == PrepVertex && p.vert == nil) {
@@ -139,13 +154,14 @@ func (p *Prepared) CheckExec(engine string, kind PrepKind) error {
 }
 
 // MakePrepared assembles a Prepared artifact for an engine's Prepare
-// implementation: it stamps the graph fingerprint into key, builds (or
-// fetches from o.PrepCache) the payload under the prep phase timer, and
-// records cache traffic on the collector. ensure, when non-nil, runs after
-// the payload is available even on a cache hit — vertex engines use it to
+// implementation: it stamps the artifact with the engine and builder family
+// names ("" = none) and key with the graph fingerprint, builds (or fetches
+// from o.PrepCache) the payload under the prep phase timer, and records
+// cache traffic on the collector. ensure, when non-nil, runs after the
+// payload is available even on a cache hit — vertex engines use it to
 // guarantee this graph pointer's CSC exists when the payload was built from
 // a content-identical but distinct Graph.
-func MakePrepared(engine string, g *graph.Graph, m *machine.Machine, o Options, key PrepKey, build func() (any, error), ensure func()) (*Prepared, error) {
+func MakePrepared(engine, family string, g *graph.Graph, m *machine.Machine, o Options, key PrepKey, build func() (any, error), ensure func()) (*Prepared, error) {
 	rec := o.Obs
 	stop := rec.C().Phase(PhasePrep)
 	start := time.Now()
@@ -171,7 +187,7 @@ func MakePrepared(engine string, g *graph.Graph, m *machine.Machine, o Options, 
 		}
 	}
 	p := &Prepared{
-		engine: engine, key: key, g: g, machine: m,
+		engine: engine, family: family, key: key, g: g, machine: m,
 		BuildSeconds: buildSeconds,
 		FromCache:    fromCache,
 	}
@@ -224,7 +240,7 @@ func (p *Prepared) Advance(d *graph.Delta, o Options) (*Prepared, error) {
 	}
 	start := time.Now()
 	np := &Prepared{
-		engine: p.engine, key: p.key, g: d.Next, machine: p.machine,
+		engine: p.engine, family: p.family, key: p.key, g: d.Next, machine: p.machine,
 		BuildSeconds: p.BuildSeconds,
 	}
 	np.key.GraphFP = d.Fingerprint

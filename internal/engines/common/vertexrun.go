@@ -58,7 +58,7 @@ func PrepareVertex(g *graph.Graph, o Options, cfg VertexEngineConfig) (*Prepared
 	}
 	rec := o.Obs
 	key := PrepKey{Kind: PrepVertex}
-	return MakePrepared(cfg.Name, g, m, o, key, func() (any, error) {
+	return MakePrepared(cfg.Name, "", g, m, o, key, func() (any, error) {
 		start := time.Now()
 		stopIdx := rec.C().Phase(PhasePrepIndex)
 		g.BuildInWorkers(o.PrepParallelism)

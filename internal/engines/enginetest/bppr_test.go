@@ -6,8 +6,13 @@ import (
 
 	"hipa/internal/engines/bppr"
 	"hipa/internal/engines/common"
+	"hipa/internal/engines/delta"
+	"hipa/internal/engines/ec"
 	"hipa/internal/engines/hipa"
+	"hipa/internal/engines/ppr"
+	"hipa/internal/engines/vpr"
 	"hipa/internal/graph"
+	"hipa/internal/machine"
 	"hipa/internal/platform"
 )
 
@@ -199,38 +204,177 @@ func TestBPPRWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
+// danglingSeed returns g's first vertex without out-edges. A column seeded
+// there alone is a fixed point from the start — all its mass sits on the
+// seed and returns to it — so it retires after one superstep at any
+// tolerance, narrowing its batch deterministically.
+func danglingSeed(t *testing.T, g *graph.Graph) graph.VertexID {
+	t.Helper()
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.OutDegree(graph.VertexID(v)) == 0 {
+			return graph.VertexID(v)
+		}
+	}
+	t.Fatal("fixture graph has no dangling vertex")
+	return 0
+}
+
 // TestBPPRBatchZeroAllocsPerIteration extends the steady-state allocation
-// gate to the batched path at width 16: the differential allocation count
-// across extra supersteps must be zero (stack-resident per-partition
-// scratch, arena-backed blocks, stored kernel method values).
+// gate to the batched path: the differential allocation count across extra
+// supersteps must be zero (stack-resident per-partition scratch,
+// arena-backed blocks, stored kernel method values) at width 16, at width 1,
+// and for a batch that narrows to one active column mid-run — the last two
+// run the single-column kernel.
 func TestBPPRBatchZeroAllocsPerIteration(t *testing.T) {
 	const iterShort, iterLong = 3, 13
 	g := allocGraph(t)
 	n := g.NumVertices()
-	queries := make([]bppr.Query, 16)
-	for q := 1; q < len(queries); q++ {
-		queries[q] = bppr.Query{Seeds: pprSeeds(q, n)}
+	wide := make([]bppr.Query, 16)
+	for q := 1; q < len(wide); q++ {
+		wide[q] = bppr.Query{Seeds: pprSeeds(q, n)}
 	}
+	dg := danglingGraph()
+	narrowing := []bppr.Query{{Seeds: []graph.VertexID{danglingSeed(t, dg)}}, {Seeds: pprSeeds(1, dg.NumVertices())}}
 	o := testOptions(iterShort)
 	o.Platform = platform.NewNative(o.Machine)
-	o.Tolerance = 1e-30 // keep every column active so supersteps stay exact
+	o.Tolerance = 1e-30 // keep every other column active so supersteps stay exact
 	prep, err := (bppr.Engine{}).Prepare(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	execN := func(iters int) {
-		oo := o
-		oo.Iterations = iters
-		if _, err := bppr.ExecBatch(prep, oo, queries); err != nil {
+	dprep, err := (bppr.Engine{}).Prepare(dg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		prep    *common.Prepared
+		queries []bppr.Query
+		active  int // columns still active at the end of a run
+	}{
+		{"width16", prep, wide, 16},
+		{"width1", prep, wide[1:2], 1},
+		{"narrowing", dprep, narrowing, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			execN := func(iters int) {
+				oo := o
+				oo.Iterations = iters
+				br, err := bppr.ExecBatch(tc.prep, oo, tc.queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := br.ColSteps - int64(len(tc.queries)-tc.active); got != int64(tc.active*br.Supersteps) {
+					t.Fatalf("col steps %d over %d supersteps: the batch did not keep %d of %d columns active",
+						br.ColSteps, br.Supersteps, tc.active, len(tc.queries))
+				}
+			}
+			execN(iterLong)
+			short := testing.AllocsPerRun(5, func() { execN(iterShort) })
+			long := testing.AllocsPerRun(5, func() { execN(iterLong) })
+			if extra := long - short; extra != 0 {
+				t.Errorf("%g extra allocs across %d extra supersteps (%g/iteration); the batched Exec must not allocate per iteration",
+					extra, iterLong-iterShort, extra/float64(iterLong-iterShort))
+			}
+		})
+	}
+}
+
+// TestBPPRNarrowedColumnMatchesSolo: in a width-2 batch whose other column
+// retires early, the survivor finishes on the single-column kernel, and its
+// ranks and iteration count must be bitwise those of its solo run. The
+// dangling case retires a fixed-point column after one superstep; in the
+// golden case the uniform column converges at the default tolerance long
+// before the seeded one.
+func TestBPPRNarrowedColumnMatchesSolo(t *testing.T) {
+	dg, gg := danglingGraph(), goldenGraph()
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		queries []bppr.Query // the survivor second: the scalar path runs at column offset 1
+	}{
+		{"dangling", dg, []bppr.Query{{Seeds: []graph.VertexID{danglingSeed(t, dg)}}, {Seeds: pprSeeds(3, dg.NumVertices())}}},
+		{"golden", gg, []bppr.Query{{}, {Seeds: pprSeeds(1, gg.NumVertices())}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			queries := tc.queries
+			o := testOptions(80)
+			o.Threads = 8
+			prep, err := (bppr.Engine{}).Prepare(tc.g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := bppr.ExecBatch(prep, o, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch.Iterations[1] <= batch.Iterations[0] || batch.Iterations[1] != batch.Supersteps {
+				t.Fatalf("column iterations %v over %d supersteps: the batch never narrowed to its second column",
+					batch.Iterations, batch.Supersteps)
+			}
+			for q, query := range queries {
+				solo, err := bppr.ExecBatch(prep, o, []bppr.Query{query})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := common.MaxAbsDiff(batch.Ranks[q], solo.Ranks[0]); d != 0 {
+					t.Errorf("query %d: narrowed-batch ranks differ from solo by %g", q, d)
+				}
+				if batch.Iterations[q] != solo.Iterations[0] {
+					t.Errorf("query %d: %d iterations in the batch, %d solo", q, batch.Iterations[q], solo.Iterations[0])
+				}
+			}
+		})
+	}
+}
+
+// TestBPPRRunsOnHiPaFamilyArtifacts: ExecBatch accepts any artifact built
+// by hipa.PrepareArtifact, whatever engine stamped it, with bitwise the
+// results of its own artifact; artifacts of other builders are refused,
+// including the partition-centric p-PR one.
+func TestBPPRRunsOnHiPaFamilyArtifacts(t *testing.T) {
+	g := danglingGraph()
+	n := g.NumVertices()
+	queries := []bppr.Query{{}, {Seeds: pprSeeds(1, n)}, {Seeds: []graph.VertexID{7}}}
+	o := testOptions(30)
+	// One NUMA node, so the p-PR artifact's flat split passes every shape
+	// check and only the family check can refuse it.
+	o.Machine = machine.SingleNode(o.Machine)
+	own, err := (bppr.Engine{}).Prepare(g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := bppr.ExecBatch(own, o, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []common.Engine{hipa.Engine{}, ec.Engine{}, delta.Engine{}} {
+		prep, err := e.Prepare(g, o)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if prep.Family() != hipa.Family {
+			t.Fatalf("%s artifact has family %q, want %q", e.Name(), prep.Family(), hipa.Family)
+		}
+		got, err := bppr.ExecBatch(prep, o, queries)
+		if err != nil {
+			t.Fatalf("%s artifact refused: %v", e.Name(), err)
+		}
+		for q := range queries {
+			if d := common.MaxAbsDiff(want.Ranks[q], got.Ranks[q]); d != 0 || want.Iterations[q] != got.Iterations[q] {
+				t.Errorf("%s artifact, query %d: ranks differ by %g, iterations %d vs %d",
+					e.Name(), q, d, got.Iterations[q], want.Iterations[q])
+			}
+		}
 	}
-	execN(iterLong)
-	short := testing.AllocsPerRun(5, func() { execN(iterShort) })
-	long := testing.AllocsPerRun(5, func() { execN(iterLong) })
-	if extra := long - short; extra != 0 {
-		t.Errorf("%g extra allocs across %d extra supersteps (%g/iteration); the batched Exec must not allocate per iteration",
-			extra, iterLong-iterShort, extra/float64(iterLong-iterShort))
+	for _, e := range []common.Engine{vpr.Engine{}, ppr.Engine{}} {
+		prep, err := e.Prepare(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bppr.ExecBatch(prep, o, queries); err == nil {
+			t.Errorf("ExecBatch accepted a %s artifact", e.Name())
+		}
 	}
 }
 

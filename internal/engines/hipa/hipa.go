@@ -67,11 +67,16 @@ func (Engine) Prepare(g *graph.Graph, o common.Options) (*common.Prepared, error
 	return PrepareArtifact("HiPa", g, o)
 }
 
+// Family is the builder family of every artifact PrepareArtifact builds,
+// whatever engine stamps it (Prepared.Family).
+const Family = "HiPa"
+
 // PrepareArtifact is HiPa's Prepare with the artifact's engine stamp
 // parameterised, so engines sharing HiPa's execution shape (the
 // early-convergence engine) build byte-identical artifacts under their own
 // name. The prep-cache key carries no engine field, so the underlying
-// hierarchy/layout payload is still shared across such engines.
+// hierarchy/layout payload is still shared across such engines, and every
+// such artifact carries Family.
 func PrepareArtifact(name string, g *graph.Graph, o common.Options) (*common.Prepared, error) {
 	o = o.ResolveMachine(nil)
 	m := o.Machine
@@ -97,7 +102,7 @@ func PrepareArtifact(name string, g *graph.Graph, o common.Options) (*common.Pre
 		VertexBalanced: o.VertexBalanced,
 		Nodes:          nodes,
 	}
-	prep, err := common.MakePrepared(name, g, m, o, key, func() (any, error) {
+	prep, err := common.MakePrepared(name, Family, g, m, o, key, func() (any, error) {
 		tr := rec.T()
 		partStart := time.Now()
 		stopPart := rec.C().Phase(common.PhasePrepPartition)

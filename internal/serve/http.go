@@ -19,6 +19,10 @@ import (
 // mutations); a longer stream is refused with 413 before it is applied.
 const maxReloadBodyBytes = 64 << 20
 
+// statusClientClosed is recorded for a request whose caller went away before
+// its answer was ready (nginx's 499; net/http names no such status).
+const statusClientClosed = 499
+
 // Handler returns the service's full routing table: the /v1 query and admin
 // endpoints plus the telemetry surface (/metrics, /healthz, /runs,
 // /debug/pprof/) on the same listener, every endpoint wrapped in the
@@ -215,7 +219,7 @@ func (s *Service) handlePPR(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	req := &pprReq{seeds: seeds, k: k, snap: snap, resp: make(chan pprResp, 1)}
+	req := &pprReq{ctx: r.Context(), arrived: time.Now(), seeds: seeds, k: k, snap: snap, resp: make(chan pprResp, 1)}
 	if !s.enqueuePPR(sg, req) {
 		httpError(w, http.StatusServiceUnavailable, "ppr queue full (depth %d)", cap(sg.pprCh))
 		return
@@ -224,6 +228,11 @@ func (s *Service) handlePPR(w http.ResponseWriter, r *http.Request) {
 	var resp pprResp
 	select {
 	case resp = <-req.resp:
+	case <-r.Context().Done():
+		// The caller gave up; the collector drops the request before its
+		// batch flushes.
+		httpError(w, statusClientClosed, "request cancelled")
+		return
 	case <-s.done:
 		httpError(w, http.StatusServiceUnavailable, "service shutting down")
 		return

@@ -26,6 +26,12 @@ const (
 	MetricPPRQueueDepth = "hipa_serve_ppr_queue_depth"
 	MetricPPRBatchSize  = "hipa_serve_ppr_batch_size"
 	MetricPPRFlushSecs  = "hipa_serve_ppr_flush_seconds"
+
+	// MetricStageSeconds splits a request's latency into its serving stages
+	// (labels endpoint, stage). /v1/ppr records stage="queue" (arrival to
+	// batch flush) and stage="exec" (the batch's ExecBatch), once per
+	// request.
+	MetricStageSeconds = "hipa_serve_stage_seconds"
 )
 
 // serveMetrics holds the service-wide registry handles. Each lookup through
@@ -40,6 +46,8 @@ type serveMetrics struct {
 	inflight        *obs.Gauge
 	pprBatchSize    *obs.Histogram
 	pprFlushSeconds *obs.Histogram
+	pprQueueStage   *obs.Histogram
+	pprExecStage    *obs.Histogram
 }
 
 func newServeMetrics(reg *obs.Registry) *serveMetrics {
@@ -60,6 +68,7 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	reg.SetHelp(MetricPPRQueueDepth, "Queued /v1/ppr requests awaiting collection.")
 	reg.SetHelp(MetricPPRBatchSize, "Width of flushed /v1/ppr batches.")
 	reg.SetHelp(MetricPPRFlushSecs, "Seconds from batch flush to responses fanned out.")
+	reg.SetHelp(MetricStageSeconds, "Seconds a request spent in one serving stage, per endpoint and stage.")
 	return &serveMetrics{
 		reg:             reg,
 		execWait:        reg.Histogram(MetricExecWait),
@@ -67,6 +76,8 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		inflight:        reg.Gauge(MetricHTTPInflight),
 		pprBatchSize:    reg.Histogram(MetricPPRBatchSize),
 		pprFlushSeconds: reg.Histogram(MetricPPRFlushSecs),
+		pprQueueStage:   reg.Histogram(MetricStageSeconds, "endpoint", "ppr", "stage", "queue"),
+		pprExecStage:    reg.Histogram(MetricStageSeconds, "endpoint", "ppr", "stage", "exec"),
 	}
 }
 

@@ -108,8 +108,9 @@ type Config struct {
 	// DefaultBatchMaxSize, clamped to bppr.MaxBatch).
 	BatchMaxSize int `json:"batch_max_size,omitempty"`
 	// BatchFlushMs is the /v1/ppr flush deadline in milliseconds: how long
-	// the first request of a batch waits for batch-mates (default
-	// DefaultBatchFlushMs).
+	// the first request of a batch waits for batch-mates while another batch
+	// of its graph is in flight (default DefaultBatchFlushMs). A batch that
+	// opens on an idle graph flushes at once.
 	BatchFlushMs int `json:"batch_flush_ms,omitempty"`
 	// BatchQueueDepth bounds queued /v1/ppr requests per graph; a full queue
 	// rejects with 503 (default DefaultBatchQueueDepth).
@@ -227,8 +228,9 @@ type snapshot struct {
 	ranks  *rankResult
 	flight *rankFlight
 
-	// pprPrep is the B-PPR artifact of this snapshot's version, built at
-	// most once on first /v1/ppr demand (see queue.go).
+	// pprPrep is the B-PPR artifact of this snapshot's version when the
+	// serving engine is outside the HiPa family, built at most once on first
+	// /v1/ppr demand (see queue.go).
 	pprOnce sync.Once
 	pprPrep *common.Prepared
 	pprErr  error

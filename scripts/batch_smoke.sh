@@ -10,7 +10,9 @@
 #      personalized-PageRank queries against /v1/ppr, asserting the request
 #      queue actually coalesces them (max observed batch width > 1, both
 #      from the client's view and from the hipa_serve_ppr_batch_size
-#      histogram on /metrics), with the ppr metric families validated
+#      histogram on /metrics), then one lone query that must answer in
+#      under a second although the server's flush deadline is 5 s (an idle
+#      graph flushes at once), with the ppr metric families validated
 #      strictly by cmd/promcheck.
 #
 # Set BATCH_SMOKE_OUT to save the final /metrics scrape. Requires curl.
@@ -18,8 +20,9 @@ set -eu
 
 GO=${GO:-go}
 DIVISOR=${BATCH_SMOKE_DIVISOR:-1024}
-# wiki/8192 preps in well under a second, and a 32-query burst against a
-# 2ms flush window forms multi-query batches with a wide margin.
+# wiki/8192 preps in well under a second. The first query of a 32-query
+# burst flushes alone on the idle graph; the rest pile up behind its Exec
+# and form multi-query batches with a wide margin.
 SERVE_DIVISOR=${BATCH_SMOKE_SERVE_DIVISOR:-8192}
 SERVE_DATASET=${BATCH_SMOKE_SERVE_DATASET:-wiki}
 BURST=${BATCH_SMOKE_BURST:-32}
@@ -44,8 +47,13 @@ trap cleanup EXIT INT TERM
 BIN="$WORK/bin"
 $GO build -o "$BIN/" ./cmd/hipaserve ./cmd/loadgen ./cmd/promcheck
 
-echo "== hipaserve on $SERVE_DATASET/$SERVE_DIVISOR =="
-"$BIN/hipaserve" -dataset "$SERVE_DATASET" -divisor "$SERVE_DIVISOR" \
+# A 5 s flush deadline: only the idle flush can answer the lone query below
+# in time.
+printf '{"batch_flush_ms": 5000, "graphs": [{"name": "%s", "dataset": "%s", "divisor": %s}]}\n' \
+    "$SERVE_DATASET" "$SERVE_DATASET" "$SERVE_DIVISOR" >"$WORK/serve.json"
+
+echo "== hipaserve on $SERVE_DATASET/$SERVE_DIVISOR (batch_flush_ms 5000) =="
+"$BIN/hipaserve" -config "$WORK/serve.json" \
     -listen 127.0.0.1:0 >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 
@@ -85,6 +93,18 @@ while :; do
 done
 grep 'loadgen: ppr_queries=' "$WORK/burst.log"
 
+echo "== lone ppr query (flush deadline 5 s) =="
+LONE=$(curl -fsS -o /dev/null -w '%{time_total}' "$URL/v1/ppr?seeds=1&k=5") || {
+    echo "batch_smoke: lone ppr query failed" >&2
+    cat "$WORK/serve.log" >&2
+    exit 1
+}
+echo "lone query answered in ${LONE}s"
+awk -v t="$LONE" 'BEGIN { exit (t + 0 < 1) ? 0 : 1 }' || {
+    echo "batch_smoke: a lone /v1/ppr waited ${LONE}s; an idle graph must flush at once" >&2
+    exit 1
+}
+
 echo "== metrics validation =="
 curl -fsS "$URL/metrics" -o "$WORK/metrics.prom"
 "$BIN/promcheck" -require \
@@ -109,4 +129,4 @@ if [ -n "$OUT" ]; then
     cp "$WORK/metrics.prom" "$OUT"
     echo "saved metrics snapshot to $OUT"
 fi
-echo "batch smoke: ok (bytes/query gate passed; burst coalesced into multi-query batches)"
+echo "batch smoke: ok (bytes/query gate passed; burst coalesced into multi-query batches; lone query flushed at once)"

@@ -10,7 +10,9 @@
 #     /metrics (validated strictly with cmd/promcheck);
 #   - identical concurrent recomputes coalesce onto one Exec (loadgen
 #     -coalesce-probe, then the coalesced counter is value-asserted);
-#   - the served version gauge reflects the reloads applied.
+#   - the served version gauge reflects the reloads applied;
+#   - a /v1/ppr query records its queue and exec stages on
+#     hipa_serve_stage_seconds.
 #
 # The loadgen summary line (total/qps/p50/p95/p99) is printed for the
 # serving table in EXPERIMENTS.md. Set SERVE_SMOKE_OUT to save the final
@@ -129,12 +131,19 @@ done
 grep 'loadgen: total=' "$WORK/probe.log"
 echo "coalesced recomputes after probe: $COALESCED"
 
+echo "== ppr query =="
+curl -fsS "$URL/v1/ppr?seeds=1&k=3" >"$WORK/ppr.json" || {
+    echo "serve_smoke: /v1/ppr failed" >&2
+    cat "$WORK/ppr.json" "$WORK/serve.log" >&2
+    exit 1
+}
+
 echo "== metrics validation =="
 curl -fsS "$URL/metrics" -o "$WORK/metrics.prom"
 # Strict exposition check: per-endpoint latency histograms, request
 # counters, and the serving families must all be present.
 "$BIN/promcheck" -require \
-    'hipa_http_request_seconds=endpoint:rank','hipa_http_request_seconds=endpoint:topk','hipa_http_request_seconds=endpoint:neighbors','hipa_http_request_seconds=endpoint:reload','hipa_http_requests_total=endpoint:rank','hipa_serve_execs_total','hipa_serve_exec_coalesced_total','hipa_serve_reloads_total','hipa_serve_graph_version','hipa_serve_exec_wait_seconds','hipa_prep_cache_misses_total' \
+    'hipa_http_request_seconds=endpoint:rank','hipa_http_request_seconds=endpoint:topk','hipa_http_request_seconds=endpoint:neighbors','hipa_http_request_seconds=endpoint:reload','hipa_http_requests_total=endpoint:rank','hipa_serve_execs_total','hipa_serve_exec_coalesced_total','hipa_serve_reloads_total','hipa_serve_graph_version','hipa_serve_exec_wait_seconds','hipa_prep_cache_misses_total','hipa_serve_stage_seconds=endpoint:ppr','hipa_serve_stage_seconds=stage:queue','hipa_serve_stage_seconds=stage:exec' \
     <"$WORK/metrics.prom"
 
 # Value assertions (promcheck checks presence, not values): the probe loop
