@@ -42,7 +42,8 @@ race-prep:
 	$(GO) test -race -run 'Concurrent|Race' ./internal/graph/ ./internal/engines/...
 
 # One-iteration pass over the Prepare benchmarks so the parallel build paths
-# (counting-sort CSR, CSC, fingerprint, partition+layout) are exercised in CI.
+# (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised
+# in CI.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
 

@@ -28,8 +28,9 @@ func benchGraph(n, m int) *Graph {
 	return b.Build()
 }
 
-// BenchmarkPrepareBuildCSR measures counting-sort CSR construction
-// (Builder.Build) from a shuffled edge list.
+// BenchmarkPrepareBuildCSR measures CSR construction (AddEdges and
+// Builder.Build: one source scatter, then per-row sorts) from a shuffled edge
+// list.
 func BenchmarkPrepareBuildCSR(b *testing.B) {
 	const n, m = 1 << 17, 1 << 21
 	edges := benchEdges(n, m, 42)

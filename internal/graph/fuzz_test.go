@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -110,6 +112,46 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
+		}
+	})
+}
+
+// FuzzBuildMatchesReference checks Builder.Build against referenceBuild on
+// arbitrary edge lists. The input is read as a little-endian uint16 vertex
+// count minus one, a flags byte (bit 0 Dedup, bit 1 RemoveSelfLoops), then
+// 4-byte (src, dst) pairs of uint16s taken modulo the vertex count. A small
+// vertex count piles every edge into a few long rows, so inputs of a few
+// hundred bytes already reach the radix-sorted rows.
+func FuzzBuildMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 0, 3, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 2, 0})
+	long := []byte{0, 0, 1}
+	for i := 0; i < 2*shortRow; i++ {
+		long = binary.LittleEndian.AppendUint16(long, 0)
+		long = binary.LittleEndian.AppendUint16(long, uint16(7919*i))
+	}
+	f.Add(long)
+	// f.Add keeps its slice, so the second seed needs its own copy.
+	wide := slices.Clone(long)
+	wide[0], wide[2] = 255, 2
+	f.Add(wide)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := int(binary.LittleEndian.Uint16(data)) + 1
+		dedup, noLoops := data[2]&1 != 0, data[2]&2 != 0
+		var edges []Edge
+		for rest := data[3:]; len(rest) >= 4; rest = rest[4:] {
+			src := int(binary.LittleEndian.Uint16(rest)) % n
+			dst := int(binary.LittleEndian.Uint16(rest[2:])) % n
+			edges = append(edges, Edge{VertexID(src), VertexID(dst)})
+		}
+		wantOff, wantOut := referenceBuild(n, edges, dedup, noLoops)
+		for _, par := range []int{1, 3} {
+			if err := buildMismatch(n, edges, dedup, noLoops, par, wantOff, wantOut); err != nil {
+				t.Fatalf("n=%d dedup=%v noLoops=%v parallelism %d: %v", n, dedup, noLoops, par, err)
+			}
 		}
 	})
 }

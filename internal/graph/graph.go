@@ -22,6 +22,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -358,6 +360,7 @@ func (g *Graph) DanglingCount() int {
 func (g *Graph) Symmetrize() *Graph {
 	b := NewBuilder(g.numVertices)
 	b.Dedup = true
+	b.edges = make([]Edge, 0, 2*g.numEdges)
 	for v := 0; v < g.numVertices; v++ {
 		for _, d := range g.OutNeighbors(VertexID(v)) {
 			b.AddEdge(VertexID(v), d)
@@ -489,11 +492,16 @@ func (b *Builder) AddEdge(src, dst VertexID) {
 	b.edges = append(b.edges, Edge{src, dst})
 }
 
-// AddEdges appends a batch of directed edges.
+// AddEdges appends a batch of directed edges. The batch is validated as a
+// whole before any of it is appended, so an out-of-range edge panics with
+// the builder unchanged.
 func (b *Builder) AddEdges(edges []Edge) {
 	for _, e := range edges {
-		b.AddEdge(e.Src, e.Dst)
+		if int(e.Src) >= b.numVertices || int(e.Dst) >= b.numVertices {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", e.Src, e.Dst, b.numVertices))
+		}
 	}
+	b.edges = append(b.edges, edges...)
 }
 
 // NumPendingEdges returns the number of edges added so far (before
@@ -503,55 +511,46 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // Build produces the immutable graph. The builder can be reused afterwards;
 // its edge buffer is consumed.
 //
-// Construction is a pair of stable counting-sort passes (LSD radix over the
-// dst then src keys) that leaves the edge list fully sorted by (src, dst):
-// each adjacency segment comes out sorted exactly as the old per-segment
-// sort.Slice produced, but every pass is O(E+V) and runs parallel over
-// contiguous chunks with disjoint writes, so the graph is bit-identical at
-// any Parallelism.
+// Construction is one counting scatter by source followed by a sort of each
+// adjacency row: per-worker source counts over contiguous chunks of the edge
+// list give the offsets and disjoint write cursors, every destination is
+// written straight into its row, and the rows are then sorted (and, with
+// Dedup, compacted) in parallel. A CSR with ascending rows is unique, so the
+// graph is bit-identical at any Parallelism.
 func (b *Builder) Build() *Graph {
 	edges := b.edges
 	b.edges = nil
-	if b.RemoveSelfLoops {
-		kept := edges[:0]
-		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
 	n := b.numVertices
 	off := make([]int64, n+1)
-	var out []VertexID
+	out := make([]VertexID, 0)
 	if n > 0 && len(edges) > 0 {
 		w := par.Fit(par.Workers(b.Parallelism), int64(len(edges)))
-		counts := make([]int64, w*n)
-		tmp := make([]Edge, len(edges))
-		countingSortEdges(edges, tmp, n, w, true, counts)
-		countingSortEdges(tmp, edges, n, w, false, counts)
-		if b.Dedup {
-			edges = dedupSorted(edges, w)
-		}
-		// Offsets by a parallel per-source count; the fill is a plain copy
-		// because the edges are already in final CSR order.
-		clear(counts)
 		bounds := par.Bounds(w, len(edges))
+		noLoops := b.RemoveSelfLoops
+		counts := make([]int64, w*n)
 		par.Run(w, func(i int) {
 			c := counts[i*n : (i+1)*n]
 			for _, e := range edges[bounds[i]:bounds[i+1]] {
-				c[e.Src]++
+				if !noLoops || e.Src != e.Dst {
+					c[e.Src]++
+				}
 			}
 		})
 		cursorsFromCounts(counts, w, n, off)
-		out = make([]VertexID, len(edges))
-		par.Blocks(w, len(edges), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = edges[i].Dst
+		out = make([]VertexID, off[n])
+		par.Run(w, func(i int) {
+			cur := counts[i*n : (i+1)*n]
+			for _, e := range edges[bounds[i]:bounds[i+1]] {
+				if !noLoops || e.Src != e.Dst {
+					out[cur[e.Src]] = e.Dst
+					cur[e.Src]++
+				}
 			}
 		})
-	} else {
-		out = make([]VertexID, 0)
+		sortRows(off, out, w, radixPasses(n))
+		if b.Dedup {
+			off, out = dedupRows(off, out, w)
+		}
 	}
 	g := &Graph{
 		numVertices: n,
@@ -565,64 +564,109 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// countingSortEdges stably sorts src into dst by the Dst key (byDst) or the
-// Src key, reusing the caller's per-worker count scratch (length workers*n).
-// Per-worker counts over contiguous chunks plus cursorsFromCounts make the
-// output identical to a serial stable counting sort at any worker count.
-func countingSortEdges(src, dst []Edge, n, workers int, byDst bool, counts []int64) {
-	clear(counts)
-	bounds := par.Bounds(workers, len(src))
-	key := func(e Edge) VertexID { return e.Src }
-	if byDst {
-		key = func(e Edge) VertexID { return e.Dst }
-	}
-	par.Run(workers, func(w int) {
-		c := counts[w*n : (w+1)*n]
-		for _, e := range src[bounds[w]:bounds[w+1]] {
-			c[key(e)]++
-		}
-	})
-	off := make([]int64, n+1)
-	cursorsFromCounts(counts, workers, n, off)
-	par.Run(workers, func(w int) {
-		cur := counts[w*n : (w+1)*n]
-		for _, e := range src[bounds[w]:bounds[w+1]] {
-			k := key(e)
-			dst[cur[k]] = e
-			cur[k]++
+// Row sorting: rows of at most shortRow entries go to slices.Sort; longer
+// ones (R-MAT hub rows reach 10^5 entries) take an LSD radix sort over
+// digitBits-bit digits of the vertex ID.
+const (
+	shortRow  = 128
+	digitBits = 11
+	digitMask = 1<<digitBits - 1
+)
+
+// radixPasses returns how many digits the largest vertex ID, n-1, spans.
+func radixPasses(n int) int {
+	return max(1, (bits.Len32(uint32(n-1))+digitBits-1)/digitBits)
+}
+
+// sortRows sorts every adjacency row out[off[v]:off[v+1]] ascending, rows
+// split over workers by edge weight.
+func sortRows(off []int64, out []VertexID, workers, passes int) {
+	par.WeightedBlocks(workers, off, func(_, lo, hi int) {
+		var buf []VertexID
+		var digits []int
+		for v := lo; v < hi; v++ {
+			row := out[off[v]:off[v+1]]
+			if len(row) <= shortRow {
+				slices.Sort(row)
+			} else {
+				if cap(buf) < len(row) {
+					// Doubling: rows ordered by growing length must
+					// not allocate once per row.
+					buf = make([]VertexID, max(len(row), 2*cap(buf)))
+				}
+				if digits == nil {
+					digits = make([]int, 1<<digitBits)
+				}
+				radixSort(row, buf[:len(row)], digits, passes)
+			}
 		}
 	})
 }
 
-// dedupSorted removes duplicates from a (src,dst)-sorted edge list with a
-// parallel count-then-compact: keep decisions compare only adjacent
-// elements, so they are independent of the chunking.
-func dedupSorted(edges []Edge, workers int) []Edge {
-	bounds := par.Bounds(workers, len(edges))
-	kept := make([]int, workers+1)
-	par.Run(workers, func(w int) {
-		c := 0
-		for i := bounds[w]; i < bounds[w+1]; i++ {
-			if i == 0 || edges[i] != edges[i-1] {
-				c++
-			}
+// radixSort sorts row with passes LSD counting passes over digitBits-bit
+// digits, ping-ponging through buf (same length) and digits (1<<digitBits
+// counters).
+func radixSort(row, buf []VertexID, digits []int, passes int) {
+	src, dst := row, buf
+	for p := 0; p < passes; p++ {
+		shift := p * digitBits
+		clear(digits)
+		for _, x := range src {
+			digits[x>>shift&digitMask]++
 		}
-		kept[w+1] = c
-	})
-	for w := 0; w < workers; w++ {
-		kept[w+1] += kept[w]
+		sum := 0
+		for d, c := range digits {
+			digits[d] = sum
+			sum += c
+		}
+		for _, x := range src {
+			d := x >> shift & digitMask
+			dst[digits[d]] = x
+			digits[d]++
+		}
+		src, dst = dst, src
 	}
-	out := make([]Edge, kept[workers])
-	par.Run(workers, func(w int) {
-		o := kept[w]
-		for i := bounds[w]; i < bounds[w+1]; i++ {
-			if i == 0 || edges[i] != edges[i-1] {
-				out[o] = edges[i]
-				o++
+	if passes%2 == 1 {
+		copy(row, src)
+	}
+}
+
+// dedupRows drops repeated entries from the sorted rows: a parallel count of
+// each row's distinct entries, a prefix sum into the new offsets, and a
+// parallel copy of the first entry of every run.
+func dedupRows(off []int64, out []VertexID, workers int) ([]int64, []VertexID) {
+	n := len(off) - 1
+	kept := make([]int64, n+1)
+	par.WeightedBlocks(workers, off, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			row := out[off[v]:off[v+1]]
+			for i := range row {
+				if i == 0 || row[i] != row[i-1] {
+					kept[v+1]++
+				}
 			}
 		}
 	})
-	return out
+	for v := 0; v < n; v++ {
+		kept[v+1] += kept[v]
+	}
+	if kept[n] == off[n] {
+		return off, out
+	}
+	dedup := make([]VertexID, kept[n])
+	par.WeightedBlocks(workers, off, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			row := out[off[v]:off[v+1]]
+			o := kept[v]
+			for i, x := range row {
+				if i == 0 || x != row[i-1] {
+					dedup[o] = x
+					o++
+				}
+			}
+		}
+	})
+	return kept, dedup
 }
 
 // Stats summarises a graph for reporting (Table 1 of the paper).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,6 +68,32 @@ func TestBuilderOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	NewBuilder(2).AddEdge(0, 2)
+}
+
+// TestAddEdgesAtomic: a batch with an out-of-range edge in the middle
+// panics before any of it is appended, so the builder still holds exactly
+// the edges of the earlier batches.
+func TestAddEdgesAtomic(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddEdges([]Edge{{0, 1}, {2, 3}})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic on out-of-range edge")
+			}
+		}()
+		b.AddEdges([]Edge{{1, 2}, {3, 4}, {0, 3}})
+	}()
+	if got := b.NumPendingEdges(); got != 2 {
+		t.Fatalf("NumPendingEdges = %d after the rejected batch, want 2", got)
+	}
+	g := b.Build()
+	want := [][]VertexID{{1}, {}, {3}, {}}
+	for v, w := range want {
+		if got := g.OutNeighbors(VertexID(v)); !slices.Equal(got, w) {
+			t.Errorf("OutNeighbors(%d) = %v, want %v", v, got, w)
+		}
+	}
 }
 
 func TestInEdges(t *testing.T) {

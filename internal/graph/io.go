@@ -256,8 +256,10 @@ func ReadEdgeList(r io.Reader, numVertices int) (*Graph, error) {
 	} else if maxID >= MaxInferredVertices {
 		return nil, fmt.Errorf("graph: inferred vertex count %d exceeds limit %d; pass numVertices explicitly", maxID+1, MaxInferredVertices)
 	}
+	// Every ID is below n, so the builder adopts the parsed slice instead of
+	// copying it.
 	b := NewBuilder(n)
-	b.AddEdges(edges)
+	b.edges = edges
 	return b.Build(), nil
 }
 

@@ -1,16 +1,18 @@
 package graph
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// referenceBuild is a naive CSR construction: plain sort.Slice per the old
-// implementation, with optional self-loop removal and dedup. The parallel
-// counting-sort Build must agree with it exactly.
+// referenceBuild is a naive CSR construction: one comparison sort of the
+// whole edge list by (src, dst), with optional self-loop removal and dedup.
+// The parallel scatter-and-sort Build must agree with it exactly.
 func referenceBuild(n int, edges []Edge, dedup, noSelfLoops bool) (off []int64, out []VertexID) {
 	es := make([]Edge, 0, len(edges))
 	for _, e := range edges {
@@ -19,11 +21,8 @@ func referenceBuild(n int, edges []Edge, dedup, noSelfLoops bool) (off []int64, 
 		}
 		es = append(es, e)
 	}
-	sort.SliceStable(es, func(i, j int) bool {
-		if es[i].Src != es[j].Src {
-			return es[i].Src < es[j].Src
-		}
-		return es[i].Dst < es[j].Dst
+	slices.SortStableFunc(es, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 	if dedup {
 		kept := es[:0]
@@ -48,6 +47,44 @@ func referenceBuild(n int, edges []Edge, dedup, noSelfLoops bool) (off []int64, 
 	return off, out
 }
 
+// buildMismatch builds edges with the given flags and parallelism and
+// reports the first difference from the reference CSR (wantOff, wantOut), or
+// nil. It also checks that every adjacency segment is sorted, strictly when
+// deduplicated.
+func buildMismatch(n int, edges []Edge, dedup, noLoops bool, parallelism int, wantOff []int64, wantOut []VertexID) error {
+	b := NewBuilder(n)
+	b.Dedup = dedup
+	b.RemoveSelfLoops = noLoops
+	b.Parallelism = parallelism
+	b.AddEdges(edges)
+	g := b.Build()
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if len(g.outOffsets) != len(wantOff) || len(g.outEdges) != len(wantOut) {
+		return fmt.Errorf("sizes (%d,%d), want (%d,%d)", len(g.outOffsets), len(g.outEdges), len(wantOff), len(wantOut))
+	}
+	for i := range wantOff {
+		if g.outOffsets[i] != wantOff[i] {
+			return fmt.Errorf("offsets[%d] = %d, want %d", i, g.outOffsets[i], wantOff[i])
+		}
+	}
+	for i := range wantOut {
+		if g.outEdges[i] != wantOut[i] {
+			return fmt.Errorf("edges[%d] = %d, want %d", i, g.outEdges[i], wantOut[i])
+		}
+	}
+	for v := 0; v < n; v++ {
+		seg := g.OutNeighbors(VertexID(v))
+		for i := 1; i < len(seg); i++ {
+			if seg[i] < seg[i-1] || (dedup && seg[i] == seg[i-1]) {
+				return fmt.Errorf("segment of %d not sorted/deduped at %d", v, i)
+			}
+		}
+	}
+	return nil
+}
+
 // TestPropertyBuildMatchesReference: at every parallelism setting, with and
 // without dedup and self-loop removal, Builder.Build produces exactly the
 // reference CSR — fully sorted adjacency segments, bit-identical arrays.
@@ -63,47 +100,106 @@ func TestPropertyBuildMatchesReference(t *testing.T) {
 		}
 		wantOff, wantOut := referenceBuild(n, edges, dedup, noLoops)
 		for _, par := range []int{1, 3, 8} {
-			b := NewBuilder(n)
-			b.Dedup = dedup
-			b.RemoveSelfLoops = noLoops
-			b.Parallelism = par
-			b.AddEdges(edges)
-			g := b.Build()
-			if err := g.Validate(); err != nil {
+			if err := buildMismatch(n, edges, dedup, noLoops, par, wantOff, wantOut); err != nil {
 				t.Logf("parallelism %d: %v", par, err)
 				return false
-			}
-			if len(g.outOffsets) != len(wantOff) || len(g.outEdges) != len(wantOut) {
-				t.Logf("parallelism %d: sizes differ", par)
-				return false
-			}
-			for i := range wantOff {
-				if g.outOffsets[i] != wantOff[i] {
-					t.Logf("parallelism %d: offsets[%d] = %d, want %d", par, i, g.outOffsets[i], wantOff[i])
-					return false
-				}
-			}
-			for i := range wantOut {
-				if g.outEdges[i] != wantOut[i] {
-					t.Logf("parallelism %d: edges[%d] = %d, want %d", par, i, g.outEdges[i], wantOut[i])
-					return false
-				}
-			}
-			// Segments sorted ascending (and strictly when deduped).
-			for v := 0; v < n; v++ {
-				seg := g.OutNeighbors(VertexID(v))
-				for i := 1; i < len(seg); i++ {
-					if seg[i] < seg[i-1] || (dedup && seg[i] == seg[i-1]) {
-						t.Logf("parallelism %d: segment of %d not sorted/deduped: %v", par, v, seg)
-						return false
-					}
-				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rowSortEdges returns an edge list whose rows take every row-sort path of
+// Build: rows just below, at and just above the short-row cutoff and hub
+// rows of thousands of entries, each in random, ascending, descending and
+// duplicate-heavy order (with a self-loop), plus background edges on the
+// remaining vertices so the list spans several workers' chunks. The rows'
+// entries are interleaved over the whole list, each row keeping its own
+// order, so rows straddle chunk boundaries.
+func rowSortEdges(rng *rand.Rand, n, background int) []Edge {
+	// A third of the IDs come from each end of the range, so on a graph
+	// above 2^22 vertices the top digit orders IDs whose low digits tie.
+	id := func() VertexID {
+		switch rng.Intn(3) {
+		case 0:
+			return VertexID(rng.Intn(min(n, 64)))
+		case 1:
+			return VertexID(n - 1 - rng.Intn(min(n, 64)))
+		}
+		return VertexID(rng.Intn(n))
+	}
+	var rows [][]VertexID
+	for _, k := range []int{shortRow - 1, shortRow, shortRow + 1, 3000, 7000} {
+		random := make([]VertexID, k)
+		for i := range random {
+			random[i] = id()
+		}
+		asc := slices.Clone(random)
+		slices.Sort(asc)
+		desc := slices.Clone(asc)
+		slices.Reverse(desc)
+		dups := make([]VertexID, k)
+		for i := range dups {
+			dups[i] = VertexID(rng.Intn(k/4 + 1))
+		}
+		dups[k/2] = VertexID(len(rows) + 3) // the row's own source
+		rows = append(rows, random, asc, desc, dups)
+	}
+	var tokens []VertexID
+	for src, row := range rows {
+		for range row {
+			tokens = append(tokens, VertexID(src))
+		}
+	}
+	rng.Shuffle(len(tokens), func(i, j int) { tokens[i], tokens[j] = tokens[j], tokens[i] })
+	next := make([]int, len(rows))
+	edges := make([]Edge, 0, len(tokens)+background)
+	for _, src := range tokens {
+		edges = append(edges, Edge{src, rows[src][next[src]]})
+		next[src]++
+	}
+	for i := 0; i < background; i++ {
+		src := len(rows) + rng.Intn(n-len(rows))
+		edges = append(edges, Edge{VertexID(src), VertexID(rng.Intn(n))})
+	}
+	return edges
+}
+
+// TestBuildRowSortPaths checks every row-sort path of Build — slices.Sort
+// and radix sort either side of the cutoff, presorted rows, hub rows with
+// one, two and three digit passes — against referenceBuild at parallelism 1,
+// 3 and 8, under every combination of Dedup and RemoveSelfLoops (only both
+// on for the 4M-vertex graph).
+func TestBuildRowSortPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		n, background, passes int
+	}{
+		{n: 2000, background: 0, passes: 1},
+		{n: 50000, background: 60000, passes: 2},
+		// IDs above 2^22 need the third 11-bit digit.
+		{n: 1<<22 + 5, background: 0, passes: 3},
+	} {
+		if got := radixPasses(tc.n); got != tc.passes {
+			t.Fatalf("n=%d: %d radix passes, want %d", tc.n, got, tc.passes)
+		}
+		edges := rowSortEdges(rng, tc.n, tc.background)
+		for _, dedup := range []bool{false, true} {
+			for _, noLoops := range []bool{false, true} {
+				if tc.passes == 3 && !(dedup && noLoops) {
+					continue // each build is O(n) at 4M vertices; one flag set suffices
+				}
+				wantOff, wantOut := referenceBuild(tc.n, edges, dedup, noLoops)
+				for _, par := range []int{1, 3, 8} {
+					if err := buildMismatch(tc.n, edges, dedup, noLoops, par, wantOff, wantOut); err != nil {
+						t.Errorf("n=%d dedup=%v noLoops=%v parallelism %d: %v", tc.n, dedup, noLoops, par, err)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -79,31 +79,21 @@ func Build(g *graph.Graph, h *partition.Hierarchy, compress bool) (*Layout, erro
 // BuildWorkers is Build with an explicit worker count (positive = that many
 // workers, 0 = all cores, negative = serial).
 //
-// All three edge-scanning passes run parallel over source partitions: every
-// array cell they touch — a (p,q) row of the pair-count matrices, a vertex's
-// intra range, a message inside one of p's blocks — is owned by exactly one
-// source partition p, so rows can be processed concurrently with disjoint
-// writes, and within a row the serial vertex order is preserved. Rows are
-// split by edge weight so one hub partition cannot serialize the build. The
-// layout is bit-identical at any worker count.
+// Both edge-scanning passes (count, then fill) run parallel over source
+// partitions: every array cell they touch — a (p,q) row of the pair-count
+// and cursor matrices, a vertex's intra range, a message inside one of p's
+// blocks — is owned by exactly one source partition p, so rows can be
+// processed concurrently with disjoint writes, and within a row the serial
+// vertex order is preserved. Rows are split by edge weight so one hub
+// partition cannot serialize the build. The layout is bit-identical at any
+// worker count.
 func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers int) (*Layout, error) {
 	if g.NumVertices() != h.NumVertices {
 		return nil, fmt.Errorf("layout: graph has %d vertices, hierarchy %d", g.NumVertices(), h.NumVertices)
 	}
 	P := h.NumPartitions()
-	per := h.VerticesPerPartition
-	n := g.NumVertices()
-	off := g.OutOffsets()
-	adj := g.OutEdges()
-
-	l := &Layout{
-		NumPartitions: P,
-		Compressed:    compress,
-		SrcBlockStart: make([]int32, P),
-		SrcBlockEnd:   make([]int32, P),
-		DstBlocks:     make([][]int32, P),
-		IntraOff:      make([]int64, n+1),
-	}
+	l := newLayout(P, g.NumVertices(), compress)
+	s := rowScan{per: h.VerticesPerPartition, off: g.OutOffsets(), adj: g.OutEdges(), compress: compress}
 
 	// Row split: contiguous source-partition ranges of roughly equal edge
 	// weight, one per worker.
@@ -126,48 +116,124 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
 			vlo, vhi := rowRange(p)
-			for v := vlo; v < vhi; v++ {
-				lastQ := -1
-				for _, d := range adj[off[v]:off[v+1]] {
-					q := int(d) / per
-					if q == p {
-						l.IntraOff[v+1]++
-						intraPerRow[p]++
-						continue
-					}
-					idx := p*P + q
-					dstCount[idx]++
-					if compress {
-						if q != lastQ {
-							msgCount[idx]++
-							lastQ = q
-						}
-					} else {
-						msgCount[idx]++
-					}
-				}
-			}
+			intraPerRow[p] = s.count(p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P], l.IntraOff)
 		}
 	})
 	var intraTotal int64
 	for _, c := range intraPerRow {
 		intraTotal += c
 	}
-	l.IntraEdges = intraTotal
-	l.InterEdges = g.NumEdges() - intraTotal
+	l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
 
-	// Intra CSR offsets.
-	for v := 0; v < n; v++ {
+	// Pass 2: fill messages, their destinations and the intra CSR in one
+	// row-parallel scan, through the per-block cursors placeBlocks left in
+	// msgCount and dstCount.
+	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
+		for p := plo; p < phi; p++ {
+			vlo, vhi := rowRange(p)
+			s.fill(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
+		}
+	})
+	return l, nil
+}
+
+func newLayout(P, n int, compress bool) *Layout {
+	return &Layout{
+		NumPartitions: P,
+		Compressed:    compress,
+		SrcBlockStart: make([]int32, P),
+		SrcBlockEnd:   make([]int32, P),
+		DstBlocks:     make([][]int32, P),
+		IntraOff:      make([]int64, n+1),
+	}
+}
+
+// rowScan walks the out-adjacency rows of one source partition's vertices,
+// grouping each inter-edge into a message: with compression, consecutive
+// destinations of one vertex in the same destination partition share a
+// message; without, every inter-edge is its own.
+type rowScan struct {
+	per      int
+	off      []int64
+	adj      []graph.VertexID
+	compress bool
+}
+
+// count adds source partition p's messages and destinations per destination
+// partition q to msgs[q] and dsts[q] (p's row of the pair matrices), and each
+// vertex v's intra edges to intraOff[v+1]. It returns p's intra-edge total.
+func (s rowScan) count(p, vlo, vhi int, msgs, dsts, intraOff []int64) int64 {
+	var intra int64
+	for v := vlo; v < vhi; v++ {
+		lastQ := -1
+		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
+			q := int(d) / s.per
+			if q == p {
+				intraOff[v+1]++
+				intra++
+				continue
+			}
+			dsts[q]++
+			if !s.compress || q != lastQ {
+				msgs[q]++
+				lastQ = q
+			}
+		}
+	}
+	return intra
+}
+
+// fill places source partition p's messages, their destinations and its
+// intra edges. msgCur[q] and dstCur[q] start at block (p,q)'s first message
+// and first destination index: inside a block, messages follow the scan's
+// source order and each message's destinations are a contiguous run of its
+// row, so one message cursor and one destination cursor per block place
+// everything.
+func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
+	for v := vlo; v < vhi; v++ {
+		lastQ := -1
+		intra := l.IntraOff[v]
+		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
+			q := int(d) / s.per
+			if q == p {
+				l.IntraDst[intra] = d
+				intra++
+				continue
+			}
+			if !s.compress || q != lastQ {
+				m := msgCur[q]
+				msgCur[q]++
+				l.MsgSrc[m] = graph.VertexID(v)
+				l.MsgDstOff[m] = dstCur[q]
+				lastQ = q
+			}
+			l.MsgDst[dstCur[q]] = d
+			dstCur[q]++
+		}
+	}
+}
+
+// placeBlocks turns the per-vertex intra counts into the intra CSR offsets,
+// lays out the blocks in (p,q) order with global message and destination
+// prefix sums, and allocates the message arrays. msgCount and dstCount
+// become each (p,q) pair's first message and first destination index: the
+// cursors of the fill pass.
+func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64) {
+	P := l.NumPartitions
+	l.IntraEdges = intraTotal
+	l.InterEdges = edges - intraTotal
+	for v := 0; v+1 < len(l.IntraOff); v++ {
 		l.IntraOff[v+1] += l.IntraOff[v]
 	}
 	l.IntraDst = make([]graph.VertexID, intraTotal)
 
-	// Blocks in (p,q) order with global message/destination prefix sums.
 	var totalMsgs, totalDsts int64
 	for p := 0; p < P; p++ {
 		l.SrcBlockStart[p] = int32(len(l.Blocks))
 		for q := 0; q < P; q++ {
-			mc := msgCount[p*P+q]
+			idx := p*P + q
+			mc, dc := msgCount[idx], dstCount[idx]
+			msgCount[idx], dstCount[idx] = totalMsgs, totalDsts
 			if mc == 0 {
 				continue
 			}
@@ -178,96 +244,14 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 			})
 			l.DstBlocks[q] = append(l.DstBlocks[q], bi)
 			totalMsgs += mc
-			totalDsts += dstCount[p*P+q]
+			totalDsts += dc
 		}
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
 	}
 	l.MsgSrc = make([]graph.VertexID, totalMsgs)
 	l.MsgDstOff = make([]int64, totalMsgs+1)
 	l.MsgDst = make([]graph.VertexID, totalDsts)
-
-	// Pass 2a: per-message destination counts -> MsgDstOff.
-	// Cursor per (p,q) into that block's message range; rows of msgCursor,
-	// MsgSrc entries, and dstPerMsg entries all belong to the source
-	// partition, so the pass is row-parallel like pass 1.
-	msgCursor := make([]int64, P*P)
-	blockOf := make([]int32, P*P)
-	for i := range blockOf {
-		blockOf[i] = -1
-	}
-	for bi, b := range l.Blocks {
-		blockOf[int(b.SrcPart)*P+int(b.DstPart)] = int32(bi)
-	}
-	// dstPerMsg counts destinations of each message.
-	dstPerMsg := make([]int64, totalMsgs)
-	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
-		for p := plo; p < phi; p++ {
-			vlo, vhi := rowRange(p)
-			for v := vlo; v < vhi; v++ {
-				lastQ := -1
-				var curMsg int64 = -1
-				for _, d := range adj[off[v]:off[v+1]] {
-					q := int(d) / per
-					if q == p {
-						continue
-					}
-					idx := p*P + q
-					newMsg := true
-					if compress && q == lastQ {
-						newMsg = false
-					}
-					if newMsg {
-						b := l.Blocks[blockOf[idx]]
-						curMsg = b.MsgStart + msgCursor[idx]
-						msgCursor[idx]++
-						l.MsgSrc[curMsg] = graph.VertexID(v)
-						lastQ = q
-					}
-					dstPerMsg[curMsg]++
-				}
-			}
-		}
-	})
-	for i := int64(0); i < totalMsgs; i++ {
-		l.MsgDstOff[i+1] = l.MsgDstOff[i] + dstPerMsg[i]
-	}
-
-	// Pass 2b: fill destinations and intra CSR. Row-parallel again; each row
-	// resets its own cursor slice before refilling.
-	dstFill := make([]int64, totalMsgs) // cursor within each message's dst list
-	intraCursor := make([]int64, n)
-	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
-		for p := plo; p < phi; p++ {
-			clear(msgCursor[p*P : (p+1)*P])
-			vlo, vhi := rowRange(p)
-			for v := vlo; v < vhi; v++ {
-				lastQ := -1
-				var curMsg int64 = -1
-				for _, d := range adj[off[v]:off[v+1]] {
-					q := int(d) / per
-					if q == p {
-						l.IntraDst[l.IntraOff[v]+intraCursor[v]] = d
-						intraCursor[v]++
-						continue
-					}
-					idx := p*P + q
-					newMsg := true
-					if compress && q == lastQ {
-						newMsg = false
-					}
-					if newMsg {
-						b := l.Blocks[blockOf[idx]]
-						curMsg = b.MsgStart + msgCursor[idx]
-						msgCursor[idx]++
-						lastQ = q
-					}
-					l.MsgDst[l.MsgDstOff[curMsg]+dstFill[curMsg]] = d
-					dstFill[curMsg]++
-				}
-			}
-		}
-	})
-	return l, nil
+	l.MsgDstOff[totalMsgs] = totalDsts
 }
 
 // Validate checks structural invariants; used by tests.

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -265,5 +266,111 @@ func TestPropertyLayoutInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceLayout is a plain serial construction of the layout: one scan
+// over the vertices in ID order appends each inter-edge to its (p,q) block's
+// message list, then the blocks are concatenated in (p,q) order.
+func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Layout {
+	type message struct {
+		src  graph.VertexID
+		dsts []graph.VertexID
+	}
+	n, P, per := g.NumVertices(), h.NumPartitions(), h.VerticesPerPartition
+	l := &Layout{
+		NumPartitions: P,
+		Compressed:    compress,
+		SrcBlockStart: make([]int32, P),
+		SrcBlockEnd:   make([]int32, P),
+		DstBlocks:     make([][]int32, P),
+		IntraOff:      make([]int64, n+1),
+	}
+	blocks := make([][]message, P*P)
+	for v := 0; v < n; v++ {
+		p, lastQ := v/per, -1
+		for _, d := range g.OutNeighbors(graph.VertexID(v)) {
+			q := int(d) / per
+			if q == p {
+				l.IntraDst = append(l.IntraDst, d)
+				continue
+			}
+			b := &blocks[p*P+q]
+			if !compress || q != lastQ {
+				*b = append(*b, message{src: graph.VertexID(v)})
+				lastQ = q
+			}
+			last := &(*b)[len(*b)-1]
+			last.dsts = append(last.dsts, d)
+		}
+		l.IntraOff[v+1] = int64(len(l.IntraDst))
+	}
+	l.IntraEdges = int64(len(l.IntraDst))
+	l.InterEdges = g.NumEdges() - l.IntraEdges
+	l.MsgDstOff = []int64{0}
+	for p := 0; p < P; p++ {
+		l.SrcBlockStart[p] = int32(len(l.Blocks))
+		for q := 0; q < P; q++ {
+			msgs := blocks[p*P+q]
+			if len(msgs) == 0 {
+				continue
+			}
+			l.DstBlocks[q] = append(l.DstBlocks[q], int32(len(l.Blocks)))
+			start := int64(len(l.MsgSrc))
+			for _, m := range msgs {
+				l.MsgSrc = append(l.MsgSrc, m.src)
+				l.MsgDst = append(l.MsgDst, m.dsts...)
+				l.MsgDstOff = append(l.MsgDstOff, int64(len(l.MsgDst)))
+			}
+			l.Blocks = append(l.Blocks, Block{
+				SrcPart: int32(p), DstPart: int32(q),
+				MsgStart: start, MsgEnd: int64(len(l.MsgSrc)),
+			})
+		}
+		l.SrcBlockEnd[p] = int32(len(l.Blocks))
+	}
+	return l
+}
+
+// TestBuildWorkersMatchesReference: on a power-law graph big enough to
+// split over several workers, BuildWorkers at 1, 3 and 8 workers produces
+// every array of the serial reference construction, compressed and
+// uncompressed.
+func TestBuildWorkersMatchesReference(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 20000, Edges: 300000, OutAlpha: 2.1, InAlpha: 0.9, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := buildHierarchy(t, g, 4096)
+	for _, compress := range []bool{true, false} {
+		want := referenceLayout(g, h, compress)
+		for _, workers := range []int{1, 3, 8} {
+			got, err := BuildWorkers(g, h, compress, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				name string
+				ok   bool
+			}{
+				{"NumPartitions", got.NumPartitions == want.NumPartitions},
+				{"Compressed", got.Compressed == want.Compressed},
+				{"Blocks", slices.Equal(got.Blocks, want.Blocks)},
+				{"SrcBlockStart", slices.Equal(got.SrcBlockStart, want.SrcBlockStart)},
+				{"SrcBlockEnd", slices.Equal(got.SrcBlockEnd, want.SrcBlockEnd)},
+				{"DstBlocks", slices.EqualFunc(got.DstBlocks, want.DstBlocks, slices.Equal[[]int32])},
+				{"MsgSrc", slices.Equal(got.MsgSrc, want.MsgSrc)},
+				{"MsgDstOff", slices.Equal(got.MsgDstOff, want.MsgDstOff)},
+				{"MsgDst", slices.Equal(got.MsgDst, want.MsgDst)},
+				{"IntraOff", slices.Equal(got.IntraOff, want.IntraOff)},
+				{"IntraDst", slices.Equal(got.IntraDst, want.IntraDst)},
+				{"IntraEdges", got.IntraEdges == want.IntraEdges},
+				{"InterEdges", got.InterEdges == want.InterEdges},
+			} {
+				if !c.ok {
+					t.Errorf("compress=%v workers=%d: %s differs from the reference", compress, workers, c.name)
+				}
+			}
+		}
 	}
 }

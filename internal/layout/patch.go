@@ -46,18 +46,10 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 		isTouched[p] = true
 	}
 	compress := old.Compressed
-	per := h.VerticesPerPartition
-	n := g.NumVertices()
-	off := g.OutOffsets()
-	adj := g.OutEdges()
-
-	l := &Layout{
-		NumPartitions: P,
-		Compressed:    compress,
-		SrcBlockStart: make([]int32, P),
-		SrcBlockEnd:   make([]int32, P),
-		DstBlocks:     make([][]int32, P),
-		IntraOff:      make([]int64, n+1),
+	l := newLayout(P, g.NumVertices(), compress)
+	s := rowScan{per: h.VerticesPerPartition, off: g.OutOffsets(), adj: g.OutEdges(), compress: compress}
+	rowRange := func(p int) (int, int) {
+		return int(h.Partitions[p].VertexStart), int(h.Partitions[p].VertexEnd)
 	}
 
 	// Pass 1: per-(p,q) message/destination counts and per-vertex intra
@@ -67,177 +59,47 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 	dstCount := make([]int64, P*P)
 	var intraTotal int64
 	for p := 0; p < P; p++ {
-		vlo, vhi := int(h.Partitions[p].VertexStart), int(h.Partitions[p].VertexEnd)
-		if !isTouched[p] {
-			for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
-				b := old.Blocks[bi]
-				idx := p*P + int(b.DstPart)
-				msgCount[idx] = b.Messages()
-				dstCount[idx] = old.MsgDstOff[b.MsgEnd] - old.MsgDstOff[b.MsgStart]
-			}
-			for v := vlo; v < vhi; v++ {
-				c := old.IntraOff[v+1] - old.IntraOff[v]
-				l.IntraOff[v+1] = c
-				intraTotal += c
-			}
+		vlo, vhi := rowRange(p)
+		if isTouched[p] {
+			intraTotal += s.count(p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P], l.IntraOff)
 			continue
 		}
+		for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
+			b := old.Blocks[bi]
+			idx := p*P + int(b.DstPart)
+			msgCount[idx] = b.Messages()
+			dstCount[idx] = old.MsgDstOff[b.MsgEnd] - old.MsgDstOff[b.MsgStart]
+		}
 		for v := vlo; v < vhi; v++ {
-			lastQ := -1
-			for _, d := range adj[off[v]:off[v+1]] {
-				q := int(d) / per
-				if q == p {
-					l.IntraOff[v+1]++
-					intraTotal++
-					continue
-				}
-				idx := p*P + q
-				dstCount[idx]++
-				if compress {
-					if q != lastQ {
-						msgCount[idx]++
-						lastQ = q
-					}
-				} else {
-					msgCount[idx]++
-				}
-			}
+			c := old.IntraOff[v+1] - old.IntraOff[v]
+			l.IntraOff[v+1] = c
+			intraTotal += c
 		}
 	}
-	l.IntraEdges = intraTotal
-	l.InterEdges = g.NumEdges() - intraTotal
+	l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
 
-	for v := 0; v < n; v++ {
-		l.IntraOff[v+1] += l.IntraOff[v]
-	}
-	l.IntraDst = make([]graph.VertexID, intraTotal)
-
-	// Blocks in (p,q) order with global prefix sums, exactly as Build lays
-	// them out.
-	var totalMsgs, totalDsts int64
+	// Pass 2: touched partitions fill exactly like Build; untouched ones
+	// splice their blocks and intra rows out of the old layout, keeping the
+	// per-block message order and rebasing only the destination offsets.
 	for p := 0; p < P; p++ {
-		l.SrcBlockStart[p] = int32(len(l.Blocks))
-		for q := 0; q < P; q++ {
-			mc := msgCount[p*P+q]
-			if mc == 0 {
-				continue
-			}
-			bi := int32(len(l.Blocks))
-			l.Blocks = append(l.Blocks, Block{
-				SrcPart: int32(p), DstPart: int32(q),
-				MsgStart: totalMsgs, MsgEnd: totalMsgs + mc,
-			})
-			l.DstBlocks[q] = append(l.DstBlocks[q], bi)
-			totalMsgs += mc
-			totalDsts += dstCount[p*P+q]
-		}
-		l.SrcBlockEnd[p] = int32(len(l.Blocks))
-	}
-	l.MsgSrc = make([]graph.VertexID, totalMsgs)
-	l.MsgDstOff = make([]int64, totalMsgs+1)
-	l.MsgDst = make([]graph.VertexID, totalDsts)
-
-	// Pass 2a: message sources and per-message destination counts.
-	blockOf := make([]int32, P*P)
-	for i := range blockOf {
-		blockOf[i] = -1
-	}
-	for bi, b := range l.Blocks {
-		blockOf[int(b.SrcPart)*P+int(b.DstPart)] = int32(bi)
-	}
-	msgCursor := make([]int64, P*P)
-	dstPerMsg := make([]int64, totalMsgs)
-	for p := 0; p < P; p++ {
-		if !isTouched[p] {
-			// Splice: p's messages keep their old per-block order; only the
-			// global offsets move.
-			for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
-				ob := old.Blocks[bi]
-				nb := l.Blocks[blockOf[p*P+int(ob.DstPart)]]
-				copy(l.MsgSrc[nb.MsgStart:nb.MsgEnd], old.MsgSrc[ob.MsgStart:ob.MsgEnd])
-				for m := int64(0); m < ob.Messages(); m++ {
-					dstPerMsg[nb.MsgStart+m] = old.MsgDstOff[ob.MsgStart+m+1] - old.MsgDstOff[ob.MsgStart+m]
-				}
-			}
+		vlo, vhi := rowRange(p)
+		msgCur, dstCur := msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P]
+		if isTouched[p] {
+			s.fill(l, p, vlo, vhi, msgCur, dstCur)
 			continue
 		}
-		vlo, vhi := int(h.Partitions[p].VertexStart), int(h.Partitions[p].VertexEnd)
-		for v := vlo; v < vhi; v++ {
-			lastQ := -1
-			var curMsg int64 = -1
-			for _, d := range adj[off[v]:off[v+1]] {
-				q := int(d) / per
-				if q == p {
-					continue
-				}
-				idx := p*P + q
-				newMsg := true
-				if compress && q == lastQ {
-					newMsg = false
-				}
-				if newMsg {
-					b := l.Blocks[blockOf[idx]]
-					curMsg = b.MsgStart + msgCursor[idx]
-					msgCursor[idx]++
-					l.MsgSrc[curMsg] = graph.VertexID(v)
-					lastQ = q
-				}
-				dstPerMsg[curMsg]++
+		// Intra rows of an untouched partition are one contiguous run.
+		copy(l.IntraDst[l.IntraOff[vlo]:l.IntraOff[vhi]],
+			old.IntraDst[old.IntraOff[vlo]:old.IntraOff[vhi]])
+		for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
+			ob := old.Blocks[bi]
+			m0, d0 := msgCur[ob.DstPart], dstCur[ob.DstPart]
+			od := old.MsgDstOff[ob.MsgStart]
+			copy(l.MsgSrc[m0:], old.MsgSrc[ob.MsgStart:ob.MsgEnd])
+			for m := int64(0); m < ob.Messages(); m++ {
+				l.MsgDstOff[m0+m] = old.MsgDstOff[ob.MsgStart+m] - od + d0
 			}
-		}
-	}
-	for i := int64(0); i < totalMsgs; i++ {
-		l.MsgDstOff[i+1] = l.MsgDstOff[i] + dstPerMsg[i]
-	}
-
-	// Pass 2b: message destinations and the intra CSR.
-	intraCursor := make([]int64, 0)
-	for p := 0; p < P; p++ {
-		vlo, vhi := int(h.Partitions[p].VertexStart), int(h.Partitions[p].VertexEnd)
-		if !isTouched[p] {
-			// Intra rows of an untouched partition are one contiguous run.
-			copy(l.IntraDst[l.IntraOff[vlo]:l.IntraOff[vhi]],
-				old.IntraDst[old.IntraOff[vlo]:old.IntraOff[vhi]])
-			for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
-				ob := old.Blocks[bi]
-				nb := l.Blocks[blockOf[p*P+int(ob.DstPart)]]
-				copy(l.MsgDst[l.MsgDstOff[nb.MsgStart]:l.MsgDstOff[nb.MsgEnd]],
-					old.MsgDst[old.MsgDstOff[ob.MsgStart]:old.MsgDstOff[ob.MsgEnd]])
-			}
-			continue
-		}
-		clear(msgCursor[p*P : (p+1)*P])
-		if c := vhi - vlo; cap(intraCursor) < c {
-			intraCursor = make([]int64, c)
-		}
-		ic := intraCursor[:vhi-vlo]
-		clear(ic)
-		for v := vlo; v < vhi; v++ {
-			lastQ := -1
-			var curMsg int64 = -1
-			var curFill int64
-			for _, d := range adj[off[v]:off[v+1]] {
-				q := int(d) / per
-				if q == p {
-					l.IntraDst[l.IntraOff[v]+ic[v-vlo]] = d
-					ic[v-vlo]++
-					continue
-				}
-				idx := p*P + q
-				newMsg := true
-				if compress && q == lastQ {
-					newMsg = false
-				}
-				if newMsg {
-					b := l.Blocks[blockOf[idx]]
-					curMsg = b.MsgStart + msgCursor[idx]
-					msgCursor[idx]++
-					lastQ = q
-					curFill = 0
-				}
-				l.MsgDst[l.MsgDstOff[curMsg]+curFill] = d
-				curFill++
-			}
+			copy(l.MsgDst[d0:], old.MsgDst[od:old.MsgDstOff[ob.MsgEnd]])
 		}
 	}
 	return l, nil
