@@ -20,8 +20,9 @@
 // plus an amortization line over all N and the scratch-arena reuse count
 // (sequential Execs against one artifact recycle a single arena — see the
 // Exec memory model in DESIGN.md).
-// -stats writes a machine-readable run report (per-iteration residuals,
-// dangling mass, modelled local/remote accesses, counters, phase timers).
+// -stats writes a machine-readable run report (graph shape, run scalars,
+// model and scheduler stats, per-iteration residuals, dangling mass,
+// modelled local/remote accesses).
 // -trace writes a Chrome trace_event file loadable in chrome://tracing or
 // https://ui.perfetto.dev, with one lane per simulated thread. Both -stats
 // and -trace files are written atomically (temp file + rename).
@@ -128,7 +129,7 @@ func main() {
 
 	var rec *obs.Recorder
 	if *statsPath != "" || *tracePath != "" {
-		rec = &obs.Recorder{Collector: obs.NewCollector()}
+		rec = &obs.Recorder{}
 		if *tracePath != "" {
 			rec.Trace = obs.NewTrace()
 		}
@@ -177,11 +178,11 @@ func main() {
 		}
 		execTotal = res.WallSeconds
 		if tel != nil {
-			tel.Runs().Add(harness.NewRunReport(g, m, res, rec))
+			tel.Runs().Add(harness.NewRunReport(g, m, res))
 		}
 	} else {
-		// Prepare once (with the recorder, so prep spans/phases land in the
-		// report), then execute repeatedly. Only the last execution carries
+		// Prepare once (with the recorder, so the prep spans land in the
+		// trace), then execute repeatedly. Only the last execution carries
 		// the recorder: per-iteration stats describe one run, not N merged.
 		prep, err := e.Prepare(g, o)
 		if err != nil {
@@ -196,7 +197,7 @@ func main() {
 			}
 			execTotal += r.WallSeconds
 			if tel != nil {
-				tel.Runs().Add(harness.NewRunReport(g, m, r, nil))
+				tel.Runs().Add(harness.NewRunReport(g, m, r))
 			}
 		}
 		res, err = e.Exec(prep, o)
@@ -205,7 +206,7 @@ func main() {
 		}
 		execTotal += res.WallSeconds
 		if tel != nil {
-			tel.Runs().Add(harness.NewRunReport(g, m, res, rec))
+			tel.Runs().Add(harness.NewRunReport(g, m, res))
 		}
 		arenas = prep.ArenaStats()
 	}
@@ -227,7 +228,7 @@ func main() {
 	}
 
 	if *statsPath != "" {
-		if err := harness.NewRunReport(g, m, res, rec).WriteJSONFile(*statsPath); err != nil {
+		if err := harness.NewRunReport(g, m, res).WriteJSONFile(*statsPath); err != nil {
 			fail(err.Error())
 		}
 		fmt.Printf("stats      : wrote %s (%d iterations)\n", *statsPath, len(res.Iters))

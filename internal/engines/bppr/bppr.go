@@ -196,16 +196,9 @@ func ExecBatch(prep *common.Prepared, o common.Options, queries []Query) (*Batch
 
 	rec := o.Obs
 	tr := rec.T()
-	common.RecordGraphCounters(rec.C(), g.NumVertices(), g.NumEdges())
-	if threads != o.Threads {
-		rec.C().Set("hipa.threads.requested", float64(o.Threads))
-		rec.C().Set("hipa.threads.effective", float64(threads))
-	}
-	rec.C().Set("bppr.batch", float64(len(queries)))
 
 	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
 	lookup := partition.BuildLookup(hier)
-	rec.C().Add("partition.groups", int64(len(hier.Groups)))
 
 	pf := o.Platform
 	pool, err := pf.SpawnPinned(o.SchedSeed, threads)
@@ -222,7 +215,6 @@ func ExecBatch(prep *common.Prepared, o common.Options, queries []Query) (*Batch
 		return nil, fmt.Errorf("bppr: %w", err)
 	}
 	kernels := state.PinnedKernels(hier.Groups)
-	stopRun := rec.C().Phase(common.PhaseRun)
 	wallStart := time.Now()
 	performed := common.RunSupersteps(common.SuperstepConfig{
 		Engine:      Name,
@@ -233,10 +225,6 @@ func ExecBatch(prep *common.Prepared, o common.Options, queries []Query) (*Batch
 		Rec:         rec,
 	}, kernels)
 	wall := time.Since(wallStart)
-	stopRun()
-
-	rec.C().Set("bppr.col_steps", float64(state.ColSteps()))
-	rec.C().Set("bppr.active_columns", float64(state.ActiveColumns()))
 
 	acct := pf.NewAccounting(pool)
 	if pf.Modeled() {

@@ -61,9 +61,8 @@ type Options struct {
 	// GPOP). HiPa needs one group list per NUMA node, so it adjusts the
 	// requested count to a feasible one — bumped to at least the node count,
 	// then rounded down to a node multiple (the paper's per-node thread
-	// split) — and reports the adjustment on the obs Collector as the gauges
-	// "hipa.threads.requested" and "hipa.threads.effective";
-	// Result.Threads always carries the effective count.
+	// split). Result.Threads always carries the effective count, so a
+	// caller sees the adjustment by comparing it with the request.
 	Threads int
 	// Iterations of PageRank; 0 means DefaultIterations.
 	Iterations int

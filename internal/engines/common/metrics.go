@@ -3,17 +3,18 @@ package common
 import (
 	"strings"
 	"sync"
+	"time"
 
 	"hipa/internal/obs"
 )
 
-// This file wires the engines into the process-wide obs registry. The
-// per-run Collector (obs.go in internal/obs) answers "what happened in this
-// run"; the registry series here answer "what has this process been doing",
-// continuously scrapeable at /metrics while a -repeat loop or a server is
-// live. Handles are resolved once per Exec (NewSuperstepLoop) and recording
-// is pure atomics, so the superstep loop stays at zero allocations per
-// iteration.
+// This file wires the engines into the process-wide obs registry. A run's
+// Result and its Recorder (trace, iteration statistics) answer "what
+// happened in this run"; the registry series here answer "what has this
+// process been doing", continuously scrapeable at /metrics while a -repeat
+// loop or a server is live. Handles are resolved once per Exec
+// (NewSuperstepLoop) and recording is pure atomics, so the superstep loop
+// stays at zero allocations per iteration.
 
 // Registry metric families recorded by the engine layer.
 const (
@@ -92,16 +93,18 @@ func metricsFor(engine string) *engineMetrics {
 
 var prepStageCache sync.Map // stage span name -> *obs.Histogram
 
-// ObservePrepStage records one preprocessing stage's duration into the
-// process-wide prep-stage histogram. stage is a prep span/phase name
+// EndPrepStage closes one preprocessing stage begun at start: it records
+// the stage's duration into the process-wide prep-stage histogram and, when
+// rec traces, emits the same-named span on lane. span is a prep span name
 // (SpanPrepPartition, ...); the "prep:" prefix becomes the stage label.
-func ObservePrepStage(stage string, seconds float64) {
-	if v, ok := prepStageCache.Load(stage); ok {
-		v.(*obs.Histogram).Observe(seconds)
-		return
+func EndPrepStage(rec *obs.Recorder, lane int, span string, start time.Time) {
+	h, ok := prepStageCache.Load(span)
+	if !ok {
+		registerEngineHelp()
+		h, _ = prepStageCache.LoadOrStore(span, obs.Default().Histogram(MetricPrepStageSeconds, "stage", strings.TrimPrefix(span, "prep:")))
 	}
-	registerEngineHelp()
-	h := obs.Default().Histogram(MetricPrepStageSeconds, "stage", strings.TrimPrefix(stage, "prep:"))
-	v, _ := prepStageCache.LoadOrStore(stage, h)
-	v.(*obs.Histogram).Observe(seconds)
+	h.(*obs.Histogram).Observe(time.Since(start).Seconds())
+	if tr := rec.T(); tr != nil {
+		tr.Span(lane, span, -1, start)
+	}
 }

@@ -2,6 +2,7 @@ package common
 
 import (
 	"testing"
+	"time"
 
 	"hipa/internal/obs"
 	"hipa/internal/perfmodel"
@@ -72,11 +73,16 @@ func TestFinishRunAccumulatesBytesMoved(t *testing.T) {
 	}
 }
 
-func TestObservePrepStage(t *testing.T) {
-	ObservePrepStage("prep:teststage", 0.25)
-	ObservePrepStage("prep:teststage", 0.75)
+func TestEndPrepStage(t *testing.T) {
+	rec := &obs.Recorder{Trace: obs.NewTrace()}
+	start := time.Now().Add(-250 * time.Millisecond)
+	EndPrepStage(rec, 3, "prep:teststage", start)
+	EndPrepStage(nil, 3, "prep:teststage", start)
 	snap := obs.Default().Histogram(MetricPrepStageSeconds, "stage", "teststage").Snapshot()
-	if snap.Count != 2 || snap.Min != 0.25 || snap.Max != 0.75 {
-		t.Errorf("prep stage histogram = count %d min %g max %g, want 2/0.25/0.75", snap.Count, snap.Min, snap.Max)
+	if snap.Count != 2 || snap.Min < 0.25 {
+		t.Errorf("prep stage histogram = count %d min %g, want 2 observations of >= 0.25s", snap.Count, snap.Min)
+	}
+	if n := rec.T().NumSpans(); n != 1 {
+		t.Errorf("trace holds %d spans, want 1 (the untraced call emits none)", n)
 	}
 }

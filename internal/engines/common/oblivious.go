@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hipa/internal/graph"
-	"hipa/internal/layout"
 	"hipa/internal/machine"
 	"hipa/internal/partition"
 	"hipa/internal/platform"
@@ -55,8 +54,6 @@ func PrepareOblivious(g *graph.Graph, o Options, cfg ObliviousPartitionConfig) (
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("%s: empty graph", cfg.Name)
 	}
-	rec := o.Obs
-	runner := RunnerLane(o.Threads)
 	key := PrepKey{
 		Kind:           PrepPartition,
 		PartitionBytes: o.PartitionBytes,
@@ -64,43 +61,19 @@ func PrepareOblivious(g *graph.Graph, o Options, cfg ObliviousPartitionConfig) (
 		Compress:       !o.NoCompress,
 		Nodes:          1,
 	}
-	prep, err := MakePrepared(cfg.Name, "", g, m, o, key, func() (any, error) {
-		tr := rec.T()
-		partStart := time.Now()
-		stopPart := rec.C().Phase(PhasePrepPartition)
-		hier, err := partition.BuildWorkers(g, partition.Config{
+	lane := RunnerLane(o.Threads)
+	return MakePrepared(cfg.Name, "", g, m, o, lane, key, func() (any, error) {
+		art, err := BuildPartArtifact(g, partition.Config{
 			PartitionBytes: o.PartitionBytes,
 			BytesPerVertex: 4,
 			NumNodes:       1,
 			GroupsPerNode:  1,
-		}, o.PrepParallelism)
-		stopPart()
-		ObservePrepStage(SpanPrepPartition, time.Since(partStart).Seconds())
+		}, o, lane)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 		}
-		if tr != nil {
-			tr.Span(runner, SpanPrepPartition, -1, partStart)
-		}
-		layStart := time.Now()
-		stopLay := rec.C().Phase(PhasePrepLayout)
-		lay, err := layout.BuildWorkers(g, hier, !o.NoCompress, o.PrepParallelism)
-		stopLay()
-		ObservePrepStage(SpanPrepLayout, time.Since(layStart).Seconds())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
-		}
-		if tr != nil {
-			tr.Span(runner, SpanPrepLayout, -1, layStart)
-		}
-		return &PartArtifact{Hier: hier, Lay: lay, Inv: InvOutDegreesWorkers(g, o.PrepParallelism)}, nil
+		return art, nil
 	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	rec.C().Add("partition.partitions", int64(prep.part.Hier.NumPartitions()))
-	rec.C().Add("layout.messages", int64(prep.part.Lay.NumMessages()))
-	return prep, nil
 }
 
 // ExecOblivious runs the FCFS iterative phase of a NUMA-oblivious
@@ -131,7 +104,6 @@ func ExecOblivious(prep *Prepared, o Options, cfg ObliviousPartitionConfig) (*Re
 	g := prep.Graph()
 	hier, lay := prep.part.Hier, prep.part.Lay
 	rec := o.Obs
-	RecordGraphCounters(rec.C(), g.NumVertices(), g.NumEdges())
 
 	// Platform thread lifecycle: Algorithm 1 — a fresh pool per phase,
 	// threads placed arbitrarily by the OS, no binding.
@@ -148,7 +120,6 @@ func ExecOblivious(prep *Prepared, o Options, cfg ObliviousPartitionConfig) (*Re
 	arena := prep.AcquireArena()
 	defer prep.ReleaseArena(arena)
 	state := NewSGStateArena(g, hier, lay, prep.part.Inv, o.Damping, o.Threads, arena)
-	stopRun := rec.C().Phase(PhaseRun)
 	wallStart := time.Now()
 	performed := RunSupersteps(SuperstepConfig{
 		Engine:      cfg.Name,
@@ -159,7 +130,6 @@ func ExecOblivious(prep *Prepared, o Options, cfg ObliviousPartitionConfig) (*Re
 		Rec:         rec,
 	}, FCFSKernels(state))
 	wall := time.Since(wallStart)
-	stopRun()
 	o.Iterations = performed
 
 	// Cost accounting on the platform.

@@ -15,25 +15,16 @@ const (
 	SpanPrepPartition = "prep:partition"
 	SpanPrepLayout    = "prep:layout"
 	SpanPrepIndex     = "prep:index"
-	SpanScatter       = "scatter"
-	SpanReduce        = "reduce"
-	SpanGather        = "gather"
-	SpanApply         = "apply"
+	// SpanPrepFingerprint is the graph fingerprint that keys every
+	// artifact, taken on a cache hit too.
+	SpanPrepFingerprint = "prep:fingerprint"
+	SpanScatter         = "scatter"
+	SpanReduce          = "reduce"
+	SpanGather          = "gather"
+	SpanApply           = "apply"
 	// SpanRound is one worker round of the barrierless engine, which has no
 	// phase structure to break a superstep into.
 	SpanRound = "round"
-)
-
-// Collector phase-timer names shared by the engines. The prep:* stage timers
-// break PhasePrep down so `-stats` shows where Prepare time goes; they reuse
-// the span names, keeping traces and counters aligned.
-const (
-	PhasePrep            = "prep"
-	PhasePrepPartition   = SpanPrepPartition
-	PhasePrepLayout      = SpanPrepLayout
-	PhasePrepIndex       = SpanPrepIndex
-	PhasePrepFingerprint = "prep:fingerprint"
-	PhaseRun             = "iterations"
 )
 
 // RunnerLane is the trace lane for serial work done between parallel
@@ -41,18 +32,11 @@ const (
 // last worker lane.
 func RunnerLane(threads int) int { return threads }
 
-// RecordGraphCounters feeds the standard graph-shape counters every engine
-// reports.
-func RecordGraphCounters(c *obs.Collector, vertices int, edges int64) {
-	c.Add("graph.vertices", int64(vertices))
-	c.Add("graph.edges", edges)
-}
-
-// FinishRun finalizes a run's telemetry once the Result is assembled:
-// standard counters and gauges on the collector, model-derived annotation
-// of the per-iteration statistics (equal traffic share per iteration;
-// migrations charged to iteration 0 for pinned engines, spread for
-// per-phase pools), and Result.Iters. No-op without a recorder.
+// FinishRun finalizes a run's telemetry once the Result is assembled: the
+// process-wide bytes-moved counters, model-derived annotation of the
+// per-iteration statistics (equal traffic share per iteration; migrations
+// charged to iteration 0 for pinned engines, spread for per-phase pools),
+// and Result.Iters.
 func FinishRun(rec *obs.Recorder, res *Result, m *machine.Machine, pinned bool) {
 	// The registry half runs recorder or not: bytes-moved totals accumulate
 	// process-wide for every finished run.
@@ -63,17 +47,6 @@ func FinishRun(rec *obs.Recorder, res *Result, m *machine.Machine, pinned bool) 
 	if rec == nil {
 		return
 	}
-	c := rec.C()
-	c.Add("run.iterations", int64(res.Iterations))
-	c.Add("run.threads", int64(res.Threads))
-	c.Add("sched.spawns", res.Sched.Spawned)
-	c.Add("sched.bindings", res.Sched.Bindings)
-	c.Add("sched.migrations", res.Sched.Migrations)
-	c.Add("sched.cross_node_migrations", res.Sched.CrossNodeMigrations)
-	c.Set("rank_sum", RankSum(res.Ranks))
-	c.Set("wall_seconds", res.WallSeconds)
-	c.Set("prep_seconds", res.PrepSeconds)
-	c.Set("prep_build_seconds", res.PrepBuildSeconds)
 	line := 64
 	if m != nil && m.L1.LineBytes > 0 {
 		line = m.L1.LineBytes
@@ -81,12 +54,6 @@ func FinishRun(rec *obs.Recorder, res *Result, m *machine.Machine, pinned bool) 
 	var localBytes, remoteBytes int64
 	if res.Model != nil {
 		localBytes, remoteBytes = res.Model.LocalBytes, res.Model.RemoteBytes
-		c.Add("model.local_bytes", localBytes)
-		c.Add("model.remote_bytes", remoteBytes)
-		c.Add("model.llc_accesses", res.Model.LLCAccesses)
-		c.Set("model.estimated_seconds", res.Model.EstimatedSeconds)
-		c.Set("model.mape", res.Model.MApE)
-		c.Set("model.remote_fraction", res.Model.RemoteFraction)
 	}
 	rec.AnnotateModel(localBytes, remoteBytes, line, res.Sched.Migrations, pinned)
 	res.Iters = rec.IterationStats()

@@ -53,6 +53,26 @@ type PartArtifact struct {
 	Inv  []float32
 }
 
+// BuildPartArtifact builds a partition-centric payload: the hierarchy per
+// cfg, the message layout (compressed unless o.NoCompress), and the
+// 1/outdeg array, each stage timed and traced on lane. Errors carry no
+// engine prefix; the caller adds its own.
+func BuildPartArtifact(g *graph.Graph, cfg partition.Config, o Options, lane int) (*PartArtifact, error) {
+	start := time.Now()
+	hier, err := partition.BuildWorkers(g, cfg, o.PrepParallelism)
+	EndPrepStage(o.Obs, lane, SpanPrepPartition, start)
+	if err != nil {
+		return nil, err
+	}
+	start = time.Now()
+	lay, err := layout.BuildWorkers(g, hier, !o.NoCompress, o.PrepParallelism)
+	EndPrepStage(o.Obs, lane, SpanPrepLayout, start)
+	if err != nil {
+		return nil, err
+	}
+	return &PartArtifact{Hier: hier, Lay: lay, Inv: InvOutDegreesWorkers(g, o.PrepParallelism)}, nil
+}
+
 // VertexArtifact is the immutable preprocessing payload of the
 // vertex-centric engines. The transpose itself lives on the Graph (BuildIn);
 // the artifact carries the 1/outdeg array.
@@ -155,36 +175,23 @@ func (p *Prepared) CheckExecFamily(engine, family string, kind PrepKind) error {
 
 // MakePrepared assembles a Prepared artifact for an engine's Prepare
 // implementation: it stamps the artifact with the engine and builder family
-// names ("" = none) and key with the graph fingerprint, builds (or fetches
-// from o.PrepCache) the payload under the prep phase timer, and records
-// cache traffic on the collector. ensure, when non-nil, runs after the
-// payload is available even on a cache hit — vertex engines use it to
-// guarantee this graph pointer's CSC exists when the payload was built from
-// a content-identical but distinct Graph.
-func MakePrepared(engine, family string, g *graph.Graph, m *machine.Machine, o Options, key PrepKey, build func() (any, error), ensure func()) (*Prepared, error) {
-	rec := o.Obs
-	stop := rec.C().Phase(PhasePrep)
+// names ("" = none) and key with the graph fingerprint (timed and traced on
+// lane, the runner lane of the engine's other prep stages), then builds or
+// fetches the payload from o.PrepCache, whose own instruments count the
+// hits and misses. ensure, when non-nil, runs after the payload is
+// available even on a cache hit — vertex engines use it to guarantee this
+// graph pointer's CSC exists when the payload was built from a
+// content-identical but distinct Graph.
+func MakePrepared(engine, family string, g *graph.Graph, m *machine.Machine, o Options, lane int, key PrepKey, build func() (any, error), ensure func()) (*Prepared, error) {
 	start := time.Now()
-	fpStart := time.Now()
-	stopFP := rec.C().Phase(PhasePrepFingerprint)
 	key.GraphFP = g.FingerprintWorkers(o.PrepParallelism)
-	stopFP()
-	ObservePrepStage(PhasePrepFingerprint, time.Since(fpStart).Seconds())
+	EndPrepStage(o.Obs, lane, SpanPrepFingerprint, start)
 	payload, buildSeconds, fromCache, err := o.PrepCache.getOrBuild(key, build)
 	if err != nil {
-		stop()
 		return nil, err
 	}
 	if ensure != nil {
 		ensure()
-	}
-	stop()
-	if o.PrepCache != nil {
-		if fromCache {
-			rec.C().Add("prep.cache.hits", 1)
-		} else {
-			rec.C().Add("prep.cache.misses", 1)
-		}
 	}
 	p := &Prepared{
 		engine: engine, family: family, key: key, g: g, machine: m,

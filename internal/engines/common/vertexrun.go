@@ -56,18 +56,12 @@ func PrepareVertex(g *graph.Graph, o Options, cfg VertexEngineConfig) (*Prepared
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("%s: empty graph", cfg.Name)
 	}
-	rec := o.Obs
-	key := PrepKey{Kind: PrepVertex}
-	return MakePrepared(cfg.Name, "", g, m, o, key, func() (any, error) {
+	lane := RunnerLane(o.Threads)
+	return MakePrepared(cfg.Name, "", g, m, o, lane, PrepKey{Kind: PrepVertex}, func() (any, error) {
 		start := time.Now()
-		stopIdx := rec.C().Phase(PhasePrepIndex)
 		g.BuildInWorkers(o.PrepParallelism)
 		inv := InvOutDegreesWorkers(g, o.PrepParallelism)
-		stopIdx()
-		ObservePrepStage(SpanPrepIndex, time.Since(start).Seconds())
-		if tr := rec.T(); tr != nil {
-			tr.Span(RunnerLane(o.Threads), SpanPrepIndex, -1, start)
-		}
+		EndPrepStage(o.Obs, lane, SpanPrepIndex, start)
 		return &VertexArtifact{Inv: inv}, nil
 	}, func() {
 		// A cache hit built the payload from a content-identical graph; this
@@ -208,7 +202,6 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 		threads = n
 	}
 	rec := o.Obs
-	RecordGraphCounters(rec.C(), n, g.NumEdges())
 
 	// Thread vertex ranges are thread-count-dependent, so they are computed
 	// per Exec on top of the artifact's CSC form (cheap: O(V)).
@@ -284,7 +277,6 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 	}
 	FillInitRanks(k.ranks)
 	k.seedDangling()
-	stopRun := rec.C().Phase(PhaseRun)
 	wallStart := time.Now()
 	performed := RunSupersteps(SuperstepConfig{
 		Engine:      cfg.Name,
@@ -302,7 +294,6 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 	})
 	o.Iterations = performed
 	wall := time.Since(wallStart)
-	stopRun()
 
 	// Cost accounting on the platform.
 	acct := pf.NewAccounting(pool)

@@ -461,15 +461,9 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 
 	rec := o.Obs
 	tr := rec.T()
-	common.RecordGraphCounters(rec.C(), n, g.NumEdges())
-	if threads != o.Threads {
-		rec.C().Set("hipa.threads.requested", float64(o.Threads))
-		rec.C().Set("hipa.threads.effective", float64(threads))
-	}
 
 	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
 	lookup := partition.BuildLookup(hier)
-	rec.C().Add("partition.groups", int64(len(hier.Groups)))
 
 	pf := o.Platform
 	pool, err := pf.SpawnPinned(o.SchedSeed, threads)
@@ -524,7 +518,6 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		Residual:       s.residual,
 		DanglingMass:   s.danglingMass,
 	}
-	stopRun := rec.C().Phase(common.PhaseRun)
 	wallStart := time.Now()
 	o.Iterations = common.RunSupersteps(common.SuperstepConfig{
 		Engine:      Name,
@@ -536,11 +529,8 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		Rec:         rec,
 	}, kernels)
 	wall := time.Since(wallStart)
-	stopRun()
 
 	report := s.report()
-	rec.C().Add("frontier.partitions_skipped", report.PartitionsSkipped)
-	rec.C().Set("frontier.active_fraction", report.ActiveFraction())
 
 	acct := pf.NewAccounting(pool)
 	if pf.Modeled() {

@@ -108,15 +108,9 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 
 	rec := o.Obs
 	tr := rec.T()
-	common.RecordGraphCounters(rec.C(), g.NumVertices(), g.NumEdges())
-	if threads != o.Threads {
-		rec.C().Set("hipa.threads.requested", float64(o.Threads))
-		rec.C().Set("hipa.threads.effective", float64(threads))
-	}
 
 	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
 	lookup := partition.BuildLookup(hier)
-	rec.C().Add("partition.groups", int64(len(hier.Groups)))
 
 	pf := o.Platform
 	pool, err := pf.SpawnPinned(o.SchedSeed, threads)
@@ -130,7 +124,6 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 	state := common.NewSGStateArena(g, hier, prep.Partition().Lay, prep.Partition().Inv, o.Damping, threads, arena)
 	frontier := common.NewPartitionFrontier(state, tol, arena)
 	kernels := frontier.Kernels(hier.Groups)
-	stopRun := rec.C().Phase(common.PhaseRun)
 	wallStart := time.Now()
 	o.Iterations = common.RunSupersteps(common.SuperstepConfig{
 		Engine:      Name,
@@ -142,11 +135,8 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		Rec:         rec,
 	}, kernels)
 	wall := time.Since(wallStart)
-	stopRun()
 
 	report := frontier.Report()
-	rec.C().Add("frontier.partitions_skipped", report.PartitionsSkipped)
-	rec.C().Set("frontier.active_fraction", report.ActiveFraction())
 
 	// Cost accounting: each partition is charged only the iterations it
 	// executed, so modelled traffic scales with the active set. Edges

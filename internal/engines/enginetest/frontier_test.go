@@ -209,7 +209,7 @@ func TestFrontierGoldenBitExactness(t *testing.T) {
 func TestECSkipsPartitionsOnGoldenCase(t *testing.T) {
 	g := frontierGraph()
 	o := frontierGoldenCases()[0].opts
-	rec := &obs.Recorder{Collector: obs.NewCollector()}
+	rec := &obs.Recorder{}
 	o.Obs = rec
 	res, err := (ec.Engine{}).Run(g, o)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"hipa/internal/engines/ppr"
 	"hipa/internal/engines/vpr"
 	"hipa/internal/gen"
+	"hipa/internal/harness"
 	"hipa/internal/obs"
 )
 
@@ -113,7 +114,7 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 	const iters = 6
 	for _, e := range allEngines() {
-		rec := obs.NewRecorder()
+		rec := &obs.Recorder{Trace: obs.NewTrace()}
 		o := testOptions(iters)
 		o.Threads = 8
 		o.Obs = rec
@@ -166,19 +167,40 @@ func TestEngineTelemetry(t *testing.T) {
 			t.Errorf("%s: per-iteration migrations sum %d != sched total %d", e.Name(), migSum, res.Sched.Migrations)
 		}
 
-		// Collector: the standard counters and gauges must be present.
-		counters := rec.C().Counters()
-		for _, name := range []string{"graph.vertices", "graph.edges", "run.iterations", "run.threads", "sched.spawns"} {
-			if _, ok := counters[name]; !ok {
-				t.Errorf("%s: counter %q missing", e.Name(), name)
+		// The run's scalar facts live on typed fields: rank mass, echoed
+		// shape, scheduler activity, and the prep and run clocks.
+		if rs := common.RankSum(res.Ranks); math.Abs(rs-1) > 1e-3 {
+			t.Errorf("%s: rank sum = %g", e.Name(), rs)
+		}
+		if res.Iterations == 0 || res.Threads == 0 || res.Sched.Spawned == 0 {
+			t.Errorf("%s: iterations/threads/spawned = %d/%d/%d, want all > 0", e.Name(), res.Iterations, res.Threads, res.Sched.Spawned)
+		}
+		if res.PrepSeconds <= 0 || res.WallSeconds <= 0 {
+			t.Errorf("%s: prep/wall seconds = %g/%g, want both > 0", e.Name(), res.PrepSeconds, res.WallSeconds)
+		}
+		var report bytes.Buffer
+		if err := harness.NewRunReport(g, nil, res).WriteJSON(&report); err != nil {
+			t.Fatalf("%s: run report: %v", e.Name(), err)
+		}
+		var rep map[string]json.RawMessage
+		if err := json.Unmarshal(report.Bytes(), &rep); err != nil {
+			t.Fatalf("%s: run report is not valid JSON: %v", e.Name(), err)
+		}
+		var detail []obs.IterationStats
+		var vertices, edges int64
+		for key, dst := range map[string]any{"iterations_detail": &detail, "vertices": &vertices, "edges": &edges} {
+			if err := json.Unmarshal(rep[key], dst); err != nil {
+				t.Errorf("%s: run report %q: %v", e.Name(), key, err)
 			}
 		}
-		if rs := rec.C().Gauges()["rank_sum"]; math.Abs(rs-1) > 1e-3 {
-			t.Errorf("%s: rank_sum gauge = %g", e.Name(), rs)
+		if len(detail) != res.Iterations || vertices != int64(g.NumVertices()) || edges != g.NumEdges() {
+			t.Errorf("%s: run report has %d iterations_detail, %d vertices, %d edges; want %d/%d/%d",
+				e.Name(), len(detail), vertices, edges, res.Iterations, g.NumVertices(), g.NumEdges())
 		}
-		phases := rec.C().Phases()
-		if phases[common.PhasePrep] <= 0 || phases[common.PhaseRun] <= 0 {
-			t.Errorf("%s: phase timers = %v, want prep and iterations > 0", e.Name(), phases)
+		for _, gone := range []string{"counters", "gauges", "phase_seconds"} {
+			if _, ok := rep[gone]; ok {
+				t.Errorf("%s: run report still carries %q", e.Name(), gone)
+			}
 		}
 
 		// Trace: scatter and gather spans for every iteration on worker
@@ -236,7 +258,7 @@ func TestTelemetryWithTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range allEngines() {
-		rec := obs.NewRecorder()
+		rec := &obs.Recorder{}
 		o := testOptions(50)
 		o.Threads = 4
 		o.Tolerance = 1e-4

@@ -28,7 +28,6 @@ import (
 
 	"hipa/internal/engines/common"
 	"hipa/internal/graph"
-	"hipa/internal/layout"
 	"hipa/internal/partition"
 	"hipa/internal/platform"
 )
@@ -92,8 +91,7 @@ func PrepareArtifact(name string, g *graph.Graph, o common.Options) (*common.Pre
 	if threads > m.LogicalCores() {
 		return nil, fmt.Errorf("hipa: %d threads exceed the machine's %d logical cores", threads, m.LogicalCores())
 	}
-	rec := o.Obs
-	runner := common.RunnerLane(threads)
+	lane := common.RunnerLane(threads)
 	key := common.PrepKey{
 		Kind:           common.PrepPartition,
 		PartitionBytes: o.PartitionBytes,
@@ -102,44 +100,19 @@ func PrepareArtifact(name string, g *graph.Graph, o common.Options) (*common.Pre
 		VertexBalanced: o.VertexBalanced,
 		Nodes:          nodes,
 	}
-	prep, err := common.MakePrepared(name, Family, g, m, o, key, func() (any, error) {
-		tr := rec.T()
-		partStart := time.Now()
-		stopPart := rec.C().Phase(common.PhasePrepPartition)
-		hier, err := partition.BuildWorkers(g, partition.Config{
+	return common.MakePrepared(name, Family, g, m, o, lane, key, func() (any, error) {
+		art, err := common.BuildPartArtifact(g, partition.Config{
 			PartitionBytes: o.PartitionBytes,
 			BytesPerVertex: 4,
 			NumNodes:       nodes,
 			GroupsPerNode:  0, // one group per node; Exec regroups per thread count
 			VertexBalanced: o.VertexBalanced,
-		}, o.PrepParallelism)
-		stopPart()
-		common.ObservePrepStage(common.SpanPrepPartition, time.Since(partStart).Seconds())
+		}, o, lane)
 		if err != nil {
 			return nil, fmt.Errorf("hipa: %w", err)
 		}
-		if tr != nil {
-			tr.Span(runner, common.SpanPrepPartition, -1, partStart)
-		}
-		layStart := time.Now()
-		stopLay := rec.C().Phase(common.PhasePrepLayout)
-		lay, err := layout.BuildWorkers(g, hier, !o.NoCompress, o.PrepParallelism)
-		stopLay()
-		common.ObservePrepStage(common.SpanPrepLayout, time.Since(layStart).Seconds())
-		if err != nil {
-			return nil, fmt.Errorf("hipa: %w", err)
-		}
-		if tr != nil {
-			tr.Span(runner, common.SpanPrepLayout, -1, layStart)
-		}
-		return &common.PartArtifact{Hier: hier, Lay: lay, Inv: common.InvOutDegreesWorkers(g, o.PrepParallelism)}, nil
+		return art, nil
 	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	rec.C().Add("partition.partitions", int64(prep.Partition().Hier.NumPartitions()))
-	rec.C().Add("layout.messages", int64(prep.Partition().Lay.NumMessages()))
-	return prep, nil
 }
 
 // Exec runs HiPa's pinned iterative phase (Algorithm 2) against a Prepared
@@ -183,19 +156,12 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 
 	rec := o.Obs
 	tr := rec.T()
-	common.RecordGraphCounters(rec.C(), g.NumVertices(), g.NumEdges())
-	if threads != o.Threads {
-		// The silent adjustment, made visible (see Options.Threads).
-		rec.C().Set("hipa.threads.requested", float64(o.Threads))
-		rec.C().Set("hipa.threads.effective", float64(threads))
-	}
 
 	// Cache-aware group level on top of the artifact's node-level split —
 	// identical to building the full hierarchy at this thread count, but
 	// O(partitions) instead of O(V + E).
 	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
 	lookup := partition.BuildLookup(hier)
-	rec.C().Add("partition.groups", int64(len(hier.Groups)))
 
 	// Platform thread lifecycle: persistent threads spawned once and pinned
 	// (Algorithm 2). At most `threads` migrations can occur.
@@ -226,7 +192,6 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 	if o.FCFS {
 		kernels = common.FCFSKernels(state)
 	}
-	stopRun := rec.C().Phase(common.PhaseRun)
 	wallStart := time.Now()
 	o.Iterations = common.RunSupersteps(common.SuperstepConfig{
 		Engine:      "HiPa",
@@ -237,7 +202,6 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		Rec:         rec,
 	}, kernels)
 	wall := time.Since(wallStart)
-	stopRun()
 
 	// Cost accounting on the platform.
 	acct := pf.NewAccounting(pool)

@@ -153,7 +153,6 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		threads = n
 	}
 	rec := o.Obs
-	common.RecordGraphCounters(rec.C(), n, g.NumEdges())
 
 	bounds := common.SplitByWeight(g.InOffsets(), threads)
 
@@ -196,7 +195,6 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		st.dang[t].V.Store(math.Float64bits(dangling))
 	}
 
-	stopRun := rec.C().Phase(common.PhaseRun)
 	wallStart := time.Now()
 	maxRounds, _ := common.RunAsyncRounds(common.AsyncConfig{
 		Engine:       Name,
@@ -209,7 +207,6 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		Rec:          rec,
 	}, st.round)
 	wall := time.Since(wallStart)
-	stopRun()
 	o.Iterations = maxRounds
 
 	// Per-worker round counts: the accounting input (unequal rounds, zero

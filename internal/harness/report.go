@@ -12,11 +12,12 @@ import (
 	"hipa/internal/sched"
 )
 
-// RunReport is the machine-readable record of one engine run: the Result's
-// scalars, the analytic model report, the simulated scheduler stats, the
-// per-iteration statistics, and the collector's counters/gauges/phase
-// timers. It is what `hipapr -stats` writes and what benchmark
-// trajectories (BENCH_*.json) are built from.
+// RunReport is the machine-readable record of one engine run: the graph
+// shape, the Result's scalars, the analytic model report, the simulated
+// scheduler stats, and the per-iteration statistics. Every field is typed;
+// process-wide series live on /metrics and spans in the -trace export. It
+// is what `hipapr -stats` writes and what benchmark trajectories
+// (BENCH_*.json) are built from.
 type RunReport struct {
 	Engine     string `json:"engine"`
 	Vertices   int    `json:"vertices"`
@@ -37,16 +38,12 @@ type RunReport struct {
 	Sched sched.Stats       `json:"sched"`
 
 	Iters []obs.IterationStats `json:"iterations_detail,omitempty"`
-
-	Counters map[string]int64   `json:"counters,omitempty"`
-	Gauges   map[string]float64 `json:"gauges,omitempty"`
-	Phases   map[string]float64 `json:"phase_seconds,omitempty"`
 }
 
 // NewRunReport assembles the report for one run. g and m may be nil when
-// unknown; rec may be nil (Result.Iters is used either way, so reports from
-// un-instrumented runs still carry the scalar fields).
-func NewRunReport(g *graph.Graph, m *machine.Machine, res *common.Result, rec *obs.Recorder) *RunReport {
+// unknown; the per-iteration detail is Result.Iters, empty for a run made
+// without a Recorder.
+func NewRunReport(g *graph.Graph, m *machine.Machine, res *common.Result) *RunReport {
 	r := &RunReport{
 		Engine:           res.Engine,
 		Threads:          res.Threads,
@@ -66,17 +63,11 @@ func NewRunReport(g *graph.Graph, m *machine.Machine, res *common.Result, rec *o
 	if m != nil {
 		r.Machine = m.String()
 	}
-	if c := rec.C(); c != nil {
-		r.Counters = c.Counters()
-		r.Gauges = c.Gauges()
-		r.Phases = c.Phases()
-	}
 	return r
 }
 
-// WriteJSON writes the report as indented JSON. Struct field order and
-// encoding/json's sorted map keys keep the output deterministic for a
-// deterministic run.
+// WriteJSON writes the report as indented JSON. Struct field order keeps
+// the output deterministic for a deterministic run.
 func (r *RunReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,23 +1,23 @@
-// Package obs is the engine telemetry layer: counters, gauges, and phase
-// timers (Collector), span-style tracing with Chrome trace_event export
-// (Trace), and per-iteration execution statistics (IterationStats), bundled
-// per run by a Recorder.
+// Package obs is the telemetry layer, one system with one naming scheme:
+// the process-wide Registry of counters, gauges, and histograms (registry.go,
+// exported at /metrics), span-style tracing with Chrome trace_event export
+// (Trace), and per-iteration execution statistics (IterationStats). A
+// Recorder bundles one run's trace and iteration statistics; the run's
+// scalar facts (iterations, threads, seconds, model, scheduler) are typed
+// fields of its result, not named entries here.
 //
 // The package substitutes for the hardware observability the paper's
 // evaluation leans on (VTune thread-migration counters, LLC traffic, memory
 // accesses per edge, §3.3/§4): every engine run can surface per-iteration
 // progress and convergence, phase-level timing, and exportable metrics.
 //
-// Everything is opt-in and nil-safe: a nil *Recorder, *Collector, or *Trace
-// accepts every call as a no-op, so engines instrument their hot paths
+// Everything is opt-in and nil-safe: a nil *Recorder or *Trace accepts
+// every call as a no-op, so engines instrument their hot paths
 // unconditionally and an un-instrumented run pays only a pointer test.
 // Only the standard library is used.
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // IterationStats records one PageRank iteration of one engine run. The
 // in-loop fields (wall time, residual, dangling mass) are measured live at
@@ -57,134 +57,15 @@ type IterationStats struct {
 	SchedMigrations int64 `json:"sched_migrations"`
 }
 
-// Collector accumulates named counters, gauges, and phase timers. All
-// methods are safe for concurrent use and are no-ops on a nil receiver.
-type Collector struct {
-	mu       sync.Mutex
-	counters map[string]int64
-	gauges   map[string]float64
-	phases   map[string]float64 // accumulated seconds
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		counters: map[string]int64{},
-		gauges:   map[string]float64{},
-		phases:   map[string]float64{},
-	}
-}
-
-// Add increments counter name by delta.
-func (c *Collector) Add(name string, delta int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.counters[name] += delta
-	c.mu.Unlock()
-}
-
-// Set records gauge name at value v (last write wins).
-func (c *Collector) Set(name string, v float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.gauges[name] = v
-	c.mu.Unlock()
-}
-
-// AddPhase accrues d onto phase timer name.
-func (c *Collector) AddPhase(name string, d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.phases[name] += d.Seconds()
-	c.mu.Unlock()
-}
-
-var nopStop = func() {}
-
-// Phase starts the named phase timer and returns the stop function:
-//
-//	defer rec.C().Phase("prep")()
-//
-// On a nil receiver no clock is read and the returned stop is a no-op.
-func (c *Collector) Phase(name string) func() {
-	if c == nil {
-		return nopStop
-	}
-	start := time.Now()
-	return func() { c.AddPhase(name, time.Since(start)) }
-}
-
-// Counters returns a copy of the counter map.
-func (c *Collector) Counters() map[string]int64 {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.counters))
-	for k, v := range c.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// Gauges returns a copy of the gauge map.
-func (c *Collector) Gauges() map[string]float64 {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.gauges))
-	for k, v := range c.gauges {
-		out[k] = v
-	}
-	return out
-}
-
-// Phases returns a copy of the phase-timer map (seconds).
-func (c *Collector) Phases() map[string]float64 {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.phases))
-	for k, v := range c.phases {
-		out[k] = v
-	}
-	return out
-}
-
-// Recorder bundles the telemetry of one engine run. Engines receive it via
-// Options.Obs; a nil Recorder disables all instrumentation. The Collector
-// and Trace fields are optional — leave either nil to skip that signal.
+// Recorder bundles the telemetry of one engine run: the per-iteration
+// statistics and an optional Trace. Engines receive it via Options.Obs; a
+// nil Recorder disables all instrumentation. Leave Trace nil to record the
+// iteration statistics only.
 type Recorder struct {
-	Collector *Collector
-	Trace     *Trace
+	Trace *Trace
 
 	mu    sync.Mutex
 	iters []IterationStats
-}
-
-// NewRecorder returns a Recorder with a Collector and a Trace attached.
-func NewRecorder() *Recorder {
-	return &Recorder{Collector: NewCollector(), Trace: NewTrace()}
-}
-
-// C returns the recorder's collector; nil-safe (nil recorder → nil
-// collector, whose methods are themselves no-ops).
-func (r *Recorder) C() *Collector {
-	if r == nil {
-		return nil
-	}
-	return r.Collector
 }
 
 // T returns the recorder's trace; nil-safe.

@@ -1,24 +1,15 @@
 package obs
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
 
 func TestNilSafety(t *testing.T) {
 	// Every entry point must be a no-op on nil receivers: this is the
-	// "no collector configured costs nothing" contract engines rely on.
+	// "no recorder configured costs nothing" contract engines rely on.
 	var r *Recorder
-	var c *Collector
 	var tr *Trace
-	c.Add("x", 1)
-	c.Set("x", 1)
-	c.AddPhase("x", time.Second)
-	c.Phase("x")()
-	if c.Counters() != nil || c.Gauges() != nil || c.Phases() != nil {
-		t.Error("nil collector snapshots must be nil")
-	}
 	tr.SetLane(0, "a")
 	tr.Span(0, "a", 0, time.Now())
 	tr.AddSpanAt(0, "a", 0, 0, 1)
@@ -27,50 +18,13 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.RecordIteration(IterationStats{})
 	r.AnnotateModel(1, 1, 64, 1, true)
-	if r.C() != nil || r.T() != nil || r.IterationStats() != nil {
+	if r.T() != nil || r.IterationStats() != nil {
 		t.Error("nil recorder accessors must return nil")
 	}
 }
 
-func TestCollector(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Add("edges", 2)
-			}
-		}()
-	}
-	wg.Wait()
-	c.Set("rank_sum", 1.0)
-	c.AddPhase("prep", 250*time.Millisecond)
-	c.AddPhase("prep", 250*time.Millisecond)
-	if got := c.Counters()["edges"]; got != 1600 {
-		t.Errorf("edges = %d, want 1600", got)
-	}
-	if got := c.Gauges()["rank_sum"]; got != 1.0 {
-		t.Errorf("rank_sum = %g, want 1", got)
-	}
-	if got := c.Phases()["prep"]; got != 0.5 {
-		t.Errorf("prep = %gs, want 0.5", got)
-	}
-}
-
-func TestCollectorPhaseTimer(t *testing.T) {
-	c := NewCollector()
-	stop := c.Phase("work")
-	time.Sleep(10 * time.Millisecond)
-	stop()
-	if got := c.Phases()["work"]; got < 0.005 {
-		t.Errorf("work phase = %gs, want >= 5ms", got)
-	}
-}
-
 func TestRecorderIterations(t *testing.T) {
-	r := NewRecorder()
+	r := &Recorder{}
 	for i := 0; i < 4; i++ {
 		r.RecordIteration(IterationStats{Iter: i, Residual: 1.0 / float64(i+1)})
 	}
@@ -86,7 +40,7 @@ func TestRecorderIterations(t *testing.T) {
 }
 
 func TestAnnotateModelPinned(t *testing.T) {
-	r := NewRecorder()
+	r := &Recorder{}
 	for i := 0; i < 4; i++ {
 		r.RecordIteration(IterationStats{Iter: i})
 	}
@@ -106,7 +60,7 @@ func TestAnnotateModelPinned(t *testing.T) {
 }
 
 func TestAnnotateModelSpread(t *testing.T) {
-	r := NewRecorder()
+	r := &Recorder{}
 	for i := 0; i < 3; i++ {
 		r.RecordIteration(IterationStats{Iter: i})
 	}

@@ -9,9 +9,10 @@ import (
 	"sync/atomic"
 )
 
-// This file is the process-wide half of the telemetry layer: a Registry of
-// named counters, gauges, and streaming log-bucketed histograms that outlive
-// any single run (the per-run Collector/Recorder half lives in obs.go).
+// This file is the process-wide metrics store of the telemetry layer: a
+// Registry of named counters, gauges, and streaming log-bucketed histograms
+// that outlive any single run (a run's trace and iteration statistics ride
+// on its Recorder, obs.go).
 // Recording is lock-free — counters and histogram buckets are plain atomics,
 // gauges and histogram sums use small CAS loops — so engines can record from
 // the superstep hot path without breaking the zero-allocations-per-iteration

@@ -1,28 +1,27 @@
 #!/bin/sh
-# Telemetry smoke test: start the real CLIs with -metrics-addr, scrape
-# /metrics and /healthz over HTTP *while the run is in flight*, and validate
-# the exposition with the strict parser (cmd/promcheck).
+# Telemetry smoke test: write a run report and a trace with the real CLI,
+# then start the CLIs with -metrics-addr, scrape /metrics and /healthz over
+# HTTP *while the run is in flight*, and validate the exposition with the
+# strict parser (cmd/promcheck).
 #
-# Two stages:
-#   1. hipapr -repeat against a generated graph — a long serving loop that is
+# Three stages:
+#   1. hipapr -stats -trace against a generated graph — the report must carry
+#      the per-iteration detail and the trace the prep-stage and superstep
+#      spans.
+#   2. hipapr -repeat against the same graph — a long serving loop that is
 #      scraped mid-run for the HiPa superstep/prep-stage/cache/arena series,
 #      then killed (the smoke never waits for 3000 executions).
-#   2. hipabench -exp table2 — one process running all five engines; the
+#   3. hipabench -exp table2 — one process running all five engines; the
 #      scrape loop polls until every engine's superstep histogram is live on
 #      /metrics, still mid-invocation thanks to -repeat.
 #
 # Set TELEMETRY_SMOKE_OUT to save the final all-engine scrape (CI uploads it
-# as the metrics artifact). Requires curl.
+# as the metrics artifact). Stages 2 and 3 require curl.
 set -eu
 
 GO=${GO:-go}
 DIVISOR=${TELEMETRY_SMOKE_DIVISOR:-16384}
 OUT=${TELEMETRY_SMOKE_OUT:-}
-
-if ! command -v curl >/dev/null 2>&1; then
-    echo "telemetry_smoke: curl not installed; skipping" >&2
-    exit 0
-fi
 
 WORK=$(mktemp -d)
 PR_PID=""
@@ -36,6 +35,26 @@ trap cleanup EXIT INT TERM
 
 BIN="$WORK/bin"
 $GO build -o "$BIN/" ./cmd/hipagen ./cmd/hipapr ./cmd/hipabench ./cmd/promcheck
+# A 4x larger graph than the bench stage, so stage 2's scraper gets a
+# multi-second window.
+"$BIN/hipagen" -out "$WORK/g.bin" -dataset journal -divisor 4096
+
+echo "== stage 1: hipapr -stats -trace =="
+"$BIN/hipapr" -graph "$WORK/g.bin" -iters 4 -top 0 \
+    -stats "$WORK/s.json" -trace "$WORK/t.json" >"$WORK/stats.log" 2>&1 \
+    || { cat "$WORK/stats.log" >&2; exit 1; }
+grep -q '"iterations_detail"' "$WORK/s.json" \
+    || { echo "telemetry_smoke: run report has no iterations_detail" >&2; exit 1; }
+for span in prep:fingerprint prep:partition prep:layout scatter gather; do
+    grep -q "\"name\":\"$span\",\"ph\":\"X\"" "$WORK/t.json" \
+        || { echo "telemetry_smoke: trace has no $span span" >&2; exit 1; }
+done
+echo "hipapr report and trace: ok"
+
+if ! command -v curl >/dev/null 2>&1; then
+    echo "telemetry_smoke: curl not installed; skipping the scrape stages" >&2
+    exit 0
+fi
 
 # wait_url LOGFILE SED_PATTERN: poll the log until the CLI prints its bound
 # telemetry URL (the listener is bound before any heavy work, so this is
@@ -56,11 +75,9 @@ wait_url() {
     return 1
 }
 
-echo "== stage 1: hipapr -repeat, scraped mid-run =="
-# A 4x larger graph than the bench stage and a deep repeat loop give the
-# scraper a multi-second window; the process is killed as soon as the scrape
-# passes, so the happy path stays fast.
-"$BIN/hipagen" -out "$WORK/g.bin" -dataset journal -divisor 4096
+echo "== stage 2: hipapr -repeat, scraped mid-run =="
+# A deep repeat loop gives the scraper a multi-second window; the process is
+# killed as soon as the scrape passes, so the happy path stays fast.
 "$BIN/hipapr" -graph "$WORK/g.bin" -repeat 200000 -iters 4 -top 0 \
     -metrics-addr 127.0.0.1:0 >"$WORK/hipapr.log" 2>&1 &
 PR_PID=$!
@@ -97,7 +114,7 @@ wait "$PR_PID" 2>/dev/null || true
 PR_PID=""
 echo "hipapr mid-run scrape: ok"
 
-echo "== stage 2: hipabench table2, all five engines =="
+echo "== stage 3: hipabench table2, all five engines =="
 "$BIN/hipabench" -exp table2 -divisor "$DIVISOR" -iters 2 -repeat 5 \
     -metrics-addr 127.0.0.1:0 >/dev/null 2>"$WORK/hipabench.log" &
 BENCH_PID=$!
