@@ -6,7 +6,7 @@ BENCH_BASELINE ?= BENCH_pagerank.json
 BENCH_DIVISOR  ?= 1024
 BENCH_DATASET  ?= journal
 
-.PHONY: all build test vet staticcheck race race-prep bench-prep ci bench bench-module bench-gate bench-baseline smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke clean
+.PHONY: all build test vet staticcheck race race-prep procs bench-prep ci bench bench-module bench-gate bench-baseline smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke clean
 
 all: build
 
@@ -41,13 +41,19 @@ race:
 race-prep:
 	$(GO) test -race -run 'Concurrent|Race' ./internal/graph/ ./internal/engines/...
 
+# Results never depend on core count: the engine and serving tests run at
+# one and at eight Go procs, whatever the host's core count.
+procs:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/engines/... ./internal/serve/
+	GOMAXPROCS=8 $(GO) test -count=1 ./internal/engines/... ./internal/serve/
+
 # One-iteration pass over the Prepare benchmarks so the parallel build paths
 # (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised
 # in CI.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
 
-ci: vet staticcheck build race race-prep bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
+ci: vet staticcheck build race race-prep procs bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
 
 # One-iteration pass over the root benchmarks (compile-and-run validation of
 # every benchmark body; not a timing run). `smoke` used to duplicate this —

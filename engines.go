@@ -99,10 +99,12 @@ var (
 	Polymer Engine = polymer.Engine{}
 )
 
-// The two frontier-aware engines built on the generalized superstep driver.
-// Neither is bit-identical to the paper five (pruning and asynchrony trade
-// float32 exactness for skipped work), so they are registered separately
-// from the paper's reporting set.
+// The three frontier-aware engines: EC-HiPa and Delta-PR run HiPa's pinned
+// execution shape on the frontier-aware superstep driver, NB-PR runs the
+// barrierless round driver (common.RunAsyncRounds). None is bit-identical
+// to the paper five (pruning and asynchrony trade float32 exactness for
+// skipped work), so they are registered separately from the paper's
+// reporting set.
 var (
 	// EC is EC-HiPa: HiPa's execution shape with early partition
 	// convergence — whole partitions retire from the active set once every

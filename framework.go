@@ -5,7 +5,8 @@ import "hipa/internal/framework"
 // FrameworkConfig configures the generic partition-centric framework (the
 // paper's §6 "more generic use scenarios"): vertex programs in
 // gather-apply-scatter form running on the HiPa substrate with convergence
-// by deactivation.
+// by deactivation. A zero MaxIterations runs until no vertex is active,
+// which WCC, Hops and Reachable reach within n+1 iterations.
 type FrameworkConfig = framework.Config
 
 // WCCResult holds weakly-connected-component labels.

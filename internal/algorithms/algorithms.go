@@ -295,10 +295,11 @@ type BFSResult struct {
 	Visited int
 }
 
-// BFS runs a level-synchronous parallel breadth-first search from source,
-// with threads working over the hierarchical partitions (the paper's §6
-// extension). Parent updates use compare-and-swap; the resulting levels are
-// deterministic (parents may vary between runs within a level).
+// BFS runs a level-synchronous parallel breadth-first search from source
+// (the paper's §6 extension): each level's frontier is split evenly over
+// the threads, so no partition hierarchy is built. Parent updates use
+// compare-and-swap; the resulting levels are deterministic (parents may
+// vary between runs within a level).
 func BFS(g *graph.Graph, source graph.VertexID, cfg Config) (*BFSResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -307,10 +308,7 @@ func BFS(g *graph.Graph, source graph.VertexID, cfg Config) (*BFSResult, error) 
 	if int(source) >= n {
 		return nil, fmt.Errorf("algorithms: source %d out of range [0,%d)", source, n)
 	}
-	p, err := prepare(g, cfg)
-	if err != nil {
-		return nil, err
-	}
+	threads := cfg.withDefaults(n).Threads
 	levels := make([]int32, n)
 	for i := range levels {
 		levels[i] = -1
@@ -330,11 +328,11 @@ func BFS(g *graph.Graph, source graph.VertexID, cfg Config) (*BFSResult, error) 
 	for depth := int32(1); len(frontier) > 0; depth++ {
 		// Split the frontier across threads; collect next frontier
 		// per-thread then concatenate (deterministic levels, parent CAS).
-		parts := make([][]graph.VertexID, p.cfg.Threads)
+		parts := make([][]graph.VertexID, threads)
 		nextCount.Store(0)
-		common.RunThreads(p.cfg.Threads, func(tid int) {
-			lo := len(frontier) * tid / p.cfg.Threads
-			hi := len(frontier) * (tid + 1) / p.cfg.Threads
+		common.RunThreads(threads, func(tid int) {
+			lo := len(frontier) * tid / threads
+			hi := len(frontier) * (tid + 1) / threads
 			var next []graph.VertexID
 			for _, u := range frontier[lo:hi] {
 				for _, v := range adj[off[u]:off[u+1]] {

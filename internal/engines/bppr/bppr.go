@@ -22,13 +22,11 @@ package bppr
 
 import (
 	"fmt"
-	"time"
 
 	"hipa/internal/algorithms"
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/hipa"
 	"hipa/internal/graph"
-	"hipa/internal/partition"
 	"hipa/internal/perfmodel"
 	"hipa/internal/platform"
 	"hipa/internal/sched"
@@ -107,25 +105,11 @@ func (Engine) Prepare(g *graph.Graph, o common.Options) (*common.Prepared, error
 	return hipa.PrepareArtifact(Name, g, o)
 }
 
-// Exec runs a width-1 batch holding the single uniform query and adapts it
-// to the scalar result shape. Bit-identical to the HiPa engine's Exec.
+// Exec runs a width-1 batch holding the single uniform query and returns
+// its scalar result. Bit-identical to the HiPa engine's Exec.
 func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, error) {
-	br, err := ExecBatch(prep, o, []Query{{}})
-	if err != nil {
-		return nil, err
-	}
-	return &common.Result{
-		Engine:           Name,
-		Ranks:            br.Ranks[0],
-		Iterations:       br.Supersteps,
-		Threads:          br.Threads,
-		WallSeconds:      br.WallSeconds,
-		PrepSeconds:      br.PrepSeconds,
-		PrepBuildSeconds: br.PrepBuildSeconds,
-		PrepFromCache:    br.PrepFromCache,
-		Model:            br.Model,
-		Sched:            br.Sched,
-	}, nil
+	_, res, err := execBatch(prep, o, []Query{{}})
+	return res, err
 }
 
 // ExecBatch runs one batched iterative phase for queries (width
@@ -134,153 +118,105 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 // holding a HiPa artifact runs its batches on it, warm arenas included.
 // Safe for concurrent calls sharing one artifact.
 func ExecBatch(prep *common.Prepared, o common.Options, queries []Query) (*BatchResult, error) {
-	if err := prep.CheckExecFamily(Name, hipa.Family, common.PrepPartition); err != nil {
-		return nil, err
-	}
+	br, _, err := execBatch(prep, o, queries)
+	return br, err
+}
+
+// reject is B-PPR's own option and query checks, run before the artifact
+// is checked against the options.
+func reject(prep *common.Prepared, o common.Options, queries []Query) error {
 	if len(queries) < 1 || len(queries) > MaxBatch {
-		return nil, fmt.Errorf("bppr: batch width %d outside [1,%d]", len(queries), MaxBatch)
-	}
-	o = o.ResolveMachine(prep.Machine())
-	m := o.Machine
-	if o.PartitionBytes == 0 {
-		o.PartitionBytes = prep.Key().PartitionBytes
-	}
-	o = o.WithDefaults(m.LogicalCores())
-	if err := o.Validate(); err != nil {
-		return nil, err
+		return fmt.Errorf("bppr: batch width %d outside [1,%d]", len(queries), MaxBatch)
 	}
 	if o.FCFS {
-		return nil, fmt.Errorf("bppr: FCFS scheduling is not supported — the blocked kernel relies on the pinned thread-data mapping")
+		return fmt.Errorf("bppr: FCFS scheduling is not supported — the blocked kernel relies on the pinned thread-data mapping")
 	}
 	if o.Warm != nil {
-		return nil, fmt.Errorf("bppr: warm starts are not supported — every column starts at its restart vector")
+		return fmt.Errorf("bppr: warm starts are not supported — every column starts at its restart vector")
 	}
-	if o.PartitionBytes != prep.Key().PartitionBytes {
-		return nil, fmt.Errorf("bppr: artifact was prepared with %dB partitions, not %dB", prep.Key().PartitionBytes, o.PartitionBytes)
-	}
-	if !o.NoCompress != prep.Key().Compress {
-		return nil, fmt.Errorf("bppr: artifact compression does not match NoCompress=%v", o.NoCompress)
-	}
-	if o.VertexBalanced != prep.Key().VertexBalanced {
-		return nil, fmt.Errorf("bppr: artifact was prepared with VertexBalanced=%v", prep.Key().VertexBalanced)
-	}
-	if m.NUMANodes != prep.Key().Nodes {
-		return nil, fmt.Errorf("bppr: artifact was prepared for %d NUMA nodes, machine has %d", prep.Key().Nodes, m.NUMANodes)
-	}
-	g := prep.Graph()
-	n := g.NumVertices()
-	seedSets := make([][]graph.VertexID, len(queries))
+	n := prep.Graph().NumVertices()
 	for q, query := range queries {
 		seen := make(map[graph.VertexID]struct{}, len(query.Seeds))
 		for _, v := range query.Seeds {
 			if int(v) >= n {
-				return nil, fmt.Errorf("bppr: query %d seed %d outside graph of %d vertices", q, v, n)
+				return fmt.Errorf("bppr: query %d seed %d outside graph of %d vertices", q, v, n)
 			}
 			if _, dup := seen[v]; dup {
-				return nil, fmt.Errorf("bppr: query %d has duplicate seed %d", q, v)
+				return fmt.Errorf("bppr: query %d has duplicate seed %d", q, v)
 			}
 			seen[v] = struct{}{}
 		}
-		seedSets[q] = query.Seeds
 	}
+	return nil
+}
+
+// execBatch is ExecBatch that also returns the scalar result of column 0,
+// the one run reports and the registry record.
+func execBatch(prep *common.Prepared, o common.Options, queries []Query) (*BatchResult, *common.Result, error) {
+	p, err := hipa.BeginPinned(prep, o, hipa.PinnedOptions{Name: Name, Prefix: "bppr", Family: hipa.Family},
+		func(o common.Options) error { return reject(prep, o, queries) })
+	if err != nil {
+		return nil, nil, err
+	}
+	defer p.Release()
+	o = p.Opts
 	tol := o.Tolerance
 	if tol == 0 {
 		tol = DefaultTolerance
 	}
-
-	nodes := m.NUMANodes
-	threads, groupsPerNode := hipa.RoundThreads(o.Threads, nodes)
-	if threads > m.LogicalCores() {
-		return nil, fmt.Errorf("bppr: %d threads exceed the machine's %d logical cores", threads, m.LogicalCores())
+	g := prep.Graph()
+	lay := prep.Partition().Lay
+	seedSets := make([][]graph.VertexID, len(queries))
+	for q, query := range queries {
+		seedSets[q] = query.Seeds
 	}
-
-	rec := o.Obs
-	tr := rec.T()
-
-	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
-	lookup := partition.BuildLookup(hier)
-
-	pf := o.Platform
-	pool, err := pf.SpawnPinned(o.SchedSeed, threads)
+	state, err := algorithms.NewBlockSG(g, p.Hier, lay, prep.Partition().Inv,
+		o.Damping, tol, p.Threads, seedSets, p.Arena)
 	if err != nil {
-		return nil, fmt.Errorf("bppr: %w", err)
+		return nil, nil, fmt.Errorf("bppr: %w", err)
 	}
-	pool.SetLanes(tr)
-
-	arena := prep.AcquireArena()
-	defer prep.ReleaseArena(arena)
-	state, err := algorithms.NewBlockSG(g, hier, prep.Partition().Lay, prep.Partition().Inv,
-		o.Damping, tol, threads, seedSets, arena)
-	if err != nil {
-		return nil, fmt.Errorf("bppr: %w", err)
-	}
-	kernels := state.PinnedKernels(hier.Groups)
-	wallStart := time.Now()
-	performed := common.RunSupersteps(common.SuperstepConfig{
-		Engine:      Name,
-		Threads:     threads,
-		Parallelism: o.GoParallelism,
-		Iterations:  o.Iterations,
-		Tolerance:   tol,
-		Rec:         rec,
-	}, kernels)
-	wall := time.Since(wallStart)
-
-	acct := pf.NewAccounting(pool)
-	if pf.Modeled() {
-		if err := acct.AddBatchRun(platform.BatchRun{
-			Hier: hier, Lay: prep.Partition().Lay, Lookup: lookup,
-			PartThread: lookup.PartThread,
-			NUMAAware:  true,
-			Batch:      len(queries),
-			Supersteps: performed,
-			ColSteps:   state.ColSteps(),
-			LineSteps:  state.LineSteps(),
-		}); err != nil {
-			return nil, fmt.Errorf("bppr: %w", err)
-		}
-	}
-	rep, err := pf.Finalize(acct, platform.RunShape{
-		Iterations:     performed,
-		EdgesProcessed: g.NumEdges() * int64(performed),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bppr: %w", err)
-	}
+	performed := p.Supersteps(state.PinnedKernels(p.Hier.Groups), tol, nil)
 
 	// The arena (and with it the rank block) is recycled by the next Exec;
 	// the result de-interleaves its own per-query copies.
 	ranks := make([][]float32, len(queries))
 	iters := make([]int, len(queries))
 	for q := range queries {
-		col := make([]float32, n)
-		state.CopyColumn(q, col)
-		ranks[q] = col
+		ranks[q] = make([]float32, g.NumVertices())
+		state.CopyColumn(q, ranks[q])
 		iters[q] = int(state.ColumnIterations()[q])
 	}
-	res := &BatchResult{
+	res, err := p.Finish(func(a *platform.Accounting) error {
+		return a.AddBatchRun(platform.BatchRun{
+			Hier: p.Hier, Lay: lay, Lookup: p.Lookup,
+			PartThread: p.Lookup.PartThread,
+			NUMAAware:  true,
+			Batch:      len(queries),
+			Supersteps: performed,
+			ColSteps:   state.ColSteps(),
+			LineSteps:  state.LineSteps(),
+		})
+	}, platform.RunShape{EdgesProcessed: g.NumEdges() * int64(performed)}, ranks[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	br := &BatchResult{
 		Engine:           Name,
 		Ranks:            ranks,
 		Iterations:       iters,
 		Supersteps:       performed,
-		Threads:          threads,
-		WallSeconds:      wall.Seconds(),
-		PrepSeconds:      prep.PrepSeconds,
-		PrepBuildSeconds: prep.BuildSeconds,
-		PrepFromCache:    prep.FromCache,
-		Model:            rep,
-		Sched:            pool.Stats,
+		Threads:          res.Threads,
+		WallSeconds:      res.WallSeconds,
+		PrepSeconds:      res.PrepSeconds,
+		PrepBuildSeconds: res.PrepBuildSeconds,
+		PrepFromCache:    res.PrepFromCache,
+		Model:            res.Model,
+		Sched:            res.Sched,
 		ColSteps:         state.ColSteps(),
 		LineSteps:        state.LineSteps(),
 	}
-	if total := rep.LocalBytes + rep.RemoteBytes; total > 0 {
-		res.BytesPerQuery = float64(total) / float64(len(queries))
+	if total := res.Model.LocalBytes + res.Model.RemoteBytes; total > 0 {
+		br.BytesPerQuery = float64(total) / float64(len(queries))
 	}
-	// FinishRun wants the scalar result shape; feed it the first column so
-	// run reports and counters stay populated for batched runs too.
-	common.FinishRun(rec, &common.Result{
-		Engine: Name, Ranks: ranks[0], Iterations: performed, Threads: threads,
-		WallSeconds: wall.Seconds(), Model: rep, Sched: pool.Stats,
-	}, m, true)
-	return res, nil
+	return br, res, nil
 }

@@ -2,7 +2,7 @@ package common
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"hipa/internal/graph"
 	"hipa/internal/machine"
@@ -103,77 +103,38 @@ func ExecOblivious(prep *Prepared, o Options, cfg ObliviousPartitionConfig) (*Re
 	}
 	g := prep.Graph()
 	hier, lay := prep.part.Hier, prep.part.Lay
-	rec := o.Obs
 
 	// Platform thread lifecycle: Algorithm 1 — a fresh pool per phase,
 	// threads placed arbitrarily by the OS, no binding.
-	pf := o.Platform
-	regions := o.Iterations * 2
-	pool, err := pf.SpawnOblivious(o.SchedSeed, regions, o.Threads, false)
+	pool, err := o.Platform.SpawnOblivious(o.SchedSeed, o.Iterations*2, o.Threads, false)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
-	pool.SetLanes(rec.T())
+	pool.SetLanes(o.Obs.T())
+	run := ExecRun{Engine: cfg.Name, Prefix: cfg.Name, Prep: prep, Opts: o, Pool: pool, Threads: o.Threads}
 
 	// Real execution through the shared superstep driver, on scratch buffers
 	// drawn from the artifact's arena pool (warm across repeated Execs).
 	arena := prep.AcquireArena()
 	defer prep.ReleaseArena(arena)
 	state := NewSGStateArena(g, hier, lay, prep.part.Inv, o.Damping, o.Threads, arena)
-	wallStart := time.Now()
-	performed := RunSupersteps(SuperstepConfig{
-		Engine:      cfg.Name,
-		Threads:     o.Threads,
-		Parallelism: o.GoParallelism,
-		Iterations:  o.Iterations,
-		Tolerance:   o.Tolerance,
-		Rec:         rec,
-	}, FCFSKernels(state))
-	wall := time.Since(wallStart)
-	o.Iterations = performed
+	iters := run.Supersteps(FCFSKernels(state), o.Tolerance, nil)
 
-	// Cost accounting on the platform.
-	acct := pf.NewAccounting(pool)
-	if pf.Modeled() {
-		lookup := partition.BuildLookup(hier)
-		if err := acct.AddPartitionRun(platform.PartitionRun{
-			Hier: hier, Lay: lay, Lookup: lookup,
+	// The result keeps its own copy of the ranks — the single per-Exec
+	// allocation.
+	return run.Finish(func(a *platform.Accounting) error {
+		return a.AddPartitionRun(platform.PartitionRun{
+			Hier: hier, Lay: lay, Lookup: partition.BuildLookup(hier),
 			PartThread: platform.FCFSAssignment(hier, o.Threads),
 			NUMAAware:  false,
-			Iterations: o.Iterations,
+			Iterations: iters,
 
 			ExtraBytesPerPartition: cfg.ExtraBytesPerPartition,
 			ExtraCyclesPerEdge:     cfg.ExtraCyclesPerEdge,
 			WorkingSetSlack:        platform.FCFSWorkingSetSlack,
-		}); err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
-		}
-	}
-	rep, err := pf.Finalize(acct, platform.RunShape{
-		Iterations:           o.Iterations,
-		EdgesProcessed:       g.NumEdges() * int64(o.Iterations),
+		})
+	}, platform.RunShape{
+		EdgesProcessed:       g.NumEdges() * int64(iters),
 		UncoordinatedStreams: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
-	}
-
-	// The arena (and with it state.Ranks) is recycled by the next Exec; the
-	// result keeps its own copy — the single per-Exec allocation.
-	ranks := make([]float32, len(state.Ranks))
-	copy(ranks, state.Ranks)
-	res := &Result{
-		Engine:           cfg.Name,
-		Ranks:            ranks,
-		Iterations:       o.Iterations,
-		Threads:          o.Threads,
-		WallSeconds:      wall.Seconds(),
-		PrepSeconds:      prep.PrepSeconds,
-		PrepBuildSeconds: prep.BuildSeconds,
-		PrepFromCache:    prep.FromCache,
-		Model:            rep,
-		Sched:            pool.Stats,
-	}
-	FinishRun(rec, res, m, false)
-	return res, nil
+	}, slices.Clone(state.Ranks))
 }

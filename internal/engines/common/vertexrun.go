@@ -2,6 +2,7 @@ package common
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hipa/internal/execbuf"
@@ -201,7 +202,6 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 	if threads > n {
 		threads = n
 	}
-	rec := o.Obs
 
 	// Thread vertex ranges are thread-count-dependent, so they are computed
 	// per Exec on top of the artifact's CSC form (cheap: O(V)).
@@ -237,9 +237,7 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 
 	// Platform thread lifecycle: Algorithm-1 pools per phase; Polymer binds
 	// its threads to nodes (and pays the migrations), v-PR does not.
-	pf := o.Platform
-	regions := o.Iterations * 2
-	pool, err := pf.SpawnOblivious(o.SchedSeed, regions, threads, cfg.NUMAAware)
+	pool, err := o.Platform.SpawnOblivious(o.SchedSeed, o.Iterations*2, threads, cfg.NUMAAware)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 	}
@@ -255,7 +253,8 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 			}
 		}
 	}
-	pool.SetLanes(rec.T())
+	pool.SetLanes(o.Obs.T())
+	run := ExecRun{Engine: cfg.Name, Prefix: cfg.Name, Prep: prep, Opts: o, Pool: pool, Threads: threads}
 
 	// Real execution through the shared superstep driver, on scratch buffers
 	// drawn from the artifact's arena pool (warm across repeated Execs).
@@ -277,28 +276,18 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 	}
 	FillInitRanks(k.ranks)
 	k.seedDangling()
-	wallStart := time.Now()
-	performed := RunSupersteps(SuperstepConfig{
-		Engine:      cfg.Name,
-		Threads:     threads,
-		Parallelism: o.GoParallelism,
-		Iterations:  o.Iterations,
-		Tolerance:   o.Tolerance,
-		Rec:         rec,
-	}, PhaseKernels{
+	iters := run.Supersteps(PhaseKernels{
 		Scatter:      k.scatter,
 		Reduce:       k.reduce,
 		Gather:       k.gather,
 		Residual:     k.residual,
 		DanglingMass: func() float64 { return k.sum },
-	})
-	o.Iterations = performed
-	wall := time.Since(wallStart)
+	}, o.Tolerance, nil)
 
-	// Cost accounting on the platform.
-	acct := pf.NewAccounting(pool)
-	if pf.Modeled() {
-		if err := acct.AddVertexRun(platform.VertexRun{
+	// The result keeps its own copy of the ranks — the single per-Exec
+	// allocation.
+	return run.Finish(func(a *platform.Accounting) error {
+		return a.AddVertexRun(platform.VertexRun{
 			G:                      g,
 			Bounds:                 bounds,
 			NUMAAware:              cfg.NUMAAware,
@@ -307,36 +296,10 @@ func ExecVertex(prep *Prepared, o Options, cfg VertexEngineConfig) (*Result, err
 			SpatialReuseFactor:     cfg.SpatialReuseFactor,
 			BoundaryRemoteFraction: cfg.BoundaryRemoteFraction,
 			AtomicUpdates:          cfg.AtomicUpdates,
-			Iterations:             o.Iterations,
-		}); err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
-		}
-	}
-	rep, err := pf.Finalize(acct, platform.RunShape{
-		Iterations:           o.Iterations,
-		EdgesProcessed:       g.NumEdges() * int64(o.Iterations),
+			Iterations:             iters,
+		})
+	}, platform.RunShape{
+		EdgesProcessed:       g.NumEdges() * int64(iters),
 		UncoordinatedStreams: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", cfg.Name, err)
-	}
-
-	// The arena (and with it k.ranks) is recycled by the next Exec; the
-	// result keeps its own copy — the single per-Exec allocation.
-	ranks := make([]float32, n)
-	copy(ranks, k.ranks)
-	res := &Result{
-		Engine:           cfg.Name,
-		Ranks:            ranks,
-		Iterations:       o.Iterations,
-		Threads:          threads,
-		WallSeconds:      wall.Seconds(),
-		PrepSeconds:      prep.PrepSeconds,
-		PrepBuildSeconds: prep.BuildSeconds,
-		PrepFromCache:    prep.FromCache,
-		Model:            rep,
-		Sched:            pool.Stats,
-	}
-	FinishRun(rec, res, m, false)
-	return res, nil
+	}, slices.Clone(k.ranks))
 }

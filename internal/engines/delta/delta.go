@@ -25,7 +25,7 @@ package delta
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/hipa"
@@ -406,75 +406,39 @@ func (s *state) seedWarmDelta(d *graph.Delta, w []float32) {
 // Exec runs the delta-propagation iterative phase against a Prepared
 // artifact. Safe for concurrent calls sharing one artifact.
 func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, error) {
-	if err := prep.CheckExec(Name, common.PrepPartition); err != nil {
+	p, err := hipa.BeginPinned(prep, o, hipa.PinnedOptions{Name: Name, Prefix: "delta"}, func(o common.Options) error {
+		if o.FCFS {
+			return fmt.Errorf("delta: FCFS scheduling is not supported — frontier maintenance relies on the pinned thread-data mapping")
+		}
+		if o.Warm == nil {
+			return nil
+		}
+		g := prep.Graph()
+		if len(o.Warm.Ranks) != g.NumVertices() {
+			return fmt.Errorf("delta: warm-start ranks have %d entries, graph has %d vertices", len(o.Warm.Ranks), g.NumVertices())
+		}
+		if d := o.Warm.Delta; d != nil {
+			if d.Next != g && d.Fingerprint != prep.Key().GraphFP {
+				return fmt.Errorf("delta: warm-start delta ends at a graph that does not match this artifact")
+			}
+			if d.Prev == nil {
+				return fmt.Errorf("delta: warm-start delta carries no previous graph")
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	o = o.ResolveMachine(prep.Machine())
-	m := o.Machine
-	if o.PartitionBytes == 0 {
-		o.PartitionBytes = prep.Key().PartitionBytes
-	}
-	o = o.WithDefaults(m.LogicalCores())
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if o.FCFS {
-		return nil, fmt.Errorf("delta: FCFS scheduling is not supported — frontier maintenance relies on the pinned thread-data mapping")
-	}
-	if o.PartitionBytes != prep.Key().PartitionBytes {
-		return nil, fmt.Errorf("delta: artifact was prepared with %dB partitions, not %dB", prep.Key().PartitionBytes, o.PartitionBytes)
-	}
-	if !o.NoCompress != prep.Key().Compress {
-		return nil, fmt.Errorf("delta: artifact compression does not match NoCompress=%v", o.NoCompress)
-	}
-	if o.VertexBalanced != prep.Key().VertexBalanced {
-		return nil, fmt.Errorf("delta: artifact was prepared with VertexBalanced=%v", prep.Key().VertexBalanced)
-	}
-	if m.NUMANodes != prep.Key().Nodes {
-		return nil, fmt.Errorf("delta: artifact was prepared for %d NUMA nodes, machine has %d", prep.Key().Nodes, m.NUMANodes)
-	}
+	defer p.Release()
+	o = p.Opts
 	tol := o.Tolerance
 	if tol == 0 {
 		tol = DefaultTolerance
 	}
 	g := prep.Graph()
 	n := g.NumVertices()
-	if o.Warm != nil {
-		if len(o.Warm.Ranks) != n {
-			return nil, fmt.Errorf("delta: warm-start ranks have %d entries, graph has %d vertices", len(o.Warm.Ranks), n)
-		}
-		if d := o.Warm.Delta; d != nil {
-			if d.Next != g && d.Fingerprint != prep.Key().GraphFP {
-				return nil, fmt.Errorf("delta: warm-start delta ends at a graph that does not match this artifact")
-			}
-			if d.Prev == nil {
-				return nil, fmt.Errorf("delta: warm-start delta carries no previous graph")
-			}
-		}
-	}
-
-	nodes := m.NUMANodes
-	threads, groupsPerNode := hipa.RoundThreads(o.Threads, nodes)
-	if threads > m.LogicalCores() {
-		return nil, fmt.Errorf("delta: %d threads exceed the machine's %d logical cores", threads, m.LogicalCores())
-	}
-
-	rec := o.Obs
-	tr := rec.T()
-
-	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
-	lookup := partition.BuildLookup(hier)
-
-	pf := o.Platform
-	pool, err := pf.SpawnPinned(o.SchedSeed, threads)
-	if err != nil {
-		return nil, fmt.Errorf("delta: %w", err)
-	}
-	pool.SetLanes(tr)
-
-	arena := prep.AcquireArena()
-	defer prep.ReleaseArena(arena)
-	lay := prep.Partition().Lay
+	hier, lay, arena := p.Hier, prep.Partition().Lay, p.Arena
 	P := hier.NumPartitions()
 	s := &state{
 		g: g, hier: hier, lay: lay,
@@ -510,63 +474,23 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 
 	scatter := &deltaPhase{s: s, groups: hier.Groups}
 	gather := &deltaPhase{s: s, groups: hier.Groups, gather: true}
-	kernels := common.PhaseKernels{
+	iters := p.Supersteps(common.PhaseKernels{
 		StartIteration: s.startIteration,
 		Scatter:        scatter.run,
 		Reduce:         s.reduce,
 		Gather:         gather.run,
 		Residual:       s.residual,
 		DanglingMass:   s.danglingMass,
-	}
-	wallStart := time.Now()
-	o.Iterations = common.RunSupersteps(common.SuperstepConfig{
-		Engine:      Name,
-		Threads:     threads,
-		Parallelism: o.GoParallelism,
-		Iterations:  o.Iterations,
-		Tolerance:   tol,
-		Frontier:    s,
-		Rec:         rec,
-	}, kernels)
-	wall := time.Since(wallStart)
+	}, tol, s)
+	p.Frontier = s.report()
 
-	report := s.report()
-
-	acct := pf.NewAccounting(pool)
-	if pf.Modeled() {
-		if err := acct.AddPartitionRun(platform.PartitionRun{
-			Hier: hier, Lay: lay, Lookup: lookup,
-			PartThread: lookup.PartThread,
+	return p.Finish(func(a *platform.Accounting) error {
+		return a.AddPartitionRun(platform.PartitionRun{
+			Hier: hier, Lay: lay, Lookup: p.Lookup,
+			PartThread: p.Lookup.PartThread,
 			NUMAAware:  true,
-			Iterations: o.Iterations,
+			Iterations: iters,
 			PartIters:  s.partIters,
-		}); err != nil {
-			return nil, fmt.Errorf("delta: %w", err)
-		}
-	}
-	rep, err := pf.Finalize(acct, platform.RunShape{
-		Iterations:     o.Iterations,
-		EdgesProcessed: g.NumEdges() * int64(o.Iterations),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("delta: %w", err)
-	}
-
-	ranks := make([]float32, n)
-	copy(ranks, s.ranks)
-	res := &common.Result{
-		Engine:           Name,
-		Ranks:            ranks,
-		Iterations:       o.Iterations,
-		Threads:          threads,
-		WallSeconds:      wall.Seconds(),
-		PrepSeconds:      prep.PrepSeconds,
-		PrepBuildSeconds: prep.BuildSeconds,
-		PrepFromCache:    prep.FromCache,
-		Model:            rep,
-		Sched:            pool.Stats,
-		Frontier:         report,
-	}
-	common.FinishRun(rec, res, m, true)
-	return res, nil
+		})
+	}, platform.RunShape{EdgesProcessed: g.NumEdges() * int64(iters)}, slices.Clone(s.ranks))
 }

@@ -24,12 +24,11 @@ package ec
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/hipa"
 	"hipa/internal/graph"
-	"hipa/internal/partition"
 	"hipa/internal/platform"
 )
 
@@ -64,123 +63,46 @@ func (Engine) Prepare(g *graph.Graph, o common.Options) (*common.Prepared, error
 // Exec runs the pinned iterative phase with partition pruning against a
 // Prepared artifact. Safe for concurrent calls sharing one artifact.
 func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, error) {
-	if err := prep.CheckExec(Name, common.PrepPartition); err != nil {
+	p, err := hipa.BeginPinned(prep, o, hipa.PinnedOptions{Name: Name, Prefix: "ec"}, func(o common.Options) error {
+		if o.FCFS {
+			return fmt.Errorf("ec: FCFS scheduling is not supported — partition pruning relies on the pinned thread-data mapping")
+		}
+		if o.Warm != nil {
+			return fmt.Errorf("ec: warm starts are not supported — use HiPa or the delta engine for incremental re-ranking")
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	o = o.ResolveMachine(prep.Machine())
-	m := o.Machine
-	if o.PartitionBytes == 0 {
-		o.PartitionBytes = prep.Key().PartitionBytes
-	}
-	o = o.WithDefaults(m.LogicalCores())
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	if o.FCFS {
-		return nil, fmt.Errorf("ec: FCFS scheduling is not supported — partition pruning relies on the pinned thread-data mapping")
-	}
-	if o.Warm != nil {
-		return nil, fmt.Errorf("ec: warm starts are not supported — use HiPa or the delta engine for incremental re-ranking")
-	}
-	if o.PartitionBytes != prep.Key().PartitionBytes {
-		return nil, fmt.Errorf("ec: artifact was prepared with %dB partitions, not %dB", prep.Key().PartitionBytes, o.PartitionBytes)
-	}
-	if !o.NoCompress != prep.Key().Compress {
-		return nil, fmt.Errorf("ec: artifact compression does not match NoCompress=%v", o.NoCompress)
-	}
-	if o.VertexBalanced != prep.Key().VertexBalanced {
-		return nil, fmt.Errorf("ec: artifact was prepared with VertexBalanced=%v", prep.Key().VertexBalanced)
-	}
-	if m.NUMANodes != prep.Key().Nodes {
-		return nil, fmt.Errorf("ec: artifact was prepared for %d NUMA nodes, machine has %d", prep.Key().Nodes, m.NUMANodes)
-	}
+	defer p.Release()
+	o = p.Opts
 	tol := o.Tolerance
 	if tol == 0 {
 		tol = DefaultTolerance
 	}
-	g := prep.Graph()
+	lay := prep.Partition().Lay
 
-	nodes := m.NUMANodes
-	threads, groupsPerNode := hipa.RoundThreads(o.Threads, nodes)
-	if threads > m.LogicalCores() {
-		return nil, fmt.Errorf("ec: %d threads exceed the machine's %d logical cores", threads, m.LogicalCores())
-	}
-
-	rec := o.Obs
-	tr := rec.T()
-
-	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
-	lookup := partition.BuildLookup(hier)
-
-	pf := o.Platform
-	pool, err := pf.SpawnPinned(o.SchedSeed, threads)
-	if err != nil {
-		return nil, fmt.Errorf("ec: %w", err)
-	}
-	pool.SetLanes(tr)
-
-	arena := prep.AcquireArena()
-	defer prep.ReleaseArena(arena)
-	state := common.NewSGStateArena(g, hier, prep.Partition().Lay, prep.Partition().Inv, o.Damping, threads, arena)
-	frontier := common.NewPartitionFrontier(state, tol, arena)
-	kernels := frontier.Kernels(hier.Groups)
-	wallStart := time.Now()
-	o.Iterations = common.RunSupersteps(common.SuperstepConfig{
-		Engine:      Name,
-		Threads:     threads,
-		Parallelism: o.GoParallelism,
-		Iterations:  o.Iterations,
-		Tolerance:   tol,
-		Frontier:    frontier,
-		Rec:         rec,
-	}, kernels)
-	wall := time.Since(wallStart)
-
-	report := frontier.Report()
+	state := common.NewSGStateArena(prep.Graph(), p.Hier, lay, prep.Partition().Inv, o.Damping, p.Threads, p.Arena)
+	frontier := common.NewPartitionFrontier(state, tol, p.Arena)
+	iters := p.Supersteps(frontier.Kernels(p.Hier.Groups), tol, frontier)
+	p.Frontier = frontier.Report()
 
 	// Cost accounting: each partition is charged only the iterations it
 	// executed, so modelled traffic scales with the active set. Edges
 	// processed follow the same per-partition counts.
 	partIters := frontier.PartIters()
 	var edgesProcessed int64
-	for p, part := range hier.Partitions {
-		edgesProcessed += part.EdgeCount * int64(partIters[p])
+	for i, part := range p.Hier.Partitions {
+		edgesProcessed += part.EdgeCount * int64(partIters[i])
 	}
-	acct := pf.NewAccounting(pool)
-	if pf.Modeled() {
-		if err := acct.AddPartitionRun(platform.PartitionRun{
-			Hier: hier, Lay: prep.Partition().Lay, Lookup: lookup,
-			PartThread: lookup.PartThread,
+	return p.Finish(func(a *platform.Accounting) error {
+		return a.AddPartitionRun(platform.PartitionRun{
+			Hier: p.Hier, Lay: lay, Lookup: p.Lookup,
+			PartThread: p.Lookup.PartThread,
 			NUMAAware:  true,
-			Iterations: o.Iterations,
+			Iterations: iters,
 			PartIters:  partIters,
-		}); err != nil {
-			return nil, fmt.Errorf("ec: %w", err)
-		}
-	}
-	rep, err := pf.Finalize(acct, platform.RunShape{
-		Iterations:     o.Iterations,
-		EdgesProcessed: edgesProcessed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ec: %w", err)
-	}
-
-	ranks := make([]float32, len(state.Ranks))
-	copy(ranks, state.Ranks)
-	res := &common.Result{
-		Engine:           Name,
-		Ranks:            ranks,
-		Iterations:       o.Iterations,
-		Threads:          threads,
-		WallSeconds:      wall.Seconds(),
-		PrepSeconds:      prep.PrepSeconds,
-		PrepBuildSeconds: prep.BuildSeconds,
-		PrepFromCache:    prep.FromCache,
-		Model:            rep,
-		Sched:            pool.Stats,
-		Frontier:         report,
-	}
-	common.FinishRun(rec, res, m, true)
-	return res, nil
+		})
+	}, platform.RunShape{EdgesProcessed: edgesProcessed}, slices.Clone(state.Ranks))
 }

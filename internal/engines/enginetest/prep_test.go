@@ -1,10 +1,15 @@
 package enginetest
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"hipa/internal/engines/bppr"
 	"hipa/internal/engines/common"
+	"hipa/internal/engines/delta"
+	"hipa/internal/engines/ec"
+	"hipa/internal/engines/hipa"
 	"hipa/internal/gen"
 	"hipa/internal/machine"
 )
@@ -104,7 +109,10 @@ func TestConcurrentExecShared(t *testing.T) {
 }
 
 // TestExecRejectsMismatches: Exec validates artifact/engine/options
-// compatibility instead of silently computing with the wrong layout.
+// compatibility instead of silently computing with the wrong layout. Every
+// engine of HiPa's pinned execution shape rejects each artifact-key
+// mismatch and an over-subscribed machine under its own error prefix, and
+// returns the arena it checked out.
 func TestExecRejectsMismatches(t *testing.T) {
 	g, err := gen.Uniform(800, 8000, 5)
 	if err != nil {
@@ -120,25 +128,66 @@ func TestExecRejectsMismatches(t *testing.T) {
 	if _, err := pprE.Exec(prep, o); err == nil {
 		t.Error("p-PR accepted a HiPa artifact")
 	}
-	bad := o
-	bad.PartitionBytes = o.PartitionBytes * 2
-	if _, err := hipaE.Exec(prep, bad); err == nil {
-		t.Error("Exec accepted a partition-size mismatch")
-	}
-	badC := o
-	badC.NoCompress = true
-	if _, err := hipaE.Exec(prep, badC); err == nil {
-		t.Error("Exec accepted a compression mismatch")
-	}
 	if _, err := hipaE.Exec(nil, o); err == nil {
 		t.Error("Exec accepted a nil artifact")
 	}
-	// Different thread counts are NOT a mismatch: the thread-dependent group
-	// stage is recomputed per Exec.
-	more := o
-	more.Threads = 4
-	if _, err := hipaE.Exec(prep, more); err != nil {
-		t.Errorf("Exec rejected a thread-count change: %v", err)
+
+	batchExec := func(prep *common.Prepared, o common.Options) (*common.Result, error) {
+		_, err := bppr.ExecBatch(prep, o, []bppr.Query{{}})
+		return nil, err
+	}
+	engines := []struct {
+		name, prefix string
+		engine       common.Engine
+		exec         func(*common.Prepared, common.Options) (*common.Result, error)
+	}{
+		{"HiPa", "hipa", hipa.Engine{}, nil},
+		{"EC-HiPa", "ec", ec.Engine{}, nil},
+		{"Delta-PR", "delta", delta.Engine{}, nil},
+		{"B-PPR", "bppr", bppr.Engine{}, nil},
+		{"B-PPR-ExecBatch", "bppr", bppr.Engine{}, batchExec},
+	}
+	mismatches := []struct {
+		name, want string // want: a phrase of the expected rejection
+		mutate     func(*common.Options)
+	}{
+		{"partition-bytes", "partitions", func(o *common.Options) { o.PartitionBytes *= 2 }},
+		{"no-compress", "compression", func(o *common.Options) { o.NoCompress = true }},
+		{"vertex-balanced", "VertexBalanced", func(o *common.Options) { o.VertexBalanced = true }},
+		{"numa-nodes", "NUMA nodes", func(o *common.Options) { o.Machine = machine.WithNodes(o.Machine, 2*o.Machine.NUMANodes) }},
+		{"threads-over-cores", "logical cores", func(o *common.Options) { o.Threads = o.Machine.LogicalCores() + o.Machine.NUMANodes }},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			prep, err := e.engine.Prepare(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := e.exec
+			if exec == nil {
+				exec = e.engine.Exec
+			}
+			for _, m := range mismatches {
+				bad := o
+				m.mutate(&bad)
+				_, err := exec(prep, bad)
+				if err == nil {
+					t.Errorf("%s: Exec accepted the mismatch", m.name)
+				} else if msg := err.Error(); !strings.HasPrefix(msg, e.prefix+": ") || !strings.Contains(msg, m.want) {
+					t.Errorf("%s: got %q, want a %q rejection naming %q", m.name, msg, e.prefix, m.want)
+				}
+				if out := prep.ArenaStats().Outstanding; out != 0 {
+					t.Errorf("%s: %d arenas outstanding after the rejection", m.name, out)
+				}
+			}
+			// Different thread counts are NOT a mismatch: the thread-dependent
+			// group stage is recomputed per Exec.
+			more := o
+			more.Threads = 4
+			if _, err := exec(prep, more); err != nil {
+				t.Errorf("Exec rejected a thread-count change: %v", err)
+			}
+		})
 	}
 }
 

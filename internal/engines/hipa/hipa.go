@@ -24,9 +24,10 @@ package hipa
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"hipa/internal/engines/common"
+	"hipa/internal/execbuf"
 	"hipa/internal/graph"
 	"hipa/internal/partition"
 	"hipa/internal/platform"
@@ -40,8 +41,9 @@ func (Engine) Name() string { return "HiPa" }
 
 // RoundThreads returns HiPa's effective thread count for the requested one:
 // at least one thread per NUMA node (one group list per node), rounded down
-// to a node multiple, like the paper's per-node thread split. Exported for
-// engines that share HiPa's execution shape (the early-convergence engine).
+// to a node multiple, like the paper's per-node thread split. BeginPinned
+// applies it for every engine sharing HiPa's execution shape (HiPa, EC-HiPa,
+// Delta-PR, B-PPR).
 func RoundThreads(requested, nodes int) (threads, groupsPerNode int) {
 	threads = requested
 	if threads < nodes {
@@ -115,140 +117,144 @@ func PrepareArtifact(name string, g *graph.Graph, o common.Options) (*common.Pre
 	}, nil)
 }
 
-// Exec runs HiPa's pinned iterative phase (Algorithm 2) against a Prepared
-// artifact: the thread-count-dependent group level is recomputed on the
-// artifact's node-level split, then persistent pinned threads run the
-// scatter-gather loop. Safe for concurrent calls sharing one artifact.
-func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, error) {
-	if err := prep.CheckExec("HiPa", common.PrepPartition); err != nil {
-		return nil, err
+// PinnedOptions names an engine that runs HiPa's pinned execution shape.
+type PinnedOptions struct {
+	// Name is the engine's registry name; Prefix starts its errors.
+	Name, Prefix string
+	// Family, when non-empty, also accepts artifacts of that builder family
+	// stamped by another engine (B-PPR batches run on a HiPa artifact).
+	Family string
+}
+
+// Pinned is one Exec's share of HiPa's execution shape (Algorithm 2):
+// options resolved against the artifact, the thread-count-dependent group
+// level, persistent pinned threads and a scratch arena from the artifact's
+// pool. Its ExecRun carries the run to a Result; Release returns the arena.
+type Pinned struct {
+	common.ExecRun
+	Hier   *partition.Hierarchy
+	Lookup *partition.LookupTable
+	Arena  *execbuf.Arena
+}
+
+// BeginPinned sets up an Exec of every engine sharing HiPa's execution
+// shape against a HiPa-family artifact: it resolves o against the
+// artifact, rejects options the artifact was not prepared for, regroups
+// the artifact's node-level split for the effective thread count, spawns
+// the pinned pool and checks out an arena. check runs the engine's own
+// rejections against the resolved options, before the artifact-key checks.
+// The caller must Release the result.
+func BeginPinned(prep *common.Prepared, o common.Options, po PinnedOptions, check func(o common.Options) error) (Pinned, error) {
+	if err := prep.CheckExecFamily(po.Name, po.Family, common.PrepPartition); err != nil {
+		return Pinned{}, err
 	}
+	key := prep.Key()
 	o = o.ResolveMachine(prep.Machine())
 	m := o.Machine
 	if o.PartitionBytes == 0 {
-		o.PartitionBytes = prep.Key().PartitionBytes
+		o.PartitionBytes = key.PartitionBytes
 	}
 	o = o.WithDefaults(m.LogicalCores())
 	if err := o.Validate(); err != nil {
-		return nil, err
+		return Pinned{}, err
 	}
-	if o.PartitionBytes != prep.Key().PartitionBytes {
-		return nil, fmt.Errorf("hipa: artifact was prepared with %dB partitions, not %dB", prep.Key().PartitionBytes, o.PartitionBytes)
+	if err := check(o); err != nil {
+		return Pinned{}, err
 	}
-	if !o.NoCompress != prep.Key().Compress {
-		return nil, fmt.Errorf("hipa: artifact compression does not match NoCompress=%v", o.NoCompress)
+	switch {
+	case o.PartitionBytes != key.PartitionBytes:
+		return Pinned{}, fmt.Errorf("%s: artifact was prepared with %dB partitions, not %dB", po.Prefix, key.PartitionBytes, o.PartitionBytes)
+	case !o.NoCompress != key.Compress:
+		return Pinned{}, fmt.Errorf("%s: artifact compression does not match NoCompress=%v", po.Prefix, o.NoCompress)
+	case o.VertexBalanced != key.VertexBalanced:
+		return Pinned{}, fmt.Errorf("%s: artifact was prepared with VertexBalanced=%v", po.Prefix, key.VertexBalanced)
+	case m.NUMANodes != key.Nodes:
+		return Pinned{}, fmt.Errorf("%s: artifact was prepared for %d NUMA nodes, machine has %d", po.Prefix, key.Nodes, m.NUMANodes)
 	}
-	if o.VertexBalanced != prep.Key().VertexBalanced {
-		return nil, fmt.Errorf("hipa: artifact was prepared with VertexBalanced=%v", prep.Key().VertexBalanced)
-	}
-	if m.NUMANodes != prep.Key().Nodes {
-		return nil, fmt.Errorf("hipa: artifact was prepared for %d NUMA nodes, machine has %d", prep.Key().Nodes, m.NUMANodes)
-	}
-	g := prep.Graph()
 
 	// Thread count must be a multiple of the node count (one group list per
 	// node); round down like the paper's per-node thread split.
-	nodes := m.NUMANodes
-	threads, groupsPerNode := RoundThreads(o.Threads, nodes)
+	threads, groupsPerNode := RoundThreads(o.Threads, m.NUMANodes)
 	if threads > m.LogicalCores() {
-		return nil, fmt.Errorf("hipa: %d threads exceed the machine's %d logical cores", threads, m.LogicalCores())
+		return Pinned{}, fmt.Errorf("%s: %d threads exceed the machine's %d logical cores", po.Prefix, threads, m.LogicalCores())
 	}
-
-	rec := o.Obs
-	tr := rec.T()
 
 	// Cache-aware group level on top of the artifact's node-level split —
 	// identical to building the full hierarchy at this thread count, but
 	// O(partitions) instead of O(V + E).
 	hier := partition.Regroup(prep.Partition().Hier, groupsPerNode)
-	lookup := partition.BuildLookup(hier)
 
 	// Platform thread lifecycle: persistent threads spawned once and pinned
 	// (Algorithm 2). At most `threads` migrations can occur.
-	pf := o.Platform
-	pool, err := pf.SpawnPinned(o.SchedSeed, threads)
+	pool, err := o.Platform.SpawnPinned(o.SchedSeed, threads)
 	if err != nil {
-		return nil, fmt.Errorf("hipa: %w", err)
+		return Pinned{}, fmt.Errorf("%s: %w", po.Prefix, err)
 	}
-	pool.SetLanes(tr)
+	pool.SetLanes(o.Obs.T())
+	return Pinned{
+		ExecRun: common.ExecRun{
+			Engine: po.Name, Prefix: po.Prefix, Prep: prep, Opts: o,
+			Pool: pool, Threads: threads, Pinned: true,
+		},
+		Hier:   hier,
+		Lookup: partition.BuildLookup(hier),
+		Arena:  prep.AcquireArena(),
+	}, nil
+}
+
+// Release returns the run's arena to the artifact's pool.
+func (p *Pinned) Release() { p.Prep.ReleaseArena(p.Arena) }
+
+// Exec runs HiPa's pinned iterative phase (Algorithm 2) against a Prepared
+// artifact: the thread-count-dependent group level is recomputed on the
+// artifact's node-level split, then persistent pinned threads run the
+// scatter-gather loop. Safe for concurrent calls sharing one artifact.
+func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, error) {
+	p, err := BeginPinned(prep, o, PinnedOptions{Name: "HiPa", Prefix: "hipa"}, func(o common.Options) error {
+		if o.Warm != nil && len(o.Warm.Ranks) != prep.Graph().NumVertices() {
+			return fmt.Errorf("hipa: warm-start ranks have %d entries, graph has %d vertices", len(o.Warm.Ranks), prep.Graph().NumVertices())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	o = p.Opts
+	lay := prep.Partition().Lay
 
 	// Real parallel execution through the shared superstep driver. The FCFS
 	// ablation keeps HiPa's layout and placement but lets threads claim
 	// partitions first-come-first-serve instead of the pinned one-to-many
 	// assignment.
-	arena := prep.AcquireArena()
-	defer prep.ReleaseArena(arena)
-	state := common.NewSGStateArena(g, hier, prep.Partition().Lay, prep.Partition().Inv, o.Damping, threads, arena)
+	state := common.NewSGStateArena(prep.Graph(), p.Hier, lay, prep.Partition().Inv, o.Damping, p.Threads, p.Arena)
 	if o.Warm != nil {
 		// Dense warm restart: start from the previous version's converged
 		// ranks instead of the uniform distribution. PinnedKernels re-seeds
 		// the dangling partials group-accurately from the warm ranks below.
-		if len(o.Warm.Ranks) != g.NumVertices() {
-			return nil, fmt.Errorf("hipa: warm-start ranks have %d entries, graph has %d vertices", len(o.Warm.Ranks), g.NumVertices())
-		}
 		state.SetRanks(o.Warm.Ranks)
 	}
-	kernels := common.PinnedKernels(state, hier.Groups)
+	kernels := common.PinnedKernels(state, p.Hier.Groups)
 	if o.FCFS {
 		kernels = common.FCFSKernels(state)
 	}
-	wallStart := time.Now()
-	o.Iterations = common.RunSupersteps(common.SuperstepConfig{
-		Engine:      "HiPa",
-		Threads:     threads,
-		Parallelism: o.GoParallelism,
-		Iterations:  o.Iterations,
-		Tolerance:   o.Tolerance,
-		Rec:         rec,
-	}, kernels)
-	wall := time.Since(wallStart)
+	iters := p.Supersteps(kernels, o.Tolerance, nil)
 
-	// Cost accounting on the platform.
-	acct := pf.NewAccounting(pool)
-	if pf.Modeled() {
-		partThread := lookup.PartThread
-		var slack float64
+	// The result keeps its own copy of the ranks — the single per-Exec
+	// allocation. Algorithm 2 binds once at spawn, so per-iteration
+	// migration attribution charges iteration 0 — also for the FCFS
+	// ablation, which keeps the pinned thread lifecycle.
+	return p.Finish(func(a *platform.Accounting) error {
+		run := platform.PartitionRun{
+			Hier: p.Hier, Lay: lay, Lookup: p.Lookup,
+			PartThread: p.Lookup.PartThread,
+			NUMAAware:  true,
+			Iterations: iters,
+		}
 		if o.FCFS {
-			partThread = platform.FCFSAssignment(hier, threads)
-			slack = platform.FCFSWorkingSetSlack
+			run.PartThread = platform.FCFSAssignment(p.Hier, p.Threads)
+			run.WorkingSetSlack = platform.FCFSWorkingSetSlack
 		}
-		if err := acct.AddPartitionRun(platform.PartitionRun{
-			Hier: hier, Lay: prep.Partition().Lay, Lookup: lookup,
-			PartThread:      partThread,
-			NUMAAware:       true,
-			Iterations:      o.Iterations,
-			WorkingSetSlack: slack,
-		}); err != nil {
-			return nil, fmt.Errorf("hipa: %w", err)
-		}
-	}
-	rep, err := pf.Finalize(acct, platform.RunShape{
-		Iterations:     o.Iterations,
-		EdgesProcessed: g.NumEdges() * int64(o.Iterations),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("hipa: %w", err)
-	}
-
-	// The arena (and with it state.Ranks) is recycled by the next Exec; the
-	// result keeps its own copy — the single per-Exec allocation.
-	ranks := make([]float32, len(state.Ranks))
-	copy(ranks, state.Ranks)
-	res := &common.Result{
-		Engine:           "HiPa",
-		Ranks:            ranks,
-		Iterations:       o.Iterations,
-		Threads:          threads,
-		WallSeconds:      wall.Seconds(),
-		PrepSeconds:      prep.PrepSeconds,
-		PrepBuildSeconds: prep.BuildSeconds,
-		PrepFromCache:    prep.FromCache,
-		Model:            rep,
-		Sched:            pool.Stats,
-	}
-	// Algorithm 2 binds once at spawn, so per-iteration migration
-	// attribution charges iteration 0 — also for the FCFS ablation, which
-	// keeps the pinned thread lifecycle.
-	common.FinishRun(rec, res, m, true)
-	return res, nil
+		return a.AddPartitionRun(run)
+	}, platform.RunShape{EdgesProcessed: prep.Graph().NumEdges() * int64(iters)}, slices.Clone(state.Ranks))
 }

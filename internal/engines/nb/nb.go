@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"hipa/internal/engines/common"
 	"hipa/internal/execbuf"
@@ -152,18 +151,16 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 	if threads > n {
 		threads = n
 	}
-	rec := o.Obs
-
 	bounds := common.SplitByWeight(g.InOffsets(), threads)
 
 	// Workers are spawned once and never respawned (one region); they are
 	// not node-bound — the engine is NUMA-oblivious like v-PR.
-	pf := o.Platform
-	pool, err := pf.SpawnOblivious(o.SchedSeed, 1, threads, false)
+	pool, err := o.Platform.SpawnOblivious(o.SchedSeed, 1, threads, false)
 	if err != nil {
 		return nil, fmt.Errorf("nb: %w", err)
 	}
-	pool.SetLanes(rec.T())
+	pool.SetLanes(o.Obs.T())
+	run := common.ExecRun{Engine: Name, Prefix: "nb", Prep: prep, Opts: o, Pool: pool, Threads: threads}
 
 	arena := prep.AcquireArena()
 	defer prep.ReleaseArena(arena)
@@ -195,19 +192,11 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		st.dang[t].V.Store(math.Float64bits(dangling))
 	}
 
-	wallStart := time.Now()
-	maxRounds, _ := common.RunAsyncRounds(common.AsyncConfig{
-		Engine:       Name,
-		Threads:      threads,
-		Rounds:       o.Iterations,
-		Tolerance:    o.Tolerance,
+	maxRounds := run.Async(common.AsyncConfig{
 		Residuals:    lanes[0:threads],
 		RoundCounts:  lanes[threads : 2*threads],
 		DanglingMass: st.danglingMass,
-		Rec:          rec,
 	}, st.round)
-	wall := time.Since(wallStart)
-	o.Iterations = maxRounds
 
 	// Per-worker round counts: the accounting input (unequal rounds, zero
 	// barriers) and the edges-processed total.
@@ -231,45 +220,22 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		report.ActiveVertexIterations += int64(bounds[t+1]-bounds[t]) * threadIters[t]
 	}
 	report.PartitionsSkipped = int64(maxRounds)*int64(threads) - report.ActivePartitionIterations
-
-	acct := pf.NewAccounting(pool)
-	if pf.Modeled() {
-		if err := acct.AddVertexRun(platform.VertexRun{
-			G:             g,
-			Bounds:        bounds,
-			AtomicUpdates: true,
-			Iterations:    maxRounds,
-			ThreadIters:   threadIters,
-		}); err != nil {
-			return nil, fmt.Errorf("nb: %w", err)
-		}
-	}
-	rep, err := pf.Finalize(acct, platform.RunShape{
-		Iterations:           maxRounds,
-		EdgesProcessed:       edgesProcessed,
-		UncoordinatedStreams: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("nb: %w", err)
-	}
+	run.Frontier = report
 
 	ranks := make([]float32, n)
 	for v := range ranks {
 		ranks[v] = math.Float32frombits(st.bits[v])
 	}
-	res := &common.Result{
-		Engine:           Name,
-		Ranks:            ranks,
-		Iterations:       maxRounds,
-		Threads:          threads,
-		WallSeconds:      wall.Seconds(),
-		PrepSeconds:      prep.PrepSeconds,
-		PrepBuildSeconds: prep.BuildSeconds,
-		PrepFromCache:    prep.FromCache,
-		Model:            rep,
-		Sched:            pool.Stats,
-		Frontier:         report,
-	}
-	common.FinishRun(rec, res, m, false)
-	return res, nil
+	return run.Finish(func(a *platform.Accounting) error {
+		return a.AddVertexRun(platform.VertexRun{
+			G:             g,
+			Bounds:        bounds,
+			AtomicUpdates: true,
+			Iterations:    maxRounds,
+			ThreadIters:   threadIters,
+		})
+	}, platform.RunShape{
+		EdgesProcessed:       edgesProcessed,
+		UncoordinatedStreams: true,
+	}, ranks)
 }

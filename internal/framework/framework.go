@@ -59,7 +59,9 @@ type Config struct {
 	Threads        int
 	PartitionBytes int
 	NumNodes       int
-	// MaxIterations bounds the run (0 = 100).
+	// MaxIterations bounds the run; 0 runs until no vertex is active. The
+	// shipped programs (WCC, Hops, Reachable) are monotone, so they finish
+	// within n+1 iterations; a program that never converges needs a bound.
 	MaxIterations int
 }
 
@@ -71,7 +73,7 @@ type Result[V Value] struct {
 	ActiveHistory []int
 }
 
-// Run executes the program to convergence (or MaxIterations).
+// Run executes the program until no vertex is active (or MaxIterations).
 func Run[V Value](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -85,9 +87,6 @@ func Run[V Value](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], erro
 	}
 	if cfg.NumNodes == 0 {
 		cfg.NumNodes = 2
-	}
-	if cfg.MaxIterations == 0 {
-		cfg.MaxIterations = 100
 	}
 	if cfg.Threads < cfg.NumNodes {
 		cfg.Threads = cfg.NumNodes
@@ -130,7 +129,7 @@ func Run[V Value](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], erro
 
 	common.RunThreads(cfg.Threads, func(tid int) {
 		gr := hier.Groups[tid]
-		for it := 0; it < cfg.MaxIterations; it++ {
+		for it := 0; cfg.MaxIterations == 0 || it < cfg.MaxIterations; it++ {
 			// --- Scatter: own partitions' active vertices ---
 			count := 0
 			for pi := gr.PartStart; pi < gr.PartEnd; pi++ {

@@ -183,6 +183,34 @@ func TestFrameworkConvergenceBookkeeping(t *testing.T) {
 			t.Fatalf("iteration %d: active = %d, want 1 on a chain", i, a)
 		}
 	}
+
+	// A zero MaxIterations runs until nothing is active, however long the
+	// chain: 300 vertices need 300 rounds.
+	long := graph.NewBuilder(300)
+	for v := 0; v < 299; v++ {
+		long.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+	}
+	lg := long.Build()
+	cfg := testCfg()
+	cfg.MaxIterations = 0
+	hops, err := Hops(lg, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, h := range hops.Values {
+		if h != int32(v) {
+			t.Fatalf("MaxIterations 0: hops[%d] = %d, want %d", v, h, v)
+		}
+	}
+	wcc, err := WCC(lg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, l := range wcc.Values {
+		if l != 0 {
+			t.Fatalf("MaxIterations 0: wcc[%d] = %d, want 0", v, l)
+		}
+	}
 }
 
 func TestFrameworkMaxIterations(t *testing.T) {
