@@ -1,7 +1,8 @@
 // Command hipainfo reports graph statistics and the hierarchical
 // partitioning a graph would receive on a machine: per-node partition/edge
 // assignment, per-thread groups, intra/inter-edge locality, compression
-// ratio, and the NUMA page placement of the attribute arrays.
+// ratio, the resident size of the layout, and the NUMA page placement of
+// the attribute arrays.
 //
 // Usage:
 //
@@ -43,6 +44,7 @@ type infoReport struct {
 	Nodes        []nodeInfo             `json:"nodes"`
 	Locality     partition.EdgeLocality `json:"locality"`
 	Compression  compressionInfo        `json:"compression"`
+	LayoutBytes  int64                  `json:"layout_bytes"`
 	RankPages    []int64                `json:"rank_pages_per_node"`
 	RankBytes    int64                  `json:"rank_bytes"`
 	Versioned    *graph.VersionedStats  `json:"versioned,omitempty"`
@@ -198,6 +200,7 @@ func main() {
 		Blocks:          len(lay.Blocks),
 		BinBytes:        lay.BinBytes(),
 	}
+	rep.LayoutBytes = lay.Bytes()
 
 	// NUMA placement of the rank array under HiPa's sliced policy.
 	space := memsim.NewSpace(m)
@@ -233,6 +236,7 @@ func main() {
 	fmt.Printf("compression: %d inter-edges -> %d messages (%.2f edges/message, %d blocks, bin %dB)\n",
 		rep.Compression.InterEdges, rep.Compression.Messages, rep.Compression.EdgesPerMessage,
 		rep.Compression.Blocks, rep.Compression.BinBytes)
+	fmt.Printf("layout     : %dB resident (blocks, messages, destinations, intra CSR)\n", rep.LayoutBytes)
 	fmt.Printf("placement  : rank array %dB across %v pages per node (sliced by partition ownership)\n",
 		rep.RankBytes, rep.RankPages)
 }

@@ -111,13 +111,11 @@ func (p *prepared) propagate(x, y []float32, bins []float32, bar *common.Barrier
 	for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
 		for _, bi := range lay.DstBlocks[pi] {
 			b := lay.Blocks[bi]
-			for m := b.MsgStart; m < b.MsgEnd; m++ {
-				val := bins[m]
-				if val == 0 {
-					continue
-				}
-				for _, d := range lay.MsgDst[lay.MsgDstOff[m]:lay.MsgDstOff[m+1]] {
-					y[d] += val
+			m := b.MsgStart - 1
+			for _, d := range lay.MsgDst[b.DstStart:b.DstEnd] {
+				m += int64(d >> 31)
+				if val := bins[m]; val != 0 {
+					y[d&^layout.FirstDst] += val
 				}
 			}
 		}

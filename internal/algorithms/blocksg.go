@@ -286,25 +286,38 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 	for _, bi := range lay.DstBlocks[p] {
 		blk := lay.Blocks[bi]
 		src := lay.MsgSrc[blk.MsgStart:blk.MsgEnd:blk.MsgEnd]
-		msgOff := lay.MsgDstOff[blk.MsgStart : blk.MsgEnd+1 : blk.MsgEnd+1]
-		for i, u := range src {
-			iv := inv[u]
-			lo, hi := msgOff[i], msgOff[i+1]
-			dst := lay.MsgDst[lo:hi:hi]
-			if len(cols) == 1 {
-				j := int(cols[0])
-				addColumn(acc, dst, b, j, ranks[int(u)*b+j]*iv)
-				continue
-			}
-			rb := ranks[int(u)*b : int(u)*b+b : int(u)*b+b]
-			for k, j := range cols {
-				cb[k] = rb[j] * iv
-			}
+		dst := lay.MsgDst[blk.DstStart:blk.DstEnd:blk.DstEnd]
+		// A flagged destination opens the next message: rebuild its column
+		// value(s) from its source's rank row, then add them to every
+		// destination of the message.
+		m := -1
+		if len(cols) == 1 {
+			j := int(cols[0])
+			var c float32
 			for _, dv := range dst {
-				ab := acc[int(dv)*b : int(dv)*b+b : int(dv)*b+b]
-				for k, j := range cols {
-					ab[j] += cb[k]
+				if dv&layout.FirstDst != 0 {
+					m++
+					u := int(src[m])
+					c = ranks[u*b+j] * inv[u]
 				}
+				acc[int(dv&^layout.FirstDst)*b+j] += c
+			}
+			continue
+		}
+		for _, dv := range dst {
+			if dv&layout.FirstDst != 0 {
+				m++
+				u := int(src[m])
+				iv := inv[u]
+				rb := ranks[u*b : u*b+b : u*b+b]
+				for k, j := range cols {
+					cb[k] = rb[j] * iv
+				}
+			}
+			v := int(dv &^ layout.FirstDst)
+			ab := acc[v*b : v*b+b : v*b+b]
+			for k, j := range cols {
+				ab[j] += cb[k]
 			}
 		}
 	}

@@ -197,15 +197,7 @@ func (f *PartitionFrontier) gatherPartition(p int) {
 	acc := s.Acc
 	for _, bi := range lay.DstBlocks[p] {
 		b := lay.Blocks[bi]
-		bins := s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd]
-		msgOff := lay.MsgDstOff[b.MsgStart : b.MsgEnd+1 : b.MsgEnd+1]
-		for i, val := range bins {
-			lo, hi := msgOff[i], msgOff[i+1]
-			dst := lay.MsgDst[lo:hi:hi]
-			for _, d := range dst {
-				acc[d] += val
-			}
-		}
+		gatherBlock(acc, s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd], lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd])
 	}
 
 	part := s.Hier.Partitions[p]

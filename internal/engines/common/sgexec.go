@@ -207,15 +207,7 @@ func (s *SGState) GatherPartition(p int, tid int) {
 	acc := s.Acc
 	for _, bi := range lay.DstBlocks[p] {
 		b := lay.Blocks[bi]
-		bins := s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd]
-		msgOff := lay.MsgDstOff[b.MsgStart : b.MsgEnd+1 : b.MsgEnd+1]
-		for i, val := range bins {
-			lo, hi := msgOff[i], msgOff[i+1]
-			dst := lay.MsgDst[lo:hi:hi]
-			for _, d := range dst {
-				acc[d] += val
-			}
-		}
+		gatherBlock(acc, s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd], lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd])
 	}
 
 	part := s.Hier.Partitions[p]
@@ -270,6 +262,34 @@ func (s *SGState) GatherPartition(p int, tid int) {
 	}
 	s.residuals[tid].V = res
 	s.partials[tid].V += dangling
+}
+
+// gatherBlock decodes one message block into the accumulators: bins holds
+// the block's message values and dst its MsgDst range, where a flagged entry
+// opens the next message. The message index k advances by the flag bit, so
+// the whole block is one flat, branch-free stream of acc[d] += bins[k], with
+// the same adds in the same order as a per-message loop. The stream is
+// unrolled 4-way; the four updates stay in order, so repeated destinations
+// accumulate exactly as in the scalar loop.
+func gatherBlock(acc, bins []float32, dst []graph.VertexID) {
+	const flag = layout.FirstDst
+	k := -1
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d := dst[i : i+4 : i+4]
+		k0 := k + int(d[0]>>31)
+		k1 := k0 + int(d[1]>>31)
+		k2 := k1 + int(d[2]>>31)
+		k = k2 + int(d[3]>>31)
+		acc[d[0]&^flag] += bins[k0]
+		acc[d[1]&^flag] += bins[k1]
+		acc[d[2]&^flag] += bins[k2]
+		acc[d[3]&^flag] += bins[k]
+	}
+	for _, d := range dst[i:] {
+		k += int(d >> 31)
+		acc[d&^flag] += bins[k]
+	}
 }
 
 // maxAbsDiff4 folds four |new-old| rank deltas into a running maximum.

@@ -157,18 +157,14 @@ func (s *state) gatherPartition(p int) {
 	for _, bi := range lay.DstBlocks[p] {
 		b := lay.Blocks[bi]
 		bins := s.bins[b.MsgStart:b.MsgEnd:b.MsgEnd]
-		msgOff := lay.MsgDstOff[b.MsgStart : b.MsgEnd+1 : b.MsgEnd+1]
-		for i, val := range bins {
-			if val == 0 {
-				continue
-			}
-			bins[i] = 0
-			lo, hi := msgOff[i], msgOff[i+1]
-			dst := lay.MsgDst[lo:hi:hi]
-			for _, d := range dst {
-				acc[d] += val
+		k := -1
+		for _, d := range lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd] {
+			k += int(d >> 31)
+			if val := bins[k]; val != 0 {
+				acc[d&^layout.FirstDst] += val
 			}
 		}
+		clear(bins)
 	}
 
 	part := s.hier.Partitions[p]

@@ -185,18 +185,19 @@ func Run[V Value](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], erro
 			for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
 				for _, bi := range lay.DstBlocks[pi] {
 					b := lay.Blocks[bi]
-					for m := b.MsgStart; m < b.MsgEnd; m++ {
+					m := b.MsgStart - 1
+					for _, d := range lay.MsgDst[b.DstStart:b.DstEnd] {
+						m += int64(d >> 31)
 						if !binValid[m] {
 							continue
 						}
 						val := bins[m]
-						for _, d := range lay.MsgDst[lay.MsgDstOff[m]:lay.MsgDstOff[m+1]] {
-							if gotMsg[d] {
-								acc[d] = prog.Combine(acc[d], val)
-							} else {
-								acc[d] = val
-								gotMsg[d] = true
-							}
+						d &^= layout.FirstDst
+						if gotMsg[d] {
+							acc[d] = prog.Combine(acc[d], val)
+						} else {
+							acc[d] = val
+							gotMsg[d] = true
 						}
 					}
 				}

@@ -12,28 +12,52 @@
 // cache-resident source partition; the gather phase of the destination
 // thread streams sequentially through the blocks targeting its partitions.
 //
+// A message's destinations are not delimited by offsets: each block's
+// destinations are one contiguous run of MsgDst, and the first destination
+// of every message carries the FirstDst bit (PCPM's encoding). The gather
+// decodes a block as one flat stream, stepping to the next message's value
+// at each flagged entry, so it has no per-message loop exit to mispredict.
+// The flag bit limits layouts to graphs of fewer than 2^31 vertices.
+//
 // The same structure with compression disabled (one message per inter-edge)
 // serves as the ablation baseline for the compression optimisation.
 package layout
 
 import (
 	"fmt"
+	"unsafe"
 
 	"hipa/internal/graph"
 	"hipa/internal/par"
 	"hipa/internal/partition"
 )
 
+// FirstDst marks the first destination of each message in MsgDst. The
+// vertex ID is the entry with the bit cleared (d &^ FirstDst).
+const FirstDst graph.VertexID = 1 << 31
+
+// maxVertices bounds a layout's vertex count: every vertex ID must leave the
+// FirstDst bit clear.
+const maxVertices = int(FirstDst)
+
 // Block is one (source partition → destination partition) run of messages.
 type Block struct {
 	SrcPart, DstPart int32
-	// MsgStart/MsgEnd delimit the block's messages in the layout's global
-	// message arrays.
+	// MsgStart/MsgEnd delimit the block's messages in MsgSrc (and in an
+	// engine's per-message value bins).
 	MsgStart, MsgEnd int64
+	// DstStart/DstEnd delimit the block's destinations in MsgDst: its
+	// messages' destination runs back to back, each opened by a flagged
+	// entry.
+	DstStart, DstEnd int64
 }
 
 // Messages returns the number of compressed messages in the block.
 func (b Block) Messages() int64 { return b.MsgEnd - b.MsgStart }
+
+// Dsts returns the number of message destinations (inter-edges) in the
+// block.
+func (b Block) Dsts() int64 { return b.DstEnd - b.DstStart }
 
 // Layout is the immutable partition-centric representation of one graph
 // under one hierarchical partitioning.
@@ -50,11 +74,12 @@ type Layout struct {
 	// DstBlocks[q] lists indices into Blocks of the blocks targeting q.
 	DstBlocks [][]int32
 
-	// Per-message data: MsgSrc[i] is the source vertex; its destination
-	// vertices are MsgDst[MsgDstOff[i]:MsgDstOff[i+1]].
-	MsgSrc    []graph.VertexID
-	MsgDstOff []int64
-	MsgDst    []graph.VertexID
+	// MsgSrc[i] is message i's source vertex. MsgDst holds every message's
+	// destination vertices in message order; the first destination of each
+	// message carries FirstDst, so message i of block b owns the run from
+	// its flagged entry up to the next flagged entry or b.DstEnd.
+	MsgSrc []graph.VertexID
+	MsgDst []graph.VertexID
 
 	// Intra-edge CSR over all vertices: destinations of v's intra-partition
 	// edges are IntraDst[IntraOff[v]:IntraOff[v+1]].
@@ -88,8 +113,8 @@ func Build(g *graph.Graph, h *partition.Hierarchy, compress bool) (*Layout, erro
 // partition cannot serialize the build. The layout is bit-identical at any
 // worker count.
 func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers int) (*Layout, error) {
-	if g.NumVertices() != h.NumVertices {
-		return nil, fmt.Errorf("layout: graph has %d vertices, hierarchy %d", g.NumVertices(), h.NumVertices)
+	if err := checkVertices(g, h); err != nil {
+		return nil, err
 	}
 	P := h.NumPartitions()
 	l := newLayout(P, g.NumVertices(), compress)
@@ -135,6 +160,18 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 		}
 	})
 	return l, nil
+}
+
+// checkVertices rejects a graph that does not match its hierarchy or whose
+// vertex IDs would collide with the FirstDst flag.
+func checkVertices(g *graph.Graph, h *partition.Hierarchy) error {
+	if h.NumVertices >= maxVertices {
+		return fmt.Errorf("layout: %d vertices; the message encoding holds fewer than 2^31", h.NumVertices)
+	}
+	if g.NumVertices() != h.NumVertices {
+		return fmt.Errorf("layout: graph has %d vertices, hierarchy %d", g.NumVertices(), h.NumVertices)
+	}
+	return nil
 }
 
 func newLayout(P, n int, compress bool) *Layout {
@@ -188,7 +225,7 @@ func (s rowScan) count(p, vlo, vhi int, msgs, dsts, intraOff []int64) int64 {
 // and first destination index: inside a block, messages follow the scan's
 // source order and each message's destinations are a contiguous run of its
 // row, so one message cursor and one destination cursor per block place
-// everything.
+// everything. The destination that opens a message is stored flagged.
 func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
@@ -204,7 +241,7 @@ func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
 				m := msgCur[q]
 				msgCur[q]++
 				l.MsgSrc[m] = graph.VertexID(v)
-				l.MsgDstOff[m] = dstCur[q]
+				d |= FirstDst
 				lastQ = q
 			}
 			l.MsgDst[dstCur[q]] = d
@@ -241,6 +278,7 @@ func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64
 			l.Blocks = append(l.Blocks, Block{
 				SrcPart: int32(p), DstPart: int32(q),
 				MsgStart: totalMsgs, MsgEnd: totalMsgs + mc,
+				DstStart: totalDsts, DstEnd: totalDsts + dc,
 			})
 			l.DstBlocks[q] = append(l.DstBlocks[q], bi)
 			totalMsgs += mc
@@ -249,16 +287,16 @@ func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
 	}
 	l.MsgSrc = make([]graph.VertexID, totalMsgs)
-	l.MsgDstOff = make([]int64, totalMsgs+1)
 	l.MsgDst = make([]graph.VertexID, totalDsts)
-	l.MsgDstOff[totalMsgs] = totalDsts
 }
 
-// Validate checks structural invariants; used by tests.
+// Validate checks structural invariants; used by tests. Per block it checks
+// what the flat gather decode relies on: the blocks' destination ranges tile
+// MsgDst, the first destination is flagged and the flags count the block's
+// messages, so the decode's message index stays inside the block's bins.
 func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	per := h.VerticesPerPartition
-	// Every message's destinations must live in the block's DstPart, and
-	// the source in SrcPart.
+	var dstCur int64
 	for _, b := range l.Blocks {
 		if b.SrcPart == b.DstPart {
 			return fmt.Errorf("layout: block %d->%d is intra", b.SrcPart, b.DstPart)
@@ -267,15 +305,28 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 			if int(l.MsgSrc[m])/per != int(b.SrcPart) {
 				return fmt.Errorf("layout: message %d source %d outside partition %d", m, l.MsgSrc[m], b.SrcPart)
 			}
-			if l.MsgDstOff[m+1] <= l.MsgDstOff[m] {
-				return fmt.Errorf("layout: message %d has no destinations", m)
-			}
-			for _, d := range l.MsgDst[l.MsgDstOff[m]:l.MsgDstOff[m+1]] {
-				if int(d)/per != int(b.DstPart) {
-					return fmt.Errorf("layout: message %d destination %d outside partition %d", m, d, b.DstPart)
-				}
+		}
+		if b.DstStart != dstCur || b.DstEnd < b.DstStart || b.DstEnd > int64(len(l.MsgDst)) {
+			return fmt.Errorf("layout: block %d->%d destinations [%d,%d) do not follow %d", b.SrcPart, b.DstPart, b.DstStart, b.DstEnd, dstCur)
+		}
+		dstCur = b.DstEnd
+		dst := l.MsgDst[b.DstStart:b.DstEnd]
+		if len(dst) == 0 || dst[0]&FirstDst == 0 {
+			return fmt.Errorf("layout: block %d->%d does not open with a flagged destination", b.SrcPart, b.DstPart)
+		}
+		var flags int64
+		for _, d := range dst {
+			flags += int64(d >> 31)
+			if v := d &^ FirstDst; int(v)/per != int(b.DstPart) {
+				return fmt.Errorf("layout: block %d->%d destination %d outside partition %d", b.SrcPart, b.DstPart, v, b.DstPart)
 			}
 		}
+		if flags != b.Messages() {
+			return fmt.Errorf("layout: block %d->%d has %d flagged destinations for %d messages", b.SrcPart, b.DstPart, flags, b.Messages())
+		}
+	}
+	if dstCur != int64(len(l.MsgDst)) {
+		return fmt.Errorf("layout: blocks cover %d of %d message destinations", dstCur, len(l.MsgDst))
 	}
 	// Intra edges stay within the source's partition.
 	for v := 0; v < g.NumVertices(); v++ {
@@ -286,12 +337,8 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 		}
 	}
 	// Edge conservation.
-	var dsts int64
-	for m := int64(0); m < l.NumMessages(); m++ {
-		dsts += l.MsgDstOff[m+1] - l.MsgDstOff[m]
-	}
-	if dsts != l.InterEdges {
-		return fmt.Errorf("layout: %d message destinations, want %d inter-edges", dsts, l.InterEdges)
+	if int64(len(l.MsgDst)) != l.InterEdges {
+		return fmt.Errorf("layout: %d message destinations, want %d inter-edges", len(l.MsgDst), l.InterEdges)
 	}
 	if l.IntraEdges+l.InterEdges != g.NumEdges() {
 		return fmt.Errorf("layout: intra %d + inter %d != edges %d", l.IntraEdges, l.InterEdges, g.NumEdges())
@@ -307,3 +354,16 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 // phase reads each iteration. The compression win of §3.4 is the ratio of
 // this number between compressed and uncompressed layouts.
 func (l *Layout) BinBytes() int64 { return l.NumMessages() * 4 }
+
+// Bytes returns the resident size of the layout's arrays: blocks, block
+// indexes, message sources and destinations, and the intra CSR.
+func (l *Layout) Bytes() int64 {
+	n := int64(cap(l.Blocks))*int64(unsafe.Sizeof(Block{})) +
+		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.MsgDst)+cap(l.IntraDst)) +
+		8*int64(cap(l.IntraOff)) +
+		int64(cap(l.DstBlocks))*int64(unsafe.Sizeof([]int32(nil)))
+	for _, list := range l.DstBlocks {
+		n += 4 * int64(cap(list))
+	}
+	return n
+}

@@ -1,8 +1,10 @@
 package layout
 
 import (
+	"maps"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -50,9 +52,11 @@ func TestFig4Compression(t *testing.T) {
 	if l.MsgSrc[0] != 1 {
 		t.Errorf("message source = %d, want 1", l.MsgSrc[0])
 	}
-	dsts := l.MsgDst[l.MsgDstOff[0]:l.MsgDstOff[1]]
-	if len(dsts) != 2 || dsts[0] != 6 || dsts[1] != 7 {
-		t.Errorf("message destinations = %v, want [6 7]", dsts)
+	if got, want := decodeBlocks(l), [][2]graph.VertexID{{1, 6}, {1, 7}}; !slices.Equal(got, want) {
+		t.Errorf("decoded (source, destination) pairs = %v, want %v", got, want)
+	}
+	if !slices.Equal(l.MsgDst, []graph.VertexID{6 | FirstDst, 7}) {
+		t.Errorf("MsgDst = %#x, want the first destination flagged", l.MsgDst)
 	}
 
 	// Uncompressed: two messages.
@@ -65,6 +69,9 @@ func TestFig4Compression(t *testing.T) {
 	}
 	if lu.NumMessages() != 2 {
 		t.Fatalf("uncompressed NumMessages = %d, want 2", lu.NumMessages())
+	}
+	if !slices.Equal(lu.MsgDst, []graph.VertexID{6 | FirstDst, 7 | FirstDst}) {
+		t.Errorf("uncompressed MsgDst = %#x, want every destination flagged", lu.MsgDst)
 	}
 	if lu.BinBytes() != 8 || l.BinBytes() != 4 {
 		t.Errorf("BinBytes: compressed %d, uncompressed %d", l.BinBytes(), lu.BinBytes())
@@ -131,11 +138,8 @@ func TestEdgeMultisetPreserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[[2]graph.VertexID]int{}
-		for m := int64(0); m < l.NumMessages(); m++ {
-			src := l.MsgSrc[m]
-			for _, d := range l.MsgDst[l.MsgDstOff[m]:l.MsgDstOff[m+1]] {
-				got[[2]graph.VertexID{src, d}]++
-			}
+		for _, e := range decodeBlocks(l) {
+			got[e]++
 		}
 		for v := 0; v < g.NumVertices(); v++ {
 			for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
@@ -307,7 +311,6 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 	}
 	l.IntraEdges = int64(len(l.IntraDst))
 	l.InterEdges = g.NumEdges() - l.IntraEdges
-	l.MsgDstOff = []int64{0}
 	for p := 0; p < P; p++ {
 		l.SrcBlockStart[p] = int32(len(l.Blocks))
 		for q := 0; q < P; q++ {
@@ -316,15 +319,16 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 				continue
 			}
 			l.DstBlocks[q] = append(l.DstBlocks[q], int32(len(l.Blocks)))
-			start := int64(len(l.MsgSrc))
+			start, dstStart := int64(len(l.MsgSrc)), int64(len(l.MsgDst))
 			for _, m := range msgs {
 				l.MsgSrc = append(l.MsgSrc, m.src)
-				l.MsgDst = append(l.MsgDst, m.dsts...)
-				l.MsgDstOff = append(l.MsgDstOff, int64(len(l.MsgDst)))
+				l.MsgDst = append(l.MsgDst, m.dsts[0]|FirstDst)
+				l.MsgDst = append(l.MsgDst, m.dsts[1:]...)
 			}
 			l.Blocks = append(l.Blocks, Block{
 				SrcPart: int32(p), DstPart: int32(q),
 				MsgStart: start, MsgEnd: int64(len(l.MsgSrc)),
+				DstStart: dstStart, DstEnd: int64(len(l.MsgDst)),
 			})
 		}
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
@@ -355,12 +359,13 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 			}{
 				{"NumPartitions", got.NumPartitions == want.NumPartitions},
 				{"Compressed", got.Compressed == want.Compressed},
-				{"Blocks", slices.Equal(got.Blocks, want.Blocks)},
+				{"Blocks.SrcPart/DstPart", slices.EqualFunc(got.Blocks, want.Blocks, func(a, b Block) bool { return a.SrcPart == b.SrcPart && a.DstPart == b.DstPart })},
+				{"Blocks.MsgStart/MsgEnd", slices.EqualFunc(got.Blocks, want.Blocks, func(a, b Block) bool { return a.MsgStart == b.MsgStart && a.MsgEnd == b.MsgEnd })},
+				{"Blocks.DstStart/DstEnd", slices.EqualFunc(got.Blocks, want.Blocks, func(a, b Block) bool { return a.DstStart == b.DstStart && a.DstEnd == b.DstEnd })},
 				{"SrcBlockStart", slices.Equal(got.SrcBlockStart, want.SrcBlockStart)},
 				{"SrcBlockEnd", slices.Equal(got.SrcBlockEnd, want.SrcBlockEnd)},
 				{"DstBlocks", slices.EqualFunc(got.DstBlocks, want.DstBlocks, slices.Equal[[]int32])},
 				{"MsgSrc", slices.Equal(got.MsgSrc, want.MsgSrc)},
-				{"MsgDstOff", slices.Equal(got.MsgDstOff, want.MsgDstOff)},
 				{"MsgDst", slices.Equal(got.MsgDst, want.MsgDst)},
 				{"IntraOff", slices.Equal(got.IntraOff, want.IntraOff)},
 				{"IntraDst", slices.Equal(got.IntraDst, want.IntraDst)},
@@ -372,5 +377,106 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// decodeBlocks decodes every block the way the gather does — one flat pass
+// over its destination range, stepping to the next message at each flagged
+// entry — and returns the (source, destination) pair of every destination.
+func decodeBlocks(l *Layout) [][2]graph.VertexID {
+	var out [][2]graph.VertexID
+	for _, b := range l.Blocks {
+		m := b.MsgStart - 1
+		for _, d := range l.MsgDst[b.DstStart:b.DstEnd] {
+			m += int64(d >> 31)
+			out = append(out, [2]graph.VertexID{l.MsgSrc[m], d &^ FirstDst})
+		}
+	}
+	return out
+}
+
+// interEdges returns the (source, destination) pair of every edge of g that
+// crosses partitions under h.
+func interEdges(g *graph.Graph, h *partition.Hierarchy) [][2]graph.VertexID {
+	var out [][2]graph.VertexID
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, d := range g.OutNeighbors(graph.VertexID(v)) {
+			if h.PartitionOfVertex(d) != h.PartitionOfVertex(graph.VertexID(v)) {
+				out = append(out, [2]graph.VertexID{graph.VertexID(v), d})
+			}
+		}
+	}
+	return out
+}
+
+// sameMultiset reports whether a and b hold the same pairs with the same
+// multiplicities.
+func sameMultiset(a, b [][2]graph.VertexID) bool {
+	count := func(pairs [][2]graph.VertexID) map[[2]graph.VertexID]int {
+		c := map[[2]graph.VertexID]int{}
+		for _, e := range pairs {
+			c[e]++
+		}
+		return c
+	}
+	return maps.Equal(count(a), count(b))
+}
+
+// TestValidateRejectsBadFlags: a misencoded destination stream (a cleared
+// first flag, an extra flag, a destination outside its block's partition)
+// fails Validate, so it can never reach the gather's message-index decode.
+func TestValidateRejectsBadFlags(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 256, Edges: 3000, OutAlpha: 2.1, InAlpha: 0.8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := buildHierarchy(t, g, 64)
+	// A compressed block whose second destination continues its first
+	// message, so an extra flag there changes the message count.
+	pick := func(l *Layout) Block {
+		for _, b := range l.Blocks {
+			if b.Dsts() > 1 && l.MsgDst[b.DstStart+1]&FirstDst == 0 {
+				return b
+			}
+		}
+		t.Fatal("no block with a multi-destination first message")
+		return Block{}
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(l *Layout, b Block)
+	}{
+		{"cleared first flag", func(l *Layout, b Block) { l.MsgDst[b.DstStart] &^= FirstDst }},
+		{"extra flag", func(l *Layout, b Block) { l.MsgDst[b.DstStart+1] |= FirstDst }},
+		{"destination outside its block", func(l *Layout, b Block) {
+			other := graph.VertexID((int(b.DstPart) + 1) % l.NumPartitions * h.VerticesPerPartition)
+			l.MsgDst[b.DstStart+1] = other
+		}},
+	} {
+		l, err := Build(g, h, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Validate(g, h); err != nil {
+			t.Fatalf("%s: intact layout rejected: %v", c.name, err)
+		}
+		c.corrupt(l, pick(l))
+		if err := l.Validate(g, h); err == nil {
+			t.Errorf("%s: Validate accepted the corrupted layout", c.name)
+		}
+	}
+}
+
+// TestBuildRejectsFlagBitVertices: a graph of 2^31 or more vertices would
+// put vertex IDs on the FirstDst bit, so Build and Patch refuse it. The
+// hierarchy claims the count; no such graph is allocated.
+func TestBuildRejectsFlagBitVertices(t *testing.T) {
+	g, _ := gen.Uniform(100, 100, 1)
+	h := &partition.Hierarchy{NumVertices: maxVertices}
+	if _, err := Build(g, h, true); err == nil || !strings.Contains(err.Error(), "2^31") {
+		t.Fatalf("Build: err = %v, want the 2^31-vertex limit", err)
+	}
+	if _, err := Patch(&Layout{}, g, h, nil); err == nil || !strings.Contains(err.Error(), "2^31") {
+		t.Fatalf("Patch: err = %v, want the 2^31-vertex limit", err)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // source partitions' rows and splicing everything else out of the old
 // layout. The result is bit-identical to BuildWorkers(g, h, old.Compressed,
 // ·): every message, destination, and intra edge of an untouched source
-// partition is copied (with its offsets rebased), and only the touched
+// partition is copied verbatim (the message flags travel with the
+// destinations, so nothing is rebased), and only the touched
 // partitions' edges are re-scanned and re-grouped — the incremental-prep
 // path behind common.Prepared.Advance.
 //
@@ -28,8 +29,8 @@ import (
 // deterministic. (Build's parallelism exists for the cold O(E) scan; the
 // splice is memcpy-bound.)
 func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (*Layout, error) {
-	if g.NumVertices() != h.NumVertices {
-		return nil, fmt.Errorf("layout: patch graph has %d vertices, hierarchy %d", g.NumVertices(), h.NumVertices)
+	if err := checkVertices(g, h); err != nil {
+		return nil, err
 	}
 	P := h.NumPartitions()
 	if old.NumPartitions != P {
@@ -68,7 +69,7 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 			b := old.Blocks[bi]
 			idx := p*P + int(b.DstPart)
 			msgCount[idx] = b.Messages()
-			dstCount[idx] = old.MsgDstOff[b.MsgEnd] - old.MsgDstOff[b.MsgStart]
+			dstCount[idx] = b.Dsts()
 		}
 		for v := vlo; v < vhi; v++ {
 			c := old.IntraOff[v+1] - old.IntraOff[v]
@@ -80,7 +81,7 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 
 	// Pass 2: touched partitions fill exactly like Build; untouched ones
 	// splice their blocks and intra rows out of the old layout, keeping the
-	// per-block message order and rebasing only the destination offsets.
+	// per-block message and destination order.
 	for p := 0; p < P; p++ {
 		vlo, vhi := rowRange(p)
 		msgCur, dstCur := msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P]
@@ -93,13 +94,8 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 			old.IntraDst[old.IntraOff[vlo]:old.IntraOff[vhi]])
 		for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
 			ob := old.Blocks[bi]
-			m0, d0 := msgCur[ob.DstPart], dstCur[ob.DstPart]
-			od := old.MsgDstOff[ob.MsgStart]
-			copy(l.MsgSrc[m0:], old.MsgSrc[ob.MsgStart:ob.MsgEnd])
-			for m := int64(0); m < ob.Messages(); m++ {
-				l.MsgDstOff[m0+m] = old.MsgDstOff[ob.MsgStart+m] - od + d0
-			}
-			copy(l.MsgDst[d0:], old.MsgDst[od:old.MsgDstOff[ob.MsgEnd]])
+			copy(l.MsgSrc[msgCur[ob.DstPart]:], old.MsgSrc[ob.MsgStart:ob.MsgEnd])
+			copy(l.MsgDst[dstCur[ob.DstPart]:], old.MsgDst[ob.DstStart:ob.DstEnd])
 		}
 	}
 	return l, nil

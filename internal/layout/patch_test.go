@@ -131,3 +131,47 @@ func TestPatchRejectsBadInput(t *testing.T) {
 		t.Fatal("out-of-range partition must be rejected")
 	}
 }
+
+// TestDecodeRoundTrip: for compressed and uncompressed layouts, before and
+// after a Patch, the flat decode of every block yields exactly the graph's
+// inter-edge (source, destination) multiset.
+func TestDecodeRoundTrip(t *testing.T) {
+	const n, edges = 600, 3000
+	for _, compress := range []bool{true, false} {
+		vg := randomVersioned(t, 11, n, edges)
+		rng := rand.New(rand.NewPCG(5, 0))
+		cfg := partition.Config{PartitionBytes: 256, BytesPerVertex: 4, NumNodes: 2, GroupsPerNode: 2}
+		g := vg.Snapshot()
+		h, err := partition.Build(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := Build(g, h, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMultiset(decodeBlocks(l), interEdges(g, h)) {
+			t.Fatalf("compress=%v: built layout does not decode to the inter-edges", compress)
+		}
+		prevVer := vg.Version()
+		ver, err := vg.ApplyBatch(randomBatch(rng, n, 60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := vg.DeltaBetween(prevVer, ver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nh, err := partition.Advance(h, d.Next, touchedPartitions(d, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := Patch(l, d.Next, nh, touchedPartitions(d, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMultiset(decodeBlocks(pl), interEdges(d.Next, nh)) {
+			t.Fatalf("compress=%v: patched layout does not decode to the inter-edges", compress)
+		}
+	}
+}

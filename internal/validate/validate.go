@@ -108,10 +108,10 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 			for m := b.MsgStart; m < b.MsgEnd; m++ {
 				r.binSlot[m] = cum
 				cum++
-				for di := lay.MsgDstOff[m]; di < lay.MsgDstOff[m+1]; di++ {
-					r.dstSlot[di] = dcum
-					dcum++
-				}
+			}
+			for di := b.DstStart; di < b.DstEnd; di++ {
+				r.dstSlot[di] = dcum
+				dcum++
 			}
 		}
 		binBounds = append(binBounds, cum*4)
@@ -230,12 +230,15 @@ func (r *Replay) RunIteration() {
 	r.forEachThreadPartition(func(t, p int) {
 		for _, bi := range lay.DstBlocks[p] {
 			b := lay.Blocks[bi]
-			for m := b.MsgStart; m < b.MsgEnd; m++ {
-				r.access(t, r.bins, r.binSlot[m]*4, false)
-				for di := lay.MsgDstOff[m]; di < lay.MsgDstOff[m+1]; di++ {
-					r.access(t, r.msgDstR, r.dstSlot[di]*4, false)
-					r.access(t, r.acc, int64(lay.MsgDst[di])*4, true)
+			m := b.MsgStart - 1
+			for di := b.DstStart; di < b.DstEnd; di++ {
+				d := lay.MsgDst[di]
+				if d&layout.FirstDst != 0 {
+					m++
+					r.access(t, r.bins, r.binSlot[m]*4, false)
 				}
+				r.access(t, r.msgDstR, r.dstSlot[di]*4, false)
+				r.access(t, r.acc, int64(d&^layout.FirstDst)*4, true)
 			}
 		}
 		part := r.hier.Partitions[p]
