@@ -49,11 +49,11 @@ procs:
 
 # One-iteration pass over the Prepare benchmarks so the parallel build paths
 # (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised
-# in CI, and over the gather benchmark so the flat decode kernel compiles and
-# runs on a multi-partition layout.
+# in CI, and over the gather and scatter benchmarks so the flat decode kernel
+# and the intra pull compile and run.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
-	$(GO) test -run '^$$' -bench 'BenchmarkGatherPartition' -benchtime 1x ./internal/engines/common/
+	$(GO) test -run '^$$' -bench 'BenchmarkGatherPartition|BenchmarkScatterPartition' -benchtime 1x ./internal/engines/common/
 
 ci: vet staticcheck build race race-prep procs bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
 

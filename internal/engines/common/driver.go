@@ -1,6 +1,7 @@
 package common
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,11 +343,17 @@ func FCFSKernels(s *SGState) PhaseKernels {
 }
 
 // PinnedKernels are the phase kernels of HiPa's pinned execution
-// (Algorithm 2): thread tid processes exactly the partitions of its group,
-// every iteration — the one-to-many thread-data mapping.
+// (Algorithm 2): thread tid gathers exactly the partitions of its group,
+// every iteration — the one-to-many thread-data mapping. Its scatter fills
+// the bins of its group's outgoing messages and pulls the intra sums of its
+// slice of its node's vertex range (pullSlices): the node's intra work is
+// split over all of the node's threads, so a partition larger than its
+// share of the edges, or a graph that is one partition, does not leave the
+// node's other threads idle. The pull's sums are bit-identical under any
+// slicing.
 func PinnedKernels(s *SGState, groups []partition.Group) PhaseKernels {
 	s.SeedDangling(groups)
-	scatter := &groupPhase{s: s, groups: groups, phase: (*SGState).ScatterPartition}
+	scatter := &pinnedScatter{s: s, groups: groups, slices: pullSlices(s, groups)}
 	gather := &groupPhase{s: s, groups: groups, phase: (*SGState).GatherPartition}
 	return PhaseKernels{
 		Scatter:      scatter.run,
@@ -357,9 +364,55 @@ func PinnedKernels(s *SGState, groups []partition.Group) PhaseKernels {
 	}
 }
 
+// pullSlices cuts each node's vertex range [VertexLow, VertexHigh) into one
+// contiguous slice per thread of the node, of about equal intra in-edges
+// plus vertices (a vertex costs its row set-up even when it has no intra
+// in-edges). The cuts are binary searches over IntraInOff. Thread tid pulls
+// [slices[2·tid], slices[2·tid+1]); the buffer comes from the state's arena.
+func pullSlices(s *SGState, groups []partition.Group) []int32 {
+	slices := s.arena.Slices(2 * len(groups))
+	off := s.Lay.IntraInOff
+	for start := 0; start < len(groups); {
+		end := start + 1
+		for end < len(groups) && groups[end].Node == groups[start].Node {
+			end++
+		}
+		na := s.Hier.Nodes[groups[start].Node]
+		lo, hi := int(na.VertexLow), int(na.VertexHigh)
+		// cost(v) is the pull work of [lo, v): strictly increasing in v.
+		cost := func(v int) int64 { return off[v] - off[lo] + int64(v-lo) }
+		k := int64(end - start)
+		cut := lo
+		for j := start; j < end; j++ {
+			slices[2*j] = int32(cut)
+			target := cost(hi) * int64(j-start+1) / k
+			cut = lo + sort.Search(hi-lo, func(i int) bool { return cost(lo+i) >= target })
+			slices[2*j+1] = int32(cut)
+		}
+		start = end
+	}
+	return slices
+}
+
+// pinnedScatter is the pinned scatter phase: thread tid pulls its slice of
+// its node's vertex range, then writes its group's message bins.
+type pinnedScatter struct {
+	s      *SGState
+	groups []partition.Group
+	slices []int32
+}
+
+func (k *pinnedScatter) run(tid int) {
+	k.s.PullIntra(int(k.slices[2*tid]), int(k.slices[2*tid+1]))
+	gr := k.groups[tid]
+	for p := gr.PartStart; p < gr.PartEnd; p++ {
+		k.s.ScatterMessages(p)
+	}
+}
+
 // groupPhase walks one thread's pinned partition group through a
-// partition-level kernel; a pair of these backs PinnedKernels with method
-// values created once per Exec.
+// partition-level kernel; it backs PinnedKernels' gather with a method value
+// created once per Exec.
 type groupPhase struct {
 	s      *SGState
 	groups []partition.Group

@@ -41,8 +41,9 @@ func (r *FrontierReport) ActiveFraction() float64 {
 // list, so neither phase touches it again. Freezing is numerically safe by
 // construction: a skipped scatter leaves the partition's outgoing message
 // bins frozen consistent with its frozen ranks, a skipped gather leaves its
-// accumulator entries zero (intra-edges never cross partitions), and its
-// per-partition dangling entry stays frozen at the mass of its frozen ranks.
+// ranks and contributions frozen, which only its own skipped pull reads
+// (intra-edges never cross partitions), and its per-partition dangling
+// entry stays frozen at the mass of its frozen ranks.
 //
 // All scratch (bitmap, work list, per-partition residual/dangling/iteration
 // arrays) lives in the execbuf arena, and Rebuild compacts the work list in
@@ -193,60 +194,9 @@ func (f *PartitionFrontier) danglingMass() float64 { return f.s.lastDangling }
 // advances. The rank arithmetic is identical to the dense gather.
 func (f *PartitionFrontier) gatherPartition(p int) {
 	s := f.s
-	lay := s.Lay
-	acc := s.Acc
-	for _, bi := range lay.DstBlocks[p] {
-		b := lay.Blocks[bi]
-		gatherBlock(acc, s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd], lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd])
-	}
-
+	s.gatherMessages(p)
 	part := s.Hier.Partitions[p]
-	ranks := s.Ranks
-	inv := s.Inv
-	d := float32(s.Damping)
-	base, redis := s.base, s.redis
-	var res float64
-	var dangling float64
-	lo, hi := int(part.VertexStart), int(part.VertexEnd)
-	v := lo
-	for ; v+4 <= hi; v += 4 {
-		old0, old1, old2, old3 := ranks[v], ranks[v+1], ranks[v+2], ranks[v+3]
-		nv0 := base + d*acc[v] + redis
-		nv1 := base + d*acc[v+1] + redis
-		nv2 := base + d*acc[v+2] + redis
-		nv3 := base + d*acc[v+3] + redis
-		ranks[v], ranks[v+1], ranks[v+2], ranks[v+3] = nv0, nv1, nv2, nv3
-		acc[v], acc[v+1], acc[v+2], acc[v+3] = 0, 0, 0, 0
-		if inv[v] == 0 {
-			dangling += float64(nv0)
-		}
-		if inv[v+1] == 0 {
-			dangling += float64(nv1)
-		}
-		if inv[v+2] == 0 {
-			dangling += float64(nv2)
-		}
-		if inv[v+3] == 0 {
-			dangling += float64(nv3)
-		}
-		res = maxAbsDiff4(res, nv0, old0, nv1, old1, nv2, old2, nv3, old3)
-	}
-	for ; v < hi; v++ {
-		old := ranks[v]
-		nv := base + d*acc[v] + redis
-		ranks[v] = nv
-		acc[v] = 0
-		if inv[v] == 0 {
-			dangling += float64(nv)
-		}
-		diff := float64(nv - old)
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > res {
-			res = diff
-		}
-	}
+	res, dangling := s.updateRanks(int(part.VertexStart), int(part.VertexEnd), 0)
 	f.partRes[p] = float32(res)
 	f.partDang[p] = dangling
 	f.partIters[p]++
@@ -254,7 +204,8 @@ func (f *PartitionFrontier) gatherPartition(p int) {
 
 // frontierPhase walks one thread's pinned partition group through a phase,
 // skipping converged partitions; the pinned-execution analogue of
-// groupPhase with the frontier consulted per partition.
+// groupPhase with the frontier consulted per partition. A partition's
+// scatter (pull and bins) stays with its owner thread.
 type frontierPhase struct {
 	f      *PartitionFrontier
 	groups []partition.Group

@@ -1,6 +1,8 @@
 package common
 
 import (
+	"math"
+
 	"hipa/internal/execbuf"
 	"hipa/internal/graph"
 	"hipa/internal/layout"
@@ -15,21 +17,26 @@ import (
 //
 // All mutable buffers live in an execbuf.Arena, so an Exec that draws its
 // arena from the Prepared pool allocates nothing per iteration and reuses
-// the buffers across repeated Execs. The dangling sum is fused into the
-// gather phase: GatherPartition accumulates the dangling mass of the ranks
-// it writes, so when an iteration starts its partials already hold the
-// current distribution's dangling mass and the scatter phase stays
-// branch-free. The constructor (and, for pinned engines, SeedDangling)
-// establishes that invariant for iteration zero.
+// the buffers across repeated Execs.
+//
+// The scatter reads each source's contribution from Contrib, so the gather
+// writes Contrib next to every rank it writes, and the constructor and
+// SetRanks seed it. The dangling sum is fused into the gather phase too:
+// GatherPartition accumulates the dangling mass of the ranks it writes, so
+// when an iteration starts its partials already hold the current
+// distribution's dangling mass and the scatter phase stays branch-free. The
+// constructor (and, for pinned engines, SeedDangling) establishes that
+// invariant for iteration zero.
 type SGState struct {
 	G    *graph.Graph
 	Lay  *layout.Layout
 	Hier *partition.Hierarchy
 
-	Ranks []float32 // current ranks; overwritten in the gather phase
-	Acc   []float32 // per-vertex accumulators, zeroed after each gather
-	Bins  []float32 // one slot per compressed message
-	Inv   []float32 // 1/outdeg, 0 for dangling
+	Ranks   []float32 // current ranks; overwritten in the gather phase
+	Contrib []float32 // Ranks[v]·Inv[v], written next to Ranks[v]
+	Acc     []float32 // per-vertex accumulators, stored by the intra pull
+	Bins    []float32 // one slot per compressed message
+	Inv     []float32 // 1/outdeg, 0 for dangling
 
 	Damping float64
 	base    float32 // (1-d)/n
@@ -38,6 +45,7 @@ type SGState struct {
 	partials     []execbuf.PadF64 // per-thread dangling partials
 	residuals    []execbuf.PadF64 // per-thread L∞ rank-change partials
 	lastDangling float64          // raw dangling sum of the last ReduceDangling
+	arena        *execbuf.Arena   // the Exec's arena, for PinnedKernels' pull slices
 }
 
 // LastDanglingMass returns the summed dangling rank folded by the most
@@ -85,6 +93,7 @@ func NewSGStateArena(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layo
 	s := &SGState{
 		G: g, Lay: lay, Hier: hier,
 		Ranks:     arena.Ranks(n),
+		Contrib:   arena.Contrib(n),
 		Acc:       arena.Acc(n),
 		Bins:      arena.Bins(int(lay.NumMessages())),
 		Inv:       inv,
@@ -92,16 +101,27 @@ func NewSGStateArena(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layo
 		base:      float32((1 - damping) / float64(n)),
 		partials:  arena.Partials(threads),
 		residuals: arena.Residuals(threads),
+		arena:     arena,
 	}
 	FillInitRanks(s.Ranks)
+	s.seedRanks()
+	return s
+}
+
+// seedRanks derives Contrib from the current ranks and seeds the
+// iteration-zero dangling invariant, flat into partial 0.
+func (s *SGState) seedRanks() {
+	for i := range s.partials {
+		s.partials[i].V = 0
+	}
 	var dangling float64
-	for v, iv := range inv {
+	for v, iv := range s.Inv {
+		s.Contrib[v] = s.Ranks[v] * iv
 		if iv == 0 {
 			dangling += float64(s.Ranks[v])
 		}
 	}
 	s.partials[0].V = dangling
-	return s
 }
 
 // SetRanks replaces the initial uniform distribution with a warm-start rank
@@ -111,16 +131,7 @@ func NewSGStateArena(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layo
 // is copied; the caller's buffer is never retained.
 func (s *SGState) SetRanks(warm []float32) {
 	copy(s.Ranks, warm)
-	for i := range s.partials {
-		s.partials[i].V = 0
-	}
-	var dangling float64
-	for v, iv := range s.Inv {
-		if iv == 0 {
-			dangling += float64(s.Ranks[v])
-		}
-	}
-	s.partials[0].V = dangling
+	s.seedRanks()
 }
 
 // SeedDangling re-seeds the iteration-zero dangling partials with the exact
@@ -145,36 +156,51 @@ func (s *SGState) SeedDangling(groups []partition.Group) {
 	}
 }
 
-// ScatterPartition runs the scatter phase for partition p on behalf of
-// thread tid: applies each source vertex's contribution to the local
-// accumulators over the intra-edges and writes one compressed value per
-// outgoing message. Dangling vertices have no out-edges, so their zero
-// contribution (Inv is 0) touches nothing and the loop stays branch-free;
-// their mass was already folded into the partials by the previous gather.
+// ScatterPartition runs the scatter phase for partition p: the intra pull
+// over p's vertices, then one compressed value per outgoing message. The
+// FCFS engines and EC-HiPa scatter a partition at a time; HiPa's pinned
+// kernels split the pull across a node's threads instead (PinnedKernels).
 func (s *SGState) ScatterPartition(p int, tid int) {
 	_ = tid
 	part := s.Hier.Partitions[p]
-	lay := s.Lay
-	ranks, inv := s.Ranks, s.Inv
-	acc := s.Acc
-	intraOff := lay.IntraOff
+	s.PullIntra(int(part.VertexStart), int(part.VertexEnd))
+	s.ScatterMessages(p)
+}
 
-	for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
-		contrib := ranks[v] * inv[v]
-		lo, hi := intraOff[v], intraOff[v+1]
-		dst := lay.IntraDst[lo:hi:hi]
-		for _, d := range dst {
-			acc[d] += contrib
+// PullIntra stores in Acc[v], for each v in [lo,hi), the sum of Contrib[u]
+// over v's intra in-neighbours u in ascending order, starting from +0. A
+// push over the intra-edges adds the same values into the same zeroed
+// accumulator in the same source order, so the sums are bit-identical to
+// the paper's push; unlike the push, disjoint vertex ranges can run on
+// different threads. Dangling vertices have no out-edges, so they appear in
+// no row; their mass was already folded into the partials by the previous
+// gather.
+func (s *SGState) PullIntra(lo, hi int) {
+	off, src := s.Lay.IntraInOff, s.Lay.IntraSrc
+	contrib, acc := s.Contrib, s.Acc
+	e := off[lo]
+	for v := lo; v < hi; v++ {
+		end := off[v+1]
+		var sum float32
+		for _, u := range src[e:end:end] {
+			sum += contrib[u]
 		}
+		acc[v] = sum
+		e = end
 	}
+}
 
-	// Compressed messages, streamed block by block with hoisted bounds.
+// ScatterMessages writes partition p's compressed message values,
+// bins[i] = Contrib[MsgSrc[i]], streamed block by block with hoisted bounds.
+func (s *SGState) ScatterMessages(p int) {
+	lay := s.Lay
+	contrib := s.Contrib
 	for bi := lay.SrcBlockStart[p]; bi < lay.SrcBlockEnd[p]; bi++ {
 		b := lay.Blocks[bi]
 		src := lay.MsgSrc[b.MsgStart:b.MsgEnd:b.MsgEnd]
 		bins := s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd]
 		for i, u := range src {
-			bins[i] = ranks[u] * inv[u]
+			bins[i] = contrib[u]
 		}
 	}
 }
@@ -197,27 +223,39 @@ func (s *SGState) ReduceDangling() {
 
 // GatherPartition runs the gather phase for partition p: decodes the
 // messages targeting p into the accumulators, then recomputes the ranks of
-// p's vertices and clears the accumulators, tracking the thread's L∞ rank
-// change for convergence checks. The partition's dangling mass under the
-// new ranks is folded into the thread's partial (one local sum per
-// partition, accumulated in partition order), so the next iteration's
-// ReduceDangling sees exactly what a scatter-side pass would have produced.
+// p's vertices, tracking the thread's L∞ rank change for convergence checks.
+// The partition's dangling mass under the new ranks is folded into the
+// thread's partial (one local sum per partition, accumulated in partition
+// order), so the next iteration's ReduceDangling sees exactly what a
+// scatter-side pass would have produced.
 func (s *SGState) GatherPartition(p int, tid int) {
+	s.gatherMessages(p)
+	part := s.Hier.Partitions[p]
+	res, dangling := s.updateRanks(int(part.VertexStart), int(part.VertexEnd), s.residuals[tid].V)
+	s.residuals[tid].V = res
+	s.partials[tid].V += dangling
+}
+
+// gatherMessages decodes every message block targeting partition p into
+// the accumulators.
+func (s *SGState) gatherMessages(p int) {
 	lay := s.Lay
-	acc := s.Acc
 	for _, bi := range lay.DstBlocks[p] {
 		b := lay.Blocks[bi]
-		gatherBlock(acc, s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd], lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd])
+		gatherBlock(s.Acc, s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd], lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd])
 	}
+}
 
-	part := s.Hier.Partitions[p]
-	ranks := s.Ranks
-	inv := s.Inv
+// updateRanks recomputes the ranks of [lo,hi) from the accumulators and
+// writes each vertex's contribution next to its rank. It returns the
+// running L∞ rank change folded from res and the range's dangling mass
+// under the new ranks, summed in vertex order. The accumulators are left as
+// they are: the next scatter's pull stores every one of them.
+func (s *SGState) updateRanks(lo, hi int, res float64) (float64, float64) {
+	ranks, contrib, acc, inv := s.Ranks, s.Contrib, s.Acc, s.Inv
 	d := float32(s.Damping)
 	base, redis := s.base, s.redis
-	res := s.residuals[tid].V
 	var dangling float64
-	lo, hi := int(part.VertexStart), int(part.VertexEnd)
 	v := lo
 	// 4-way unrolled rank update. Each vertex is independent, the residual
 	// max is order-insensitive, and the dangling adds stay in vertex order,
@@ -229,17 +267,18 @@ func (s *SGState) GatherPartition(p int, tid int) {
 		nv2 := base + d*acc[v+2] + redis
 		nv3 := base + d*acc[v+3] + redis
 		ranks[v], ranks[v+1], ranks[v+2], ranks[v+3] = nv0, nv1, nv2, nv3
-		acc[v], acc[v+1], acc[v+2], acc[v+3] = 0, 0, 0, 0
-		if inv[v] == 0 {
+		iv0, iv1, iv2, iv3 := inv[v], inv[v+1], inv[v+2], inv[v+3]
+		contrib[v], contrib[v+1], contrib[v+2], contrib[v+3] = nv0*iv0, nv1*iv1, nv2*iv2, nv3*iv3
+		if iv0 == 0 {
 			dangling += float64(nv0)
 		}
-		if inv[v+1] == 0 {
+		if iv1 == 0 {
 			dangling += float64(nv1)
 		}
-		if inv[v+2] == 0 {
+		if iv2 == 0 {
 			dangling += float64(nv2)
 		}
-		if inv[v+3] == 0 {
+		if iv3 == 0 {
 			dangling += float64(nv3)
 		}
 		res = maxAbsDiff4(res, nv0, old0, nv1, old1, nv2, old2, nv3, old3)
@@ -248,20 +287,15 @@ func (s *SGState) GatherPartition(p int, tid int) {
 		old := ranks[v]
 		nv := base + d*acc[v] + redis
 		ranks[v] = nv
-		acc[v] = 0
+		contrib[v] = nv * inv[v]
 		if inv[v] == 0 {
 			dangling += float64(nv)
 		}
-		diff := float64(nv - old)
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > res {
+		if diff := math.Abs(float64(nv - old)); diff > res {
 			res = diff
 		}
 	}
-	s.residuals[tid].V = res
-	s.partials[tid].V += dangling
+	return res, dangling
 }
 
 // gatherBlock decodes one message block into the accumulators: bins holds
@@ -293,23 +327,14 @@ func gatherBlock(acc, bins []float32, dst []graph.VertexID) {
 }
 
 // maxAbsDiff4 folds four |new-old| rank deltas into a running maximum.
+// math.Abs clears the sign bit instead of branching on it: the sign of a
+// rank change is data-random, so a branch would mispredict. A NaN delta
+// fails every compare and is skipped, as in the scalar fold.
 func maxAbsDiff4(res float64, n0, o0, n1, o1, n2, o2, n3, o3 float32) float64 {
-	d0 := float64(n0 - o0)
-	if d0 < 0 {
-		d0 = -d0
-	}
-	d1 := float64(n1 - o1)
-	if d1 < 0 {
-		d1 = -d1
-	}
-	d2 := float64(n2 - o2)
-	if d2 < 0 {
-		d2 = -d2
-	}
-	d3 := float64(n3 - o3)
-	if d3 < 0 {
-		d3 = -d3
-	}
+	d0 := math.Abs(float64(n0 - o0))
+	d1 := math.Abs(float64(n1 - o1))
+	d2 := math.Abs(float64(n2 - o2))
+	d3 := math.Abs(float64(n3 - o3))
 	if d0 > res {
 		res = d0
 	}

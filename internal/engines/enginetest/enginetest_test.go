@@ -241,6 +241,31 @@ func TestGoParallelismRankInvariant(t *testing.T) {
 	}
 }
 
+// TestHiPaIntraPullGoParallelismInvariant: on a skewed multi-partition
+// graph with intra hubs, HiPa's ranks are bitwise equal whether one or
+// eight goroutines drain the pinned tids, so the split intra pull's slices
+// and their scheduling never reach the ranks.
+func TestHiPaIntraPullGoParallelismInvariant(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 14, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 7, Noise: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranks [][]float32
+	for _, procs := range []int{1, 8} {
+		o := testOptions(10)
+		o.PartitionBytes = 16 << 10
+		o.GoParallelism = procs
+		res, err := (hipa.Engine{}).Run(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks = append(ranks, res.Ranks)
+	}
+	if d := common.MaxAbsDiff(ranks[0], ranks[1]); d != 0 || ranksFNV64(ranks[0]) != ranksFNV64(ranks[1]) {
+		t.Errorf("GoParallelism 1 and 8 ranks differ by %g (must be bit-identical)", d)
+	}
+}
+
 func TestEnginesOnEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.NewBuilder(0).Build()
 	for _, e := range allEngines() {

@@ -53,6 +53,8 @@ type Arena struct {
 	partCounts []int32
 	partRes    []float32
 	partDang   []float64
+	// Pinned pull slices: a [lo,hi) vertex range per thread.
+	slices []int32
 	// Barrierless scratch: atomic rank bits and padded publication slots.
 	bits    []uint32
 	atomics []PadU64
@@ -91,8 +93,8 @@ func growF32(buf *[]float32, n int, grows *int) []float32 {
 func (a *Arena) Ranks(n int) []float32 { return growF32(&a.ranks, n, &a.grows) }
 
 // Acc returns the n-element per-vertex accumulator buffer, zeroed — the
-// scatter phase adds into it and the gather phase re-zeroes it, so a zero
-// start is the loop invariant.
+// engines that add into it from the scatter phase (Delta-PR) rely on the
+// zero start; the dense scatter-gather engines store every entry first.
 func (a *Arena) Acc(n int) []float32 {
 	s := growF32(&a.acc, n, &a.grows)
 	clear(s)
@@ -113,6 +115,16 @@ func (a *Arena) Contrib(n int) []float32 {
 	s := growF32(&a.contrib, n, &a.grows)
 	clear(s)
 	return s
+}
+
+// Slices returns an n-element buffer for per-thread vertex-range bounds.
+// Contents are unspecified; the caller fills every entry.
+func (a *Arena) Slices(n int) []int32 {
+	if cap(a.slices) < n {
+		a.slices = make([]int32, n)
+		a.grows++
+	}
+	return a.slices[:n]
 }
 
 // Partials returns the per-thread dangling-mass partials, zeroed.
@@ -316,7 +328,7 @@ func (a *Arena) Footprint() int64 {
 	f32 := cap(a.ranks) + cap(a.acc) + cap(a.bins) + cap(a.contrib) + cap(a.partRes) +
 		cap(a.ranksBlockA) + cap(a.ranksBlockB) + cap(a.accBlock) + cap(a.seedAdd)
 	pad := cap(a.partials) + cap(a.residuals) + cap(a.atomics)
-	i32 := cap(a.worklist) + cap(a.partIters) + cap(a.partCounts) + cap(a.bits) +
+	i32 := cap(a.worklist) + cap(a.partIters) + cap(a.partCounts) + cap(a.slices) + cap(a.bits) +
 		cap(a.cols) + cap(a.colIters)
 	i64 := cap(a.bitmap) + cap(a.partDang) + cap(a.partDangB) + cap(a.colLanes)
 	return int64(f32)*4 + int64(pad)*64 + int64(i32)*4 + int64(i64)*8

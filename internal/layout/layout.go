@@ -12,6 +12,15 @@
 // cache-resident source partition; the gather phase of the destination
 // thread streams sequentially through the blocks targeting its partitions.
 //
+// Intra-edges are stored twice. IntraOff/IntraDst is the paper's push CSR,
+// source-ordered, which the sparse consumers (Delta-PR's frontier, the
+// framework programs, BlockSG, SpMV, the cost model and the exact simulator)
+// walk. IntraInOff/IntraSrc is its transpose: each destination's intra
+// in-neighbours in ascending source order. The dense scatter pulls over it,
+// summing a destination's sources in exactly the order the push would have
+// added them, so the two directions give bit-identical float32 sums, and a
+// pull over a vertex range can be split across threads without races.
+//
 // A message's destinations are not delimited by offsets: each block's
 // destinations are one contiguous run of MsgDst, and the first destination
 // of every message carries the FirstDst bit (PCPM's encoding). The gather
@@ -25,6 +34,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"hipa/internal/graph"
@@ -85,6 +95,10 @@ type Layout struct {
 	// edges are IntraDst[IntraOff[v]:IntraOff[v+1]].
 	IntraOff []int64
 	IntraDst []graph.VertexID
+	// The transposed intra CSR: the sources of v's intra-partition in-edges
+	// are IntraSrc[IntraInOff[v]:IntraInOff[v+1]], ascending.
+	IntraInOff []int64
+	IntraSrc   []graph.VertexID
 
 	// Totals for reporting and the analytic model.
 	IntraEdges int64
@@ -106,8 +120,9 @@ func Build(g *graph.Graph, h *partition.Hierarchy, compress bool) (*Layout, erro
 //
 // Both edge-scanning passes (count, then fill) run parallel over source
 // partitions: every array cell they touch — a (p,q) row of the pair-count
-// and cursor matrices, a vertex's intra range, a message inside one of p's
-// blocks — is owned by exactly one source partition p, so rows can be
+// and cursor matrices, a vertex's intra range in either direction (an intra
+// edge's destination lies in its source's partition), a message inside one
+// of p's blocks — is owned by exactly one source partition p, so rows can be
 // processed concurrently with disjoint writes, and within a row the serial
 // vertex order is preserved. Rows are split by edge weight so one hub
 // partition cannot serialize the build. The layout is bit-identical at any
@@ -132,16 +147,16 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 		return int(h.Partitions[p].VertexStart), int(h.Partitions[p].VertexEnd)
 	}
 
-	// Pass 1: count messages and destinations per (p,q), and intra edges
-	// per vertex. The pair matrix is dense; partition counts stay small at
-	// realistic partition sizes (P = |V|·4B / partitionBytes).
+	// Pass 1: count messages and destinations per (p,q), and intra out- and
+	// in-edges per vertex. The pair matrix is dense; partition counts stay
+	// small at realistic partition sizes (P = |V|·4B / partitionBytes).
 	msgCount := make([]int64, P*P)
 	dstCount := make([]int64, P*P)
 	intraPerRow := make([]int64, P)
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
 			vlo, vhi := rowRange(p)
-			intraPerRow[p] = s.count(p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P], l.IntraOff)
+			intraPerRow[p] = s.count(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
 		}
 	})
 	var intraTotal int64
@@ -150,9 +165,10 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 	}
 	l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
 
-	// Pass 2: fill messages, their destinations and the intra CSR in one
+	// Pass 2: fill messages, their destinations and both intra CSRs in one
 	// row-parallel scan, through the per-block cursors placeBlocks left in
-	// msgCount and dstCount.
+	// msgCount and dstCount and the per-destination cursors it left in
+	// IntraInOff.
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
 			vlo, vhi := rowRange(p)
@@ -182,13 +198,17 @@ func newLayout(P, n int, compress bool) *Layout {
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
 		IntraOff:      make([]int64, n+1),
+		IntraInOff:    make([]int64, n+1),
 	}
 }
 
 // rowScan walks the out-adjacency rows of one source partition's vertices,
 // grouping each inter-edge into a message: with compression, consecutive
 // destinations of one vertex in the same destination partition share a
-// message; without, every inter-edge is its own.
+// message; without, every inter-edge is its own. An edge of source partition
+// p is intra when its destination lies in p's range [p·per, (p+1)·per), one
+// unsigned compare; only inter-edges pay a division, in 32 bits (vertex IDs
+// stay below 2^31), for their destination partition.
 type rowScan struct {
 	per      int
 	off      []int64
@@ -198,24 +218,30 @@ type rowScan struct {
 
 // count adds source partition p's messages and destinations per destination
 // partition q to msgs[q] and dsts[q] (p's row of the pair matrices), and each
-// vertex v's intra edges to intraOff[v+1]. It returns p's intra-edge total.
-func (s rowScan) count(p, vlo, vhi int, msgs, dsts, intraOff []int64) int64 {
+// vertex v's intra out- and in-edges to l.IntraOff[v+1] and l.IntraInOff[v+1].
+// It returns p's intra-edge total.
+func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
 	var intra int64
+	outOff, inOff := l.IntraOff, l.IntraInOff
+	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
+		var out int64
 		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
-			q := int(d) / s.per
-			if q == p {
-				intraOff[v+1]++
-				intra++
+			if uint32(d)-lo < per {
+				inOff[d+1]++
+				out++
 				continue
 			}
+			q := int(uint32(d) / per)
 			dsts[q]++
 			if !s.compress || q != lastQ {
 				msgs[q]++
 				lastQ = q
 			}
 		}
+		outOff[v+1] = out
+		intra += out
 	}
 	return intra
 }
@@ -225,18 +251,26 @@ func (s rowScan) count(p, vlo, vhi int, msgs, dsts, intraOff []int64) int64 {
 // and first destination index: inside a block, messages follow the scan's
 // source order and each message's destinations are a contiguous run of its
 // row, so one message cursor and one destination cursor per block place
-// everything. The destination that opens a message is stored flagged.
+// everything. The destination that opens a message is stored flagged. An
+// intra edge (v,d) is also appended to d's pull row through the cursor
+// l.IntraInOff[d+1]; sources arrive in ascending order, so each pull row
+// ends up sorted, and the cursor ends at d's row end.
 func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
+	intraDst, inOff, intraSrc := l.IntraDst, l.IntraInOff, l.IntraSrc
+	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
 		intra := l.IntraOff[v]
 		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
-			q := int(d) / s.per
-			if q == p {
-				l.IntraDst[intra] = d
+			if uint32(d)-lo < per {
+				intraDst[intra] = d
 				intra++
+				in := inOff[d+1]
+				intraSrc[in] = graph.VertexID(v)
+				inOff[d+1] = in + 1
 				continue
 			}
+			q := int(uint32(d) / per)
 			if !s.compress || q != lastQ {
 				m := msgCur[q]
 				msgCur[q]++
@@ -250,19 +284,26 @@ func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
 	}
 }
 
-// placeBlocks turns the per-vertex intra counts into the intra CSR offsets,
+// placeBlocks turns the per-vertex intra counts into the push CSR offsets,
 // lays out the blocks in (p,q) order with global message and destination
 // prefix sums, and allocates the message arrays. msgCount and dstCount
 // become each (p,q) pair's first message and first destination index: the
-// cursors of the fill pass.
+// cursors of the fill pass. The in-edge counts become shifted offsets,
+// IntraInOff[v+1] = the start of v's pull row, which the fill advances to
+// the row's end; IntraInOff[0] stays 0.
 func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64) {
 	P := l.NumPartitions
 	l.IntraEdges = intraTotal
 	l.InterEdges = edges - intraTotal
+	var in int64
 	for v := 0; v+1 < len(l.IntraOff); v++ {
 		l.IntraOff[v+1] += l.IntraOff[v]
+		c := l.IntraInOff[v+1]
+		l.IntraInOff[v+1] = in
+		in += c
 	}
 	l.IntraDst = make([]graph.VertexID, intraTotal)
+	l.IntraSrc = make([]graph.VertexID, intraTotal)
 
 	var totalMsgs, totalDsts int64
 	for p := 0; p < P; p++ {
@@ -329,12 +370,16 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 		return fmt.Errorf("layout: blocks cover %d of %d message destinations", dstCur, len(l.MsgDst))
 	}
 	// Intra edges stay within the source's partition.
-	for v := 0; v < g.NumVertices(); v++ {
+	n := g.NumVertices()
+	for v := 0; v < n; v++ {
 		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
 			if int(d)/per != v/per {
 				return fmt.Errorf("layout: intra edge (%d,%d) crosses partitions", v, d)
 			}
 		}
+	}
+	if err := l.validatePull(n); err != nil {
+		return err
 	}
 	// Edge conservation.
 	if int64(len(l.MsgDst)) != l.InterEdges {
@@ -349,6 +394,37 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	return nil
 }
 
+// validatePull checks that the pull CSR is exactly the transpose of the push
+// CSR: replaying the push rows in source order visits every pull entry once,
+// in place. The push rows are intra, so every pull row then holds sources of
+// its own partition, in ascending order.
+func (l *Layout) validatePull(n int) error {
+	off, src := l.IntraInOff, l.IntraSrc
+	if len(off) != n+1 || off[0] != 0 || off[n] != int64(len(src)) || int64(len(src)) != l.IntraEdges {
+		return fmt.Errorf("layout: pull CSR of %d offsets and %d sources does not match %d vertices and %d intra edges", len(off), len(src), n, l.IntraEdges)
+	}
+	for d := 0; d < n; d++ {
+		if off[d+1] < off[d] {
+			return fmt.Errorf("layout: pull row of %d spans [%d,%d)", d, off[d], off[d+1])
+		}
+	}
+	cur := slices.Clone(off[:n])
+	for v := 0; v < n; v++ {
+		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
+			if cur[d] == off[d+1] || src[cur[d]] != graph.VertexID(v) {
+				return fmt.Errorf("layout: pull row of %d does not hold intra edge (%d,%d) in source order", d, v, d)
+			}
+			cur[d]++
+		}
+	}
+	for d := 0; d < n; d++ {
+		if cur[d] != off[d+1] {
+			return fmt.Errorf("layout: pull row of %d holds %d sources, push rows %d", d, off[d+1]-off[d], cur[d]-off[d])
+		}
+	}
+	return nil
+}
+
 // BinBytes returns the total size of the message value bins (one 4-byte rank
 // value per message), the memory the scatter phase writes and the gather
 // phase reads each iteration. The compression win of §3.4 is the ratio of
@@ -356,11 +432,11 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 func (l *Layout) BinBytes() int64 { return l.NumMessages() * 4 }
 
 // Bytes returns the resident size of the layout's arrays: blocks, block
-// indexes, message sources and destinations, and the intra CSR.
+// indexes, message sources and destinations, and both intra CSRs.
 func (l *Layout) Bytes() int64 {
 	n := int64(cap(l.Blocks))*int64(unsafe.Sizeof(Block{})) +
-		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.MsgDst)+cap(l.IntraDst)) +
-		8*int64(cap(l.IntraOff)) +
+		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.MsgDst)+cap(l.IntraDst)+cap(l.IntraSrc)) +
+		8*int64(cap(l.IntraOff)+cap(l.IntraInOff)) +
 		int64(cap(l.DstBlocks))*int64(unsafe.Sizeof([]int32(nil)))
 	for _, list := range l.DstBlocks {
 		n += 4 * int64(cap(list))

@@ -275,7 +275,8 @@ func TestPropertyLayoutInvariants(t *testing.T) {
 
 // referenceLayout is a plain serial construction of the layout: one scan
 // over the vertices in ID order appends each inter-edge to its (p,q) block's
-// message list, then the blocks are concatenated in (p,q) order.
+// message list and each intra edge to its destination's pull row, then the
+// blocks are concatenated in (p,q) order and the pull rows in vertex order.
 func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Layout {
 	type message struct {
 		src  graph.VertexID
@@ -289,14 +290,17 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
 		IntraOff:      make([]int64, n+1),
+		IntraInOff:    make([]int64, n+1),
 	}
 	blocks := make([][]message, P*P)
+	pull := make([][]graph.VertexID, n)
 	for v := 0; v < n; v++ {
 		p, lastQ := v/per, -1
 		for _, d := range g.OutNeighbors(graph.VertexID(v)) {
 			q := int(d) / per
 			if q == p {
 				l.IntraDst = append(l.IntraDst, d)
+				pull[d] = append(pull[d], graph.VertexID(v))
 				continue
 			}
 			b := &blocks[p*P+q]
@@ -311,6 +315,11 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 	}
 	l.IntraEdges = int64(len(l.IntraDst))
 	l.InterEdges = g.NumEdges() - l.IntraEdges
+	l.IntraSrc = make([]graph.VertexID, 0, l.IntraEdges)
+	for v, row := range pull {
+		l.IntraSrc = append(l.IntraSrc, row...)
+		l.IntraInOff[v+1] = int64(len(l.IntraSrc))
+	}
 	for p := 0; p < P; p++ {
 		l.SrcBlockStart[p] = int32(len(l.Blocks))
 		for q := 0; q < P; q++ {
@@ -369,6 +378,8 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 				{"MsgDst", slices.Equal(got.MsgDst, want.MsgDst)},
 				{"IntraOff", slices.Equal(got.IntraOff, want.IntraOff)},
 				{"IntraDst", slices.Equal(got.IntraDst, want.IntraDst)},
+				{"IntraInOff", slices.Equal(got.IntraInOff, want.IntraInOff)},
+				{"IntraSrc", slices.Equal(got.IntraSrc, want.IntraSrc)},
 				{"IntraEdges", got.IntraEdges == want.IntraEdges},
 				{"InterEdges", got.InterEdges == want.InterEdges},
 			} {
@@ -478,5 +489,53 @@ func TestBuildRejectsFlagBitVertices(t *testing.T) {
 	}
 	if _, err := Patch(&Layout{}, g, h, nil); err == nil || !strings.Contains(err.Error(), "2^31") {
 		t.Fatalf("Patch: err = %v, want the 2^31-vertex limit", err)
+	}
+}
+
+// TestValidateRejectsBadIntraSrc: a pull CSR that is not exactly the
+// transpose of the push CSR — two sources of one destination swapped, or a
+// source moved out of its destination's partition — fails Validate, so the
+// dense scatter can never sum a destination's sources out of push order.
+func TestValidateRejectsBadIntraSrc(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 256, Edges: 3000, OutAlpha: 2.1, InAlpha: 0.8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := buildHierarchy(t, g, 64)
+	// The first pull row with two distinct sources.
+	pick := func(l *Layout) int {
+		for d := 0; d < g.NumVertices(); d++ {
+			lo, hi := l.IntraInOff[d], l.IntraInOff[d+1]
+			if hi-lo >= 2 && l.IntraSrc[lo] != l.IntraSrc[hi-1] {
+				return d
+			}
+		}
+		t.Fatal("no pull row with two distinct sources")
+		return 0
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(l *Layout, d int)
+	}{
+		{"two sources swapped", func(l *Layout, d int) {
+			lo, hi := l.IntraInOff[d], l.IntraInOff[d+1]
+			l.IntraSrc[lo], l.IntraSrc[hi-1] = l.IntraSrc[hi-1], l.IntraSrc[lo]
+		}},
+		{"source outside the partition", func(l *Layout, d int) {
+			p := d / h.VerticesPerPartition
+			l.IntraSrc[l.IntraInOff[d]] = graph.VertexID((p + 1) % l.NumPartitions * h.VerticesPerPartition)
+		}},
+	} {
+		l, err := Build(g, h, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Validate(g, h); err != nil {
+			t.Fatalf("%s: intact layout rejected: %v", c.name, err)
+		}
+		c.corrupt(l, pick(l))
+		if err := l.Validate(g, h); err == nil {
+			t.Errorf("%s: Validate accepted the corrupted layout", c.name)
+		}
 	}
 }

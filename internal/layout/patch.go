@@ -11,9 +11,9 @@ import (
 // Patch rebuilds the layout for g under h by recomputing only the touched
 // source partitions' rows and splicing everything else out of the old
 // layout. The result is bit-identical to BuildWorkers(g, h, old.Compressed,
-// ·): every message, destination, and intra edge of an untouched source
-// partition is copied verbatim (the message flags travel with the
-// destinations, so nothing is rebased), and only the touched
+// ·): every message, destination, and intra edge (push and pull row) of an
+// untouched source partition is copied verbatim (the message flags travel
+// with the destinations, so nothing is rebased), and only the touched
 // partitions' edges are re-scanned and re-grouped — the incremental-prep
 // path behind common.Prepared.Advance.
 //
@@ -62,7 +62,7 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 	for p := 0; p < P; p++ {
 		vlo, vhi := rowRange(p)
 		if isTouched[p] {
-			intraTotal += s.count(p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P], l.IntraOff)
+			intraTotal += s.count(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
 			continue
 		}
 		for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
@@ -74,6 +74,7 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 		for v := vlo; v < vhi; v++ {
 			c := old.IntraOff[v+1] - old.IntraOff[v]
 			l.IntraOff[v+1] = c
+			l.IntraInOff[v+1] = old.IntraInOff[v+1] - old.IntraInOff[v]
 			intraTotal += c
 		}
 	}
@@ -89,9 +90,16 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 			s.fill(l, p, vlo, vhi, msgCur, dstCur)
 			continue
 		}
-		// Intra rows of an untouched partition are one contiguous run.
+		// Intra rows of an untouched partition are one contiguous run in
+		// each direction. The pull rows shift by one constant, which also
+		// moves each row's fill cursor to its end.
 		copy(l.IntraDst[l.IntraOff[vlo]:l.IntraOff[vhi]],
 			old.IntraDst[old.IntraOff[vlo]:old.IntraOff[vhi]])
+		shift := l.IntraInOff[vlo+1] - old.IntraInOff[vlo]
+		copy(l.IntraSrc[l.IntraInOff[vlo+1]:], old.IntraSrc[old.IntraInOff[vlo]:old.IntraInOff[vhi]])
+		for v := vlo; v < vhi; v++ {
+			l.IntraInOff[v+1] = old.IntraInOff[v+1] + shift
+		}
 		for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
 			ob := old.Blocks[bi]
 			copy(l.MsgSrc[msgCur[ob.DstPart]:], old.MsgSrc[ob.MsgStart:ob.MsgEnd])
