@@ -54,6 +54,7 @@ procs:
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
 	$(GO) test -run '^$$' -bench 'BenchmarkGatherPartition|BenchmarkScatterPartition' -benchtime 1x ./internal/engines/common/
+	$(GO) test -run '^$$' -bench 'BenchmarkBlockScatter' -benchtime 1x ./internal/algorithms/
 
 ci: vet staticcheck build race race-prep procs bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
 

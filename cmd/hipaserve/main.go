@@ -52,7 +52,7 @@ func main() {
 		engine     = flag.String("engine", "", "serving engine (default hipa)")
 		listen     = flag.String("listen", "", "listen address (default config's, else 127.0.0.1:8080; :0 = ephemeral)")
 		tol        = flag.Float64("tol", 0, "convergence tolerance (default 1e-7)")
-		threads    = flag.Int("threads", 0, "Exec worker threads (0 = all cores)")
+		threads    = flag.Int("threads", 0, "Exec worker threads (0 = GOMAXPROCS per NUMA node of the preset, capped at its logical cores)")
 		maxExecs   = flag.Int("max-execs", 0, "max concurrent Execs (0 = all cores)")
 		shutdownTO = flag.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown bound; 0 waits for in-flight requests indefinitely")
 	)

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
 
 	"hipa/internal/engines/common"
 	"hipa/internal/execbuf"
@@ -35,6 +36,13 @@ const MaxBatch = 64
 // the same block/message/destination order, so a uniform column at B=1 is
 // bit-identical to the scalar HiPa engine.
 //
+// The intra-edges are pulled, as in the scalar kernel: the scatter stores
+// in acc each vertex's sum over its intra in-neighbours of the contribution
+// block contrib[u*B+j] = ranksCur[u*B+j] * Inv[u], which the rank update
+// writes next to every rank it writes. The sums are bit-identical to the
+// paper's push, and a node's pull is split over all of the node's threads
+// (common.PullSlices).
+//
 // Each column carries its own restart vector: a nil/empty seed set is the
 // uniform PageRank column ((1-d)/n teleport everywhere), a non-empty seed
 // set is a personalized column teleporting (and redistributing dangling
@@ -62,7 +70,8 @@ type BlockSG struct {
 
 	ranksCur  []float32 // n*B, read-only during an iteration
 	ranksNext []float32 // n*B, gather writes the owning partition's rows
-	acc       []float32 // n*B accumulators, zeroed after each gather
+	contrib   []float32 // n*B, ranksCur·Inv; gather writes ranksNext·Inv
+	acc       []float32 // n*B accumulators, stored by the intra pull
 	seedAdd   []float32 // n*B sparse teleport addends of personalized columns
 
 	baseS  [MaxBatch]float32 // (1-d)/n for uniform columns, 0 for seeded
@@ -77,8 +86,9 @@ type BlockSG struct {
 	cols     []int32 // active columns, filtered in place by FoldResidual
 	colIters []int32 // iterations each column actually executed
 
-	lastDangling float64 // active-column dangling sum of the last Reduce
-	started      int     // iterations begun; selects the final rank buffer
+	lastDangling float64        // active-column dangling sum of the last Reduce
+	started      int            // iterations begun; selects the final rank buffer
+	arena        *execbuf.Arena // the Exec's arena, for PinnedKernels' pull slices
 
 	// Modelled-traffic accounting, folded serially in Reduce: colSteps is
 	// Σ over supersteps of the active column count (per-column work), and
@@ -116,8 +126,10 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 		cols:       arena.Cols(b),
 		colIters:   arena.ColIters(b),
 		seeds:      seedSets,
+		arena:      arena,
 	}
 	s.ranksCur, s.ranksNext = arena.RanksBlockPair(n * b)
+	s.contrib = arena.ContribBlock(n * b)
 	s.acc = arena.AccBlock(n * b)
 	s.lanes = arena.ColLanes(threads * s.laneStride)
 
@@ -144,6 +156,11 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 				return nil, fmt.Errorf("blocksg: column %d seed %d outside graph of %d vertices", j, v, n)
 			}
 			s.ranksCur[int(v)*b+j] = w
+		}
+	}
+	for v, iv := range inv[:n] {
+		for i := v * b; i < v*b+b; i++ {
+			s.contrib[i] = s.ranksCur[i] * iv
 		}
 	}
 
@@ -178,53 +195,50 @@ func (s *BlockSG) StartIteration(it int) {
 	s.started++
 }
 
-// ScatterPartition applies partition p's intra-edges for every active
-// column: acc[d*B+j] += ranksCur[v*B+j] * Inv[v], the same contribution
-// stream as the scalar scatter. Inter-partition traffic needs no scatter
-// work at all — the gather side reads source rank blocks directly.
-func (s *BlockSG) ScatterPartition(p int, tid int) {
-	_ = tid
-	part := s.Hier.Partitions[p]
-	lay := s.Lay
+// PullIntra stores in acc[v*B+j], for each v in [lo,hi) and each active
+// column j, the sum of contrib[u*B+j] over v's intra in-neighbours u in
+// ascending order, starting from +0: the same float32 adds in the same
+// order as a push of ranksCur[u*B+j]*Inv[u] over the intra-edges into a
+// zeroed block, so the sums are bit-identical to the paper's push, while
+// disjoint vertex ranges can run on different threads. Inter-partition
+// traffic needs no scatter work at all — the gather side reads source rank
+// blocks directly.
+func (s *BlockSG) PullIntra(lo, hi int) {
+	off, src := s.Lay.IntraInOff, s.Lay.IntraSrc
 	b := s.B
 	cols := s.cols
-	ranks, inv, acc := s.ranksCur, s.Inv, s.acc
-	intraOff := lay.IntraOff
-
-	var cb [MaxBatch]float32
-	for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
-		lo, hi := intraOff[v], intraOff[v+1]
-		if lo == hi {
-			continue
+	contrib, acc := s.contrib, s.acc
+	e := off[lo]
+	if len(cols) == 1 {
+		// Column-scalar: one active column needs no per-column loop or
+		// scratch.
+		j := int(cols[0])
+		for v := lo; v < hi; v++ {
+			end := off[v+1]
+			var sum float32
+			for _, u := range src[e:end:end] {
+				sum += contrib[int(u)*b+j]
+			}
+			acc[v*b+j] = sum
+			e = end
 		}
-		iv := inv[v]
-		dst := lay.IntraDst[lo:hi:hi]
-		if len(cols) == 1 {
-			j := int(cols[0])
-			addColumn(acc, dst, b, j, ranks[v*b+j]*iv)
-			continue
-		}
-		rb := ranks[v*b : v*b+b : v*b+b]
-		for k, j := range cols {
-			cb[k] = rb[j] * iv
-		}
-		for _, d := range dst {
-			ab := acc[int(d)*b : int(d)*b+b : int(d)*b+b]
+		return
+	}
+	var sums [MaxBatch]float32
+	for v := lo; v < hi; v++ {
+		end := off[v+1]
+		clear(sums[:len(cols)])
+		for _, u := range src[e:end:end] {
+			cb := contrib[int(u)*b : int(u)*b+b : int(u)*b+b]
 			for k, j := range cols {
-				ab[j] += cb[k]
+				sums[k] += cb[j]
 			}
 		}
-	}
-}
-
-// addColumn is the single-active-column form of the per-edge accumulation
-// (every width-1 batch, and every batch narrowed to one column by
-// retirement): acc[d*B+j] += c for each destination, without the per-column
-// loop and block re-slice. Same float32 operations in the same order, so
-// the result is bitwise the general loop's.
-func addColumn(acc []float32, dst []graph.VertexID, b, j int, c float32) {
-	for _, d := range dst {
-		acc[int(d)*b+j] += c
+		ab := acc[v*b : v*b+b : v*b+b]
+		for k, j := range cols {
+			ab[j] = sums[k]
+		}
+		e = end
 	}
 }
 
@@ -273,14 +287,18 @@ func (s *BlockSG) Reduce() {
 //
 // (left-associated; the trailing addend is 0.0 for uniform columns, a
 // bitwise no-op on their non-negative ranks, so the B=1 uniform update is
-// exactly the scalar one). The partition's per-column dangling mass under
-// the new ranks overwrites its partDang block, and per-column residual
-// maxima fold into the thread's lane.
+// exactly the scalar one), with contrib = next*Inv[v] beside it. The
+// partition's per-column dangling mass under the new ranks overwrites its
+// partDang block, and per-column residual maxima fold into the thread's
+// lane.
+//
+// The decode must not read contrib: the gathers of other partitions,
+// running in the same phase, overwrite it for their own vertices.
 func (s *BlockSG) GatherPartition(p int, tid int) {
 	lay := s.Lay
 	b := s.B
 	cols := s.cols
-	ranks, inv, acc := s.ranksCur, s.Inv, s.acc
+	ranks, inv, acc, contrib := s.ranksCur, s.Inv, s.acc, s.contrib
 
 	var cb [MaxBatch]float32
 	for _, bi := range lay.DstBlocks[p] {
@@ -339,15 +357,11 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 			old := ranks[i]
 			nv := base + d*acc[i] + redis + seedAdd[i]
 			next[i] = nv
-			acc[i] = 0
+			contrib[i] = nv * inv[v]
 			if inv[v] == 0 {
 				dang += float64(nv)
 			}
-			diff := float64(nv - old)
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > res {
+			if diff := math.Abs(float64(nv - old)); diff > res {
 				res = diff
 			}
 		}
@@ -357,20 +371,16 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 	var dang [MaxBatch]float64
 	for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
 		i := v * b
-		dangling := inv[v] == 0
+		iv := inv[v]
 		for k, j := range cols {
 			old := ranks[i+int(j)]
 			nv := s.baseS[j] + d*acc[i+int(j)] + s.redisS[j] + seedAdd[i+int(j)]
 			next[i+int(j)] = nv
-			acc[i+int(j)] = 0
-			if dangling {
+			contrib[i+int(j)] = nv * iv
+			if iv == 0 {
 				dang[k] += float64(nv)
 			}
-			diff := float64(nv - old)
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > lanes[j] {
+			if diff := math.Abs(float64(nv - old)); diff > lanes[j] {
 				lanes[j] = diff
 			}
 		}
@@ -461,33 +471,39 @@ func (s *BlockSG) ColSteps() int64 { return s.colSteps }
 func (s *BlockSG) LineSteps() int64 { return s.lineSteps }
 
 // PinnedKernels adapts the blocked kernel to the superstep driver under
-// HiPa's pinned thread-data mapping: thread tid owns exactly the partitions
-// of groups[tid] in both phases. All function values are created here, once
-// per Exec, keeping the driver's zero-allocations-per-iteration guarantee.
+// HiPa's pinned thread-data mapping: in the scatter, thread tid pulls the
+// intra sums of its slice of its node's vertex range (common.PullSlices,
+// HiPa's split); in the gather it owns exactly the partitions of
+// groups[tid]. All function values are created here, once per Exec,
+// keeping the driver's zero-allocations-per-iteration guarantee.
 func (s *BlockSG) PinnedKernels(groups []partition.Group) common.PhaseKernels {
-	scatter := &blockGroupPhase{s: s, groups: groups, phase: (*BlockSG).ScatterPartition}
-	gather := &blockGroupPhase{s: s, groups: groups, phase: (*BlockSG).GatherPartition}
+	k := &blockPinned{s: s, groups: groups,
+		slices: common.PullSlices(s.Lay, s.Hier, groups, s.arena.Slices(2*len(groups)))}
 	return common.PhaseKernels{
 		StartIteration: s.StartIteration,
-		Scatter:        scatter.run,
+		Scatter:        k.scatter,
 		Reduce:         s.Reduce,
-		Gather:         gather.run,
+		Gather:         k.gather,
 		Residual:       s.FoldResidual,
 		DanglingMass:   s.LastDanglingMass,
 	}
 }
 
-// blockGroupPhase walks one thread's pinned partition group through a
-// partition-level kernel, mirroring the scalar driver's groupPhase.
-type blockGroupPhase struct {
+// blockPinned holds one Exec's pinned assignment: each thread's pull slice
+// and its partition group.
+type blockPinned struct {
 	s      *BlockSG
 	groups []partition.Group
-	phase  func(s *BlockSG, p, tid int)
+	slices []int32
 }
 
-func (g *blockGroupPhase) run(tid int) {
-	gr := g.groups[tid]
+func (k *blockPinned) scatter(tid int) {
+	k.s.PullIntra(int(k.slices[2*tid]), int(k.slices[2*tid+1]))
+}
+
+func (k *blockPinned) gather(tid int) {
+	gr := k.groups[tid]
 	for p := gr.PartStart; p < gr.PartEnd; p++ {
-		g.phase(g.s, p, tid)
+		k.s.GatherPartition(p, tid)
 	}
 }

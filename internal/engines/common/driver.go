@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hipa/internal/layout"
 	"hipa/internal/obs"
 	"hipa/internal/partition"
 )
@@ -346,14 +347,15 @@ func FCFSKernels(s *SGState) PhaseKernels {
 // (Algorithm 2): thread tid gathers exactly the partitions of its group,
 // every iteration — the one-to-many thread-data mapping. Its scatter fills
 // the bins of its group's outgoing messages and pulls the intra sums of its
-// slice of its node's vertex range (pullSlices): the node's intra work is
+// slice of its node's vertex range (PullSlices): the node's intra work is
 // split over all of the node's threads, so a partition larger than its
 // share of the edges, or a graph that is one partition, does not leave the
 // node's other threads idle. The pull's sums are bit-identical under any
 // slicing.
 func PinnedKernels(s *SGState, groups []partition.Group) PhaseKernels {
 	s.SeedDangling(groups)
-	scatter := &pinnedScatter{s: s, groups: groups, slices: pullSlices(s, groups)}
+	slices := PullSlices(s.Lay, s.Hier, groups, s.arena.Slices(2*len(groups)))
+	scatter := &pinnedScatter{s: s, groups: groups, slices: slices}
 	gather := &groupPhase{s: s, groups: groups, phase: (*SGState).GatherPartition}
 	return PhaseKernels{
 		Scatter:      scatter.run,
@@ -364,20 +366,21 @@ func PinnedKernels(s *SGState, groups []partition.Group) PhaseKernels {
 	}
 }
 
-// pullSlices cuts each node's vertex range [VertexLow, VertexHigh) into one
+// PullSlices cuts each node's vertex range [VertexLow, VertexHigh) into one
 // contiguous slice per thread of the node, of about equal intra in-edges
 // plus vertices (a vertex costs its row set-up even when it has no intra
 // in-edges). The cuts are binary searches over IntraInOff. Thread tid pulls
-// [slices[2·tid], slices[2·tid+1]); the buffer comes from the state's arena.
-func pullSlices(s *SGState, groups []partition.Group) []int32 {
-	slices := s.arena.Slices(2 * len(groups))
-	off := s.Lay.IntraInOff
+// [slices[2·tid], slices[2·tid+1]); slices is an arena buffer of
+// 2·len(groups) entries, filled and returned. Every pinned kernel with an
+// intra pull (HiPa's and the blocked B-PPR kernel) slices with it.
+func PullSlices(lay *layout.Layout, hier *partition.Hierarchy, groups []partition.Group, slices []int32) []int32 {
+	off := lay.IntraInOff
 	for start := 0; start < len(groups); {
 		end := start + 1
 		for end < len(groups) && groups[end].Node == groups[start].Node {
 			end++
 		}
-		na := s.Hier.Nodes[groups[start].Node]
+		na := hier.Nodes[groups[start].Node]
 		lo, hi := int(na.VertexLow), int(na.VertexHigh)
 		// cost(v) is the pull work of [lo, v): strictly increasing in v.
 		cost := func(v int) int64 { return off[v] - off[lo] + int64(v-lo) }

@@ -1,7 +1,9 @@
 package enginetest
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hipa/internal/engines/bppr"
@@ -11,6 +13,7 @@ import (
 	"hipa/internal/engines/hipa"
 	"hipa/internal/engines/ppr"
 	"hipa/internal/engines/vpr"
+	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/machine"
 	"hipa/internal/platform"
@@ -199,6 +202,55 @@ func TestBPPRWorkerCountDeterminism(t *testing.T) {
 		for q := range queries {
 			if d := common.MaxAbsDiff(base.Ranks[q], br.Ranks[q]); d != 0 {
 				t.Errorf("query %d: ranks differ by %g between %d and %d threads", q, d, baseThreads, threads)
+			}
+		}
+	}
+}
+
+// TestBPPRIntraPullThreadInvariant: on a skewed multi-partition graph with
+// intra hubs, every column's ranks and executed-iteration count are bitwise
+// equal at 2, 4 and 40 threads, drained by one or eight goroutines — the
+// split intra pull's slices and their scheduling never reach the result.
+// The batch mixes uniform and seeded columns that retire at different
+// supersteps, so both the general and the column-scalar pull run.
+func TestBPPRIntraPullThreadInvariant(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 14, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 7, Noise: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	queries := []bppr.Query{{}, {Seeds: pprSeeds(1, n)}, {Seeds: []graph.VertexID{0}}, {Seeds: pprSeeds(3, n)}}
+	var base *bppr.BatchResult
+	var baseName string
+	for _, threads := range []int{2, 4, 40} {
+		for _, procs := range []int{1, 8} {
+			o := testOptions(60)
+			o.PartitionBytes = 16 << 10
+			o.Threads = threads
+			o.GoParallelism = procs
+			prep, err := (bppr.Engine{}).Prepare(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br, err := bppr.ExecBatch(prep, o, queries)
+			if err != nil {
+				t.Fatalf("threads %d procs %d: %v", threads, procs, err)
+			}
+			name := fmt.Sprintf("threads %d procs %d", threads, procs)
+			if base == nil {
+				base, baseName = br, name
+				if slices.Min(br.Iterations) == br.Supersteps {
+					t.Fatalf("no column retired before the batch finished (%d supersteps)", br.Supersteps)
+				}
+				continue
+			}
+			for q := range queries {
+				if ranksFNV64(base.Ranks[q]) != ranksFNV64(br.Ranks[q]) || common.MaxAbsDiff(base.Ranks[q], br.Ranks[q]) != 0 {
+					t.Errorf("query %d: ranks differ between %s and %s", q, baseName, name)
+				}
+				if base.Iterations[q] != br.Iterations[q] {
+					t.Errorf("query %d: %d iterations at %s, %d at %s", q, base.Iterations[q], baseName, br.Iterations[q], name)
+				}
 			}
 		}
 	}

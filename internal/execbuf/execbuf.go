@@ -59,19 +59,20 @@ type Arena struct {
 	bits    []uint32
 	atomics []PadU64
 	// Blocked (rank-B) scratch of the batched PPR engine: two vertex-
-	// interleaved rank blocks (double-buffered), the B-wide accumulator
-	// block, the sparse per-column teleport addends, the per-partition
-	// per-column dangling buffer, the per-thread per-column residual lanes,
-	// and the active-column bookkeeping.
-	ranksBlockA []float32
-	ranksBlockB []float32
-	accBlock    []float32
-	seedAdd     []float32
-	partDangB   []float64
-	colLanes    []float64
-	cols        []int32
-	colIters    []int32
-	grows       int
+	// interleaved rank blocks (double-buffered), the B-wide contribution and
+	// accumulator blocks, the sparse per-column teleport addends, the
+	// per-partition per-column dangling buffer, the per-thread per-column
+	// residual lanes, and the active-column bookkeeping.
+	ranksBlockA  []float32
+	ranksBlockB  []float32
+	contribBlock []float32
+	accBlock     []float32
+	seedAdd      []float32
+	partDangB    []float64
+	colLanes     []float64
+	cols         []int32
+	colIters     []int32
+	grows        int
 	// owner is the Pool that checked this arena out (nil while free or
 	// never pooled). Put settles the checkout with the owner, so an arena
 	// released into a different pool — a dynamic reload moving work between
@@ -225,14 +226,15 @@ func (a *Arena) RanksBlockPair(n int) (cur, next []float32) {
 	return growF32(&a.ranksBlockA, n, &a.grows), growF32(&a.ranksBlockB, n, &a.grows)
 }
 
-// AccBlock returns the n-element B-wide accumulator block, zeroed — like
-// Acc, the scatter/decode passes add into it and the rank recompute
-// re-zeroes it, so a zero start is the loop invariant.
-func (a *Arena) AccBlock(n int) []float32 {
-	s := growF32(&a.accBlock, n, &a.grows)
-	clear(s)
-	return s
-}
+// ContribBlock returns the n-element B-wide contribution block, laid out
+// like the rank blocks. Contents are unspecified; the caller seeds it from
+// the initial ranks.
+func (a *Arena) ContribBlock(n int) []float32 { return growF32(&a.contribBlock, n, &a.grows) }
+
+// AccBlock returns the n-element B-wide accumulator block. Contents are
+// unspecified; each iteration's intra pull stores every entry before the
+// gather adds into it.
+func (a *Arena) AccBlock(n int) []float32 { return growF32(&a.accBlock, n, &a.grows) }
 
 // SeedAdd returns the n-element per-vertex per-column teleport addend
 // block, zeroed: non-zero only at seed vertices of personalized columns,
@@ -326,7 +328,7 @@ func (a *Arena) Grows() int { return a.grows }
 // Footprint returns the arena's total buffer capacity in bytes.
 func (a *Arena) Footprint() int64 {
 	f32 := cap(a.ranks) + cap(a.acc) + cap(a.bins) + cap(a.contrib) + cap(a.partRes) +
-		cap(a.ranksBlockA) + cap(a.ranksBlockB) + cap(a.accBlock) + cap(a.seedAdd)
+		cap(a.ranksBlockA) + cap(a.ranksBlockB) + cap(a.contribBlock) + cap(a.accBlock) + cap(a.seedAdd)
 	pad := cap(a.partials) + cap(a.residuals) + cap(a.atomics)
 	i32 := cap(a.worklist) + cap(a.partIters) + cap(a.partCounts) + cap(a.slices) + cap(a.bits) +
 		cap(a.cols) + cap(a.colIters)

@@ -14,12 +14,13 @@
 //
 // Intra-edges are stored twice. IntraOff/IntraDst is the paper's push CSR,
 // source-ordered, which the sparse consumers (Delta-PR's frontier, the
-// framework programs, BlockSG, SpMV, the cost model and the exact simulator)
-// walk. IntraInOff/IntraSrc is its transpose: each destination's intra
-// in-neighbours in ascending source order. The dense scatter pulls over it,
-// summing a destination's sources in exactly the order the push would have
-// added them, so the two directions give bit-identical float32 sums, and a
-// pull over a vertex range can be split across threads without races.
+// framework programs, SpMV, the cost model and the exact simulator) walk.
+// IntraInOff/IntraSrc is its transpose: each destination's intra
+// in-neighbours in ascending source order. The dense scatters (the scalar
+// kernel's and B-PPR's BlockSG) pull over it, summing a destination's
+// sources in exactly the order the push would have added them, so the two
+// directions give bit-identical float32 sums, and a pull over a vertex
+// range can be split across threads without races.
 //
 // A message's destinations are not delimited by offsets: each block's
 // destinations are one contiguous run of MsgDst, and the first destination

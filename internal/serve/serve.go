@@ -97,8 +97,11 @@ type Config struct {
 	Damping float64 `json:"damping,omitempty"`
 	// Tolerance is the convergence tolerance (default DefaultTolerance).
 	Tolerance float64 `json:"tolerance,omitempty"`
-	// Threads is the per-Exec worker count (default GOMAXPROCS — serving
-	// runs on the real machine, not the simulated one).
+	// Threads is the per-Exec worker count. The default is GOMAXPROCS per
+	// NUMA node of the preset, capped at the preset's logical cores: HiPa
+	// splits its threads evenly over the nodes, so a graph one node holds
+	// still gets GOMAXPROCS threads. The goroutines that run them stay
+	// min(Threads, GOMAXPROCS) (Options.GoParallelism).
 	Threads int `json:"threads,omitempty"`
 	// MaxConcurrentExecs bounds Execs in flight across all graphs (default
 	// GOMAXPROCS). Queued Execs wait; their wait time is observed on
@@ -142,7 +145,7 @@ func (c Config) withDefaults() Config {
 		c.Tolerance = DefaultTolerance
 	}
 	if c.Threads == 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
+		c.Threads = defaultThreads(c.Preset)
 	}
 	if c.MaxConcurrentExecs == 0 {
 		c.MaxConcurrentExecs = runtime.GOMAXPROCS(0)
@@ -163,6 +166,19 @@ func (c Config) withDefaults() Config {
 		c.BatchQueueDepth = DefaultBatchQueueDepth
 	}
 	return c
+}
+
+// defaultThreads is the zero Config.Threads: GOMAXPROCS threads on every
+// NUMA node of the preset, capped at its logical cores. An unknown preset
+// gets GOMAXPROCS; loading a graph then reports the preset.
+func defaultThreads(preset string) int {
+	procs := runtime.GOMAXPROCS(0)
+	mk, ok := machine.Presets[preset]
+	if !ok {
+		return procs
+	}
+	m := mk()
+	return min(procs*m.NUMANodes, m.LogicalCores())
 }
 
 // Service is the serving core: the graph registry, the engine, the Exec

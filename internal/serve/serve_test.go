@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +248,32 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted a bad config", name)
 		}
+	}
+}
+
+// TestDefaultThreadsFitMachine: a zero Config.Threads asks for GOMAXPROCS
+// threads per NUMA node of the preset, capped at its logical cores, so a
+// host with more procs than the preset has cores still serves.
+func TestDefaultThreadsFitMachine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(2)
+	if got := (Config{}).withDefaults().Threads; got != 4 {
+		t.Errorf("GOMAXPROCS 2 on %s: default Threads = %d, want 4 (2 per node)", DefaultPreset, got)
+	}
+
+	runtime.GOMAXPROCS(64)
+	cfg := testConfig(obs.NewRegistry())
+	cfg.Threads = 0
+	s, srv, _ := pprTestServer(t, cfg)
+	if s.cfg.Threads != 40 {
+		t.Errorf("GOMAXPROCS 64 on %s: default Threads = %d, want its 40 logical cores", DefaultPreset, s.cfg.Threads)
+	}
+	var rank rankDoc
+	if code := getJSON(t, srv.URL+"/v1/rank?vertex=1", &rank); code != http.StatusOK || rank.Rank <= 0 {
+		t.Errorf("/v1/rank = %d, %+v", code, rank)
+	}
+	if r := awaitPPR(t, getPPR(t, srv.URL+"/v1/ppr?seeds=3&k=5"), 10*time.Second, "/v1/ppr"); r.code != http.StatusOK || len(r.doc.Top) != 5 {
+		t.Errorf("/v1/ppr = %d, %+v", r.code, r.doc)
 	}
 }
 
