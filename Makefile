@@ -41,11 +41,11 @@ race:
 race-prep:
 	$(GO) test -race -run 'Concurrent|Race' ./internal/graph/ ./internal/engines/...
 
-# Results never depend on core count: the engine and serving tests run at
-# one and at eight Go procs, whatever the host's core count.
+# Results never depend on core count: the whole suite runs at one and at
+# eight Go procs, whatever the host's core count.
 procs:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/engines/... ./internal/serve/
-	GOMAXPROCS=8 $(GO) test -count=1 ./internal/engines/... ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=8 $(GO) test -count=1 ./...
 
 # One-iteration pass over the Prepare benchmarks so the parallel build paths
 # (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised

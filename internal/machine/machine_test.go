@@ -185,6 +185,27 @@ func TestScaledPreservesRatios(t *testing.T) {
 	if Scaled(base, 1) != base {
 		t.Error("Scaled(m, 1) should return m unchanged")
 	}
+	// Every level keeps its capacity to within a line, also where the
+	// scaled size is below one full set (Haswell's 8-way L2 at 1024 is
+	// 256B, half a 512B set), so the tuned partition scales exactly.
+	for _, m := range []*Machine{SkylakeSilver4210(), HaswellE52667()} {
+		for _, div := range []int{256, 1024} {
+			s := Scaled(m, div)
+			for _, lv := range []struct {
+				name      string
+				orig, got Cache
+			}{{"L1", m.L1, s.L1}, {"L2", m.L2, s.L2}, {"LLC", m.LLC, s.LLC}} {
+				want := lv.orig.SizeBytes / div
+				if d := lv.got.SizeBytes - want; d > lv.orig.LineBytes || -d > lv.orig.LineBytes {
+					t.Errorf("%s/%d %s: scaled size %dB, want within a line of %dB",
+						m.Name, div, lv.name, lv.got.SizeBytes, want)
+				}
+			}
+			if got, want := s.TunedPartitionBytes(), m.TunedPartitionBytes()/div; got != want {
+				t.Errorf("%s/%d: TunedPartitionBytes = %d, want %d", m.Name, div, got, want)
+			}
+		}
+	}
 }
 
 func TestWithNodes(t *testing.T) {

@@ -1,8 +1,8 @@
 package machine
 
 // Scaled returns a copy of m with all capacity parameters (cache sizes,
-// DRAM) divided by div, keeping latencies, bandwidths, core counts, and
-// associativities unchanged.
+// DRAM) divided by div, keeping latencies, bandwidths and core counts
+// unchanged.
 //
 // Why this exists: the paper's datasets are billions of edges; the catalog
 // regenerates them scaled down by a divisor (internal/gen). Cache behaviour
@@ -13,8 +13,11 @@ package machine
 // and LLC spill points land at the same paper-labelled sizes. Experiment
 // reports label partition sizes at paper scale (the scaled size × div).
 //
-// Cache sizes are rounded to the nearest whole number of ways so the
-// geometry stays valid; they never round below one line per way.
+// Cache sizes are rounded to the nearest whole number of sets at the
+// original associativity so the geometry stays valid. A level whose scaled
+// size is smaller than one full set keeps its capacity instead of rounding
+// up to that set: it becomes a single set whose associativity is the scaled
+// size in whole lines (at least one line).
 func Scaled(m *Machine, div int) *Machine {
 	if div <= 1 {
 		return m
@@ -40,11 +43,18 @@ func Scaled(m *Machine, div int) *Machine {
 }
 
 func scaleCache(c Cache, div int) Cache {
-	way := c.LineBytes * c.Assoc
-	sets := (c.SizeBytes/div + way/2) / way
-	if sets < 1 {
-		sets = 1
+	size := c.SizeBytes / div
+	set := c.LineBytes * c.Assoc
+	if size < set {
+		lines := (size + c.LineBytes/2) / c.LineBytes
+		if lines < 1 {
+			lines = 1
+		}
+		c.Assoc = lines
+		c.SizeBytes = lines * c.LineBytes
+		return c
 	}
-	c.SizeBytes = sets * way
+	sets := (size + set/2) / set
+	c.SizeBytes = sets * set
 	return c
 }
