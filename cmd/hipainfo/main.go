@@ -1,8 +1,8 @@
 // Command hipainfo reports graph statistics and the hierarchical
 // partitioning a graph would receive on a machine: per-node partition/edge
 // assignment, per-thread groups, intra/inter-edge locality, compression
-// ratio, the resident size of the layout, and the NUMA page placement of
-// the attribute arrays.
+// ratio, the resident size of the layout and its intra pull's padding, and
+// the NUMA page placement of the attribute arrays.
 //
 // Usage:
 //
@@ -45,6 +45,8 @@ type infoReport struct {
 	Locality     partition.EdgeLocality `json:"locality"`
 	Compression  compressionInfo        `json:"compression"`
 	LayoutBytes  int64                  `json:"layout_bytes"`
+	PullPadding  int64                  `json:"pull_padding"`
+	PullPadShare float64                `json:"pull_padding_share"`
 	RankPages    []int64                `json:"rank_pages_per_node"`
 	RankBytes    int64                  `json:"rank_bytes"`
 	Versioned    *graph.VersionedStats  `json:"versioned,omitempty"`
@@ -201,6 +203,10 @@ func main() {
 		BinBytes:        lay.BinBytes(),
 	}
 	rep.LayoutBytes = lay.Bytes()
+	rep.PullPadding = lay.PullPadding()
+	if lay.IntraEdges > 0 {
+		rep.PullPadShare = float64(rep.PullPadding) / float64(lay.IntraEdges)
+	}
 
 	// NUMA placement of the rank array under HiPa's sliced policy.
 	space := memsim.NewSpace(m)
@@ -236,7 +242,9 @@ func main() {
 	fmt.Printf("compression: %d inter-edges -> %d messages (%.2f edges/message, %d blocks, bin %dB)\n",
 		rep.Compression.InterEdges, rep.Compression.Messages, rep.Compression.EdgesPerMessage,
 		rep.Compression.Blocks, rep.Compression.BinBytes)
-	fmt.Printf("layout     : %dB resident (blocks, messages, destinations, intra CSR)\n", rep.LayoutBytes)
+	fmt.Printf("layout     : %dB resident (blocks, messages, destinations, intra push CSR and pull)\n", rep.LayoutBytes)
+	fmt.Printf("intra pull : %d padding entries (%.1f%% of %d intra edges)\n",
+		rep.PullPadding, 100*rep.PullPadShare, rep.Locality.IntraEdges)
 	fmt.Printf("placement  : rank array %dB across %v pages per node (sliced by partition ownership)\n",
 		rep.RankBytes, rep.RankPages)
 }

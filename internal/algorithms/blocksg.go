@@ -36,12 +36,13 @@ const MaxBatch = 64
 // the same block/message/destination order, so a uniform column at B=1 is
 // bit-identical to the scalar HiPa engine.
 //
-// The intra-edges are pulled, as in the scalar kernel: the scatter stores
-// in acc each vertex's sum over its intra in-neighbours of the contribution
-// block contrib[u*B+j] = ranksCur[u*B+j] * Inv[u], which the rank update
-// writes next to every rank it writes. The sums are bit-identical to the
-// paper's push, and a node's pull is split over all of the node's threads
-// (common.PullSlices).
+// The intra-edges are pulled over the layout's sliced ELLPACK, as in the
+// scalar kernel: the scatter stores in acc each vertex's sum over its intra
+// in-neighbours of the contribution block contrib[u*B+j] = ranksCur[u*B+j]
+// * Inv[u], which the rank update writes next to every rank it writes. Row
+// n of contrib is the +0 the pull's padding entries add. The sums are
+// bit-identical to the paper's push, and a node's pull is split over all of
+// the node's threads (common.PullSlices).
 //
 // Each column carries its own restart vector: a nil/empty seed set is the
 // uniform PageRank column ((1-d)/n teleport everywhere), a non-empty seed
@@ -70,7 +71,7 @@ type BlockSG struct {
 
 	ranksCur  []float32 // n*B, read-only during an iteration
 	ranksNext []float32 // n*B, gather writes the owning partition's rows
-	contrib   []float32 // n*B, ranksCur·Inv; gather writes ranksNext·Inv
+	contrib   []float32 // (n+1)*B, ranksCur·Inv; gather writes ranksNext·Inv; row n is +0
 	acc       []float32 // n*B accumulators, stored by the intra pull
 	seedAdd   []float32 // n*B sparse teleport addends of personalized columns
 
@@ -129,7 +130,8 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 		arena:      arena,
 	}
 	s.ranksCur, s.ranksNext = arena.RanksBlockPair(n * b)
-	s.contrib = arena.ContribBlock(n * b)
+	s.contrib = arena.ContribBlock((n + 1) * b)
+	clear(s.contrib[n*b:])
 	s.acc = arena.AccBlock(n * b)
 	s.lanes = arena.ColLanes(threads * s.laneStride)
 
@@ -195,50 +197,127 @@ func (s *BlockSG) StartIteration(it int) {
 	s.started++
 }
 
-// PullIntra stores in acc[v*B+j], for each v in [lo,hi) and each active
-// column j, the sum of contrib[u*B+j] over v's intra in-neighbours u in
-// ascending order, starting from +0: the same float32 adds in the same
-// order as a push of ranksCur[u*B+j]*Inv[u] over the intra-edges into a
-// zeroed block, so the sums are bit-identical to the paper's push, while
-// disjoint vertex ranges can run on different threads. Inter-partition
+// pullTileRows sizes PullIntra's tile: a tile of pullTileRows/B steps of a
+// chunk reads at most 8*pullTileRows/B contribution rows of B floats, 16 KB,
+// so they stay in L1 while every active column walks the tile.
+const pullTileRows = 512
+
+// PullIntra stores in acc[v*B+j], for each vertex v of the pull chunks
+// [clo,chi) and each active column j, the sum of contrib[u*B+j] over v's
+// intra in-neighbours u in ascending order, starting from +0: the same
+// float32 adds in the same order as a push of ranksCur[u*B+j]*Inv[u] over
+// the intra-edges into a zeroed block, so the sums are bit-identical to the
+// paper's push, while disjoint chunk ranges can run on different threads.
+// A chunk's eight lanes are summed side by side, eight independent add
+// chains per column, as in SGState.PullIntra: padding entries add row n's
+// +0, which no sum (never −0) notices, and padding lanes are not stored.
+// With several active columns the chunk is walked in tiles, each column
+// of a tile in turn, so the tile's contribution rows are read from memory
+// once for all the columns; a tile that starts with padding lanes sums
+// only its real lanes, one at a time, and stops each at its padding, so
+// the wide batches do not pay B adds per padding entry. Inter-partition
 // traffic needs no scatter work at all — the gather side reads source rank
 // blocks directly.
-func (s *BlockSG) PullIntra(lo, hi int) {
-	off, src := s.Lay.IntraInOff, s.Lay.IntraSrc
+func (s *BlockSG) PullIntra(clo, chi int) {
+	const lanes = layout.PullLanes
+	off, idx, perm := s.Lay.PullChunk, s.Lay.PullIdx, s.Lay.PullPerm
 	b := s.B
 	cols := s.cols
 	contrib, acc := s.contrib, s.acc
-	e := off[lo]
+	sink := graph.VertexID(len(acc) / b)
 	if len(cols) == 1 {
 		// Column-scalar: one active column needs no per-column loop or
 		// scratch.
 		j := int(cols[0])
-		for v := lo; v < hi; v++ {
-			end := off[v+1]
-			var sum float32
-			for _, u := range src[e:end:end] {
-				sum += contrib[int(u)*b+j]
+		for c := clo; c < chi; c++ {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float32
+			for e, end := off[c], off[c+1]; e < end; e += lanes {
+				r := idx[e : e+lanes : e+lanes]
+				s0 += contrib[int(r[0])*b+j]
+				s1 += contrib[int(r[1])*b+j]
+				s2 += contrib[int(r[2])*b+j]
+				s3 += contrib[int(r[3])*b+j]
+				s4 += contrib[int(r[4])*b+j]
+				s5 += contrib[int(r[5])*b+j]
+				s6 += contrib[int(r[6])*b+j]
+				s7 += contrib[int(r[7])*b+j]
 			}
-			acc[v*b+j] = sum
-			e = end
+			v := perm[c*lanes : c*lanes+lanes : c*lanes+lanes]
+			if v[lanes-1] == sink {
+				sums := [lanes]float32{s0, s1, s2, s3, s4, s5, s6, s7}
+				for i, u := range v {
+					if u != sink {
+						acc[int(u)*b+j] = sums[i]
+					}
+				}
+				continue
+			}
+			acc[int(v[0])*b+j], acc[int(v[1])*b+j], acc[int(v[2])*b+j], acc[int(v[3])*b+j] = s0, s1, s2, s3
+			acc[int(v[4])*b+j], acc[int(v[5])*b+j], acc[int(v[6])*b+j], acc[int(v[7])*b+j] = s4, s5, s6, s7
 		}
 		return
 	}
-	var sums [MaxBatch]float32
-	for v := lo; v < hi; v++ {
-		end := off[v+1]
-		clear(sums[:len(cols)])
-		for _, u := range src[e:end:end] {
-			cb := contrib[int(u)*b : int(u)*b+b : int(u)*b+b]
+	// Several columns: each column of a tile is summed like the scalar
+	// path, eight lanes side by side, while the tile's contribution rows
+	// stay in L1 for the next column.
+	var sums [MaxBatch][lanes]float32
+	step := int64(max(1, pullTileRows/b)) * lanes
+	for c := clo; c < chi; c++ {
+		for k := range cols {
+			sums[k] = [lanes]float32{}
+		}
+		for t, end := off[c], off[c+1]; t < end; t += step {
+			tend := min(t+step, end)
+			// Lanes are sorted by length, so the lanes still real at the
+			// tile's first step are a prefix.
+			live := 0
+			for live < lanes && idx[t+int64(live)] != sink {
+				live++
+			}
+			if live < lanes {
+				for k, j := range cols {
+					j := int(j)
+					for i := 0; i < live; i++ {
+						sum := sums[k][i]
+						for e := t + int64(i); e < tend; e += lanes {
+							u := int(idx[e])
+							if u == int(sink) {
+								break
+							}
+							sum += contrib[u*b+j]
+						}
+						sums[k][i] = sum
+					}
+				}
+				continue
+			}
 			for k, j := range cols {
-				sums[k] += cb[j]
+				j := int(j)
+				sk := &sums[k]
+				s0, s1, s2, s3, s4, s5, s6, s7 := sk[0], sk[1], sk[2], sk[3], sk[4], sk[5], sk[6], sk[7]
+				for e := t; e < tend; e += lanes {
+					r := idx[e : e+lanes : e+lanes]
+					s0 += contrib[int(r[0])*b+j]
+					s1 += contrib[int(r[1])*b+j]
+					s2 += contrib[int(r[2])*b+j]
+					s3 += contrib[int(r[3])*b+j]
+					s4 += contrib[int(r[4])*b+j]
+					s5 += contrib[int(r[5])*b+j]
+					s6 += contrib[int(r[6])*b+j]
+					s7 += contrib[int(r[7])*b+j]
+				}
+				*sk = [lanes]float32{s0, s1, s2, s3, s4, s5, s6, s7}
 			}
 		}
-		ab := acc[v*b : v*b+b : v*b+b]
-		for k, j := range cols {
-			ab[j] = sums[k]
+		for i, u := range perm[c*lanes : c*lanes+lanes : c*lanes+lanes] {
+			if u == sink {
+				break
+			}
+			ab := acc[int(u)*b : int(u)*b+b : int(u)*b+b]
+			for k, j := range cols {
+				ab[j] = sums[k][i]
+			}
 		}
-		e = end
 	}
 }
 
@@ -472,7 +551,7 @@ func (s *BlockSG) LineSteps() int64 { return s.lineSteps }
 
 // PinnedKernels adapts the blocked kernel to the superstep driver under
 // HiPa's pinned thread-data mapping: in the scatter, thread tid pulls the
-// intra sums of its slice of its node's vertex range (common.PullSlices,
+// intra sums of its slice of its node's pull chunks (common.PullSlices,
 // HiPa's split); in the gather it owns exactly the partitions of
 // groups[tid]. All function values are created here, once per Exec,
 // keeping the driver's zero-allocations-per-iteration guarantee.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hipa/internal/engines/common"
+	"hipa/internal/execbuf"
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/layout"
@@ -35,6 +36,7 @@ func TestBlockPullMatchesPush(t *testing.T) {
 	}{
 		{1, []int32{0}},
 		{5, []int32{0, 2, 4}},
+		{64, []int32{0, 5, 31, 63}}, // tiles of 8 steps: many tile and lane ends
 	} {
 		rng := rand.New(rand.NewPCG(11, uint64(tc.b)))
 		ranks := make([]float32, n*tc.b)
@@ -55,11 +57,11 @@ func TestBlockPullMatchesPush(t *testing.T) {
 			if hier.NumPartitions() < 2 {
 				t.Fatalf("%d partitions, want several", hier.NumPartitions())
 			}
-			var hub int64
-			for v := 0; v < n; v++ {
-				hub = max(hub, lay.IntraInOff[v+1]-lay.IntraInOff[v])
+			in := make([]int, n)
+			for _, d := range lay.IntraDst {
+				in[d]++
 			}
-			if hub < 1000 {
+			if hub := slices.Max(in); hub < 1000 {
 				t.Fatalf("largest intra in-degree %d, want an intra hub of at least 1000", hub)
 			}
 			clear(want)
@@ -76,7 +78,7 @@ func TestBlockPullMatchesPush(t *testing.T) {
 					t.Fatal(err)
 				}
 				copy(s.ranksCur, ranks)
-				for i := range s.contrib {
+				for i := range ranks {
 					s.contrib[i] = ranks[i] * inv[i/tc.b]
 				}
 				for i := range s.acc {
@@ -106,10 +108,64 @@ func TestBlockPullMatchesPush(t *testing.T) {
 	}
 }
 
+// TestBlockSGZeroSlotOnReusedArena: contribution row n, the +0 the pull's
+// padding entries add, is +0 before the first pull even on an arena whose
+// contribution block a wider batch left full of ranks, and the ranks then
+// equal those of a fresh arena bit for bit. At B=1 on an arena last used at
+// B=4, index n of the block holds column n%4 of vertex n/4.
+func TestBlockSGZeroSlotOnReusedArena(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 3001, Edges: 40000, OutAlpha: 2.1, InAlpha: 0.9, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	hier, err := partition.Build(g, partition.Config{PartitionBytes: 4 << 10, BytesPerVertex: 4, NumNodes: 2, GroupsPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := layout.Build(g, hier, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lay.PullPadding() == 0 {
+		t.Fatal("fixture layout has no pull padding")
+	}
+	inv := common.InvOutDegrees(g)
+	// run ranks b uniform columns for 10 iterations on arena a and returns
+	// the state after checking that row n started at +0.
+	run := func(b int, a *execbuf.Arena) *BlockSG {
+		s, err := NewBlockSG(g, hier, lay, inv, 0.85, 0, len(hier.Groups), make([][]graph.VertexID, b), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range s.contrib[n*b : (n+1)*b] {
+			if math.Float32bits(c) != 0 {
+				t.Fatalf("B=%d: contribution row n column %d = %v before the first pull, want +0", b, j, c)
+			}
+		}
+		common.RunSupersteps(common.SuperstepConfig{Threads: len(hier.Groups), Parallelism: 1, Iterations: 10}, s.PinnedKernels(hier.Groups))
+		return s
+	}
+	arena := &execbuf.Arena{}
+	if wide := run(4, arena); math.Float32bits(wide.contrib[n]) == 0 {
+		t.Fatal("the B=4 run left +0 at index n; the reuse would not show a stale slot")
+	}
+	got, want := make([]float32, n), make([]float32, n)
+	run(1, arena).CopyColumn(0, got)
+	run(1, nil).CopyColumn(0, want)
+	for v := range want {
+		if math.Float32bits(got[v]) != math.Float32bits(want[v]) {
+			t.Fatalf("vertex %d: rank %v on the reused arena, %v on a fresh one", v, got[v], want[v])
+		}
+	}
+}
+
 // BenchmarkBlockScatter times one thread's dense scatter of the blocked
 // kernel — the intra pull over the whole graph — at widths 1 and 8 on a
 // journal-shaped power-law graph of 18,750 vertices, one 256 KB partition as
-// in the rank-small benchmark, and reports the cost per edge.
+// in the rank-small benchmark. It reports the cost per real edge, padding
+// not counted, and the pull's padding entries as a percentage of its intra
+// edges (pad_pct).
 func BenchmarkBlockScatter(b *testing.B) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 18750, Edges: 267578, OutAlpha: 2.3, InAlpha: 0.9, Seed: 1, HotShuffle: true})
 	if err != nil {
@@ -124,7 +180,7 @@ func BenchmarkBlockScatter(b *testing.B) {
 		b.Fatal(err)
 	}
 	inv := common.InvOutDegrees(g)
-	for _, width := range []int{1, 8} {
+	for _, width := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("B=%d", width), func(b *testing.B) {
 			s, err := NewBlockSG(g, hier, lay, inv, 0.85, 0, 1, make([][]graph.VertexID, width), nil)
 			if err != nil {
@@ -136,6 +192,7 @@ func BenchmarkBlockScatter(b *testing.B) {
 				k.Scatter(0)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+			b.ReportMetric(100*float64(lay.PullPadding())/float64(lay.IntraEdges), "pad_pct")
 		})
 	}
 }

@@ -347,7 +347,7 @@ func FCFSKernels(s *SGState) PhaseKernels {
 // (Algorithm 2): thread tid gathers exactly the partitions of its group,
 // every iteration — the one-to-many thread-data mapping. Its scatter fills
 // the bins of its group's outgoing messages and pulls the intra sums of its
-// slice of its node's vertex range (PullSlices): the node's intra work is
+// slice of its node's pull chunks (PullSlices): the node's intra work is
 // split over all of the node's threads, so a partition larger than its
 // share of the edges, or a graph that is one partition, does not leave the
 // node's other threads idle. The pull's sums are bit-identical under any
@@ -366,24 +366,24 @@ func PinnedKernels(s *SGState, groups []partition.Group) PhaseKernels {
 	}
 }
 
-// PullSlices cuts each node's vertex range [VertexLow, VertexHigh) into one
-// contiguous slice per thread of the node, of about equal intra in-edges
-// plus vertices (a vertex costs its row set-up even when it has no intra
-// in-edges). The cuts are binary searches over IntraInOff. Thread tid pulls
-// [slices[2·tid], slices[2·tid+1]); slices is an arena buffer of
-// 2·len(groups) entries, filled and returned. Every pinned kernel with an
-// intra pull (HiPa's and the blocked B-PPR kernel) slices with it.
+// PullSlices cuts each node's pull chunks, those of its partitions, into
+// one contiguous slice per thread of the node, of about equal cost: a
+// chunk costs its entries, padding included, plus one per lane for the
+// stores. The cuts are binary searches over the chunk offsets. Thread tid
+// pulls chunks [slices[2·tid], slices[2·tid+1]); slices is an arena buffer
+// of 2·len(groups) entries, filled and returned. Every pinned kernel with
+// an intra pull (HiPa's and the blocked B-PPR kernel) slices with it.
 func PullSlices(lay *layout.Layout, hier *partition.Hierarchy, groups []partition.Group, slices []int32) []int32 {
-	off := lay.IntraInOff
+	off := lay.PullChunk
 	for start := 0; start < len(groups); {
 		end := start + 1
 		for end < len(groups) && groups[end].Node == groups[start].Node {
 			end++
 		}
 		na := hier.Nodes[groups[start].Node]
-		lo, hi := int(na.VertexLow), int(na.VertexHigh)
-		// cost(v) is the pull work of [lo, v): strictly increasing in v.
-		cost := func(v int) int64 { return off[v] - off[lo] + int64(v-lo) }
+		lo, hi := int(lay.PullPart[na.PartStart]), int(lay.PullPart[na.PartEnd])
+		// cost(c) is the pull work of chunks [lo, c): strictly increasing in c.
+		cost := func(c int) int64 { return off[c] - off[lo] + layout.PullLanes*int64(c-lo) }
 		k := int64(end - start)
 		cut := lo
 		for j := start; j < end; j++ {
@@ -398,7 +398,7 @@ func PullSlices(lay *layout.Layout, hier *partition.Hierarchy, groups []partitio
 }
 
 // pinnedScatter is the pinned scatter phase: thread tid pulls its slice of
-// its node's vertex range, then writes its group's message bins.
+// its node's pull chunks, then writes its group's message bins.
 type pinnedScatter struct {
 	s      *SGState
 	groups []partition.Group

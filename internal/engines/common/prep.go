@@ -143,6 +143,13 @@ func (p *Prepared) ReleaseArena(a *execbuf.Arena) { p.arenas.Put(a) }
 // arenas (peak Exec concurrency), Reused counts warm acquisitions.
 func (p *Prepared) ArenaStats() execbuf.PoolStats { return p.arenas.Stats() }
 
+// Supersede retires p in favour of next, the artifact now published in its
+// place: p's warm arenas move to next's pool, and an arena an Exec still
+// holds on p is handed to next when it is released. Call it at the swap,
+// not after Advance alone — an advanced artifact that is never published
+// (a reload failing in a later batch) must leave p's pool serving p.
+func (p *Prepared) Supersede(next *Prepared) { p.arenas.Supersede(&next.arenas) }
+
 // Partition returns the partition-centric payload, or nil for a vertex
 // artifact.
 func (p *Prepared) Partition() *PartArtifact { return p.part }

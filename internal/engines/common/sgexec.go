@@ -33,7 +33,7 @@ type SGState struct {
 	Hier *partition.Hierarchy
 
 	Ranks   []float32 // current ranks; overwritten in the gather phase
-	Contrib []float32 // Ranks[v]·Inv[v], written next to Ranks[v]
+	Contrib []float32 // Ranks[v]·Inv[v], written next to Ranks[v]; Contrib[n] is the pull's +0 sink
 	Acc     []float32 // per-vertex accumulators, stored by the intra pull
 	Bins    []float32 // one slot per compressed message
 	Inv     []float32 // 1/outdeg, 0 for dangling
@@ -93,7 +93,7 @@ func NewSGStateArena(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layo
 	s := &SGState{
 		G: g, Lay: lay, Hier: hier,
 		Ranks:     arena.Ranks(n),
-		Contrib:   arena.Contrib(n),
+		Contrib:   arena.Contrib(n + 1),
 		Acc:       arena.Acc(n),
 		Bins:      arena.Bins(int(lay.NumMessages())),
 		Inv:       inv,
@@ -157,36 +157,57 @@ func (s *SGState) SeedDangling(groups []partition.Group) {
 }
 
 // ScatterPartition runs the scatter phase for partition p: the intra pull
-// over p's vertices, then one compressed value per outgoing message. The
+// over p's chunks, then one compressed value per outgoing message. The
 // FCFS engines and EC-HiPa scatter a partition at a time; HiPa's pinned
 // kernels split the pull across a node's threads instead (PinnedKernels).
 func (s *SGState) ScatterPartition(p int, tid int) {
 	_ = tid
-	part := s.Hier.Partitions[p]
-	s.PullIntra(int(part.VertexStart), int(part.VertexEnd))
+	s.PullIntra(int(s.Lay.PullPart[p]), int(s.Lay.PullPart[p+1]))
 	s.ScatterMessages(p)
 }
 
-// PullIntra stores in Acc[v], for each v in [lo,hi), the sum of Contrib[u]
-// over v's intra in-neighbours u in ascending order, starting from +0. A
-// push over the intra-edges adds the same values into the same zeroed
-// accumulator in the same source order, so the sums are bit-identical to
-// the paper's push; unlike the push, disjoint vertex ranges can run on
-// different threads. Dangling vertices have no out-edges, so they appear in
-// no row; their mass was already folded into the partials by the previous
-// gather.
-func (s *SGState) PullIntra(lo, hi int) {
-	off, src := s.Lay.IntraInOff, s.Lay.IntraSrc
+// PullIntra stores in Acc[v], for each vertex v of the pull chunks
+// [clo,chi), the sum of Contrib[u] over v's intra in-neighbours u in
+// ascending order, starting from +0. A push over the intra-edges adds the
+// same values into the same zeroed accumulator in the same source order,
+// so the sums are bit-identical to the paper's push; unlike the push,
+// disjoint chunk ranges can run on different threads. A chunk's eight lanes
+// are eight independent add chains. Padding entries add Contrib[n], +0,
+// which leaves a sum unchanged: no sum is −0, as it starts at +0 and every
+// contribution is ≥ +0. Padding lanes, which only end a partition's last
+// chunk, are not stored. Dangling vertices have no out-edges, so they
+// appear in no row; their mass was already folded into the partials by the
+// previous gather.
+func (s *SGState) PullIntra(clo, chi int) {
+	const lanes = layout.PullLanes
+	off, idx, perm := s.Lay.PullChunk, s.Lay.PullIdx, s.Lay.PullPerm
 	contrib, acc := s.Contrib, s.Acc
-	e := off[lo]
-	for v := lo; v < hi; v++ {
-		end := off[v+1]
-		var sum float32
-		for _, u := range src[e:end:end] {
-			sum += contrib[u]
+	sink := graph.VertexID(len(acc))
+	for c := clo; c < chi; c++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		for e, end := off[c], off[c+1]; e < end; e += lanes {
+			r := idx[e : e+lanes : e+lanes]
+			s0 += contrib[r[0]]
+			s1 += contrib[r[1]]
+			s2 += contrib[r[2]]
+			s3 += contrib[r[3]]
+			s4 += contrib[r[4]]
+			s5 += contrib[r[5]]
+			s6 += contrib[r[6]]
+			s7 += contrib[r[7]]
 		}
-		acc[v] = sum
-		e = end
+		v := perm[c*lanes : c*lanes+lanes : c*lanes+lanes]
+		if v[lanes-1] == sink {
+			sums := [lanes]float32{s0, s1, s2, s3, s4, s5, s6, s7}
+			for i, u := range v {
+				if u != sink {
+					acc[u] = sums[i]
+				}
+			}
+			continue
+		}
+		acc[v[0]], acc[v[1]], acc[v[2]], acc[v[3]] = s0, s1, s2, s3
+		acc[v[4]], acc[v[5]], acc[v[6]], acc[v[7]] = s4, s5, s6, s7
 	}
 }
 

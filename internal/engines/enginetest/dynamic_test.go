@@ -305,3 +305,39 @@ func TestWarmStartLengthValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestArenasSurviveSwap: an Exec that holds its arena across a reload
+// returns it to the superseded artifact's pool, which forwards it to the
+// published artifact's, so a chain of reloads under load creates one arena
+// in all: every later checkout, on whichever version, reuses it.
+func TestArenasSurviveSwap(t *testing.T) {
+	o := dynamicOptions(3)
+	g0, steps := dynamicReplay(t, 4, 64)
+	eng := hipa.Engine{}
+	prep, err := eng.Prepare(g0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []*common.Prepared{prep}
+	for i, st := range steps {
+		held := prep.AcquireArena() // an Exec in flight across the swap
+		next, err := prep.Advance(st.d, o)
+		if err != nil {
+			t.Fatalf("step %d: Advance: %v", i, err)
+		}
+		prep.Supersede(next)
+		prep.ReleaseArena(held)
+		if _, err := eng.Exec(next, o); err != nil {
+			t.Fatalf("step %d: exec on advanced artifact: %v", i, err)
+		}
+		chain = append(chain, next)
+		prep = next
+		var created int64
+		for _, p := range chain {
+			created += p.ArenaStats().Created
+		}
+		if created != 1 {
+			t.Fatalf("after reload %d: %d arenas created over the version chain, want 1", i+1, created)
+		}
+	}
+}

@@ -404,11 +404,16 @@ type PoolStats struct {
 // The free list is bounded: once a concurrency burst subsides, Put drops
 // arenas beyond the cap (SetCap; default GOMAXPROCS) instead of pinning the
 // burst's peak memory for the artifact's lifetime.
+//
+// A superseded pool (Supersede) forwards its Puts to its successor, so an
+// arena an Exec held across an artifact swap stays warm for the next
+// version's Execs instead of landing on a free list no one draws from.
 type Pool struct {
 	mu    sync.Mutex
 	free  []*Arena
 	cap   int // 0 = default (GOMAXPROCS at Put time)
 	stats PoolStats
+	next  *Pool // successor set by Supersede; nil while current
 }
 
 // SetCap bounds the pool's free list to n warm arenas; excess arenas are
@@ -462,11 +467,12 @@ func (p *Pool) Get() *Arena {
 }
 
 // Put returns an arena to the free list for the next Exec, dropping it
-// instead when the free list is already at the pool's cap. The checkout is
-// settled with the pool that issued the arena (its Get may have come from a
-// previous artifact's pool when a reload swapped artifacts mid-flight), so
-// per-pool Outstanding and the process gauge stay exact; an arena that is
-// not checked out (double Put) adjusts no counter.
+// instead when the free list is already at the pool's cap. A superseded
+// pool hands the arena on to its newest successor's free list. The checkout
+// is settled with the pool that issued the arena (its Get may have come
+// from a previous artifact's pool when a reload swapped artifacts
+// mid-flight), so per-pool Outstanding and the process gauge stay exact; an
+// arena that is not checked out (double Put) adjusts no counter.
 func (p *Pool) Put(a *Arena) {
 	if a == nil {
 		return
@@ -480,6 +486,12 @@ func (p *Pool) Put(a *Arena) {
 		owner.mu.Unlock()
 	}
 	p.mu.Lock()
+	for p.next != nil {
+		next := p.next
+		p.mu.Unlock()
+		p = next
+		p.mu.Lock()
+	}
 	if len(p.free) < p.capLocked() {
 		p.free = append(p.free, a)
 	} else {
@@ -517,6 +529,22 @@ func (p *Pool) MoveTo(dst *Pool) {
 	dst.free = append(dst.free, moved[:room]...)
 	dst.stats.Freed += int64(len(moved) - room)
 	dst.mu.Unlock()
+}
+
+// Supersede makes dst p's successor: it drains p's free list into dst and
+// forwards every later Put to p on to dst, so an arena an Exec holds across
+// the swap warms dst's free list. Call it once dst's artifact has replaced
+// p's for good (a published snapshot), not when dst is merely built: a
+// superseded pool keeps no arenas for its own Execs. The caller owns the
+// ordering — dst must be newer than p, so the forwarding chain ends.
+func (p *Pool) Supersede(dst *Pool) {
+	if p == dst || p == nil || dst == nil {
+		return
+	}
+	p.mu.Lock()
+	p.next = dst
+	p.mu.Unlock()
+	p.MoveTo(dst)
 }
 
 // Stats returns a snapshot of the pool's traffic counters.

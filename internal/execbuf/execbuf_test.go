@@ -303,3 +303,37 @@ func TestPoolMoveToMidFlight(t *testing.T) {
 		t.Errorf("global outstanding = %d, want %d", got, baseOut)
 	}
 }
+
+// TestPoolForwardsPutsToSuccessor: an arena checked out before two artifact
+// swaps and Put back to the first, superseded pool lands on the newest
+// pool's free list, so the next Exec reuses it instead of creating one. A
+// pool that was only drained (MoveTo, an advance never published) keeps
+// its own Puts.
+func TestPoolForwardsPutsToSuccessor(t *testing.T) {
+	var old, mid, cur Pool
+	held := old.Get()
+	old.Supersede(&mid)
+	mid.Supersede(&cur)
+	old.Put(held)
+	if got := cur.Get(); got != held {
+		t.Fatalf("newest pool handed out %p, want the forwarded arena %p", got, held)
+	}
+	if s := cur.Stats(); s.Created != 0 || s.Reused != 1 {
+		t.Errorf("newest pool stats = %+v, want Created=0 Reused=1", s)
+	}
+	if s := old.Stats(); s.Outstanding != 0 {
+		t.Errorf("old pool outstanding = %d after the forwarded Put, want 0", s.Outstanding)
+	}
+	cur.Put(held)
+
+	var live, unpublished Pool
+	a := live.Get()
+	live.MoveTo(&unpublished)
+	live.Put(a)
+	if got := live.Get(); got != a {
+		t.Fatalf("drained pool handed out %p, want its own returned arena %p", got, a)
+	}
+	if s := unpublished.Stats(); s.Reused != 0 || s.Created != 0 {
+		t.Errorf("unpublished pool stats = %+v, want no traffic", s)
+	}
+}

@@ -15,12 +15,20 @@
 // Intra-edges are stored twice. IntraOff/IntraDst is the paper's push CSR,
 // source-ordered, which the sparse consumers (Delta-PR's frontier, the
 // framework programs, SpMV, the cost model and the exact simulator) walk.
-// IntraInOff/IntraSrc is its transpose: each destination's intra
-// in-neighbours in ascending source order. The dense scatters (the scalar
-// kernel's and B-PPR's BlockSG) pull over it, summing a destination's
-// sources in exactly the order the push would have added them, so the two
-// directions give bit-identical float32 sums, and a pull over a vertex
-// range can be split across threads without races.
+// The dense scatters (the scalar kernel's and B-PPR's BlockSG) pull instead,
+// over a sliced ELLPACK of each partition's intra in-edges (SELL-C-σ with
+// C = PullLanes and σ = the whole partition, Kreutzer et al.): the
+// partition's vertices are sorted by intra in-degree, descending and stable
+// by ID, and cut into chunks of PullLanes rows. A chunk is stored
+// column-major, so one step through it reads one source for each of its
+// rows, and every row lists its sources in ascending order, padded up to
+// the chunk's longest row with the sink index n. A kernel keeps one running
+// sum per lane: PullLanes independent add chains and no per-row loop exit.
+// Each row still adds its sources in exactly the order the push would have,
+// starting from +0; the padding adds the +0 contribution engines keep at
+// index n, which leaves a sum that is never −0 unchanged. So the pull's
+// float32 sums are bit-identical to the push's, and any set of chunks can
+// run on a different thread without races.
 //
 // A message's destinations are not delimited by offsets: each block's
 // destinations are one contiguous run of MsgDst, and the first destination
@@ -46,6 +54,10 @@ import (
 // FirstDst marks the first destination of each message in MsgDst. The
 // vertex ID is the entry with the bit cleared (d &^ FirstDst).
 const FirstDst graph.VertexID = 1 << 31
+
+// PullLanes is the number of rows interleaved in one chunk of the intra
+// pull.
+const PullLanes = 8
 
 // maxVertices bounds a layout's vertex count: every vertex ID must leave the
 // FirstDst bit clear.
@@ -96,10 +108,18 @@ type Layout struct {
 	// edges are IntraDst[IntraOff[v]:IntraOff[v+1]].
 	IntraOff []int64
 	IntraDst []graph.VertexID
-	// The transposed intra CSR: the sources of v's intra-partition in-edges
-	// are IntraSrc[IntraInOff[v]:IntraInOff[v+1]], ascending.
-	IntraInOff []int64
-	IntraSrc   []graph.VertexID
+	// The intra pull, sliced ELLPACK per partition. Partition p's chunks
+	// are [PullPart[p], PullPart[p+1]), ceil(|p|/PullLanes) of them.
+	// PullPerm[c·PullLanes+i] is the vertex of lane i of chunk c, or n for
+	// a padding lane; padding lanes only trail a partition's last chunk.
+	// Chunk c's entries are PullIdx[PullChunk[c]:PullChunk[c+1]],
+	// column-major: entry k of lane i is PullIdx[PullChunk[c]+k·PullLanes+i].
+	// A lane holds its vertex's intra in-neighbours in ascending order, then
+	// n up to the chunk's width, the in-degree of its first lane.
+	PullPart  []int32
+	PullChunk []int64
+	PullPerm  []graph.VertexID
+	PullIdx   []graph.VertexID
 
 	// Totals for reporting and the analytic model.
 	IntraEdges int64
@@ -121,20 +141,20 @@ func Build(g *graph.Graph, h *partition.Hierarchy, compress bool) (*Layout, erro
 //
 // Both edge-scanning passes (count, then fill) run parallel over source
 // partitions: every array cell they touch — a (p,q) row of the pair-count
-// and cursor matrices, a vertex's intra range in either direction (an intra
-// edge's destination lies in its source's partition), a message inside one
-// of p's blocks — is owned by exactly one source partition p, so rows can be
-// processed concurrently with disjoint writes, and within a row the serial
-// vertex order is preserved. Rows are split by edge weight so one hub
-// partition cannot serialize the build. The layout is bit-identical at any
-// worker count.
+// and cursor matrices, a vertex's push row and pull lane (an intra edge's
+// destination lies in its source's partition), p's pull chunks, a message
+// inside one of p's blocks — is owned by exactly one source partition p, so
+// rows can be processed concurrently with disjoint writes, and within a row
+// the serial vertex order is preserved. Rows are split by edge weight so one
+// hub partition cannot serialize the build. The layout is bit-identical at
+// any worker count.
 func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers int) (*Layout, error) {
 	if err := checkVertices(g, h); err != nil {
 		return nil, err
 	}
 	P := h.NumPartitions()
-	l := newLayout(P, g.NumVertices(), compress)
-	s := rowScan{per: h.VerticesPerPartition, off: g.OutOffsets(), adj: g.OutEdges(), compress: compress}
+	l := newLayout(h, compress)
+	s := newRowScan(g, h, compress)
 
 	// Row split: contiguous source-partition ranges of roughly equal edge
 	// weight, one per worker.
@@ -149,15 +169,18 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 	}
 
 	// Pass 1: count messages and destinations per (p,q), and intra out- and
-	// in-edges per vertex. The pair matrix is dense; partition counts stay
-	// small at realistic partition sizes (P = |V|·4B / partitionBytes).
+	// in-edges per vertex, then order each partition's pull rows. The pair
+	// matrix is dense; partition counts stay small at realistic partition
+	// sizes (P = |V|·4B / partitionBytes).
 	msgCount := make([]int64, P*P)
 	dstCount := make([]int64, P*P)
 	intraPerRow := make([]int64, P)
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
+		var hist []int64
 		for p := plo; p < phi; p++ {
 			vlo, vhi := rowRange(p)
 			intraPerRow[p] = s.count(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
+			hist = s.sortPull(l, p, vlo, vhi, hist)
 		}
 	})
 	var intraTotal int64
@@ -166,10 +189,10 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 	}
 	l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
 
-	// Pass 2: fill messages, their destinations and both intra CSRs in one
-	// row-parallel scan, through the per-block cursors placeBlocks left in
-	// msgCount and dstCount and the per-destination cursors it left in
-	// IntraInOff.
+	// Pass 2: fill messages, their destinations and both intra directions
+	// in one row-parallel scan, through the per-block cursors placeBlocks
+	// left in msgCount and dstCount and the per-destination lane cursors
+	// fill derives from the pull chunks.
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
 			vlo, vhi := rowRange(p)
@@ -191,16 +214,27 @@ func checkVertices(g *graph.Graph, h *partition.Hierarchy) error {
 	return nil
 }
 
-func newLayout(P, n int, compress bool) *Layout {
-	return &Layout{
+// newLayout allocates the per-partition and per-vertex arrays, whose sizes
+// follow from h alone: the push offsets, and the pull's chunk ranges,
+// chunk offsets and lane permutation.
+func newLayout(h *partition.Hierarchy, compress bool) *Layout {
+	P := h.NumPartitions()
+	l := &Layout{
 		NumPartitions: P,
 		Compressed:    compress,
 		SrcBlockStart: make([]int32, P),
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
-		IntraOff:      make([]int64, n+1),
-		IntraInOff:    make([]int64, n+1),
+		IntraOff:      make([]int64, h.NumVertices+1),
+		PullPart:      make([]int32, P+1),
 	}
+	for p, part := range h.Partitions {
+		l.PullPart[p+1] = l.PullPart[p] + int32((part.Vertices()+PullLanes-1)/PullLanes)
+	}
+	chunks := int(l.PullPart[P])
+	l.PullChunk = make([]int64, chunks+1)
+	l.PullPerm = make([]graph.VertexID, chunks*PullLanes)
+	return l
 }
 
 // rowScan walks the out-adjacency rows of one source partition's vertices,
@@ -210,27 +244,38 @@ func newLayout(P, n int, compress bool) *Layout {
 // p is intra when its destination lies in p's range [p·per, (p+1)·per), one
 // unsigned compare; only inter-edges pay a division, in 32 bits (vertex IDs
 // stay below 2^31), for their destination partition.
+//
+// pull[v] is v's intra in-degree after count, and v's next entry in its
+// pull lane during fill; sink (the vertex count) pads the pull.
 type rowScan struct {
 	per      int
 	off      []int64
 	adj      []graph.VertexID
 	compress bool
+	pull     []int64
+	sink     graph.VertexID
+}
+
+func newRowScan(g *graph.Graph, h *partition.Hierarchy, compress bool) rowScan {
+	n := g.NumVertices()
+	return rowScan{per: h.VerticesPerPartition, off: g.OutOffsets(), adj: g.OutEdges(), compress: compress,
+		pull: make([]int64, n), sink: graph.VertexID(n)}
 }
 
 // count adds source partition p's messages and destinations per destination
-// partition q to msgs[q] and dsts[q] (p's row of the pair matrices), and each
-// vertex v's intra out- and in-edges to l.IntraOff[v+1] and l.IntraInOff[v+1].
-// It returns p's intra-edge total.
+// partition q to msgs[q] and dsts[q] (p's row of the pair matrices), each
+// vertex v's intra out-edges to l.IntraOff[v+1] and its intra in-edges to
+// s.pull[v]. It returns p's intra-edge total.
 func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
 	var intra int64
-	outOff, inOff := l.IntraOff, l.IntraInOff
+	outOff, in := l.IntraOff, s.pull
 	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
 		var out int64
 		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
 			if uint32(d)-lo < per {
-				inOff[d+1]++
+				in[d]++
 				out++
 				continue
 			}
@@ -247,17 +292,57 @@ func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
 	return intra
 }
 
+// sortPull orders partition p's vertices [vlo,vhi) into its pull lanes by
+// intra in-degree, descending and stable by ID — a counting sort over the
+// degrees count left in s.pull, with hist as its reusable scratch (returned
+// for the next call). The slots past the last vertex are padding lanes. Each
+// chunk's entry count, PullLanes times its first (longest) lane's degree,
+// goes to PullChunk[c+1] for placeBlocks' prefix sum.
+func (s rowScan) sortPull(l *Layout, p, vlo, vhi int, hist []int64) []int64 {
+	deg := s.pull[vlo:vhi]
+	var top int64
+	for _, d := range deg {
+		top = max(top, d)
+	}
+	hist = slices.Grow(hist[:0], int(top)+1)[:top+1]
+	clear(hist)
+	for _, d := range deg {
+		hist[d]++
+	}
+	// hist[d] becomes the first slot of degree d, the highest degree first.
+	var slot int64
+	for d := top; d >= 0; d-- {
+		c := hist[d]
+		hist[d] = slot
+		slot += c
+	}
+	clo, chi := int(l.PullPart[p]), int(l.PullPart[p+1])
+	perm := l.PullPerm[clo*PullLanes : chi*PullLanes]
+	for i, d := range deg {
+		perm[hist[d]] = graph.VertexID(vlo + i)
+		hist[d]++
+	}
+	for i := len(deg); i < len(perm); i++ {
+		perm[i] = s.sink
+	}
+	for c := clo; c < chi; c++ {
+		l.PullChunk[c+1] = PullLanes * s.pull[perm[(c-clo)*PullLanes]]
+	}
+	return hist
+}
+
 // fill places source partition p's messages, their destinations and its
 // intra edges. msgCur[q] and dstCur[q] start at block (p,q)'s first message
 // and first destination index: inside a block, messages follow the scan's
 // source order and each message's destinations are a contiguous run of its
 // row, so one message cursor and one destination cursor per block place
 // everything. The destination that opens a message is stored flagged. An
-// intra edge (v,d) is also appended to d's pull row through the cursor
-// l.IntraInOff[d+1]; sources arrive in ascending order, so each pull row
-// ends up sorted, and the cursor ends at d's row end.
+// intra edge (v,d) is also appended to d's pull lane through the cursor
+// s.pull[d], which steps by PullLanes; sources arrive in ascending order,
+// so each lane ends up sorted.
 func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
-	intraDst, inOff, intraSrc := l.IntraDst, l.IntraInOff, l.IntraSrc
+	s.padPull(l, p)
+	intraDst, cur, pullIdx := l.IntraDst, s.pull, l.PullIdx
 	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
@@ -266,9 +351,8 @@ func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
 			if uint32(d)-lo < per {
 				intraDst[intra] = d
 				intra++
-				in := inOff[d+1]
-				intraSrc[in] = graph.VertexID(v)
-				inOff[d+1] = in + 1
+				pullIdx[cur[d]] = graph.VertexID(v)
+				cur[d] += PullLanes
 				continue
 			}
 			q := int(uint32(d) / per)
@@ -285,26 +369,44 @@ func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
 	}
 }
 
-// placeBlocks turns the per-vertex intra counts into the push CSR offsets,
-// lays out the blocks in (p,q) order with global message and destination
-// prefix sums, and allocates the message arrays. msgCount and dstCount
-// become each (p,q) pair's first message and first destination index: the
-// cursors of the fill pass. The in-edge counts become shifted offsets,
-// IntraInOff[v+1] = the start of v's pull row, which the fill advances to
-// the row's end; IntraInOff[0] stays 0.
+// padPull turns the in-degree of each vertex of partition p into its lane
+// cursor, the lane's first entry, and writes the sink into every entry of
+// p's chunks past the end of its lane's row.
+func (s rowScan) padPull(l *Layout, p int) {
+	for c := int(l.PullPart[p]); c < int(l.PullPart[p+1]); c++ {
+		end := l.PullChunk[c+1]
+		for i, v := range l.PullPerm[c*PullLanes : (c+1)*PullLanes] {
+			e := l.PullChunk[c] + int64(i)
+			if v != s.sink {
+				deg := s.pull[v]
+				s.pull[v] = e
+				e += PullLanes * deg
+			}
+			for ; e < end; e += PullLanes {
+				l.PullIdx[e] = s.sink
+			}
+		}
+	}
+}
+
+// placeBlocks turns the per-vertex intra counts into the push CSR offsets
+// and the per-chunk entry counts into the pull's chunk offsets, lays out the
+// blocks in (p,q) order with global message and destination prefix sums,
+// and allocates the edge arrays. msgCount and dstCount become each (p,q)
+// pair's first message and first destination index: the cursors of the
+// fill pass.
 func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64) {
 	P := l.NumPartitions
 	l.IntraEdges = intraTotal
 	l.InterEdges = edges - intraTotal
-	var in int64
 	for v := 0; v+1 < len(l.IntraOff); v++ {
 		l.IntraOff[v+1] += l.IntraOff[v]
-		c := l.IntraInOff[v+1]
-		l.IntraInOff[v+1] = in
-		in += c
+	}
+	for c := 0; c+1 < len(l.PullChunk); c++ {
+		l.PullChunk[c+1] += l.PullChunk[c]
 	}
 	l.IntraDst = make([]graph.VertexID, intraTotal)
-	l.IntraSrc = make([]graph.VertexID, intraTotal)
+	l.PullIdx = make([]graph.VertexID, l.PullChunk[len(l.PullChunk)-1])
 
 	var totalMsgs, totalDsts int64
 	for p := 0; p < P; p++ {
@@ -379,7 +481,7 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 			}
 		}
 	}
-	if err := l.validatePull(n); err != nil {
+	if err := l.validatePull(h, n); err != nil {
 		return err
 	}
 	// Edge conservation.
@@ -395,36 +497,82 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	return nil
 }
 
-// validatePull checks that the pull CSR is exactly the transpose of the push
-// CSR: replaying the push rows in source order visits every pull entry once,
-// in place. The push rows are intra, so every pull row then holds sources of
-// its own partition, in ascending order.
-func (l *Layout) validatePull(n int) error {
-	off, src := l.IntraInOff, l.IntraSrc
-	if len(off) != n+1 || off[0] != 0 || off[n] != int64(len(src)) || int64(len(src)) != l.IntraEdges {
-		return fmt.Errorf("layout: pull CSR of %d offsets and %d sources does not match %d vertices and %d intra edges", len(off), len(src), n, l.IntraEdges)
+// validatePull checks the pull against the push CSR, which is everything
+// the pull kernels rely on. Each partition's lane slots hold each of its
+// vertices once, then only padding lanes (the sink n). The chunk offsets
+// tile PullIdx in whole steps of PullLanes entries. Replaying the push rows
+// in source order visits every lane's entries in place, and each entry
+// past the end of a lane's row is the sink.
+func (l *Layout) validatePull(h *partition.Hierarchy, n int) error {
+	P := l.NumPartitions
+	if len(l.PullPart) != P+1 || l.PullPart[0] != 0 {
+		return fmt.Errorf("layout: %d pull chunk ranges for %d partitions", len(l.PullPart)-1, P)
 	}
-	for d := 0; d < n; d++ {
-		if off[d+1] < off[d] {
-			return fmt.Errorf("layout: pull row of %d spans [%d,%d)", d, off[d], off[d+1])
+	for p, part := range h.Partitions {
+		if got, want := l.PullPart[p+1]-l.PullPart[p], (part.Vertices()+PullLanes-1)/PullLanes; int(got) != want {
+			return fmt.Errorf("layout: partition %d has %d pull chunks, want %d", p, got, want)
 		}
 	}
-	cur := slices.Clone(off[:n])
+	chunks := int(l.PullPart[P])
+	off := l.PullChunk
+	if len(off) != chunks+1 || len(l.PullPerm) != chunks*PullLanes || off[0] != 0 || off[chunks] != int64(len(l.PullIdx)) {
+		return fmt.Errorf("layout: %d pull chunk offsets and %d lanes do not tile %d chunks of %d entries", len(off), len(l.PullPerm), chunks, len(l.PullIdx))
+	}
+	for c := 0; c < chunks; c++ {
+		if w := off[c+1] - off[c]; w < 0 || w%PullLanes != 0 {
+			return fmt.Errorf("layout: pull chunk %d spans %d entries, not whole steps of %d", c, w, PullLanes)
+		}
+	}
+	sink := graph.VertexID(n)
+	// cur[v] is the next entry of v's lane, end[v] its chunk's end.
+	cur, end := make([]int64, n), make([]int64, n)
+	for i := range cur {
+		cur[i] = -1
+	}
+	for p, part := range h.Partitions {
+		clo, chi := int(l.PullPart[p]), int(l.PullPart[p+1])
+		for i, v := range l.PullPerm[clo*PullLanes : chi*PullLanes] {
+			if i >= part.Vertices() {
+				if v != sink {
+					return fmt.Errorf("layout: padding lane %d of partition %d holds %d, not the sink %d", i, p, v, sink)
+				}
+				continue
+			}
+			if v < part.VertexStart || v >= part.VertexEnd || cur[v] >= 0 {
+				return fmt.Errorf("layout: lane %d of partition %d holds %d: the lanes are not a permutation of [%d,%d)", i, p, v, part.VertexStart, part.VertexEnd)
+			}
+			c := clo + i/PullLanes
+			cur[v], end[v] = off[c]+int64(i%PullLanes), off[c+1]
+		}
+	}
 	for v := 0; v < n; v++ {
 		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
-			if cur[d] == off[d+1] || src[cur[d]] != graph.VertexID(v) {
-				return fmt.Errorf("layout: pull row of %d does not hold intra edge (%d,%d) in source order", d, v, d)
+			if cur[d] >= end[d] || l.PullIdx[cur[d]] != graph.VertexID(v) {
+				return fmt.Errorf("layout: pull lane of %d does not hold intra edge (%d,%d) in source order", d, v, d)
 			}
-			cur[d]++
+			cur[d] += PullLanes
 		}
 	}
-	for d := 0; d < n; d++ {
-		if cur[d] != off[d+1] {
-			return fmt.Errorf("layout: pull row of %d holds %d sources, push rows %d", d, off[d+1]-off[d], cur[d]-off[d])
+	for c := 0; c < chunks; c++ {
+		for i, v := range l.PullPerm[c*PullLanes : (c+1)*PullLanes] {
+			e := off[c] + int64(i)
+			if v != sink {
+				e = cur[v]
+			}
+			for ; e < off[c+1]; e += PullLanes {
+				if l.PullIdx[e] != sink {
+					return fmt.Errorf("layout: pull entry %d past the row of lane %d of chunk %d holds %d, not the sink %d", e, i, c, l.PullIdx[e], sink)
+				}
+			}
 		}
 	}
 	return nil
 }
+
+// PullPadding returns the number of padding entries in the intra pull:
+// the entries that add the sink's +0 because a lane's row is shorter than
+// its chunk's longest.
+func (l *Layout) PullPadding() int64 { return int64(len(l.PullIdx)) - l.IntraEdges }
 
 // BinBytes returns the total size of the message value bins (one 4-byte rank
 // value per message), the memory the scatter phase writes and the gather
@@ -433,11 +581,13 @@ func (l *Layout) validatePull(n int) error {
 func (l *Layout) BinBytes() int64 { return l.NumMessages() * 4 }
 
 // Bytes returns the resident size of the layout's arrays: blocks, block
-// indexes, message sources and destinations, and both intra CSRs.
+// indexes, message sources and destinations, the intra push CSR and the
+// intra pull, padding included.
 func (l *Layout) Bytes() int64 {
 	n := int64(cap(l.Blocks))*int64(unsafe.Sizeof(Block{})) +
-		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.MsgDst)+cap(l.IntraDst)+cap(l.IntraSrc)) +
-		8*int64(cap(l.IntraOff)+cap(l.IntraInOff)) +
+		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.MsgDst)+cap(l.IntraDst)) +
+		4*int64(cap(l.PullPart)+cap(l.PullPerm)+cap(l.PullIdx)) +
+		8*int64(cap(l.IntraOff)+cap(l.PullChunk)) +
 		int64(cap(l.DstBlocks))*int64(unsafe.Sizeof([]int32(nil)))
 	for _, list := range l.DstBlocks {
 		n += 4 * int64(cap(list))

@@ -276,7 +276,9 @@ func TestPropertyLayoutInvariants(t *testing.T) {
 // referenceLayout is a plain serial construction of the layout: one scan
 // over the vertices in ID order appends each inter-edge to its (p,q) block's
 // message list and each intra edge to its destination's pull row, then the
-// blocks are concatenated in (p,q) order and the pull rows in vertex order.
+// blocks are concatenated in (p,q) order, and each partition's pull rows
+// are sorted by length (longest first, ties by ID), cut into chunks of
+// PullLanes rows and written column-major, padded with n.
 func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Layout {
 	type message struct {
 		src  graph.VertexID
@@ -290,7 +292,8 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
 		IntraOff:      make([]int64, n+1),
-		IntraInOff:    make([]int64, n+1),
+		PullPart:      []int32{0},
+		PullChunk:     []int64{0},
 	}
 	blocks := make([][]message, P*P)
 	pull := make([][]graph.VertexID, n)
@@ -315,10 +318,31 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 	}
 	l.IntraEdges = int64(len(l.IntraDst))
 	l.InterEdges = g.NumEdges() - l.IntraEdges
-	l.IntraSrc = make([]graph.VertexID, 0, l.IntraEdges)
-	for v, row := range pull {
-		l.IntraSrc = append(l.IntraSrc, row...)
-		l.IntraInOff[v+1] = int64(len(l.IntraSrc))
+	sink := graph.VertexID(n)
+	for _, part := range h.Partitions {
+		rows := make([]graph.VertexID, 0, part.Vertices())
+		for v := part.VertexStart; v < part.VertexEnd; v++ {
+			rows = append(rows, v)
+		}
+		slices.SortStableFunc(rows, func(a, b graph.VertexID) int { return len(pull[b]) - len(pull[a]) })
+		for len(rows)%PullLanes != 0 {
+			rows = append(rows, sink)
+		}
+		for c := 0; c < len(rows); c += PullLanes {
+			lanes := rows[c : c+PullLanes]
+			l.PullPerm = append(l.PullPerm, lanes...)
+			for k := 0; k < len(pull[lanes[0]]); k++ {
+				for _, v := range lanes {
+					if v != sink && k < len(pull[v]) {
+						l.PullIdx = append(l.PullIdx, pull[v][k])
+					} else {
+						l.PullIdx = append(l.PullIdx, sink)
+					}
+				}
+			}
+			l.PullChunk = append(l.PullChunk, int64(len(l.PullIdx)))
+		}
+		l.PullPart = append(l.PullPart, int32(len(l.PullChunk)-1))
 	}
 	for p := 0; p < P; p++ {
 		l.SrcBlockStart[p] = int32(len(l.Blocks))
@@ -378,8 +402,10 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 				{"MsgDst", slices.Equal(got.MsgDst, want.MsgDst)},
 				{"IntraOff", slices.Equal(got.IntraOff, want.IntraOff)},
 				{"IntraDst", slices.Equal(got.IntraDst, want.IntraDst)},
-				{"IntraInOff", slices.Equal(got.IntraInOff, want.IntraInOff)},
-				{"IntraSrc", slices.Equal(got.IntraSrc, want.IntraSrc)},
+				{"PullPart", slices.Equal(got.PullPart, want.PullPart)},
+				{"PullChunk", slices.Equal(got.PullChunk, want.PullChunk)},
+				{"PullPerm", slices.Equal(got.PullPerm, want.PullPerm)},
+				{"PullIdx", slices.Equal(got.PullIdx, want.PullIdx)},
 				{"IntraEdges", got.IntraEdges == want.IntraEdges},
 				{"InterEdges", got.InterEdges == want.InterEdges},
 			} {
@@ -492,38 +518,75 @@ func TestBuildRejectsFlagBitVertices(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadIntraSrc: a pull CSR that is not exactly the
-// transpose of the push CSR — two sources of one destination swapped, or a
-// source moved out of its destination's partition — fails Validate, so the
-// dense scatter can never sum a destination's sources out of push order.
+// TestValidateRejectsBadIntraSrc: a pull that does not replay the push CSR
+// exactly fails Validate, so the dense scatter can never sum a
+// destination's sources out of push order, lose or gain an edge, or store a
+// sum for a vertex twice or not at all. The corruptions: two sources of one
+// lane swapped, a source moved out of its partition, a row entry or a
+// padding entry that is not what it should be, a vertex in two lanes, and a
+// padding lane ahead of a real one.
 func TestValidateRejectsBadIntraSrc(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 256, Edges: 3000, OutAlpha: 2.1, InAlpha: 0.8, Seed: 4})
+	// 250 vertices in partitions of 16: the last partition's 10 vertices
+	// leave six padding lanes.
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 250, Edges: 3000, OutAlpha: 2.1, InAlpha: 0.8, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := buildHierarchy(t, g, 64)
-	// The first pull row with two distinct sources.
-	pick := func(l *Layout) int {
-		for d := 0; d < g.NumVertices(); d++ {
-			lo, hi := l.IntraInOff[d], l.IntraInOff[d+1]
-			if hi-lo >= 2 && l.IntraSrc[lo] != l.IntraSrc[hi-1] {
-				return d
+	sink := graph.VertexID(g.NumVertices())
+	// lane returns the PullIdx positions of lane slot's row and padding.
+	lane := func(l *Layout, slot int) (row, pad []int64) {
+		c := slot / PullLanes
+		for e := l.PullChunk[c] + int64(slot%PullLanes); e < l.PullChunk[c+1]; e += PullLanes {
+			if l.PullIdx[e] == sink {
+				pad = append(pad, e)
+			} else {
+				row = append(row, e)
 			}
 		}
-		t.Fatal("no pull row with two distinct sources")
+		return row, pad
+	}
+	// pick returns the first slot whose lane passes ok.
+	pick := func(l *Layout, ok func(row, pad []int64) bool) int {
+		for slot := range l.PullPerm {
+			if row, pad := lane(l, slot); l.PullPerm[slot] != sink && ok(row, pad) {
+				return slot
+			}
+		}
+		t.Fatal("no lane to corrupt")
 		return 0
+	}
+	twoSources := func(l *Layout) []int64 {
+		row, _ := lane(l, pick(l, func(row, _ []int64) bool { return len(row) >= 2 && l.PullIdx[row[0]] != l.PullIdx[row[1]] }))
+		return row
 	}
 	for _, c := range []struct {
 		name    string
-		corrupt func(l *Layout, d int)
+		corrupt func(l *Layout)
 	}{
-		{"two sources swapped", func(l *Layout, d int) {
-			lo, hi := l.IntraInOff[d], l.IntraInOff[d+1]
-			l.IntraSrc[lo], l.IntraSrc[hi-1] = l.IntraSrc[hi-1], l.IntraSrc[lo]
+		{"two sources swapped", func(l *Layout) {
+			row := twoSources(l)
+			l.PullIdx[row[0]], l.PullIdx[row[1]] = l.PullIdx[row[1]], l.PullIdx[row[0]]
 		}},
-		{"source outside the partition", func(l *Layout, d int) {
-			p := d / h.VerticesPerPartition
-			l.IntraSrc[l.IntraInOff[d]] = graph.VertexID((p + 1) % l.NumPartitions * h.VerticesPerPartition)
+		{"source outside the partition", func(l *Layout) {
+			row := twoSources(l)
+			p := int(l.PullIdx[row[0]]) / h.VerticesPerPartition
+			l.PullIdx[row[0]] = graph.VertexID((p + 1) % l.NumPartitions * h.VerticesPerPartition)
+		}},
+		{"row entry replaced by the sink", func(l *Layout) {
+			l.PullIdx[twoSources(l)[0]] = sink
+		}},
+		{"padding entry holds a vertex", func(l *Layout) {
+			slot := pick(l, func(_, pad []int64) bool { return len(pad) > 0 })
+			_, pad := lane(l, slot)
+			l.PullIdx[pad[0]] = l.PullPerm[slot]
+		}},
+		{"vertex in two lanes", func(l *Layout) {
+			l.PullPerm[1] = l.PullPerm[0]
+		}},
+		{"padding lane ahead of a real lane", func(l *Layout) {
+			j := slices.Index(l.PullPerm, sink)
+			l.PullPerm[j-1], l.PullPerm[j] = l.PullPerm[j], l.PullPerm[j-1]
 		}},
 	} {
 		l, err := Build(g, h, true)
@@ -533,7 +596,7 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 		if err := l.Validate(g, h); err != nil {
 			t.Fatalf("%s: intact layout rejected: %v", c.name, err)
 		}
-		c.corrupt(l, pick(l))
+		c.corrupt(l)
 		if err := l.Validate(g, h); err == nil {
 			t.Errorf("%s: Validate accepted the corrupted layout", c.name)
 		}

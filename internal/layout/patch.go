@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hipa/internal/graph"
@@ -11,11 +12,12 @@ import (
 // Patch rebuilds the layout for g under h by recomputing only the touched
 // source partitions' rows and splicing everything else out of the old
 // layout. The result is bit-identical to BuildWorkers(g, h, old.Compressed,
-// ·): every message, destination, and intra edge (push and pull row) of an
-// untouched source partition is copied verbatim (the message flags travel
-// with the destinations, so nothing is rebased), and only the touched
-// partitions' edges are re-scanned and re-grouped — the incremental-prep
-// path behind common.Prepared.Advance.
+// ·): every message, destination, and intra edge (push row and pull chunk)
+// of an untouched source partition is copied verbatim (the message flags
+// travel with the destinations and the pull lanes hold vertex IDs, so
+// nothing is rebased but the partition's pull chunk offsets, which move by
+// one constant), and only the touched partitions' edges are re-scanned and
+// re-grouped — the incremental-prep path behind common.Prepared.Advance.
 //
 // h must share the old hierarchy's partition geometry (same vertex ranges;
 // mutation batches never change it), touched must list the source-partition
@@ -47,22 +49,28 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 		isTouched[p] = true
 	}
 	compress := old.Compressed
-	l := newLayout(P, g.NumVertices(), compress)
-	s := rowScan{per: h.VerticesPerPartition, off: g.OutOffsets(), adj: g.OutEdges(), compress: compress}
+	l := newLayout(h, compress)
+	if !slices.Equal(l.PullPart, old.PullPart) {
+		return nil, fmt.Errorf("layout: patch hierarchy's partition sizes differ from the old layout's")
+	}
+	s := newRowScan(g, h, compress)
 	rowRange := func(p int) (int, int) {
 		return int(h.Partitions[p].VertexStart), int(h.Partitions[p].VertexEnd)
 	}
 
-	// Pass 1: per-(p,q) message/destination counts and per-vertex intra
-	// counts. Touched partitions re-scan their adjacency rows exactly like
-	// Build; untouched partitions read their counts off the old layout.
+	// Pass 1: per-(p,q) message/destination counts, per-vertex intra
+	// counts and the pull lanes and chunk sizes. Touched partitions re-scan
+	// their adjacency rows exactly like Build; untouched partitions read
+	// their counts off the old layout and keep their lanes.
 	msgCount := make([]int64, P*P)
 	dstCount := make([]int64, P*P)
 	var intraTotal int64
+	var hist []int64
 	for p := 0; p < P; p++ {
 		vlo, vhi := rowRange(p)
 		if isTouched[p] {
 			intraTotal += s.count(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
+			hist = s.sortPull(l, p, vlo, vhi, hist)
 			continue
 		}
 		for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
@@ -74,14 +82,18 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 		for v := vlo; v < vhi; v++ {
 			c := old.IntraOff[v+1] - old.IntraOff[v]
 			l.IntraOff[v+1] = c
-			l.IntraInOff[v+1] = old.IntraInOff[v+1] - old.IntraInOff[v]
 			intraTotal += c
+		}
+		clo, chi := int(l.PullPart[p]), int(l.PullPart[p+1])
+		copy(l.PullPerm[clo*PullLanes:chi*PullLanes], old.PullPerm[clo*PullLanes:chi*PullLanes])
+		for c := clo; c < chi; c++ {
+			l.PullChunk[c+1] = old.PullChunk[c+1] - old.PullChunk[c]
 		}
 	}
 	l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
 
 	// Pass 2: touched partitions fill exactly like Build; untouched ones
-	// splice their blocks and intra rows out of the old layout, keeping the
+	// splice their blocks and intra edges out of the old layout, keeping the
 	// per-block message and destination order.
 	for p := 0; p < P; p++ {
 		vlo, vhi := rowRange(p)
@@ -90,16 +102,13 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 			s.fill(l, p, vlo, vhi, msgCur, dstCur)
 			continue
 		}
-		// Intra rows of an untouched partition are one contiguous run in
-		// each direction. The pull rows shift by one constant, which also
-		// moves each row's fill cursor to its end.
+		// An untouched partition's push rows and pull chunks are each one
+		// contiguous run; its chunk offsets moved by one constant, which
+		// placeBlocks' prefix sum over the copied chunk sizes applied.
 		copy(l.IntraDst[l.IntraOff[vlo]:l.IntraOff[vhi]],
 			old.IntraDst[old.IntraOff[vlo]:old.IntraOff[vhi]])
-		shift := l.IntraInOff[vlo+1] - old.IntraInOff[vlo]
-		copy(l.IntraSrc[l.IntraInOff[vlo+1]:], old.IntraSrc[old.IntraInOff[vlo]:old.IntraInOff[vhi]])
-		for v := vlo; v < vhi; v++ {
-			l.IntraInOff[v+1] = old.IntraInOff[v+1] + shift
-		}
+		clo, chi := l.PullPart[p], l.PullPart[p+1]
+		copy(l.PullIdx[l.PullChunk[clo]:l.PullChunk[chi]], old.PullIdx[old.PullChunk[clo]:old.PullChunk[chi]])
 		for bi := old.SrcBlockStart[p]; bi < old.SrcBlockEnd[p]; bi++ {
 			ob := old.Blocks[bi]
 			copy(l.MsgSrc[msgCur[ob.DstPart]:], old.MsgSrc[ob.MsgStart:ob.MsgEnd])

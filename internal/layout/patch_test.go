@@ -130,6 +130,18 @@ func TestPatchRejectsBadInput(t *testing.T) {
 	if _, err := Patch(l, g, h, []int{h.NumPartitions()}); err == nil {
 		t.Fatal("out-of-range partition must be rejected")
 	}
+	// 15 vertices per partition instead of 16: as many partitions, other
+	// sizes, so the old pull chunks would not fit.
+	h15, err := partition.Build(g, partition.Config{PartitionBytes: 60, BytesPerVertex: 4, NumNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h15.NumPartitions() != h.NumPartitions() {
+		t.Fatalf("fixture: %d and %d partitions, want equal counts", h15.NumPartitions(), h.NumPartitions())
+	}
+	if _, err := Patch(l, g, h15, nil); err == nil {
+		t.Fatal("a hierarchy of other partition sizes must be rejected")
+	}
 }
 
 // TestDecodeRoundTrip: for compressed and uncompressed layouts, before and

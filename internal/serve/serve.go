@@ -574,6 +574,7 @@ func (s *Service) Reload(name string, r io.Reader) (*ReloadReport, error) {
 		rep.Warm = next.warmRanks != nil
 	}
 	sg.cur.Store(next)
+	cur.prep.Supersede(prep)
 	sg.reloads.Add(1)
 	sg.m.reloads.Inc()
 	sg.m.version.Set(float64(rep.ToVersion))

@@ -590,6 +590,47 @@ func TestReloadRejectsBadStreams(t *testing.T) {
 	}
 }
 
+// TestFailedReloadKeepsArenasWarm: a reload whose first batch advances the
+// artifact and whose second batch is invalid publishes nothing, so the live
+// snapshot's pool must keep serving its own Execs: after the one miss the
+// abandoned advance costs, repeated Execs create no further arenas.
+func TestFailedReloadKeepsArenasWarm(t *testing.T) {
+	s := newTestService(t, nil)
+	sg, err := s.graph("wiki")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := sg.cur.Load()
+	if _, err := s.ranksFor(sg, live, true); err != nil {
+		t.Fatal(err)
+	}
+	mirror := graph.NewVersioned(live.g)
+	stream, err := gen.NewMutationStream(mirror, 7, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := reloadBody(t, mirror, stream)
+	body.WriteString("+ 0 99999999\ncommit\n")
+	if _, err := s.Reload("wiki", body); err == nil {
+		t.Fatal("reload with an out-of-range second batch succeeded")
+	}
+	if sg.cur.Load() != live {
+		t.Fatal("failed reload swapped the snapshot")
+	}
+	if _, err := s.ranksFor(sg, live, true); err != nil {
+		t.Fatal(err)
+	}
+	created := live.prep.ArenaStats().Created
+	for i := 0; i < 3; i++ {
+		if _, err := s.ranksFor(sg, live, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := live.prep.ArenaStats().Created; got != created {
+		t.Errorf("live pool created %d arenas over 3 Execs after a failed reload, want 0", got-created)
+	}
+}
+
 func ExampleService() {
 	s, err := New(Config{
 		Graphs:   []GraphSpec{{Name: "kron", Dataset: "kron", Divisor: 8192}},
