@@ -6,7 +6,7 @@ BENCH_BASELINE ?= BENCH_pagerank.json
 BENCH_DIVISOR  ?= 1024
 BENCH_DATASET  ?= journal
 
-.PHONY: all build test vet staticcheck race race-prep procs bench-prep ci bench bench-module bench-gate bench-baseline smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke clean
+.PHONY: all build test vet staticcheck race race-prep procs purego bench-prep ci bench bench-module bench-gate bench-baseline smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke clean
 
 all: build
 
@@ -47,16 +47,28 @@ procs:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=8 $(GO) test -count=1 ./...
 
+# The scalar kernels under the same goldens: vet and the engine,
+# algorithms, layout and serve tests with the AVX2 kernels compiled out
+# (-tags purego), and a vet of the arm64 build, so the fallback keeps
+# compiling where the assembly does not exist.
+purego:
+	$(GO) vet -tags purego ./...
+	$(GO) test -tags purego -count=1 ./internal/engines/... ./internal/algorithms/ ./internal/layout/ ./internal/serve/
+	GOARCH=arm64 $(GO) vet ./...
+
 # One-iteration pass over the Prepare benchmarks so the parallel build paths
 # (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised
-# in CI, and over the gather and scatter benchmarks so the flat decode kernel
-# and the intra pull compile and run.
+# in CI, and over the gather, scatter and rank-update benchmarks so the flat
+# decode kernel, the intra pull and the rank update compile and run, in the
+# default build (both kernel sets) and in the purego build.
+KERNEL_BENCH = 'BenchmarkGatherPartition|BenchmarkScatterPartition|BenchmarkUpdateRanks'
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
-	$(GO) test -run '^$$' -bench 'BenchmarkGatherPartition|BenchmarkScatterPartition' -benchtime 1x ./internal/engines/common/
+	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchtime 1x ./internal/engines/common/
+	$(GO) test -tags purego -run '^$$' -bench $(KERNEL_BENCH) -benchtime 1x ./internal/engines/common/
 	$(GO) test -run '^$$' -bench 'BenchmarkBlockScatter' -benchtime 1x ./internal/algorithms/
 
-ci: vet staticcheck build race race-prep procs bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
+ci: vet staticcheck build race race-prep procs purego bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
 
 # One-iteration pass over the root benchmarks (compile-and-run validation of
 # every benchmark body; not a timing run). `smoke` used to duplicate this —

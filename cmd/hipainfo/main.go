@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hipa/internal/engines/common"
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/layout"
@@ -40,6 +41,7 @@ type infoReport struct {
 	Graph        graph.Stats            `json:"graph"`
 	SkewTop10    float64                `json:"skew_top10_edge_share"`
 	Machine      string                 `json:"machine"`
+	Kernels      string                 `json:"kernels"`
 	Partitions   partitionsInfo         `json:"partitions"`
 	Nodes        []nodeInfo             `json:"nodes"`
 	Locality     partition.EdgeLocality `json:"locality"`
@@ -130,7 +132,7 @@ func main() {
 		th = m.LogicalCores()
 	}
 
-	rep := infoReport{Machine: m.String()}
+	rep := infoReport{Machine: m.String(), Kernels: common.KernelSet()}
 
 	// Mutation replay first: the partitioning sections below then describe
 	// the graph's final version, which is what an incremental re-rank would
@@ -227,6 +229,7 @@ func main() {
 		rep.Graph.NumVertices, rep.Graph.NumEdges, rep.Graph.AvgOutDegree, rep.Graph.MaxOutDegree, rep.Graph.Dangling)
 	fmt.Printf("skew       : top 10%% of vertices own %.1f%% of out-edges\n", 100*rep.SkewTop10)
 	fmt.Printf("machine    : %s\n", m)
+	fmt.Printf("kernels    : %s (intra pull and rank update)\n", rep.Kernels)
 	if vs := rep.Versioned; vs != nil {
 		fmt.Printf("versioned  : v%d after %d batches (%d mutations); %d -> %d edges; snapshot v%d, %d compactions\n",
 			vs.Version, vs.LogBatches, vs.LogMutations, vs.SnapshotEdges, vs.Edges, vs.SnapshotVersion, vs.Compactions)

@@ -231,7 +231,7 @@ func main() {
 		if err := harness.NewRunReport(g, m, res).WriteJSONFile(*statsPath); err != nil {
 			fail(err.Error())
 		}
-		fmt.Printf("stats      : wrote %s (%d iterations)\n", *statsPath, len(res.Iters))
+		fmt.Printf("stats      : wrote %s (%d iterations, %s kernels)\n", *statsPath, len(res.Iters), common.KernelSet())
 	}
 	if *tracePath != "" {
 		if err := rec.T().WriteJSONFile(*tracePath); err != nil {

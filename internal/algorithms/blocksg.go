@@ -227,7 +227,12 @@ func (s *BlockSG) PullIntra(clo, chi int) {
 	sink := graph.VertexID(len(acc) / b)
 	if len(cols) == 1 {
 		// Column-scalar: one active column needs no per-column loop or
-		// scratch.
+		// scratch. A width-1 block is SGState's layout, so it takes the
+		// shared pull kernel.
+		if b == 1 {
+			common.PullSELL(s.Lay, contrib, acc, clo, chi)
+			return
+		}
 		j := int(cols[0])
 		for c := clo; c < chi; c++ {
 			var s0, s1, s2, s3, s4, s5, s6, s7 float32
@@ -364,12 +369,12 @@ func (s *BlockSG) Reduce() {
 //
 //	next = baseS[j] + d*acc + redisS[j] + seedAdd[v*B+j]
 //
-// (left-associated; the trailing addend is 0.0 for uniform columns, a
-// bitwise no-op on their non-negative ranks, so the B=1 uniform update is
-// exactly the scalar one), with contrib = next*Inv[v] beside it. The
-// partition's per-column dangling mass under the new ranks overwrites its
-// partDang block, and per-column residual maxima fold into the thread's
-// lane.
+// (left-associated, with d*acc rounded on its own as in the scalar
+// kernel; the trailing addend is 0.0 for uniform columns, a bitwise no-op
+// on their non-negative ranks, so the B=1 uniform update is exactly the
+// scalar one), with contrib = next*Inv[v] beside it. The partition's
+// per-column dangling mass under the new ranks overwrites its partDang
+// block, and per-column residual maxima fold into the thread's lane.
 //
 // The decode must not read contrib: the gathers of other partitions,
 // running in the same phase, overwrite it for their own vertices.
@@ -434,7 +439,7 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 		for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
 			i := v*b + j
 			old := ranks[i]
-			nv := base + d*acc[i] + redis + seedAdd[i]
+			nv := base + float32(d*acc[i]) + redis + seedAdd[i]
 			next[i] = nv
 			contrib[i] = nv * inv[v]
 			if inv[v] == 0 {
@@ -453,7 +458,7 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 		iv := inv[v]
 		for k, j := range cols {
 			old := ranks[i+int(j)]
-			nv := s.baseS[j] + d*acc[i+int(j)] + s.redisS[j] + seedAdd[i+int(j)]
+			nv := s.baseS[j] + float32(d*acc[i+int(j)]) + s.redisS[j] + seedAdd[i+int(j)]
 			next[i+int(j)] = nv
 			contrib[i+int(j)] = nv * iv
 			if iv == 0 {

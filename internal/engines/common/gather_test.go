@@ -55,7 +55,8 @@ func TestGatherBlockMatchesMessageLoop(t *testing.T) {
 
 // BenchmarkGatherPartition times one thread's gather phase over every
 // partition of a small R-MAT graph split into 16 partitions, and reports
-// the cost per decoded message destination.
+// the cost per decoded message destination and per rank-updated vertex,
+// once per kernel set.
 func BenchmarkGatherPartition(b *testing.B) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 15, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 1, Noise: 0.05})
 	if err != nil {
@@ -74,21 +75,24 @@ func BenchmarkGatherPartition(b *testing.B) {
 	for p := 0; p < P; p++ {
 		s.ScatterPartition(p, 0)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < P; p++ {
-			s.GatherPartition(p, 0)
+	eachKernel(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for p := 0; p < P; p++ {
+				s.GatherPartition(p, 0)
+			}
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(lay.MsgDst)), "ns/dst")
+		per := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(per/float64(len(lay.MsgDst)), "ns/dst")
+		b.ReportMetric(per/float64(g.NumVertices()), "ns/vertex")
+	})
 }
 
 // BenchmarkScatterPartition times one thread's dense scatter — the intra
 // pull plus the message bins — over every partition of a journal-shaped
 // power-law graph of 18,750 vertices, one 256 KB partition as in the
-// rank-small benchmark. It reports the cost per real edge, padding not
-// counted, and the pull's padding entries as a percentage of its intra
-// edges (pad_pct).
+// rank-small benchmark. It reports, once per kernel set, the cost per real
+// edge, padding not counted, and the pull's padding entries as a
+// percentage of its intra edges (pad_pct).
 func BenchmarkScatterPartition(b *testing.B) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 18750, Edges: 267578, OutAlpha: 2.3, InAlpha: 0.9, Seed: 1, HotShuffle: true})
 	if err != nil {
@@ -104,14 +108,15 @@ func BenchmarkScatterPartition(b *testing.B) {
 	}
 	s := NewSGState(g, hier, lay, 0.85, 1)
 	P := hier.NumPartitions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < P; p++ {
-			s.ScatterPartition(p, 0)
+	eachKernel(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for p := 0; p < P; p++ {
+				s.ScatterPartition(p, 0)
+			}
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
-	b.ReportMetric(100*float64(lay.PullPadding())/float64(lay.IntraEdges), "pad_pct")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+		b.ReportMetric(100*float64(lay.PullPadding())/float64(lay.IntraEdges), "pad_pct")
+	})
 }
 
 // TestMaxAbsDiff4MatchesScalar: the branch-free four-lane fold returns what

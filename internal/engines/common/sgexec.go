@@ -1,8 +1,6 @@
 package common
 
 import (
-	"math"
-
 	"hipa/internal/execbuf"
 	"hipa/internal/graph"
 	"hipa/internal/layout"
@@ -168,47 +166,16 @@ func (s *SGState) ScatterPartition(p int, tid int) {
 
 // PullIntra stores in Acc[v], for each vertex v of the pull chunks
 // [clo,chi), the sum of Contrib[u] over v's intra in-neighbours u in
-// ascending order, starting from +0. A push over the intra-edges adds the
-// same values into the same zeroed accumulator in the same source order,
-// so the sums are bit-identical to the paper's push; unlike the push,
-// disjoint chunk ranges can run on different threads. A chunk's eight lanes
-// are eight independent add chains. Padding entries add Contrib[n], +0,
-// which leaves a sum unchanged: no sum is −0, as it starts at +0 and every
-// contribution is ≥ +0. Padding lanes, which only end a partition's last
-// chunk, are not stored. Dangling vertices have no out-edges, so they
-// appear in no row; their mass was already folded into the partials by the
-// previous gather.
+// ascending order, starting from +0 (PullSELL). A push over the intra-edges
+// adds the same values into the same zeroed accumulator in the same source
+// order, so the sums are bit-identical to the paper's push; unlike the
+// push, disjoint chunk ranges can run on different threads. Padding
+// entries add Contrib[n], +0, which leaves a sum unchanged: no sum is −0,
+// as it starts at +0 and every contribution is ≥ +0. Dangling vertices
+// have no out-edges, so they appear in no row; their mass was already
+// folded into the partials by the previous gather.
 func (s *SGState) PullIntra(clo, chi int) {
-	const lanes = layout.PullLanes
-	off, idx, perm := s.Lay.PullChunk, s.Lay.PullIdx, s.Lay.PullPerm
-	contrib, acc := s.Contrib, s.Acc
-	sink := graph.VertexID(len(acc))
-	for c := clo; c < chi; c++ {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		for e, end := off[c], off[c+1]; e < end; e += lanes {
-			r := idx[e : e+lanes : e+lanes]
-			s0 += contrib[r[0]]
-			s1 += contrib[r[1]]
-			s2 += contrib[r[2]]
-			s3 += contrib[r[3]]
-			s4 += contrib[r[4]]
-			s5 += contrib[r[5]]
-			s6 += contrib[r[6]]
-			s7 += contrib[r[7]]
-		}
-		v := perm[c*lanes : c*lanes+lanes : c*lanes+lanes]
-		if v[lanes-1] == sink {
-			sums := [lanes]float32{s0, s1, s2, s3, s4, s5, s6, s7}
-			for i, u := range v {
-				if u != sink {
-					acc[u] = sums[i]
-				}
-			}
-			continue
-		}
-		acc[v[0]], acc[v[1]], acc[v[2]], acc[v[3]] = s0, s1, s2, s3
-		acc[v[4]], acc[v[5]], acc[v[6]], acc[v[7]] = s4, s5, s6, s7
-	}
+	PullSELL(s.Lay, s.Contrib, s.Acc, clo, chi)
 }
 
 // ScatterMessages writes partition p's compressed message values,
@@ -273,50 +240,7 @@ func (s *SGState) gatherMessages(p int) {
 // under the new ranks, summed in vertex order. The accumulators are left as
 // they are: the next scatter's pull stores every one of them.
 func (s *SGState) updateRanks(lo, hi int, res float64) (float64, float64) {
-	ranks, contrib, acc, inv := s.Ranks, s.Contrib, s.Acc, s.Inv
-	d := float32(s.Damping)
-	base, redis := s.base, s.redis
-	var dangling float64
-	v := lo
-	// 4-way unrolled rank update. Each vertex is independent, the residual
-	// max is order-insensitive, and the dangling adds stay in vertex order,
-	// so the unroll is bit-identical to the scalar loop.
-	for ; v+4 <= hi; v += 4 {
-		old0, old1, old2, old3 := ranks[v], ranks[v+1], ranks[v+2], ranks[v+3]
-		nv0 := base + d*acc[v] + redis
-		nv1 := base + d*acc[v+1] + redis
-		nv2 := base + d*acc[v+2] + redis
-		nv3 := base + d*acc[v+3] + redis
-		ranks[v], ranks[v+1], ranks[v+2], ranks[v+3] = nv0, nv1, nv2, nv3
-		iv0, iv1, iv2, iv3 := inv[v], inv[v+1], inv[v+2], inv[v+3]
-		contrib[v], contrib[v+1], contrib[v+2], contrib[v+3] = nv0*iv0, nv1*iv1, nv2*iv2, nv3*iv3
-		if iv0 == 0 {
-			dangling += float64(nv0)
-		}
-		if iv1 == 0 {
-			dangling += float64(nv1)
-		}
-		if iv2 == 0 {
-			dangling += float64(nv2)
-		}
-		if iv3 == 0 {
-			dangling += float64(nv3)
-		}
-		res = maxAbsDiff4(res, nv0, old0, nv1, old1, nv2, old2, nv3, old3)
-	}
-	for ; v < hi; v++ {
-		old := ranks[v]
-		nv := base + d*acc[v] + redis
-		ranks[v] = nv
-		contrib[v] = nv * inv[v]
-		if inv[v] == 0 {
-			dangling += float64(nv)
-		}
-		if diff := math.Abs(float64(nv - old)); diff > res {
-			res = diff
-		}
-	}
-	return res, dangling
+	return updateRanks(s.Ranks[lo:hi], s.Contrib[lo:hi], s.Acc[lo:hi], s.Inv[lo:hi], float32(s.Damping), s.base, s.redis, res)
 }
 
 // gatherBlock decodes one message block into the accumulators: bins holds
@@ -345,28 +269,4 @@ func gatherBlock(acc, bins []float32, dst []graph.VertexID) {
 		k += int(d >> 31)
 		acc[d&^flag] += bins[k]
 	}
-}
-
-// maxAbsDiff4 folds four |new-old| rank deltas into a running maximum.
-// math.Abs clears the sign bit instead of branching on it: the sign of a
-// rank change is data-random, so a branch would mispredict. A NaN delta
-// fails every compare and is skipped, as in the scalar fold.
-func maxAbsDiff4(res float64, n0, o0, n1, o1, n2, o2, n3, o3 float32) float64 {
-	d0 := math.Abs(float64(n0 - o0))
-	d1 := math.Abs(float64(n1 - o1))
-	d2 := math.Abs(float64(n2 - o2))
-	d3 := math.Abs(float64(n3 - o3))
-	if d0 > res {
-		res = d0
-	}
-	if d1 > res {
-		res = d1
-	}
-	if d2 > res {
-		res = d2
-	}
-	if d3 > res {
-		res = d3
-	}
-	return res
 }

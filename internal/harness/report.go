@@ -25,6 +25,9 @@ type RunReport struct {
 	Threads    int    `json:"threads"`
 	Iterations int    `json:"iterations"`
 	Machine    string `json:"machine,omitempty"`
+	// Kernels is the kernel set that ran the intra pull and the rank
+	// update: "avx2" or "scalar" (common.KernelSet).
+	Kernels string `json:"kernels"`
 
 	WallSeconds float64 `json:"wall_seconds"`
 	// PrepSeconds is this run's artifact-acquisition wall time; on a prep-
@@ -46,6 +49,7 @@ type RunReport struct {
 func NewRunReport(g *graph.Graph, m *machine.Machine, res *common.Result) *RunReport {
 	r := &RunReport{
 		Engine:           res.Engine,
+		Kernels:          common.KernelSet(),
 		Threads:          res.Threads,
 		Iterations:       res.Iterations,
 		WallSeconds:      res.WallSeconds,
