@@ -50,17 +50,27 @@ procs:
 # The scalar kernels under the same goldens: vet and the engine,
 # algorithms, layout and serve tests with the AVX2 kernels compiled out
 # (-tags purego), and a vet of the arm64 build, so the fallback keeps
-# compiling where the assembly does not exist.
+# compiling where the assembly does not exist. The last step fails if the
+# arm64 compiler fused a multiply and an add in the engines or the
+# algorithms: a fused multiply-add rounds once, so those ranks would differ
+# from amd64's. Round the product with an explicit conversion instead
+# (float32(d*acc) + redis).
 purego:
 	$(GO) vet -tags purego ./...
 	$(GO) test -tags purego -count=1 ./internal/engines/... ./internal/algorithms/ ./internal/layout/ ./internal/serve/
 	GOARCH=arm64 $(GO) vet ./...
+	@fused=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/engines/... ./internal/algorithms/ 2>&1 | grep -E 'FN?M(ADD|SUB)'); \
+	if [ -n "$$fused" ]; then \
+		echo "$$fused"; \
+		echo "purego: fused multiply-adds in the arm64 build of the engines or algorithms"; \
+		exit 1; \
+	fi
 
 # One-iteration pass over the Prepare benchmarks so the parallel build paths
 # (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised
-# in CI, and over the gather, scatter and rank-update benchmarks so the flat
-# decode kernel, the intra pull and the rank update compile and run, in the
-# default build (both kernel sets) and in the purego build.
+# in CI, and over the gather, scatter and rank-update benchmarks so the inter
+# pull, the intra pull and the rank update compile and run, in the default
+# build (both kernel sets) and in the purego build.
 KERNEL_BENCH = 'BenchmarkGatherPartition|BenchmarkScatterPartition|BenchmarkUpdateRanks'
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .

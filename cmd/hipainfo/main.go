@@ -47,8 +47,8 @@ type infoReport struct {
 	Locality     partition.EdgeLocality `json:"locality"`
 	Compression  compressionInfo        `json:"compression"`
 	LayoutBytes  int64                  `json:"layout_bytes"`
-	PullPadding  int64                  `json:"pull_padding"`
-	PullPadShare float64                `json:"pull_padding_share"`
+	IntraPull    layout.PullStats       `json:"intra_pull"`
+	InterPull    layout.PullStats       `json:"inter_pull"`
 	RankPages    []int64                `json:"rank_pages_per_node"`
 	RankBytes    int64                  `json:"rank_bytes"`
 	Versioned    *graph.VersionedStats  `json:"versioned,omitempty"`
@@ -205,10 +205,7 @@ func main() {
 		BinBytes:        lay.BinBytes(),
 	}
 	rep.LayoutBytes = lay.Bytes()
-	rep.PullPadding = lay.PullPadding()
-	if lay.IntraEdges > 0 {
-		rep.PullPadShare = float64(rep.PullPadding) / float64(lay.IntraEdges)
-	}
+	rep.IntraPull, rep.InterPull = lay.IntraPullStats(), lay.InterPullStats()
 
 	// NUMA placement of the rank array under HiPa's sliced policy.
 	space := memsim.NewSpace(m)
@@ -229,7 +226,7 @@ func main() {
 		rep.Graph.NumVertices, rep.Graph.NumEdges, rep.Graph.AvgOutDegree, rep.Graph.MaxOutDegree, rep.Graph.Dangling)
 	fmt.Printf("skew       : top 10%% of vertices own %.1f%% of out-edges\n", 100*rep.SkewTop10)
 	fmt.Printf("machine    : %s\n", m)
-	fmt.Printf("kernels    : %s (intra pull and rank update)\n", rep.Kernels)
+	fmt.Printf("kernels    : %s (both pulls and the rank update)\n", rep.Kernels)
 	if vs := rep.Versioned; vs != nil {
 		fmt.Printf("versioned  : v%d after %d batches (%d mutations); %d -> %d edges; snapshot v%d, %d compactions\n",
 			vs.Version, vs.LogBatches, vs.LogMutations, vs.SnapshotEdges, vs.Edges, vs.SnapshotVersion, vs.Compactions)
@@ -245,9 +242,15 @@ func main() {
 	fmt.Printf("compression: %d inter-edges -> %d messages (%.2f edges/message, %d blocks, bin %dB)\n",
 		rep.Compression.InterEdges, rep.Compression.Messages, rep.Compression.EdgesPerMessage,
 		rep.Compression.Blocks, rep.Compression.BinBytes)
-	fmt.Printf("layout     : %dB resident (blocks, messages, destinations, intra push CSR and pull)\n", rep.LayoutBytes)
-	fmt.Printf("intra pull : %d padding entries (%.1f%% of %d intra edges)\n",
-		rep.PullPadding, 100*rep.PullPadShare, rep.Locality.IntraEdges)
+	fmt.Printf("layout     : %dB resident (blocks, message sources, intra push CSR, intra and inter pulls)\n", rep.LayoutBytes)
+	for _, pl := range []struct {
+		name  string
+		st    layout.PullStats
+		edges string
+	}{{"intra pull", rep.IntraPull, "intra edges"}, {"inter pull", rep.InterPull, "inter-edges"}} {
+		fmt.Printf("%-11s: %d entries + %d padding (%.1f%% of the %s), %dB\n",
+			pl.name, pl.st.Entries, pl.st.Padding, 100*pl.st.PadShare, pl.edges, pl.st.Bytes)
+	}
 	fmt.Printf("placement  : rank array %dB across %v pages per node (sliced by partition ownership)\n",
 		rep.RankBytes, rep.RankPages)
 }

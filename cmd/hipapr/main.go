@@ -171,8 +171,15 @@ func main() {
 	var res *common.Result
 	var execTotal float64
 	var arenas execbuf.PoolStats
+	// Prepare once (with the recorder, so the prep spans land in the
+	// trace), then execute; with -repeat, only the last execution carries
+	// the recorder: per-iteration stats describe one run, not N merged.
+	prep, err := e.Prepare(g, o)
+	if err != nil {
+		fail(err.Error())
+	}
 	if *repeat == 1 {
-		res, err = e.Run(g, o)
+		res, err = e.Exec(prep, o)
 		if err != nil {
 			fail(err.Error())
 		}
@@ -181,13 +188,6 @@ func main() {
 			tel.Runs().Add(harness.NewRunReport(g, m, res))
 		}
 	} else {
-		// Prepare once (with the recorder, so the prep spans land in the
-		// trace), then execute repeatedly. Only the last execution carries
-		// the recorder: per-iteration stats describe one run, not N merged.
-		prep, err := e.Prepare(g, o)
-		if err != nil {
-			fail(err.Error())
-		}
 		quiet := o
 		quiet.Obs = nil
 		for i := 0; i < *repeat-1; i++ {
@@ -227,8 +227,17 @@ func main() {
 		fmt.Printf("scheduler  : %d spawns, %d migrations\n", res.Sched.Spawned, res.Sched.Migrations)
 	}
 
+	var lay *harness.LayoutReport
+	if pa := prep.Partition(); pa != nil {
+		lay = harness.NewLayoutReport(pa.Lay)
+		fmt.Printf("layout     : %dB; inter pull %d entries + %d padding (%.1f%%), %dB\n", lay.Bytes,
+			lay.InterPull.Entries, lay.InterPull.Padding, 100*lay.InterPull.PadShare, lay.InterPull.Bytes)
+	}
+
 	if *statsPath != "" {
-		if err := harness.NewRunReport(g, m, res).WriteJSONFile(*statsPath); err != nil {
+		rep := harness.NewRunReport(g, m, res)
+		rep.Layout = lay
+		if err := rep.WriteJSONFile(*statsPath); err != nil {
 			fail(err.Error())
 		}
 		fmt.Printf("stats      : wrote %s (%d iterations, %s kernels)\n", *statsPath, len(res.Iters), common.KernelSet())

@@ -107,15 +107,23 @@ func (p *prepared) propagate(x, y []float32, bins []float32, bar *common.Barrier
 		}
 	}
 	bar.Wait()
-	// Gather.
+	// Gather: walk the partitions' inter pull rows, each vertex's messages
+	// in ascending index, the order a push decodes them in.
+	ip := &lay.InterPull
+	sink := graph.VertexID(lay.NumMessages())
 	for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
-		for _, bi := range lay.DstBlocks[pi] {
-			b := lay.Blocks[bi]
-			m := b.MsgStart - 1
-			for _, d := range lay.MsgDst[b.DstStart:b.DstEnd] {
-				m += int64(d >> 31)
-				if val := bins[m]; val != 0 {
-					y[d&^layout.FirstDst] += val
+		clo, chi := ip.Chunks(pi)
+		for c := clo; c < chi; c++ {
+			lo, end := ip.Chunk[c], ip.Chunk[c+1]
+			for i, d := range ip.Lanes(c) {
+				for e := lo + int64(i); e < end; e += layout.PullLanes {
+					m := ip.Idx[e]
+					if m == sink {
+						break
+					}
+					if val := bins[m]; val != 0 {
+						y[d] += val
+					}
 				}
 			}
 		}
@@ -264,9 +272,9 @@ func PageRankDelta(g *graph.Graph, o DeltaOptions) (*DeltaResult, error) {
 		common.RunThreads(p.cfg.Threads, func(tid int) {
 			p.propagate(send, acc, bins, bar, tid)
 		})
-		redis := d * float32(danglingDelta/float64(n))
+		redis := float32(d * float32(danglingDelta/float64(n)))
 		for v := 0; v < n; v++ {
-			nd := d*acc[v] + redis
+			nd := float32(d*acc[v]) + redis
 			if it == 0 {
 				// First iteration: the rank formula replaces the uniform
 				// initial mass with base + propagated mass.

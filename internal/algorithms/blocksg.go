@@ -20,21 +20,21 @@ const MaxBatch = 64
 // BlockSG is the rank-B generalization of the partition-centric
 // scatter-gather kernel (common.SGState): B PageRank columns advance in
 // lockstep through one pass over the graph per iteration, so the graph
-// structure — intra CSR, message metadata, destination lists — is streamed
-// once per batch instead of once per query (the multi-RHS form of the PCPM
-// traffic argument).
+// structure — both pulls and the message sources — is streamed once per
+// batch instead of once per query (the multi-RHS form of the PCPM traffic
+// argument).
 //
 // Layout: rank state is vertex-interleaved, column j of vertex v at
 // ranks[v*B+j], so one cache line carries up to 16 columns of the same
 // vertex and the per-vertex random accesses of the batch amortize across
 // the block. Ranks are double-buffered: an iteration reads ranksCur
 // everywhere and writes ranksNext inside the owning partition, which lets
-// the gather phase decode inter-partition messages by reading the source
-// vertex's rank block directly — there is no B-wide bins array. The decoded
-// value ranksCur[u*B+j] * Inv[u] is the exact multiply the scalar kernel
-// materializes into its bins during scatter, applied to the accumulators in
-// the same block/message/destination order, so a uniform column at B=1 is
-// bit-identical to the scalar HiPa engine.
+// the gather phase add inter-partition messages by reading the source
+// vertex's rank block directly — there is no B-wide bins array. The value
+// ranksCur[u*B+j] * Inv[u] of each inter pull entry is the exact multiply
+// the scalar kernel materializes into its bins during scatter, added to
+// each accumulator in the same order as the scalar kernel's inter pull, so
+// a uniform column at B=1 is bit-identical to the scalar HiPa engine.
 //
 // The intra-edges are pulled over the layout's sliced ELLPACK, as in the
 // scalar kernel: the scatter stores in acc each vertex's sum over its intra
@@ -220,7 +220,8 @@ const pullTileRows = 512
 // blocks directly.
 func (s *BlockSG) PullIntra(clo, chi int) {
 	const lanes = layout.PullLanes
-	off, idx, perm := s.Lay.PullChunk, s.Lay.PullIdx, s.Lay.PullPerm
+	pull := &s.Lay.IntraPull
+	off, idx, perm := pull.Chunk, pull.Idx, pull.Perm
 	b := s.B
 	cols := s.cols
 	contrib, acc := s.contrib, s.acc
@@ -230,7 +231,7 @@ func (s *BlockSG) PullIntra(clo, chi int) {
 		// scratch. A width-1 block is SGState's layout, so it takes the
 		// shared pull kernel.
 		if b == 1 {
-			common.PullSELL(s.Lay, contrib, acc, clo, chi)
+			common.PullSELL(pull, contrib, acc, clo, chi)
 			return
 		}
 		j := int(cols[0])
@@ -348,7 +349,7 @@ func (s *BlockSG) Reduce() {
 			}
 		} else {
 			w := 1.0 / float64(len(sv))
-			add := float32((1-d)*w + d*sum*w)
+			add := float32(float64((1-d)*w) + float64(d*sum*w))
 			for _, v := range sv {
 				s.seedAdd[int(v)*b+int(j)] = add
 			}
@@ -361,11 +362,13 @@ func (s *BlockSG) Reduce() {
 	s.lineSteps += (active*4 + 63) / 64
 }
 
-// GatherPartition decodes the inter-partition messages targeting p by
-// reading each message's source rank block from the read-side buffer —
+// GatherPartition adds the inter-partition messages targeting p by walking
+// p's inter pull rows — each vertex's messages in ascending index, the
+// order a push decodes them in — and rebuilding each entry's column values
+// from its message's source rank block in the read-side buffer:
 // ranksCur[u*B+j] * Inv[u] is bitwise the value the scalar kernel binned
-// during scatter, applied in the same block/message/destination order —
-// then recomputes p's rank rows into the write-side buffer:
+// during scatter. It then recomputes p's rank rows into the write-side
+// buffer:
 //
 //	next = baseS[j] + d*acc + redisS[j] + seedAdd[v*B+j]
 //
@@ -384,42 +387,45 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 	cols := s.cols
 	ranks, inv, acc, contrib := s.ranksCur, s.Inv, s.acc, s.contrib
 
-	var cb [MaxBatch]float32
-	for _, bi := range lay.DstBlocks[p] {
-		blk := lay.Blocks[bi]
-		src := lay.MsgSrc[blk.MsgStart:blk.MsgEnd:blk.MsgEnd]
-		dst := lay.MsgDst[blk.DstStart:blk.DstEnd:blk.DstEnd]
-		// A flagged destination opens the next message: rebuild its column
-		// value(s) from its source's rank row, then add them to every
-		// destination of the message.
-		m := -1
-		if len(cols) == 1 {
-			j := int(cols[0])
-			var c float32
-			for _, dv := range dst {
-				if dv&layout.FirstDst != 0 {
-					m++
-					u := int(src[m])
-					c = ranks[u*b+j] * inv[u]
-				}
-				acc[int(dv&^layout.FirstDst)*b+j] += c
+	ip := &lay.InterPull
+	src := lay.MsgSrc
+	sink := graph.VertexID(len(src))
+	clo, chi := ip.Chunks(p)
+	for c := clo; c < chi; c++ {
+		lo, end := ip.Chunk[c], ip.Chunk[c+1]
+		for i, v := range ip.Lanes(c) {
+			// Lanes are sorted by row length, so the first lane whose row
+			// is empty ends the chunk's real rows.
+			if ip.Idx[lo+int64(i)] == sink {
+				break
 			}
-			continue
-		}
-		for _, dv := range dst {
-			if dv&layout.FirstDst != 0 {
-				m++
+			if len(cols) == 1 {
+				j := int(cols[0])
+				a := int(v)*b + j
+				sum := acc[a]
+				for e := lo + int64(i); e < end; e += layout.PullLanes {
+					m := ip.Idx[e]
+					if m == sink {
+						break
+					}
+					u := int(src[m])
+					sum += float32(ranks[u*b+j] * inv[u])
+				}
+				acc[a] = sum
+				continue
+			}
+			ab := acc[int(v)*b : int(v)*b+b : int(v)*b+b]
+			for e := lo + int64(i); e < end; e += layout.PullLanes {
+				m := ip.Idx[e]
+				if m == sink {
+					break
+				}
 				u := int(src[m])
 				iv := inv[u]
 				rb := ranks[u*b : u*b+b : u*b+b]
-				for k, j := range cols {
-					cb[k] = rb[j] * iv
+				for _, j := range cols {
+					ab[j] += float32(rb[j] * iv)
 				}
-			}
-			v := int(dv &^ layout.FirstDst)
-			ab := acc[v*b : v*b+b : v*b+b]
-			for k, j := range cols {
-				ab[j] += cb[k]
 			}
 		}
 	}

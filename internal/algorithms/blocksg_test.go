@@ -127,7 +127,7 @@ func TestBlockSGZeroSlotOnReusedArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lay.PullPadding() == 0 {
+	if lay.IntraPullStats().Padding == 0 {
 		t.Fatal("fixture layout has no pull padding")
 	}
 	inv := common.InvOutDegrees(g)
@@ -192,7 +192,7 @@ func BenchmarkBlockScatter(b *testing.B) {
 				k.Scatter(0)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
-			b.ReportMetric(100*float64(lay.PullPadding())/float64(lay.IntraEdges), "pad_pct")
+			b.ReportMetric(100*lay.IntraPullStats().PadShare, "pad_pct")
 		})
 	}
 }

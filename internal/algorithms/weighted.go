@@ -61,7 +61,7 @@ func WeightedSpMV(g *graph.Graph, x []float32, weights []float32, cfg Config) ([
 			for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
 				var acc float32
 				for ii := inOff[v]; ii < inOff[v+1]; ii++ {
-					acc += weights[widx[ii]] * x[inAdj[ii]]
+					acc += float32(weights[widx[ii]] * x[inAdj[ii]])
 				}
 				y[v] = acc
 			}
@@ -122,9 +122,9 @@ func PersonalizedPageRank(g *graph.Graph, sources []graph.VertexID, iterations i
 		common.RunThreads(p.cfg.Threads, func(tid int) {
 			p.propagate(send, acc, bins, bar, tid)
 		})
-		restart := float32(1-damping) + d*float32(dangling)
+		restart := float32(1-damping) + float32(d*float32(dangling))
 		for v := 0; v < n; v++ {
-			rank[v] = restart*teleport[v] + d*acc[v]
+			rank[v] = float32(restart*teleport[v]) + float32(d*acc[v])
 			acc[v] = 0
 		}
 	}

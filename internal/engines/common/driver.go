@@ -374,14 +374,14 @@ func PinnedKernels(s *SGState, groups []partition.Group) PhaseKernels {
 // of 2·len(groups) entries, filled and returned. Every pinned kernel with
 // an intra pull (HiPa's and the blocked B-PPR kernel) slices with it.
 func PullSlices(lay *layout.Layout, hier *partition.Hierarchy, groups []partition.Group, slices []int32) []int32 {
-	off := lay.PullChunk
+	off := lay.IntraPull.Chunk
 	for start := 0; start < len(groups); {
 		end := start + 1
 		for end < len(groups) && groups[end].Node == groups[start].Node {
 			end++
 		}
 		na := hier.Nodes[groups[start].Node]
-		lo, hi := int(lay.PullPart[na.PartStart]), int(lay.PullPart[na.PartEnd])
+		lo, hi := int(lay.IntraPull.Part[na.PartStart]), int(lay.IntraPull.Part[na.PartEnd])
 		// cost(c) is the pull work of chunks [lo, c): strictly increasing in c.
 		cost := func(c int) int64 { return off[c] - off[lo] + layout.PullLanes*int64(c-lo) }
 		k := int64(end - start)

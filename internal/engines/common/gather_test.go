@@ -1,6 +1,7 @@
 package common
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -12,51 +13,123 @@ import (
 	"hipa/internal/partition"
 )
 
-// TestGatherBlockMatchesMessageLoop: the flat, unrolled decode performs the
-// same float32 adds in the same order as a per-message loop, for streams of
-// every length around the unroll width, repeated destinations included.
-func TestGatherBlockMatchesMessageLoop(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 0))
-	const n = 8
-	for length := 1; length <= 13; length++ {
-		for trial := 0; trial < 20; trial++ {
-			// Random message boundaries; the first destination always opens
-			// a message.
-			var msgs [][]graph.VertexID
-			for i := 0; i < length; i++ {
-				if i == 0 || rng.IntN(3) == 0 {
-					msgs = append(msgs, nil)
-				}
-				msgs[len(msgs)-1] = append(msgs[len(msgs)-1], graph.VertexID(rng.IntN(n)))
+// pushGather is the paper's gather, decoded from the graph rather than the
+// layout: for each destination partition q, block by block in DstBlocks
+// order, message by message, it adds the message's bin to each of its
+// destinations in adjacency order. Message m of block p->q is the m-th
+// group of p's inter-edges into q in source order, one per (source, q) run
+// when compressed and one per edge when not — the build's grouping.
+func pushGather(g *graph.Graph, h *partition.Hierarchy, lay *layout.Layout, bins, acc []float32) {
+	per, P := h.VerticesPerPartition, lay.NumPartitions
+	next := make(map[[2]int]int64)
+	for _, b := range lay.Blocks {
+		next[[2]int{int(b.SrcPart), int(b.DstPart)}] = b.MsgStart
+	}
+	// dsts[m] lists message m's destinations.
+	dsts := make([][]graph.VertexID, lay.NumMessages())
+	for u := 0; u < g.NumVertices(); u++ {
+		p, lastQ := u/per, -1
+		var m int64
+		for _, d := range g.OutNeighbors(graph.VertexID(u)) {
+			q := int(d) / per
+			if q == p {
+				continue
 			}
-			var dst []graph.VertexID
-			bins := make([]float32, len(msgs))
-			for k, m := range msgs {
-				bins[k] = rng.Float32()
-				dst = append(dst, m[0]|layout.FirstDst)
-				dst = append(dst, m[1:]...)
+			if !lay.Compressed || q != lastQ {
+				m = next[[2]int{p, q}]
+				next[[2]int{p, q}]++
+				lastQ = q
 			}
-			want := make([]float32, n)
-			for k, m := range msgs {
-				for _, d := range m {
-					want[d] += bins[k]
-				}
-			}
-			got := make([]float32, n)
-			gatherBlock(got, bins, dst)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("length %d trial %d: acc[%d] = %v, want %v", length, trial, v, got[v], want[v])
+			dsts[m] = append(dsts[m], d)
+		}
+	}
+	for q := 0; q < P; q++ {
+		for _, bi := range lay.DstBlocks[q] {
+			b := lay.Blocks[bi]
+			for m := b.MsgStart; m < b.MsgEnd; m++ {
+				for _, d := range dsts[m] {
+					acc[d] += bins[m]
 				}
 			}
 		}
 	}
 }
 
+// TestInterPullMatchesPush: the gather's inter pull leaves every
+// accumulator bitwise equal to the paper's push decode of the same bins
+// into the same intra sums, with both kernel sets, compressed and
+// uncompressed. The R-MAT graph keeps its duplicate edges, which repeat a
+// message in a row, and its hubs collect thousands of messages, where any
+// change to a destination's add order shows in the float32 sums.
+func TestInterPullMatchesPush(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 13, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 3, Noise: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	dup := false
+	for v := 0; v < n && !dup; v++ {
+		row := g.OutNeighbors(graph.VertexID(v))
+		for i := 1; i < len(row); i++ {
+			dup = dup || row[i] == row[i-1]
+		}
+	}
+	if !dup {
+		t.Fatal("fixture: the graph has no duplicate edge")
+	}
+	hier, err := partition.Build(g, partition.Config{PartitionBytes: 4 << 10, BytesPerVertex: 4, NumNodes: 2, GroupsPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(13, 0))
+	for _, compress := range []bool{true, false} {
+		lay, err := layout.Build(g, hier, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]int, n)
+		for c := 0; c+1 < len(lay.InterPull.Chunk); c++ {
+			if v := lay.InterPull.Lanes(c)[0]; int(v) < n {
+				rows[v] = int(lay.InterPull.Chunk[c+1]-lay.InterPull.Chunk[c]) / layout.PullLanes
+			}
+		}
+		if hub := slices.Max(rows); hub < 1000 {
+			t.Fatalf("compress=%v: longest inter pull row %d, want a hub of at least 1000 messages", compress, hub)
+		}
+		for _, avx2 := range []bool{false, true} {
+			t.Run(fmt.Sprintf("compress=%v/avx2=%v", compress, avx2), func(t *testing.T) {
+				if avx2 {
+					needAVX2(t)
+				}
+				s := NewSGState(g, hier, lay, 0.85, 1)
+				for i := range s.Acc {
+					s.Acc[i] = rng.Float32() * 1e-3
+				}
+				for m := range s.Bins[:lay.NumMessages()] {
+					s.Bins[m] = rng.Float32() * 1e-4
+				}
+				want := slices.Clone(s.Acc)
+				pushGather(g, hier, lay, s.Bins, want)
+				withKernels(avx2, func() {
+					for p := 0; p < hier.NumPartitions(); p++ {
+						s.gatherMessages(p)
+					}
+				})
+				for v := range want {
+					if math.Float32bits(s.Acc[v]) != math.Float32bits(want[v]) {
+						t.Fatalf("Acc[%d] = %v, push %v", v, s.Acc[v], want[v])
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkGatherPartition times one thread's gather phase over every
-// partition of a small R-MAT graph split into 16 partitions, and reports
-// the cost per decoded message destination and per rank-updated vertex,
-// once per kernel set.
+// partition of a small R-MAT graph split into 16 partitions, and reports,
+// once per kernel set, the cost per inter pull entry (ns/entry, padding
+// counted), per rank-updated vertex, and the pull's padding entries as a
+// percentage of its inter-edges (pad_pct).
 func BenchmarkGatherPartition(b *testing.B) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 15, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 1, Noise: 0.05})
 	if err != nil {
@@ -75,6 +148,7 @@ func BenchmarkGatherPartition(b *testing.B) {
 	for p := 0; p < P; p++ {
 		s.ScatterPartition(p, 0)
 	}
+	st := lay.InterPullStats()
 	eachKernel(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for p := 0; p < P; p++ {
@@ -82,8 +156,9 @@ func BenchmarkGatherPartition(b *testing.B) {
 			}
 		}
 		per := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(per/float64(len(lay.MsgDst)), "ns/dst")
+		b.ReportMetric(per/float64(st.Entries+st.Padding), "ns/entry")
 		b.ReportMetric(per/float64(g.NumVertices()), "ns/vertex")
+		b.ReportMetric(100*st.PadShare, "pad_pct")
 	})
 }
 
@@ -115,7 +190,7 @@ func BenchmarkScatterPartition(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
-		b.ReportMetric(100*float64(lay.PullPadding())/float64(lay.IntraEdges), "pad_pct")
+		b.ReportMetric(100*lay.IntraPullStats().PadShare, "pad_pct")
 	})
 }
 

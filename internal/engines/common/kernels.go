@@ -7,7 +7,7 @@ import (
 	"hipa/internal/layout"
 )
 
-// The two hot loops of the dense superstep, the intra pull and the rank
+// The hot loops of the dense superstep, the two pulls and the rank
 // update, have an AVX2 kernel on amd64 (kernels_amd64.s) and the scalar Go
 // loops below everywhere else. The kernel set is chosen once, at init, from
 // the CPU's features: AVX2 plus OS support for the YMM state. Builds for
@@ -27,38 +27,61 @@ func KernelSet() string {
 	return "scalar"
 }
 
-// PullSELL stores in acc[v], for each vertex v of lay's pull chunks
-// [clo,chi), the sum of contrib[u] over v's intra in-neighbours u in
-// ascending order, starting from +0. contrib needs len(acc)+1 slots: slot
-// n = len(acc) is the sink that padding entries read, and it must hold +0.
-// A chunk's eight lanes are eight independent add chains. Padding lanes,
-// which only end a partition's last chunk, are not stored.
-func PullSELL(lay *layout.Layout, contrib, acc []float32, clo, chi int) {
-	if useAVX2 {
-		pullSELLAVX2(lay, contrib, acc, clo, chi)
-		return
-	}
-	pullSELLScalar(lay, contrib, acc, clo, chi)
+// PullSELL stores in acc[v], for each vertex v of pull's chunks [clo,chi),
+// the sum of vals[x] over the entries x of v's row in order, starting from
+// +0. The pull's sink, which pads its rows, is len(vals)-1, and that slot
+// must hold +0; len(acc) is the vertex count, the lane sink. A chunk's
+// eight lanes are eight independent add chains. Padding lanes, which only
+// end a partition's last chunk, are not stored.
+func PullSELL(pull *layout.SELL, vals, acc []float32, clo, chi int) {
+	pullSELL(pull, vals, acc, clo, chi, false)
 }
 
-func pullSELLScalar(lay *layout.Layout, contrib, acc []float32, clo, chi int) {
+// AddSELL is PullSELL with each lane's sum starting from acc[v] instead of
+// +0: it adds v's row to acc[v], one add at a time in row order. A chunk
+// with no entries is left as it is.
+func AddSELL(pull *layout.SELL, vals, acc []float32, clo, chi int) {
+	pullSELL(pull, vals, acc, clo, chi, true)
+}
+
+func pullSELL(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool) {
+	if useAVX2 {
+		pullSELLAVX2(pull, vals, acc, clo, chi, add)
+		return
+	}
+	pullSELLScalar(pull, vals, acc, clo, chi, add)
+}
+
+func pullSELLScalar(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool) {
 	const lanes = layout.PullLanes
-	off, idx, perm := lay.PullChunk, lay.PullIdx, lay.PullPerm
+	off, idx := pull.Chunk, pull.Idx
 	sink := graph.VertexID(len(acc))
 	for c := clo; c < chi; c++ {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		for e, end := off[c], off[c+1]; e < end; e += lanes {
-			r := idx[e : e+lanes : e+lanes]
-			s0 += contrib[r[0]]
-			s1 += contrib[r[1]]
-			s2 += contrib[r[2]]
-			s3 += contrib[r[3]]
-			s4 += contrib[r[4]]
-			s5 += contrib[r[5]]
-			s6 += contrib[r[6]]
-			s7 += contrib[r[7]]
+		e, end := off[c], off[c+1]
+		if add && e == end {
+			continue
 		}
-		v := perm[c*lanes : c*lanes+lanes : c*lanes+lanes]
+		v := pull.Lanes(c)
+		var s [lanes]float32
+		if add {
+			for i, u := range v {
+				if u != sink {
+					s[i] = acc[u]
+				}
+			}
+		}
+		s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		for ; e < end; e += lanes {
+			r := idx[e : e+lanes : e+lanes]
+			s0 += vals[r[0]]
+			s1 += vals[r[1]]
+			s2 += vals[r[2]]
+			s3 += vals[r[3]]
+			s4 += vals[r[4]]
+			s5 += vals[r[5]]
+			s6 += vals[r[6]]
+			s7 += vals[r[7]]
+		}
 		if v[lanes-1] == sink {
 			sums := [lanes]float32{s0, s1, s2, s3, s4, s5, s6, s7}
 			for i, u := range v {

@@ -32,17 +32,19 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// pullAVX2 runs the intra pull over the chunks whose offsets are off, with
-// perm their lanes (8 per chunk) and n = len(acc) the sink. Each 8-entry
-// step is one gather of contrib plus one add, lane by lane as the scalar
-// chains. Every index is clamped to n before the gather and every lane
-// ≥ n is left unstored, so a corrupt layout reads and writes nothing out
-// of bounds. It returns the largest index and lane seen, or maxIdx =
+// pullAVX2 runs a pull over the chunks whose offsets are off, with perm
+// their lanes (8 per chunk), vals the values the entries index and n =
+// len(acc) the lane sink. Each 8-entry step is one gather of vals plus one
+// add, lane by lane as the scalar chains; with add set, a chunk's sums
+// start from acc instead of +0 and a chunk with no entries is skipped.
+// Every index is clamped to len(vals)-1 before the gather, every lane ≥ n
+// is neither read nor stored, so a corrupt layout reads and writes nothing
+// out of bounds. It returns the largest index and lane seen, or maxIdx =
 // MaxUint32 if a chunk's offsets are out of order, past len(idx) or not a
 // whole number of steps.
 //
 //go:noescape
-func pullAVX2(off []int64, idx, perm []graph.VertexID, contrib, acc []float32) (maxIdx, maxPerm uint32)
+func pullAVX2(off []int64, idx, perm []graph.VertexID, vals, acc []float32, add bool) (maxIdx, maxPerm uint32)
 
 // rankAVX2 is the rank update over len(ranks), a multiple of 8, vertices;
 // contrib, acc and inv are at least as long. It returns the lanes'
@@ -51,19 +53,19 @@ func pullAVX2(off []int64, idx, perm []graph.VertexID, contrib, acc []float32) (
 //go:noescape
 func rankAVX2(ranks, contrib, acc, inv []float32, d, base, redis float32) (maxDiff float32, dangling float64)
 
-func pullSELLAVX2(lay *layout.Layout, contrib, acc []float32, clo, chi int) {
+func pullSELLAVX2(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool) {
 	const lanes = layout.PullLanes
-	off, perm := lay.PullChunk[clo:chi+1], lay.PullPerm[clo*lanes:chi*lanes]
-	n := len(acc)
-	_ = contrib[n] // the sink slot padding entries read
+	off, perm := pull.Chunk[clo:chi+1], pull.Perm[clo*lanes:chi*lanes]
+	n, clamp := len(acc), len(vals)-1
+	_ = vals[clamp] // the sink slot padding entries read
 	// Gather indices are signed 32-bit.
-	if n >= math.MaxInt32 {
-		pullSELLScalar(lay, contrib, acc, clo, chi)
+	if clamp >= math.MaxInt32 || n >= math.MaxInt32 {
+		pullSELLScalar(pull, vals, acc, clo, chi, add)
 		return
 	}
-	maxIdx, maxPerm := pullAVX2(off, lay.PullIdx, perm, contrib, acc)
-	if int64(maxIdx) > int64(n) || int64(maxPerm) > int64(n) {
-		panic(fmt.Sprintf("common: corrupt pull layout in chunks [%d,%d): largest index %d, largest lane %d, sink %d", clo, chi, maxIdx, maxPerm, n))
+	maxIdx, maxPerm := pullAVX2(off, pull.Idx, perm, vals, acc, add)
+	if int64(maxIdx) > int64(clamp) || int64(maxPerm) > int64(n) {
+		panic(fmt.Sprintf("common: corrupt pull layout in chunks [%d,%d): largest index %d (sink %d), largest lane %d (sink %d)", clo, chi, maxIdx, clamp, maxPerm, n))
 	}
 }
 

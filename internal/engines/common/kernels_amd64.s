@@ -32,24 +32,29 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	JCC        2(PC)           \
 	VEXTRACTPS $sel, x, (R11)(DX*4)
 
-// func pullAVX2(off []int64, idx, perm []graph.VertexID, contrib, acc []float32) (maxIdx, maxPerm uint32)
+// func pullAVX2(off []int64, idx, perm []graph.VertexID, vals, acc []float32, add bool) (maxIdx, maxPerm uint32)
 //
 // SI = &off[k], CX = chunks left, AX = entry, BX = chunk end, R8/R9 = idx
-// base/len, DI = &perm[8k], R10 = contrib, R11 = acc, R12 = n (the sink),
-// R13 = largest lane, Y13 = largest indices, Y14 = n in every lane,
-// Y0 = the chunk's eight sums.
-TEXT ·pullAVX2(SB), NOSPLIT, $0-128
+// base/len, DI = &perm[8k], R10 = vals, R11 = acc, R12 = n (the lane
+// sink), R13 = largest lane, Y13 = largest indices, Y14 = len(vals)-1 (the
+// index clamp) in every lane, Y15 = n in every lane, Y0 = the chunk's
+// eight sums.
+TEXT ·pullAVX2(SB), NOSPLIT, $0-136
 	MOVQ         off_base+0(FP), SI
 	MOVQ         off_len+8(FP), CX
 	DECQ         CX
 	MOVQ         idx_base+24(FP), R8
 	MOVQ         idx_len+32(FP), R9
 	MOVQ         perm_base+48(FP), DI
-	MOVQ         contrib_base+72(FP), R10
+	MOVQ         vals_base+72(FP), R10
+	MOVQ         vals_len+80(FP), DX
+	DECQ         DX
+	VMOVD        DX, X14
+	VPBROADCASTD X14, Y14
 	MOVQ         acc_base+96(FP), R11
 	MOVQ         acc_len+104(FP), R12
-	VMOVD        R12, X14
-	VPBROADCASTD X14, Y14
+	VMOVD        R12, X15
+	VPBROADCASTD X15, Y15
 	VPXOR        Y13, Y13, Y13
 	XORL         R13, R13
 	MOVQ         (SI), AX
@@ -67,8 +72,22 @@ chunk:
 	TESTQ  $7, DX
 	JNZ    bad
 	VXORPS Y0, Y0, Y0
+	CMPB   add+120(FP), $0
+	JEQ    sum
 	CMPQ   AX, BX
-	JEQ    store
+	JEQ    next
+
+	// Accumulate: the sums start from acc[perm[i]] for the real lanes.
+	VMOVDQU    (DI), Y5
+	VPMINUD    Y5, Y15, Y5
+	VPCMPEQD   Y5, Y15, Y6
+	VPCMPEQD   Y7, Y7, Y7
+	VPXOR      Y7, Y6, Y6
+	VGATHERDPS Y6, (R11)(Y5*4), Y0
+
+sum:
+	CMPQ AX, BX
+	JEQ  store
 
 step:
 	VMOVDQU    (R8)(AX*4), Y1
@@ -92,10 +111,12 @@ store:
 	LANE(20, 1, X4)
 	LANE(24, 2, X4)
 	LANE(28, 3, X4)
-	ADDQ         $8, SI
-	ADDQ         $32, DI
-	DECQ         CX
-	JMP          chunk
+
+next:
+	ADDQ $8, SI
+	ADDQ $32, DI
+	DECQ CX
+	JMP  chunk
 
 done:
 	VEXTRACTI128 $1, Y13, X1
@@ -105,14 +126,14 @@ done:
 	VPSHUFD      $0xb1, X13, X1
 	VPMAXUD      X1, X13, X13
 	VMOVD        X13, AX
-	MOVL         AX, maxIdx+120(FP)
-	MOVL         R13, maxPerm+124(FP)
+	MOVL         AX, maxIdx+128(FP)
+	MOVL         R13, maxPerm+132(FP)
 	VZEROUPPER
 	RET
 
 bad:
-	MOVL $0xffffffff, maxIdx+120(FP)
-	MOVL R13, maxPerm+124(FP)
+	MOVL $0xffffffff, maxIdx+128(FP)
+	MOVL R13, maxPerm+132(FP)
 	VZEROUPPER
 	RET
 

@@ -7,7 +7,7 @@ import "hipa/internal/layout"
 // hasAVX2 is false where the AVX2 kernels are not compiled in.
 const hasAVX2 = false
 
-func pullSELLAVX2(*layout.Layout, []float32, []float32, int, int) {
+func pullSELLAVX2(*layout.SELL, []float32, []float32, int, int, bool) {
 	panic("common: AVX2 kernels not compiled in")
 }
 

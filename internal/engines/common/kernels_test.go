@@ -45,13 +45,14 @@ func needAVX2(t *testing.T) {
 	}
 }
 
-// randomSELL builds SELL-8 pull arrays over n vertices, cut into a few
-// partitions of random size. Each partition's vertices fill its chunks'
-// lanes in random order, and its last chunk is padded with sink lanes when
-// its size is not a multiple of 8. Rows are random ascending sources: about
-// a fifth of them empty, one a hub of 1000–1500 entries. Each chunk is as
-// wide as its longest lane, the rest of a lane being sink entries.
-func randomSELL(rng *rand.Rand, n int) *layout.Layout {
+// randomSELL builds a SELL-8 pull over n vertices whose entries index n+1
+// values, cut into a few partitions of random size. Each partition's
+// vertices fill its chunks' lanes in random order, and its last chunk is
+// padded with sink lanes when its size is not a multiple of 8. Rows are
+// random ascending entries below n: about a fifth of them empty, one a hub
+// of 1000–1500 entries. Each chunk is as wide as its longest lane, the rest
+// of a lane being sink entries (n).
+func randomSELL(rng *rand.Rand, n int) *layout.SELL {
 	const lanes = layout.PullLanes
 	sink := graph.VertexID(n)
 	rows := make([][]graph.VertexID, n)
@@ -70,7 +71,7 @@ func randomSELL(rng *rand.Rand, n int) *layout.Layout {
 		slices.Sort(rows[v])
 	}
 	order := rng.Perm(n)
-	lay := &layout.Layout{PullChunk: []int64{0}}
+	lay := &layout.SELL{Chunk: []int64{0}}
 	for lo := 0; lo < n; {
 		hi := min(n, lo+1+rng.IntN(n/2))
 		for c := lo; c < hi; c += lanes {
@@ -83,19 +84,19 @@ func randomSELL(rng *rand.Rand, n int) *layout.Layout {
 					width = max(width, len(rows[perm[i]]))
 				}
 			}
-			base := len(lay.PullIdx)
-			lay.PullIdx = append(lay.PullIdx, make([]graph.VertexID, lanes*width)...)
+			base := len(lay.Idx)
+			lay.Idx = append(lay.Idx, make([]graph.VertexID, lanes*width)...)
 			for i, v := range perm {
 				for k := range width {
 					u := sink
 					if v != sink && k < len(rows[v]) {
 						u = rows[v][k]
 					}
-					lay.PullIdx[base+k*lanes+i] = u
+					lay.Idx[base+k*lanes+i] = u
 				}
 			}
-			lay.PullPerm = append(lay.PullPerm, perm[:]...)
-			lay.PullChunk = append(lay.PullChunk, int64(len(lay.PullIdx)))
+			lay.Perm = append(lay.Perm, perm[:]...)
+			lay.Chunk = append(lay.Chunk, int64(len(lay.Idx)))
 		}
 		lo = hi
 	}
@@ -117,26 +118,35 @@ func randomContrib(rng *rand.Rand, n int) []float32 {
 	return contrib
 }
 
-// pullBoth runs PullSELL over [clo,chi) with each kernel set on a copy of
-// acc and fails unless the two results are bitwise equal.
-func pullBoth(t *testing.T, what string, lay *layout.Layout, contrib, acc []float32, clo, chi int) {
+// pullBoth runs PullSELL and AddSELL over [clo,chi) with each kernel set
+// on copies of acc and fails unless the two sets' results are bitwise
+// equal.
+func pullBoth(t *testing.T, what string, lay *layout.SELL, contrib, acc []float32, clo, chi int) {
 	t.Helper()
-	want, got := slices.Clone(acc), slices.Clone(acc)
-	withKernels(false, func() { PullSELL(lay, contrib, want, clo, chi) })
-	withKernels(true, func() { PullSELL(lay, contrib, got, clo, chi) })
-	for v := range want {
-		if math.Float32bits(got[v]) != math.Float32bits(want[v]) {
-			t.Fatalf("%s, chunks [%d,%d): acc[%d] = %v (avx2), %v (scalar)", what, clo, chi, v, got[v], want[v])
+	for _, mode := range []struct {
+		name string
+		pull func(*layout.SELL, []float32, []float32, int, int)
+	}{{"PullSELL", PullSELL}, {"AddSELL", AddSELL}} {
+		want, got := slices.Clone(acc), slices.Clone(acc)
+		withKernels(false, func() { mode.pull(lay, contrib, want, clo, chi) })
+		withKernels(true, func() { mode.pull(lay, contrib, got, clo, chi) })
+		for v := range want {
+			if math.Float32bits(got[v]) != math.Float32bits(want[v]) {
+				t.Fatalf("%s, %s, chunks [%d,%d): acc[%d] = %v (avx2), %v (scalar)", what, mode.name, clo, chi, v, got[v], want[v])
+			}
 		}
 	}
 }
 
 // TestPullKernelsMatch: the AVX2 pull stores, lane for lane, the bits the
-// scalar pull stores. The layouts are random SELL-8 arrays with padded
-// last chunks, empty rows and a hub row of at least 1000 entries, pulled
-// whole and over random chunk ranges; and a built layout over two nodes,
-// pulled in the per-thread slices PullSlices cuts, which start and end
-// inside a node.
+// scalar pull stores, from +0 (PullSELL) and from the accumulators
+// (AddSELL), whose padding lanes must be neither read nor written. The
+// layouts are random SELL-8 arrays with padded last chunks, empty rows and
+// a hub row of at least 1000 entries, pulled whole and over random chunk
+// ranges into random accumulators; a built layout over two nodes, its
+// intra pull pulled in the per-thread slices PullSlices cuts, which start
+// and end inside a node; and the same layout's inter pull added over the
+// bins partition by partition.
 func TestPullKernelsMatch(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewPCG(23, 0))
@@ -146,9 +156,9 @@ func TestPullKernelsMatch(t *testing.T) {
 		contrib := randomContrib(rng, n)
 		acc := make([]float32, n)
 		for v := range acc {
-			acc[v] = -1 // unstored lanes must keep it on both paths
+			acc[v] = rng.Float32() * 1e-2
 		}
-		chunks := len(lay.PullChunk) - 1
+		chunks := len(lay.Chunk) - 1
 		what := fmt.Sprintf("trial %d (%d vertices, %d chunks)", trial, n, chunks)
 		pullBoth(t, what, lay, contrib, acc, 0, chunks)
 		for range 8 {
@@ -176,8 +186,16 @@ func TestPullKernelsMatch(t *testing.T) {
 		}
 		cuts := PullSlices(lay, hier, hier.Groups, make([]int32, 2*len(hier.Groups)))
 		acc := make([]float32, n)
+		for v := range acc {
+			acc[v] = rng.Float32() * 1e-2
+		}
 		for tid := range hier.Groups {
-			pullBoth(t, fmt.Sprintf("threads %d, thread %d", threads, tid), lay, contrib, acc, int(cuts[2*tid]), int(cuts[2*tid+1]))
+			pullBoth(t, fmt.Sprintf("threads %d, thread %d", threads, tid), &lay.IntraPull, contrib, acc, int(cuts[2*tid]), int(cuts[2*tid+1]))
+		}
+		bins := randomContrib(rng, int(lay.NumMessages()))
+		ip := &lay.InterPull
+		for p := 0; p < hier.NumPartitions(); p++ {
+			pullBoth(t, fmt.Sprintf("threads %d, inter pull of partition %d", threads, p), ip, bins, acc, int(ip.Part[p]), int(ip.Part[p+1]))
 		}
 	}
 }
@@ -256,23 +274,26 @@ func TestRankUpdateKernelsMatch(t *testing.T) {
 
 // TestCorruptPullPanics: a pull index past the sink, a lane past the sink
 // and a chunk offset past the entries each make the pull panic, as a bounds
-// check does, on the scalar path and on the AVX2 path; the AVX2 kernel
-// clamps what it reads and skips what it cannot store, and its wrapper
-// panics on what the kernel reports.
+// check does, from +0 (PullSELL, the intra pull) and from the accumulators
+// (AddSELL, the inter pull), on the scalar path and on the AVX2 path; the
+// AVX2 kernel clamps what it reads and skips what it cannot read or store,
+// and its wrapper panics on what the kernel reports.
 func TestCorruptPullPanics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 0))
 	const n = 100
 	clean := randomSELL(rng, n)
 	contrib := randomContrib(rng, n)
-	chunks := len(clean.PullChunk) - 1
+	chunks := len(clean.Chunk) - 1
+	// The lane corruption goes to the first chunk, the widest of a
+	// partition: AddSELL skips a chunk with no entries.
 	corruptions := []struct {
 		name   string
-		modify func(l *layout.Layout)
+		modify func(l *layout.SELL)
 	}{
-		{"index past the sink", func(l *layout.Layout) { l.PullIdx[len(l.PullIdx)/2] = n + 1 }},
-		{"index near 2^32", func(l *layout.Layout) { l.PullIdx[len(l.PullIdx)/3] = math.MaxUint32 - 3 }},
-		{"lane past the sink", func(l *layout.Layout) { l.PullPerm[layout.PullLanes+3] = n + 2 }},
-		{"chunk offset past the entries", func(l *layout.Layout) { l.PullChunk[chunks/2] = int64(len(l.PullIdx)) + 8 }},
+		{"index past the sink", func(l *layout.SELL) { l.Idx[len(l.Idx)/2] = n + 1 }},
+		{"index near 2^32", func(l *layout.SELL) { l.Idx[len(l.Idx)/3] = math.MaxUint32 - 3 }},
+		{"lane past the sink", func(l *layout.SELL) { l.Perm[3] = n + 2 }},
+		{"chunk offset past the entries", func(l *layout.SELL) { l.Chunk[chunks/2] = int64(len(l.Idx)) + 8 }},
 	}
 	for _, avx2 := range []bool{false, true} {
 		name := "scalar"
@@ -284,20 +305,25 @@ func TestCorruptPullPanics(t *testing.T) {
 				needAVX2(t)
 			}
 			for _, c := range corruptions {
-				lay := &layout.Layout{
-					PullChunk: slices.Clip(slices.Clone(clean.PullChunk)),
-					PullPerm:  slices.Clip(slices.Clone(clean.PullPerm)),
-					PullIdx:   slices.Clip(slices.Clone(clean.PullIdx)),
-				}
-				c.modify(lay)
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Errorf("%s: the pull did not panic", c.name)
-						}
+				for _, mode := range []struct {
+					name string
+					pull func(*layout.SELL, []float32, []float32, int, int)
+				}{{"PullSELL", PullSELL}, {"AddSELL", AddSELL}} {
+					lay := &layout.SELL{
+						Chunk: slices.Clip(slices.Clone(clean.Chunk)),
+						Perm:  slices.Clip(slices.Clone(clean.Perm)),
+						Idx:   slices.Clip(slices.Clone(clean.Idx)),
+					}
+					c.modify(lay)
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s, %s: the pull did not panic", c.name, mode.name)
+							}
+						}()
+						withKernels(avx2, func() { mode.pull(lay, contrib, make([]float32, n), 0, chunks) })
 					}()
-					withKernels(avx2, func() { PullSELL(lay, contrib, make([]float32, n), 0, chunks) })
-				}()
+				}
 			}
 		})
 	}

@@ -94,7 +94,7 @@ func ReferencePageRank(g *graph.Graph, iterations int, damping float64) []float6
 		}
 		redis := dangling / float64(n)
 		for v := 0; v < n; v++ {
-			next[v] = base + damping*(next[v]+redis)
+			next[v] = base + float64(damping*(next[v]+redis))
 		}
 		rank, next = next, rank
 	}

@@ -139,6 +139,21 @@ func (p *Prepared) AcquireArena() *execbuf.Arena { return p.arenas.Get() }
 // ReleaseArena returns an arena to the artifact's pool for the next Exec.
 func (p *Prepared) ReleaseArena(a *execbuf.Arena) { p.arenas.Put(a) }
 
+// SetArenaCap bounds how many warm arenas the artifact's pool keeps (see
+// execbuf.Pool.SetCap; n <= 0 restores the GOMAXPROCS default). A caller
+// that knows how many Execs can hold an arena at once sizes it to that, so
+// steady-state Execs never drop an arena and create it again.
+func (p *Prepared) SetArenaCap(n int) { p.arenas.SetCap(n) }
+
+// ArenaCap reports the bound SetArenaCap set, or the default.
+func (p *Prepared) ArenaCap() int { return p.arenas.Cap() }
+
+// Follow makes p the next version of prev for arena reuse: until p's first
+// Exec, an empty p draws a warm arena from prev's pool (execbuf.Pool.Follow)
+// while prev keeps its others for the Execs still running on it. Advance
+// does this itself; a caller that rebuilds the next version cold does it.
+func (p *Prepared) Follow(prev *Prepared) { p.arenas.Follow(&prev.arenas) }
+
 // ArenaStats reports the artifact's arena-pool traffic: Created counts cold
 // arenas (peak Exec concurrency), Reused counts warm acquisitions.
 func (p *Prepared) ArenaStats() execbuf.PoolStats { return p.arenas.Stats() }
@@ -232,9 +247,11 @@ const (
 // patching only what the mutation batch touched: the 1/outdeg entries of
 // the mutated sources, the touched partitions' edge counts and layout rows
 // (partition.Advance + layout.Patch — proven bit-identical to a cold
-// build), and nothing else. The warm arena pool moves to the new artifact,
+// build), and nothing else. The new artifact's arena pool follows this
+// one's (execbuf.Pool.Follow): its first Exec draws a warm arena from here,
 // so a dynamic replay keeps recycling one set of Exec buffers across
-// versions. When a touched partition grew past the fallback budget the
+// versions, while this artifact keeps its other arenas for the Execs still
+// running on it. When a touched partition grew past the fallback budget the
 // whole prep is rebuilt cold (Incremental stays false); either way the
 // result is bit-identical to Prepare on d.Next, with PrepSeconds the cost
 // of this call and BuildSeconds carried over as the honest cold baseline.
@@ -300,7 +317,7 @@ func (p *Prepared) Advance(d *graph.Delta, o Options) (*Prepared, error) {
 	default:
 		return nil, fmt.Errorf("%s: artifact carries no payload to advance", p.engine)
 	}
-	p.arenas.MoveTo(&np.arenas)
+	np.Follow(p)
 	np.PrepSeconds = time.Since(start).Seconds()
 	return np, nil
 }

@@ -33,7 +33,7 @@ type SGState struct {
 	Ranks   []float32 // current ranks; overwritten in the gather phase
 	Contrib []float32 // Ranks[v]·Inv[v], written next to Ranks[v]; Contrib[n] is the pull's +0 sink
 	Acc     []float32 // per-vertex accumulators, stored by the intra pull
-	Bins    []float32 // one slot per compressed message
+	Bins    []float32 // one slot per compressed message; Bins[M] is the inter pull's +0 sink
 	Inv     []float32 // 1/outdeg, 0 for dangling
 
 	Damping float64
@@ -93,7 +93,7 @@ func NewSGStateArena(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layo
 		Ranks:     arena.Ranks(n),
 		Contrib:   arena.Contrib(n + 1),
 		Acc:       arena.Acc(n),
-		Bins:      arena.Bins(int(lay.NumMessages())),
+		Bins:      arena.Bins(int(lay.NumMessages()) + 1),
 		Inv:       inv,
 		Damping:   damping,
 		base:      float32((1 - damping) / float64(n)),
@@ -160,11 +160,11 @@ func (s *SGState) SeedDangling(groups []partition.Group) {
 // kernels split the pull across a node's threads instead (PinnedKernels).
 func (s *SGState) ScatterPartition(p int, tid int) {
 	_ = tid
-	s.PullIntra(int(s.Lay.PullPart[p]), int(s.Lay.PullPart[p+1]))
+	s.PullIntra(int(s.Lay.IntraPull.Part[p]), int(s.Lay.IntraPull.Part[p+1]))
 	s.ScatterMessages(p)
 }
 
-// PullIntra stores in Acc[v], for each vertex v of the pull chunks
+// PullIntra stores in Acc[v], for each vertex v of the intra pull chunks
 // [clo,chi), the sum of Contrib[u] over v's intra in-neighbours u in
 // ascending order, starting from +0 (PullSELL). A push over the intra-edges
 // adds the same values into the same zeroed accumulator in the same source
@@ -175,7 +175,7 @@ func (s *SGState) ScatterPartition(p int, tid int) {
 // have no out-edges, so they appear in no row; their mass was already
 // folded into the partials by the previous gather.
 func (s *SGState) PullIntra(clo, chi int) {
-	PullSELL(s.Lay, s.Contrib, s.Acc, clo, chi)
+	PullSELL(&s.Lay.IntraPull, s.Contrib, s.Acc, clo, chi)
 }
 
 // ScatterMessages writes partition p's compressed message values,
@@ -209,13 +209,13 @@ func (s *SGState) ReduceDangling() {
 	}
 }
 
-// GatherPartition runs the gather phase for partition p: decodes the
-// messages targeting p into the accumulators, then recomputes the ranks of
-// p's vertices, tracking the thread's L∞ rank change for convergence checks.
-// The partition's dangling mass under the new ranks is folded into the
-// thread's partial (one local sum per partition, accumulated in partition
-// order), so the next iteration's ReduceDangling sees exactly what a
-// scatter-side pass would have produced.
+// GatherPartition runs the gather phase for partition p: adds the messages
+// targeting p to the accumulators (gatherMessages), then recomputes the
+// ranks of p's vertices, tracking the thread's L∞ rank change for
+// convergence checks. The partition's dangling mass under the new ranks is
+// folded into the thread's partial (one local sum per partition,
+// accumulated in partition order), so the next iteration's ReduceDangling
+// sees exactly what a scatter-side pass would have produced.
 func (s *SGState) GatherPartition(p int, tid int) {
 	s.gatherMessages(p)
 	part := s.Hier.Partitions[p]
@@ -224,14 +224,17 @@ func (s *SGState) GatherPartition(p int, tid int) {
 	s.partials[tid].V += dangling
 }
 
-// gatherMessages decodes every message block targeting partition p into
-// the accumulators.
+// gatherMessages pulls partition p's inter pull chunks over the bins
+// (AddSELL): each vertex v of p gets Bins[m] added to Acc[v], which holds
+// v's intra sum, for every message m targeting it, one add at a time in
+// ascending m. A push decoding p's blocks in DstBlocks order adds the same
+// values to the same accumulators in the same order, so the sums are
+// bit-identical to the paper's gather. Padding entries add Bins[M], +0,
+// which leaves the sum (never −0) unchanged.
 func (s *SGState) gatherMessages(p int) {
-	lay := s.Lay
-	for _, bi := range lay.DstBlocks[p] {
-		b := lay.Blocks[bi]
-		gatherBlock(s.Acc, s.Bins[b.MsgStart:b.MsgEnd:b.MsgEnd], lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd])
-	}
+	ip := &s.Lay.InterPull
+	clo, chi := ip.Chunks(p)
+	AddSELL(ip, s.Bins, s.Acc, clo, chi)
 }
 
 // updateRanks recomputes the ranks of [lo,hi) from the accumulators and
@@ -241,32 +244,4 @@ func (s *SGState) gatherMessages(p int) {
 // they are: the next scatter's pull stores every one of them.
 func (s *SGState) updateRanks(lo, hi int, res float64) (float64, float64) {
 	return updateRanks(s.Ranks[lo:hi], s.Contrib[lo:hi], s.Acc[lo:hi], s.Inv[lo:hi], float32(s.Damping), s.base, s.redis, res)
-}
-
-// gatherBlock decodes one message block into the accumulators: bins holds
-// the block's message values and dst its MsgDst range, where a flagged entry
-// opens the next message. The message index k advances by the flag bit, so
-// the whole block is one flat, branch-free stream of acc[d] += bins[k], with
-// the same adds in the same order as a per-message loop. The stream is
-// unrolled 4-way; the four updates stay in order, so repeated destinations
-// accumulate exactly as in the scalar loop.
-func gatherBlock(acc, bins []float32, dst []graph.VertexID) {
-	const flag = layout.FirstDst
-	k := -1
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		d := dst[i : i+4 : i+4]
-		k0 := k + int(d[0]>>31)
-		k1 := k0 + int(d[1]>>31)
-		k2 := k1 + int(d[2]>>31)
-		k = k2 + int(d[3]>>31)
-		acc[d[0]&^flag] += bins[k0]
-		acc[d[1]&^flag] += bins[k1]
-		acc[d[2]&^flag] += bins[k2]
-		acc[d[3]&^flag] += bins[k]
-	}
-	for _, d := range dst[i:] {
-		k += int(d >> 31)
-		acc[d&^flag] += bins[k]
-	}
 }

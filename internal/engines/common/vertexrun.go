@@ -126,7 +126,7 @@ func (k *vertexKernels) reduce() {
 		sum += k.partials[i].V
 	}
 	k.sum = sum
-	k.redis = k.d * float32(sum/float64(k.n))
+	k.redis = float32(k.d * float32(sum/float64(k.n)))
 }
 
 func (k *vertexKernels) gather(tid int) {
@@ -152,7 +152,7 @@ func (k *vertexKernels) gather(tid int) {
 			acc += contrib[in[i]]
 		}
 		old := ranks[v]
-		nv := base + d*acc + redis
+		nv := base + float32(d*acc) + redis
 		ranks[v] = nv
 		if inv[v] == 0 {
 			dangling += float64(nv)

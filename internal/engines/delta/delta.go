@@ -141,8 +141,11 @@ func (s *state) scatterPartition(p int) {
 	}
 }
 
-// gatherPartition decodes the messages targeting p (consuming each bin back
-// to zero), applies the delta recurrence to p's vertices, and regates them:
+// gatherPartition adds the messages targeting p to their destinations'
+// accumulators, walking p's inter pull rows (each vertex's messages in
+// ascending index, the push's order) and skipping zero bins, consumes
+// those bins back to zero block by block, applies the delta recurrence to
+// p's vertices, and regates them:
 //
 //	nd(v)   = d·acc(v) + redis  (+ base − rank(v) on the first superstep)
 //	rank(v) += nd(v)
@@ -154,17 +157,26 @@ func (s *state) scatterPartition(p int) {
 func (s *state) gatherPartition(p int) {
 	acc := s.acc
 	lay := s.lay
-	for _, bi := range lay.DstBlocks[p] {
-		b := lay.Blocks[bi]
-		bins := s.bins[b.MsgStart:b.MsgEnd:b.MsgEnd]
-		k := -1
-		for _, d := range lay.MsgDst[b.DstStart:b.DstEnd:b.DstEnd] {
-			k += int(d >> 31)
-			if val := bins[k]; val != 0 {
-				acc[d&^layout.FirstDst] += val
+	ip := &lay.InterPull
+	sink := graph.VertexID(lay.NumMessages())
+	clo, chi := ip.Chunks(p)
+	for c := clo; c < chi; c++ {
+		lo, end := ip.Chunk[c], ip.Chunk[c+1]
+		for i, v := range ip.Lanes(c) {
+			for e := lo + int64(i); e < end; e += layout.PullLanes {
+				m := ip.Idx[e]
+				if m == sink {
+					break
+				}
+				if val := s.bins[m]; val != 0 {
+					acc[v] += val
+				}
 			}
 		}
-		clear(bins)
+	}
+	for _, bi := range lay.DstBlocks[p] {
+		b := lay.Blocks[bi]
+		clear(s.bins[b.MsgStart:b.MsgEnd])
 	}
 
 	part := s.hier.Partitions[p]
@@ -175,7 +187,7 @@ func (s *state) gatherPartition(p int) {
 	var dangling float64
 	var active int32
 	for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
-		nd := d*acc[v] + redis
+		nd := float32(d*acc[v]) + redis
 		if first {
 			// First superstep of a cold or dense-warm run: delta_0 is the
 			// full starting rank, so the recurrence swaps the starting mass
@@ -368,13 +380,13 @@ func (s *state) seedWarmDelta(d *graph.Delta, w []float32) {
 		newDeg := s.g.OutDegree(u)
 		oldDeg := d.Prev.OutDegree(u)
 		if newDeg > 0 {
-			c := wu * s.inv[u]
+			c := float32(wu * s.inv[u])
 			for _, v := range s.g.OutNeighbors(u) {
 				s.acc[v] += c
 			}
 		}
 		if oldDeg > 0 {
-			c := wu * float32(1.0/float64(oldDeg))
+			c := float32(wu * float32(1.0/float64(oldDeg)))
 			for _, v := range d.Prev.OutNeighbors(u) {
 				s.acc[v] -= c
 			}

@@ -84,7 +84,7 @@ func (s *nbState) redis() (redis float32, mass float64) {
 	for i := range s.dang {
 		sum += math.Float64frombits(s.dang[i].V.Load())
 	}
-	return s.d * float32(sum/float64(s.n)), sum
+	return float32(s.d * float32(sum/float64(s.n))), sum
 }
 
 // round advances worker tid's chunk one round: pull over in-edges with
@@ -102,10 +102,10 @@ func (s *nbState) round(tid, _ int) float64 {
 		in := inAdj[lo:hi:hi]
 		var acc float32
 		for _, u := range in {
-			acc += math.Float32frombits(atomic.LoadUint32(&bits[u])) * inv[u]
+			acc += float32(math.Float32frombits(atomic.LoadUint32(&bits[u])) * inv[u])
 		}
 		old := math.Float32frombits(atomic.LoadUint32(&bits[v]))
-		nv := base + d*acc + redis
+		nv := base + float32(d*acc) + redis
 		atomic.StoreUint32(&bits[v], math.Float32bits(nv))
 		if inv[v] == 0 {
 			dangling += float64(nv)

@@ -393,7 +393,7 @@ type PoolStats struct {
 	// running Execs and not yet seen returned (to any pool).
 	Outstanding int64
 	// Freed is the number of arenas dropped for garbage collection because
-	// a Put or MoveTo found the free list already at its cap.
+	// a Put or a Supersede found the free list already at its cap.
 	Freed int64
 }
 
@@ -405,19 +405,24 @@ type PoolStats struct {
 // arenas beyond the cap (SetCap; default GOMAXPROCS) instead of pinning the
 // burst's peak memory for the artifact's lifetime.
 //
-// A superseded pool (Supersede) forwards its Puts to its successor, so an
-// arena an Exec held across an artifact swap stays warm for the next
-// version's Execs instead of landing on a free list no one draws from.
+// A pool that follows another (Follow: the next version's artifact) draws
+// its first arena from its predecessors' free lists when its own is empty,
+// so the next version starts warm while the current one keeps its arenas
+// for its own Execs. A superseded pool (Supersede) forwards its Puts to its
+// successor, so an arena an Exec held across an artifact swap stays warm
+// for the next version's Execs instead of landing on a free list no one
+// draws from.
 type Pool struct {
 	mu    sync.Mutex
 	free  []*Arena
 	cap   int // 0 = default (GOMAXPROCS at Put time)
 	stats PoolStats
 	next  *Pool // successor set by Supersede; nil while current
+	prev  *Pool // predecessor set by Follow; cleared by the first Get or Supersede
 }
 
 // SetCap bounds the pool's free list to n warm arenas; excess arenas are
-// dropped on Put/MoveTo. n <= 0 restores the default bound, GOMAXPROCS —
+// dropped on Put and Supersede. n <= 0 restores the default bound, GOMAXPROCS —
 // the most Execs the runtime can actually run at once, so steady-state
 // serving never allocates, while burst overshoot is returned to the GC.
 func (p *Pool) SetCap(n int) {
@@ -443,18 +448,28 @@ func (p *Pool) capLocked() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Get pops a warm arena, or creates one when the free list is empty.
+// Get pops a warm arena, or creates one when no free list it may draw from
+// has one. When p's own free list is empty, a superseded p draws from its
+// successors (an Exec that started on the old artifact after the swap
+// takes an arena the new one's Execs return), and a following p from its
+// predecessors (Follow); a pool's first Get unlinks its predecessors.
 func (p *Pool) Get() *Arena {
 	initMetrics()
 	outstandingGauge.Add(1)
 	p.mu.Lock()
+	a, next, prev := p.pop(), p.next, p.prev
+	p.prev = nil
+	p.mu.Unlock()
+	for ; a == nil && next != nil; next = next.link(true) {
+		a = next.take()
+	}
+	for ; a == nil && prev != nil; prev = prev.link(false) {
+		a = prev.take()
+	}
+	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Outstanding++
-	var a *Arena
-	if n := len(p.free); n > 0 {
-		a = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if a != nil {
 		p.stats.Reused++
 		reusedCounter.Inc()
 	} else {
@@ -464,6 +479,50 @@ func (p *Pool) Get() *Arena {
 	}
 	a.owner = p
 	return a
+}
+
+// pop takes the last arena off the free list, or returns nil. p.mu is held.
+func (p *Pool) pop() *Arena {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	a := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return a
+}
+
+// take is pop under p.mu.
+func (p *Pool) take() *Arena {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pop()
+}
+
+// link returns p's successor (next) or predecessor.
+func (p *Pool) link(next bool) *Pool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if next {
+		return p.next
+	}
+	return p.prev
+}
+
+// Follow makes prev p's predecessor: until p's first Get, which unlinks
+// it, an empty p draws a warm arena from prev's free list (or its
+// predecessors'). Call it when p's artifact is built as prev's next
+// version (common.Prepared.Advance): prev keeps its arenas for the Execs
+// still running on it, and the link holds prev only until p's first Exec
+// or p's publication (Supersede).
+func (p *Pool) Follow(prev *Pool) {
+	if p == prev || p == nil || prev == nil {
+		return
+	}
+	p.mu.Lock()
+	p.prev = prev
+	p.mu.Unlock()
 }
 
 // Put returns an arena to the free list for the next Exec, dropping it
@@ -500,14 +559,12 @@ func (p *Pool) Put(a *Arena) {
 	p.mu.Unlock()
 }
 
-// MoveTo drains p's free list into dst, preserving warm buffers across an
-// artifact transition (common.Prepared.Advance hands the pool of the old
-// version's artifact to the new one, so a dynamic replay's Execs keep
-// recycling one arena instead of re-allocating O(V) buffers per batch).
-// Arenas beyond dst's cap are dropped. Traffic counters stay with their
-// pools; arenas held by running Execs are unaffected — they settle their
-// checkout with p whenever and wherever they are Put.
-func (p *Pool) MoveTo(dst *Pool) {
+// moveTo drains p's free list into dst (Supersede), preserving warm
+// buffers across an artifact swap. Arenas beyond dst's cap are dropped.
+// Traffic counters stay with their pools; arenas held by running Execs are
+// unaffected — they settle their checkout with p whenever and wherever
+// they are Put.
+func (p *Pool) moveTo(dst *Pool) {
 	if p == dst || p == nil || dst == nil {
 		return
 	}
@@ -533,10 +590,12 @@ func (p *Pool) MoveTo(dst *Pool) {
 
 // Supersede makes dst p's successor: it drains p's free list into dst and
 // forwards every later Put to p on to dst, so an arena an Exec holds across
-// the swap warms dst's free list. Call it once dst's artifact has replaced
-// p's for good (a published snapshot), not when dst is merely built: a
-// superseded pool keeps no arenas for its own Execs. The caller owns the
-// ordering — dst must be newer than p, so the forwarding chain ends.
+// the swap warms dst's free list; dst stops drawing from its predecessors
+// (Follow). Call it once dst's artifact has replaced p's for good (a
+// published snapshot), not when dst is merely built: a superseded pool
+// keeps no arenas of its own, and its late Execs draw from dst's. The
+// caller owns the ordering — dst must be newer than p, so the forwarding
+// chain ends.
 func (p *Pool) Supersede(dst *Pool) {
 	if p == dst || p == nil || dst == nil {
 		return
@@ -544,7 +603,10 @@ func (p *Pool) Supersede(dst *Pool) {
 	p.mu.Lock()
 	p.next = dst
 	p.mu.Unlock()
-	p.MoveTo(dst)
+	dst.mu.Lock()
+	dst.prev = nil
+	dst.mu.Unlock()
+	p.moveTo(dst)
 }
 
 // Stats returns a snapshot of the pool's traffic counters.

@@ -264,12 +264,12 @@ func TestPoolMoveToRespectsDstCap(t *testing.T) {
 	for _, a := range arenas {
 		src.Put(a)
 	}
-	src.MoveTo(&dst)
+	src.moveTo(&dst)
 	dst.mu.Lock()
 	free := len(dst.free)
 	dst.mu.Unlock()
 	if free != 2 {
-		t.Errorf("dst free list = %d after MoveTo, want cap 2", free)
+		t.Errorf("dst free list = %d after moveTo, want cap 2", free)
 	}
 	if s := dst.Stats(); s.Freed != 3 {
 		t.Errorf("dst freed = %d, want 3", s.Freed)
@@ -278,11 +278,11 @@ func TestPoolMoveToRespectsDstCap(t *testing.T) {
 	srcFree := len(src.free)
 	src.mu.Unlock()
 	if srcFree != 0 {
-		t.Errorf("src free list = %d after MoveTo, want 0", srcFree)
+		t.Errorf("src free list = %d after moveTo, want 0", srcFree)
 	}
 }
 
-// TestPoolMoveToMidFlight: arenas checked out across a MoveTo settle
+// TestPoolMoveToMidFlight: arenas checked out across a moveTo settle
 // correctly no matter which pool they are returned to.
 func TestPoolMoveToMidFlight(t *testing.T) {
 	baseOut := Outstanding()
@@ -290,7 +290,7 @@ func TestPoolMoveToMidFlight(t *testing.T) {
 	held := old.Get() // in-flight Exec on the old artifact
 	warm := old.Get()
 	old.Put(warm) // one warm arena on the old free list
-	old.MoveTo(&next)
+	old.moveTo(&next)
 	// The in-flight arena returns into the *new* artifact's pool.
 	next.Put(held)
 	if s := old.Stats(); s.Outstanding != 0 {
@@ -307,7 +307,7 @@ func TestPoolMoveToMidFlight(t *testing.T) {
 // TestPoolForwardsPutsToSuccessor: an arena checked out before two artifact
 // swaps and Put back to the first, superseded pool lands on the newest
 // pool's free list, so the next Exec reuses it instead of creating one. A
-// pool that was only drained (MoveTo, an advance never published) keeps
+// pool that was only drained (moveTo without Supersede's forwarding link) keeps
 // its own Puts.
 func TestPoolForwardsPutsToSuccessor(t *testing.T) {
 	var old, mid, cur Pool
@@ -328,12 +328,59 @@ func TestPoolForwardsPutsToSuccessor(t *testing.T) {
 
 	var live, unpublished Pool
 	a := live.Get()
-	live.MoveTo(&unpublished)
+	live.moveTo(&unpublished)
 	live.Put(a)
 	if got := live.Get(); got != a {
 		t.Fatalf("drained pool handed out %p, want its own returned arena %p", got, a)
 	}
 	if s := unpublished.Stats(); s.Reused != 0 || s.Created != 0 {
 		t.Errorf("unpublished pool stats = %+v, want no traffic", s)
+	}
+}
+
+// TestPoolFollowAndSupersedeDraw: a pool built as the next version of
+// another (Follow) draws its first arena from its predecessors' free lists
+// — past an empty intermediate — and unlinks them, so the predecessor
+// keeps its other arenas and is not retained; after a swap (Supersede) an
+// Exec that starts on the superseded pool draws from its successor instead
+// of creating an arena.
+func TestPoolFollowAndSupersedeDraw(t *testing.T) {
+	var live, mid, next Pool
+	live.SetCap(2)
+	next.SetCap(2)
+	a, b := live.Get(), live.Get()
+	live.Put(a)
+	live.Put(b)
+	mid.Follow(&live)
+	next.Follow(&mid)
+	got := next.Get()
+	if got != b {
+		t.Fatalf("following pool handed out %p, want the predecessor's warm arena %p", got, b)
+	}
+	if s := next.Stats(); s.Created != 0 || s.Reused != 1 {
+		t.Errorf("following pool stats = %+v, want Created=0 Reused=1", s)
+	}
+	if l := len(live.free); l != 1 {
+		t.Errorf("predecessor keeps %d free arenas, want 1", l)
+	}
+	if next.prev != nil {
+		t.Error("the first Get left the predecessor linked")
+	}
+	next.Put(got)
+
+	live.Supersede(&next)
+	if s := next.Stats(); len(next.free) != 2 || s.Created != 0 {
+		t.Fatalf("successor holds %d free arenas after the swap (stats %+v), want 2", len(next.free), s)
+	}
+	late := live.Get()
+	if late != a && late != b {
+		t.Fatalf("superseded pool handed out %p, want one of its successor's arenas", late)
+	}
+	if s := live.Stats(); s.Created != 2 || s.Reused != 1 {
+		t.Errorf("superseded pool stats = %+v, want Created=2 (before the swap) Reused=1", s)
+	}
+	live.Put(late)
+	if len(next.free) != 2 {
+		t.Errorf("the late Exec's arena did not return to the successor: %d free", len(next.free))
 	}
 }

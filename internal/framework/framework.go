@@ -121,6 +121,10 @@ func Run[V Value](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], erro
 	}
 	bins := make([]V, lay.NumMessages())
 	binValid := make([]bool, lay.NumMessages())
+	// The gather walks each partition's inter pull rows: a vertex's
+	// messages in ascending index, the order a push decodes them in.
+	ip := &lay.InterPull
+	msgSink := graph.VertexID(lay.NumMessages())
 
 	res := &Result[V]{}
 	bar := common.NewBarrier(cfg.Threads)
@@ -183,21 +187,25 @@ func Run[V Value](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], erro
 			}
 			// --- Gather + apply: own partitions ---
 			for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
-				for _, bi := range lay.DstBlocks[pi] {
-					b := lay.Blocks[bi]
-					m := b.MsgStart - 1
-					for _, d := range lay.MsgDst[b.DstStart:b.DstEnd] {
-						m += int64(d >> 31)
-						if !binValid[m] {
-							continue
-						}
-						val := bins[m]
-						d &^= layout.FirstDst
-						if gotMsg[d] {
-							acc[d] = prog.Combine(acc[d], val)
-						} else {
-							acc[d] = val
-							gotMsg[d] = true
+				clo, chi := ip.Chunks(pi)
+				for c := clo; c < chi; c++ {
+					lo, end := ip.Chunk[c], ip.Chunk[c+1]
+					for i, d := range ip.Lanes(c) {
+						for e := lo + int64(i); e < end; e += layout.PullLanes {
+							m := ip.Idx[e]
+							if m == msgSink {
+								break
+							}
+							if !binValid[m] {
+								continue
+							}
+							val := bins[m]
+							if gotMsg[d] {
+								acc[d] = prog.Combine(acc[d], val)
+							} else {
+								acc[d] = val
+								gotMsg[d] = true
+							}
 						}
 					}
 				}

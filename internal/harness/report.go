@@ -6,6 +6,7 @@ import (
 
 	"hipa/internal/engines/common"
 	"hipa/internal/graph"
+	"hipa/internal/layout"
 	"hipa/internal/machine"
 	"hipa/internal/obs"
 	"hipa/internal/perfmodel"
@@ -25,8 +26,8 @@ type RunReport struct {
 	Threads    int    `json:"threads"`
 	Iterations int    `json:"iterations"`
 	Machine    string `json:"machine,omitempty"`
-	// Kernels is the kernel set that ran the intra pull and the rank
-	// update: "avx2" or "scalar" (common.KernelSet).
+	// Kernels is the kernel set that ran both pulls and the rank update:
+	// "avx2" or "scalar" (common.KernelSet).
 	Kernels string `json:"kernels"`
 
 	WallSeconds float64 `json:"wall_seconds"`
@@ -39,6 +40,9 @@ type RunReport struct {
 
 	Model *perfmodel.Report `json:"model,omitempty"`
 	Sched sched.Stats       `json:"sched"`
+	// Layout describes the partition-centric layout the run iterated
+	// over; absent for engines without one.
+	Layout *LayoutReport `json:"layout,omitempty"`
 
 	Iters []obs.IterationStats `json:"iterations_detail,omitempty"`
 }
@@ -68,6 +72,19 @@ func NewRunReport(g *graph.Graph, m *machine.Machine, res *common.Result) *RunRe
 		r.Machine = m.String()
 	}
 	return r
+}
+
+// LayoutReport is a layout's resident size and the size of each of its
+// pulls: real entries, padding, padding share and bytes.
+type LayoutReport struct {
+	Bytes     int64            `json:"bytes"`
+	IntraPull layout.PullStats `json:"intra_pull"`
+	InterPull layout.PullStats `json:"inter_pull"`
+}
+
+// NewLayoutReport describes lay.
+func NewLayoutReport(lay *layout.Layout) *LayoutReport {
+	return &LayoutReport{Bytes: lay.Bytes(), IntraPull: lay.IntraPullStats(), InterPull: lay.InterPullStats()}
 }
 
 // WriteJSON writes the report as indented JSON. Struct field order keeps

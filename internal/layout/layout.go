@@ -1,41 +1,43 @@
 // Package layout builds the partition-centric data layout that HiPa and the
-// p-PR baseline iterate over (paper §3.4, Fig. 4): intra-edges kept as a
-// local CSR applied inside the owning core's cache, and inter-edges
-// compressed into per-(source-partition, destination-partition) message
-// blocks — all inter-edges that share a source vertex and a destination
-// partition collapse into a single message carrying one rank value, decoded
-// into its destination vertices locally during the gather phase.
+// p-PR baseline iterate over (paper §3.4, Fig. 4): intra-edges kept local
+// to the owning core's cache, and inter-edges compressed into
+// per-(source-partition, destination-partition) message blocks — all
+// inter-edges that share a source vertex and a destination partition
+// collapse into a single message carrying one rank value (PCPM's
+// compression, Lakhotia et al.).
 //
 // Messages are stored sorted by (source partition, destination partition,
 // source vertex). The scatter phase of the owning thread therefore streams
-// sequentially through its blocks while its random reads stay inside the
-// cache-resident source partition; the gather phase of the destination
-// thread streams sequentially through the blocks targeting its partitions.
+// sequentially through its blocks, writing one value per message into the
+// engines' bins, while its random reads stay inside the cache-resident
+// source partition.
 //
-// Intra-edges are stored twice. IntraOff/IntraDst is the paper's push CSR,
-// source-ordered, which the sparse consumers (Delta-PR's frontier, the
-// framework programs, SpMV, the cost model and the exact simulator) walk.
-// The dense scatters (the scalar kernel's and B-PPR's BlockSG) pull instead,
-// over a sliced ELLPACK of each partition's intra in-edges (SELL-C-σ with
-// C = PullLanes and σ = the whole partition, Kreutzer et al.): the
-// partition's vertices are sorted by intra in-degree, descending and stable
-// by ID, and cut into chunks of PullLanes rows. A chunk is stored
-// column-major, so one step through it reads one source for each of its
-// rows, and every row lists its sources in ascending order, padded up to
-// the chunk's longest row with the sink index n. A kernel keeps one running
-// sum per lane: PullLanes independent add chains and no per-row loop exit.
-// Each row still adds its sources in exactly the order the push would have,
-// starting from +0; the padding adds the +0 contribution engines keep at
-// index n, which leaves a sum that is never −0 unchanged. So the pull's
-// float32 sums are bit-identical to the push's, and any set of chunks can
-// run on a different thread without races.
+// Both edge kinds are pulled by their destination through a sliced
+// ELLPACK per partition (SELL-C-σ with C = PullLanes and σ = the whole
+// partition, Kreutzer et al.): the partition's vertices are sorted by row
+// length, descending and stable by ID, and cut into chunks of PullLanes
+// rows. A chunk is stored column-major, so one step through it reads one
+// entry for each of its rows, and every row is padded up to the chunk's
+// longest row with a sink index. A kernel keeps one running sum per lane:
+// PullLanes independent add chains and no per-row loop exit.
 //
-// A message's destinations are not delimited by offsets: each block's
-// destinations are one contiguous run of MsgDst, and the first destination
-// of every message carries the FirstDst bit (PCPM's encoding). The gather
-// decodes a block as one flat stream, stepping to the next message's value
-// at each flagged entry, so it has no per-message loop exit to mispredict.
-// The flag bit limits layouts to graphs of fewer than 2^31 vertices.
+//   - The intra pull (IntraPull) lists each vertex's intra in-neighbours in
+//     ascending order; its entries index the engines' per-vertex
+//     contributions, and its sink is the vertex count n.
+//   - The inter pull (InterPull) lists the global index of every message
+//     that targets the vertex, in ascending order — the order in which a
+//     push would have decoded them, block by block in source-partition
+//     order — a repeated edge repeating its message; its entries index the
+//     bins, and its sink is the message count.
+//
+// Each row adds exactly the values a push would have added, in the same
+// order; the padding adds the +0 engines keep at the sink slot, which
+// leaves a sum that is never −0 unchanged. So the pulls' float32 sums are
+// bit-identical to the paper's push, and any set of chunks can run on a
+// different thread without races. The intra-edges are also stored as the
+// paper's push CSR (IntraOff/IntraDst), source-ordered, which the sparse
+// consumers (Delta-PR's frontier scatter, the framework programs, SpMV, the
+// cost model and the exact simulator) walk.
 //
 // The same structure with compression disabled (one message per inter-edge)
 // serves as the ablation baseline for the compression optimisation.
@@ -43,7 +45,9 @@ package layout
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+	"sort"
 	"unsafe"
 
 	"hipa/internal/graph"
@@ -51,17 +55,13 @@ import (
 	"hipa/internal/partition"
 )
 
-// FirstDst marks the first destination of each message in MsgDst. The
-// vertex ID is the entry with the bit cleared (d &^ FirstDst).
-const FirstDst graph.VertexID = 1 << 31
-
-// PullLanes is the number of rows interleaved in one chunk of the intra
-// pull.
+// PullLanes is the number of rows interleaved in one chunk of a pull.
 const PullLanes = 8
 
-// maxVertices bounds a layout's vertex count: every vertex ID must leave the
-// FirstDst bit clear.
-const maxVertices = int(FirstDst)
+// maxIndex bounds a layout's vertex and message counts: every pull entry
+// and either sink must be a non-negative int32, the index type of the
+// AVX2 gather.
+const maxIndex = 1 << 31
 
 // Block is one (source partition → destination partition) run of messages.
 type Block struct {
@@ -69,18 +69,40 @@ type Block struct {
 	// MsgStart/MsgEnd delimit the block's messages in MsgSrc (and in an
 	// engine's per-message value bins).
 	MsgStart, MsgEnd int64
-	// DstStart/DstEnd delimit the block's destinations in MsgDst: its
-	// messages' destination runs back to back, each opened by a flagged
-	// entry.
-	DstStart, DstEnd int64
+	// Edges is the number of inter-edges the block's messages carry.
+	Edges int64
 }
 
 // Messages returns the number of compressed messages in the block.
 func (b Block) Messages() int64 { return b.MsgEnd - b.MsgStart }
 
-// Dsts returns the number of message destinations (inter-edges) in the
-// block.
-func (b Block) Dsts() int64 { return b.DstEnd - b.DstStart }
+// SELL is one pull: a sliced ELLPACK of a row per vertex, per partition.
+// Partition p's chunks are [Part[p], Part[p+1]), ceil(|p|/PullLanes) of
+// them. Perm[c·PullLanes+i] is the vertex of lane i of chunk c, or n for a
+// padding lane; padding lanes only trail a partition's last chunk. Chunk
+// c's entries are Idx[Chunk[c]:Chunk[c+1]], column-major: entry k of lane
+// i is Idx[Chunk[c]+k·PullLanes+i]. A lane holds its vertex's row, then
+// the pull's sink up to the chunk's width, the row length of its first
+// lane.
+type SELL struct {
+	Part  []int32
+	Chunk []int64
+	Perm  []graph.VertexID
+	Idx   []graph.VertexID
+}
+
+// Lanes returns the vertices of chunk c's lanes.
+func (s *SELL) Lanes(c int) []graph.VertexID {
+	return s.Perm[c*PullLanes : (c+1)*PullLanes : (c+1)*PullLanes]
+}
+
+// Chunks returns the chunks of partition p that hold entries: p's chunk
+// range up to its first chunk of width zero. Rows are sorted by length, so
+// the empty chunks, those of the vertices with empty rows, trail.
+func (s *SELL) Chunks(p int) (int, int) {
+	clo, chi := int(s.Part[p]), int(s.Part[p+1])
+	return clo, clo + sort.Search(chi-clo, func(i int) bool { return s.Chunk[clo+i] == s.Chunk[clo+i+1] })
+}
 
 // Layout is the immutable partition-centric representation of one graph
 // under one hierarchical partitioning.
@@ -97,29 +119,20 @@ type Layout struct {
 	// DstBlocks[q] lists indices into Blocks of the blocks targeting q.
 	DstBlocks [][]int32
 
-	// MsgSrc[i] is message i's source vertex. MsgDst holds every message's
-	// destination vertices in message order; the first destination of each
-	// message carries FirstDst, so message i of block b owns the run from
-	// its flagged entry up to the next flagged entry or b.DstEnd.
+	// MsgSrc[i] is message i's source vertex.
 	MsgSrc []graph.VertexID
-	MsgDst []graph.VertexID
 
 	// Intra-edge CSR over all vertices: destinations of v's intra-partition
 	// edges are IntraDst[IntraOff[v]:IntraOff[v+1]].
 	IntraOff []int64
 	IntraDst []graph.VertexID
-	// The intra pull, sliced ELLPACK per partition. Partition p's chunks
-	// are [PullPart[p], PullPart[p+1]), ceil(|p|/PullLanes) of them.
-	// PullPerm[c·PullLanes+i] is the vertex of lane i of chunk c, or n for
-	// a padding lane; padding lanes only trail a partition's last chunk.
-	// Chunk c's entries are PullIdx[PullChunk[c]:PullChunk[c+1]],
-	// column-major: entry k of lane i is PullIdx[PullChunk[c]+k·PullLanes+i].
-	// A lane holds its vertex's intra in-neighbours in ascending order, then
-	// n up to the chunk's width, the in-degree of its first lane.
-	PullPart  []int32
-	PullChunk []int64
-	PullPerm  []graph.VertexID
-	PullIdx   []graph.VertexID
+	// IntraPull's rows are each vertex's intra in-neighbours, ascending;
+	// its sink is the vertex count n.
+	IntraPull SELL
+	// InterPull's rows are the indices of the messages targeting each
+	// vertex, ascending, a message repeated once per edge it carries to
+	// the vertex; its sink is NumMessages().
+	InterPull SELL
 
 	// Totals for reporting and the analytic model.
 	IntraEdges int64
@@ -141,13 +154,17 @@ func Build(g *graph.Graph, h *partition.Hierarchy, compress bool) (*Layout, erro
 //
 // Both edge-scanning passes (count, then fill) run parallel over source
 // partitions: every array cell they touch — a (p,q) row of the pair-count
-// and cursor matrices, a vertex's push row and pull lane (an intra edge's
-// destination lies in its source's partition), p's pull chunks, a message
-// inside one of p's blocks — is owned by exactly one source partition p, so
-// rows can be processed concurrently with disjoint writes, and within a row
-// the serial vertex order is preserved. Rows are split by edge weight so one
-// hub partition cannot serialize the build. The layout is bit-identical at
-// any worker count.
+// and cursor matrices, a vertex's push row and intra pull lane (an intra
+// edge's destination lies in its source's partition), p's intra pull
+// chunks, a message inside one of p's blocks and its destinations — is
+// owned by exactly one source partition p, so rows can be processed
+// concurrently with disjoint writes, and within a row the serial vertex
+// order is preserved. The fill writes the inter-edges in push order, each
+// message's destinations as one run; the inter pull is then built from
+// that run list in two passes parallel over destination partitions, whose
+// writes are owned by the destination. Rows are split by edge weight so
+// one hub partition cannot serialize the build. The layout is
+// bit-identical at any worker count.
 func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers int) (*Layout, error) {
 	if err := checkVertices(g, h); err != nil {
 		return nil, err
@@ -163,50 +180,51 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 	for p := 0; p < P; p++ {
 		partEdges[p+1] = partEdges[p] + h.Partitions[p].EdgeCount
 	}
-	// rowRange returns the vertex range of source partition p.
-	rowRange := func(p int) (int, int) {
-		return int(h.Partitions[p].VertexStart), int(h.Partitions[p].VertexEnd)
-	}
 
 	// Pass 1: count messages and destinations per (p,q), and intra out- and
-	// in-edges per vertex, then order each partition's pull rows. The pair
-	// matrix is dense; partition counts stay small at realistic partition
-	// sizes (P = |V|·4B / partitionBytes).
+	// in-edges per vertex, then order each partition's intra pull rows. The
+	// pair matrix is dense; partition counts stay small at realistic
+	// partition sizes (P = |V|·4B / partitionBytes).
 	msgCount := make([]int64, P*P)
 	dstCount := make([]int64, P*P)
 	intraPerRow := make([]int64, P)
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		var hist []int64
 		for p := plo; p < phi; p++ {
-			vlo, vhi := rowRange(p)
+			vlo, vhi := s.rowRange(p)
 			intraPerRow[p] = s.count(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
-			hist = s.sortPull(l, p, vlo, vhi, hist)
+			hist = l.IntraPull.sortLanes(p, vlo, s.deg[vlo:vhi], s.sink, hist)
 		}
 	})
 	var intraTotal int64
 	for _, c := range intraPerRow {
 		intraTotal += c
 	}
-	l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
+	push, err := l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
+	if err != nil {
+		return nil, err
+	}
 
-	// Pass 2: fill messages, their destinations and both intra directions
-	// in one row-parallel scan, through the per-block cursors placeBlocks
-	// left in msgCount and dstCount and the per-destination lane cursors
-	// fill derives from the pull chunks.
+	// Pass 2: fill messages, their destination runs and both intra
+	// structures in one row-parallel scan, through the per-block cursors
+	// placeBlocks left in msgCount and dstCount and the per-destination
+	// lane cursors fill derives from the intra pull's chunks; then build
+	// the inter pull from the push order.
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
-			vlo, vhi := rowRange(p)
-			s.fill(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
+			vlo, vhi := s.rowRange(p)
+			s.fill(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P], push, true)
 		}
 	})
+	s.pullInter(l, push, w)
 	return l, nil
 }
 
 // checkVertices rejects a graph that does not match its hierarchy or whose
-// vertex IDs would collide with the FirstDst flag.
+// vertex IDs would not fit a pull index.
 func checkVertices(g *graph.Graph, h *partition.Hierarchy) error {
-	if h.NumVertices >= maxVertices {
-		return fmt.Errorf("layout: %d vertices; the message encoding holds fewer than 2^31", h.NumVertices)
+	if h.NumVertices >= maxIndex {
+		return fmt.Errorf("layout: %d vertices; a pull index holds fewer than 2^31", h.NumVertices)
 	}
 	if g.NumVertices() != h.NumVertices {
 		return fmt.Errorf("layout: graph has %d vertices, hierarchy %d", g.NumVertices(), h.NumVertices)
@@ -215,26 +233,106 @@ func checkVertices(g *graph.Graph, h *partition.Hierarchy) error {
 }
 
 // newLayout allocates the per-partition and per-vertex arrays, whose sizes
-// follow from h alone: the push offsets, and the pull's chunk ranges,
+// follow from h alone: the push offsets, and each pull's chunk ranges,
 // chunk offsets and lane permutation.
 func newLayout(h *partition.Hierarchy, compress bool) *Layout {
 	P := h.NumPartitions()
-	l := &Layout{
+	return &Layout{
 		NumPartitions: P,
 		Compressed:    compress,
 		SrcBlockStart: make([]int32, P),
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
 		IntraOff:      make([]int64, h.NumVertices+1),
-		PullPart:      make([]int32, P+1),
+		IntraPull:     newSELL(h),
+		InterPull:     newSELL(h),
 	}
+}
+
+// newSELL allocates a pull's chunk ranges, chunk offsets and lanes for h's
+// partitions.
+func newSELL(h *partition.Hierarchy) SELL {
+	P := h.NumPartitions()
+	s := SELL{Part: make([]int32, P+1)}
 	for p, part := range h.Partitions {
-		l.PullPart[p+1] = l.PullPart[p] + int32((part.Vertices()+PullLanes-1)/PullLanes)
+		s.Part[p+1] = s.Part[p] + int32((part.Vertices()+PullLanes-1)/PullLanes)
 	}
-	chunks := int(l.PullPart[P])
-	l.PullChunk = make([]int64, chunks+1)
-	l.PullPerm = make([]graph.VertexID, chunks*PullLanes)
-	return l
+	chunks := int(s.Part[P])
+	s.Chunk = make([]int64, chunks+1)
+	s.Perm = make([]graph.VertexID, chunks*PullLanes)
+	return s
+}
+
+// sortLanes orders partition p's vertices, the first of which is vlo, into
+// p's lanes by row length (deg[i] is vertex vlo+i's), descending and stable
+// by ID — a counting sort with hist as its reusable scratch (returned for
+// the next call). The slots past the last vertex are padding lanes, set to
+// sink. Each chunk's entry count, PullLanes times its first (longest)
+// lane's length, goes to Chunk[c+1] for place's prefix sum.
+func (s *SELL) sortLanes(p, vlo int, deg []int64, sink graph.VertexID, hist []int64) []int64 {
+	var top int64
+	for _, d := range deg {
+		top = max(top, d)
+	}
+	hist = slices.Grow(hist[:0], int(top)+1)[:top+1]
+	clear(hist)
+	for _, d := range deg {
+		hist[d]++
+	}
+	// hist[d] becomes the first slot of length d, the longest first.
+	var slot int64
+	for d := top; d >= 0; d-- {
+		c := hist[d]
+		hist[d] = slot
+		slot += c
+	}
+	clo, chi := int(s.Part[p]), int(s.Part[p+1])
+	perm := s.Perm[clo*PullLanes : chi*PullLanes]
+	for i, d := range deg {
+		perm[hist[d]] = graph.VertexID(vlo + i)
+		hist[d]++
+	}
+	for i := len(deg); i < len(perm); i++ {
+		perm[i] = sink
+	}
+	for c := clo; c < chi; c++ {
+		s.Chunk[c+1] = PullLanes * deg[int(perm[(c-clo)*PullLanes])-vlo]
+	}
+	return hist
+}
+
+// place turns the per-chunk entry counts into chunk offsets and allocates
+// the entries.
+func (s *SELL) place() {
+	for c := 0; c+1 < len(s.Chunk); c++ {
+		s.Chunk[c+1] += s.Chunk[c]
+	}
+	s.Idx = make([]graph.VertexID, s.Chunk[len(s.Chunk)-1])
+}
+
+// pad turns the row length cur[v] of each vertex v of partition p into its
+// lane cursor, the lane's first entry, and writes sink into every entry of
+// p's chunks past the end of its lane's row. laneSink marks padding lanes.
+func (s *SELL) pad(p int, cur []int64, laneSink, sink graph.VertexID) {
+	for c := int(s.Part[p]); c < int(s.Part[p+1]); c++ {
+		end := s.Chunk[c+1]
+		for i, v := range s.Lanes(c) {
+			e := s.Chunk[c] + int64(i)
+			if v != laneSink {
+				deg := cur[v]
+				cur[v] = e
+				e += PullLanes * deg
+			}
+			for ; e < end; e += PullLanes {
+				s.Idx[e] = sink
+			}
+		}
+	}
+}
+
+// bytes returns the resident size of the pull's arrays.
+func (s *SELL) bytes() int64 {
+	return 4*int64(cap(s.Part)+cap(s.Perm)+cap(s.Idx)) + 8*int64(cap(s.Chunk))
 }
 
 // rowScan walks the out-adjacency rows of one source partition's vertices,
@@ -242,33 +340,61 @@ func newLayout(h *partition.Hierarchy, compress bool) *Layout {
 // destinations of one vertex in the same destination partition share a
 // message; without, every inter-edge is its own. An edge of source partition
 // p is intra when its destination lies in p's range [p·per, (p+1)·per), one
-// unsigned compare; only inter-edges pay a division, in 32 bits (vertex IDs
-// stay below 2^31), for their destination partition.
+// unsigned compare; only inter-edges pay for their destination partition,
+// a multiply and a shift (divider) in place of a divide.
 //
-// pull[v] is v's intra in-degree after count, and v's next entry in its
-// pull lane during fill; sink (the vertex count) pads the pull.
+// deg[v] is a vertex's row length in the pull being built, then its lane
+// cursor: v's intra in-degree after count and its next intra pull entry
+// during fill, then its inter in-degree and its next inter pull entry in
+// pullInter. sink (the vertex count) marks padding lanes and pads the
+// intra pull.
 type rowScan struct {
+	h        *partition.Hierarchy
 	per      int
+	part     divider
 	off      []int64
 	adj      []graph.VertexID
 	compress bool
-	pull     []int64
+	deg      []int64
 	sink     graph.VertexID
 }
 
 func newRowScan(g *graph.Graph, h *partition.Hierarchy, compress bool) rowScan {
 	n := g.NumVertices()
-	return rowScan{per: h.VerticesPerPartition, off: g.OutOffsets(), adj: g.OutEdges(), compress: compress,
-		pull: make([]int64, n), sink: graph.VertexID(n)}
+	return rowScan{h: h, per: h.VerticesPerPartition, part: newDivider(uint32(h.VerticesPerPartition)),
+		off: g.OutOffsets(), adj: g.OutEdges(), compress: compress,
+		deg: make([]int64, n), sink: graph.VertexID(n)}
+}
+
+// divider divides a vertex ID, below 2^31, by a fixed divisor d ≥ 1 as
+// (v·m) >> s with m = ceil(2^s/d) and s = 31 + ceil(log2 d), which is exact
+// for every dividend below 2^31 (Granlund and Montgomery, "Division by
+// invariant integers using multiplication", Theorem 4.2), and m·v stays
+// below 2^63.
+type divider struct {
+	m uint64
+	s uint
+}
+
+func newDivider(d uint32) divider {
+	s := 31 + uint(bits.Len32(d-1))
+	return divider{m: (uint64(1)<<s + uint64(d) - 1) / uint64(d), s: s}
+}
+
+func (dv divider) div(v graph.VertexID) int { return int((uint64(v) * dv.m) >> dv.s) }
+
+// rowRange returns the vertex range of partition p.
+func (s rowScan) rowRange(p int) (int, int) {
+	return int(s.h.Partitions[p].VertexStart), int(s.h.Partitions[p].VertexEnd)
 }
 
 // count adds source partition p's messages and destinations per destination
 // partition q to msgs[q] and dsts[q] (p's row of the pair matrices), each
 // vertex v's intra out-edges to l.IntraOff[v+1] and its intra in-edges to
-// s.pull[v]. It returns p's intra-edge total.
+// s.deg[v]. It returns p's intra-edge total.
 func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
 	var intra int64
-	outOff, in := l.IntraOff, s.pull
+	outOff, in := l.IntraOff, s.deg
 	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
@@ -279,7 +405,7 @@ func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
 				out++
 				continue
 			}
-			q := int(uint32(d) / per)
+			q := s.part.div(d)
 			dsts[q]++
 			if !s.compress || q != lastQ {
 				msgs[q]++
@@ -292,121 +418,124 @@ func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
 	return intra
 }
 
-// sortPull orders partition p's vertices [vlo,vhi) into its pull lanes by
-// intra in-degree, descending and stable by ID — a counting sort over the
-// degrees count left in s.pull, with hist as its reusable scratch (returned
-// for the next call). The slots past the last vertex are padding lanes. Each
-// chunk's entry count, PullLanes times its first (longest) lane's degree,
-// goes to PullChunk[c+1] for placeBlocks' prefix sum.
-func (s rowScan) sortPull(l *Layout, p, vlo, vhi int, hist []int64) []int64 {
-	deg := s.pull[vlo:vhi]
-	var top int64
-	for _, d := range deg {
-		top = max(top, d)
-	}
-	hist = slices.Grow(hist[:0], int(top)+1)[:top+1]
-	clear(hist)
-	for _, d := range deg {
-		hist[d]++
-	}
-	// hist[d] becomes the first slot of degree d, the highest degree first.
-	var slot int64
-	for d := top; d >= 0; d-- {
-		c := hist[d]
-		hist[d] = slot
-		slot += c
-	}
-	clo, chi := int(l.PullPart[p]), int(l.PullPart[p+1])
-	perm := l.PullPerm[clo*PullLanes : chi*PullLanes]
-	for i, d := range deg {
-		perm[hist[d]] = graph.VertexID(vlo + i)
-		hist[d]++
-	}
-	for i := len(deg); i < len(perm); i++ {
-		perm[i] = s.sink
-	}
-	for c := clo; c < chi; c++ {
-		l.PullChunk[c+1] = PullLanes * s.pull[perm[(c-clo)*PullLanes]]
-	}
-	return hist
+// interPush is the inter-edges in the paper's push order: message m's
+// destinations are dst[off[m]:off[m+1]], so block b's are
+// dst[off[b.MsgStart]:off[b.MsgEnd]]. The fill writes it and pullInter
+// turns it into the inter pull; the layout does not keep it.
+type interPush struct {
+	off []int64
+	dst []graph.VertexID
 }
 
-// fill places source partition p's messages, their destinations and its
-// intra edges. msgCur[q] and dstCur[q] start at block (p,q)'s first message
-// and first destination index: inside a block, messages follow the scan's
-// source order and each message's destinations are a contiguous run of its
-// row, so one message cursor and one destination cursor per block place
-// everything. The destination that opens a message is stored flagged. An
-// intra edge (v,d) is also appended to d's pull lane through the cursor
-// s.pull[d], which steps by PullLanes; sources arrive in ascending order,
-// so each lane ends up sorted.
-func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64) {
-	s.padPull(l, p)
-	intraDst, cur, pullIdx := l.IntraDst, s.pull, l.PullIdx
+// fill places source partition p's messages, their destination runs and,
+// with intra set, its intra edges. msgCur[q] and dstCur[q] start at block
+// (p,q)'s first message and first destination index: inside a block,
+// messages follow the scan's source order and each message's destinations
+// are a contiguous run of its row, so one message cursor and one
+// destination cursor per block place everything. An intra edge (v,d) is
+// also appended to d's intra pull lane through the cursor s.deg[d], which
+// steps by PullLanes; sources arrive in ascending order, so each lane ends
+// up sorted.
+func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64, push interPush, intra bool) {
+	if intra {
+		l.IntraPull.pad(p, s.deg, s.sink, s.sink)
+	}
+	intraDst, cur, pullIdx := l.IntraDst, s.deg, l.IntraPull.Idx
 	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
-		intra := l.IntraOff[v]
+		next := l.IntraOff[v]
 		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
 			if uint32(d)-lo < per {
-				intraDst[intra] = d
-				intra++
-				pullIdx[cur[d]] = graph.VertexID(v)
-				cur[d] += PullLanes
+				if intra {
+					intraDst[next] = d
+					next++
+					pullIdx[cur[d]] = graph.VertexID(v)
+					cur[d] += PullLanes
+				}
 				continue
 			}
-			q := int(uint32(d) / per)
+			q := s.part.div(d)
 			if !s.compress || q != lastQ {
 				m := msgCur[q]
 				msgCur[q]++
 				l.MsgSrc[m] = graph.VertexID(v)
-				d |= FirstDst
+				push.off[m] = dstCur[q]
 				lastQ = q
 			}
-			l.MsgDst[dstCur[q]] = d
+			push.dst[dstCur[q]] = d
 			dstCur[q]++
 		}
 	}
 }
 
-// padPull turns the in-degree of each vertex of partition p into its lane
-// cursor, the lane's first entry, and writes the sink into every entry of
-// p's chunks past the end of its lane's row.
-func (s rowScan) padPull(l *Layout, p int) {
-	for c := int(l.PullPart[p]); c < int(l.PullPart[p+1]); c++ {
-		end := l.PullChunk[c+1]
-		for i, v := range l.PullPerm[c*PullLanes : (c+1)*PullLanes] {
-			e := l.PullChunk[c] + int64(i)
-			if v != s.sink {
-				deg := s.pull[v]
-				s.pull[v] = e
-				e += PullLanes * deg
+// pullInter builds the inter pull from the push order, in two passes
+// parallel over destination partitions, split by their inter in-edges:
+// the first counts each vertex's inter in-edges and sorts its partition's
+// lanes, the second pads the lanes and appends, block by block in
+// DstBlocks order and message by message, each message's index to the
+// lane of each of its destinations. The blocks targeting a partition are
+// in ascending source partition, so every lane lists its messages in
+// ascending index — the order in which a push decodes them. Every write
+// lands in the destination partition's own lanes and chunks.
+func (s rowScan) pullInter(l *Layout, push interPush, workers int) {
+	P := l.NumPartitions
+	inEdges := make([]int64, P+1)
+	for _, b := range l.Blocks {
+		inEdges[b.DstPart+1] += b.Edges
+	}
+	for q := 0; q < P; q++ {
+		inEdges[q+1] += inEdges[q]
+	}
+	ip := &l.InterPull
+	deg := s.deg
+	par.WeightedBlocks(workers, inEdges, func(_, qlo, qhi int) {
+		var hist []int64
+		for q := qlo; q < qhi; q++ {
+			vlo, vhi := s.rowRange(q)
+			clear(deg[vlo:vhi])
+			for _, bi := range l.DstBlocks[q] {
+				b := l.Blocks[bi]
+				for _, d := range push.dst[push.off[b.MsgStart]:push.off[b.MsgEnd]] {
+					deg[d]++
+				}
 			}
-			for ; e < end; e += PullLanes {
-				l.PullIdx[e] = s.sink
+			hist = ip.sortLanes(q, vlo, deg[vlo:vhi], s.sink, hist)
+		}
+	})
+	ip.place()
+	msgSink := graph.VertexID(l.NumMessages())
+	par.WeightedBlocks(workers, inEdges, func(_, qlo, qhi int) {
+		idx := ip.Idx
+		for q := qlo; q < qhi; q++ {
+			ip.pad(q, deg, s.sink, msgSink)
+			for _, bi := range l.DstBlocks[q] {
+				b := l.Blocks[bi]
+				for m := b.MsgStart; m < b.MsgEnd; m++ {
+					for _, d := range push.dst[push.off[m]:push.off[m+1]] {
+						idx[deg[d]] = graph.VertexID(m)
+						deg[d] += PullLanes
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // placeBlocks turns the per-vertex intra counts into the push CSR offsets
-// and the per-chunk entry counts into the pull's chunk offsets, lays out the
-// blocks in (p,q) order with global message and destination prefix sums,
-// and allocates the edge arrays. msgCount and dstCount become each (p,q)
-// pair's first message and first destination index: the cursors of the
-// fill pass.
-func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64) {
+// and the per-chunk entry counts into the intra pull's chunk offsets, lays
+// out the blocks in (p,q) order with global message and destination
+// prefix sums, and allocates the edge arrays and the push order the fill
+// writes. msgCount and dstCount become each (p,q) pair's first message and
+// first destination index: the cursors of the fill pass. It refuses a
+// layout of 2^31 or more messages, whose indices would not fit a pull.
+func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64) (interPush, error) {
 	P := l.NumPartitions
 	l.IntraEdges = intraTotal
 	l.InterEdges = edges - intraTotal
 	for v := 0; v+1 < len(l.IntraOff); v++ {
 		l.IntraOff[v+1] += l.IntraOff[v]
 	}
-	for c := 0; c+1 < len(l.PullChunk); c++ {
-		l.PullChunk[c+1] += l.PullChunk[c]
-	}
-	l.IntraDst = make([]graph.VertexID, intraTotal)
-	l.PullIdx = make([]graph.VertexID, l.PullChunk[len(l.PullChunk)-1])
 
 	var totalMsgs, totalDsts int64
 	for p := 0; p < P; p++ {
@@ -422,7 +551,7 @@ func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64
 			l.Blocks = append(l.Blocks, Block{
 				SrcPart: int32(p), DstPart: int32(q),
 				MsgStart: totalMsgs, MsgEnd: totalMsgs + mc,
-				DstStart: totalDsts, DstEnd: totalDsts + dc,
+				Edges: dc,
 			})
 			l.DstBlocks[q] = append(l.DstBlocks[q], bi)
 			totalMsgs += mc
@@ -430,50 +559,52 @@ func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64
 		}
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
 	}
+	if totalMsgs >= maxIndex {
+		return interPush{}, fmt.Errorf("layout: %d messages; a pull index holds fewer than 2^31", totalMsgs)
+	}
+	l.IntraDst = make([]graph.VertexID, intraTotal)
+	l.IntraPull.place()
 	l.MsgSrc = make([]graph.VertexID, totalMsgs)
-	l.MsgDst = make([]graph.VertexID, totalDsts)
+	push := interPush{off: make([]int64, totalMsgs+1), dst: make([]graph.VertexID, totalDsts)}
+	push.off[totalMsgs] = totalDsts
+	return push, nil
 }
 
-// Validate checks structural invariants; used by tests. Per block it checks
-// what the flat gather decode relies on: the blocks' destination ranges tile
-// MsgDst, the first destination is flagged and the flags count the block's
-// messages, so the decode's message index stays inside the block's bins.
+// Validate checks structural invariants; used by tests. The blocks must
+// tile the messages; the intra pull must replay the push CSR and the inter
+// pull the graph's inter-edges, each grouped into messages as the build
+// groups them: every lane lists, in order, exactly the sources or messages
+// a push would add into its vertex, and every entry past a row is the
+// pull's sink.
 func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	per := h.VerticesPerPartition
-	var dstCur int64
-	for _, b := range l.Blocks {
+	n := g.NumVertices()
+	msgs := l.NumMessages()
+	// block[(p,q)] is the index of block p->q; next[bi] its next message.
+	block := make(map[[2]int]int, len(l.Blocks))
+	next := make([]int64, len(l.Blocks))
+	var msgCur, interEdges int64
+	for bi, b := range l.Blocks {
 		if b.SrcPart == b.DstPart {
 			return fmt.Errorf("layout: block %d->%d is intra", b.SrcPart, b.DstPart)
 		}
+		if b.MsgStart != msgCur || b.MsgEnd <= b.MsgStart || b.MsgEnd > msgs || b.Edges < b.Messages() {
+			return fmt.Errorf("layout: block %d->%d messages [%d,%d) carrying %d edges do not follow %d", b.SrcPart, b.DstPart, b.MsgStart, b.MsgEnd, b.Edges, msgCur)
+		}
+		msgCur = b.MsgEnd
+		interEdges += b.Edges
 		for m := b.MsgStart; m < b.MsgEnd; m++ {
 			if int(l.MsgSrc[m])/per != int(b.SrcPart) {
 				return fmt.Errorf("layout: message %d source %d outside partition %d", m, l.MsgSrc[m], b.SrcPart)
 			}
 		}
-		if b.DstStart != dstCur || b.DstEnd < b.DstStart || b.DstEnd > int64(len(l.MsgDst)) {
-			return fmt.Errorf("layout: block %d->%d destinations [%d,%d) do not follow %d", b.SrcPart, b.DstPart, b.DstStart, b.DstEnd, dstCur)
-		}
-		dstCur = b.DstEnd
-		dst := l.MsgDst[b.DstStart:b.DstEnd]
-		if len(dst) == 0 || dst[0]&FirstDst == 0 {
-			return fmt.Errorf("layout: block %d->%d does not open with a flagged destination", b.SrcPart, b.DstPart)
-		}
-		var flags int64
-		for _, d := range dst {
-			flags += int64(d >> 31)
-			if v := d &^ FirstDst; int(v)/per != int(b.DstPart) {
-				return fmt.Errorf("layout: block %d->%d destination %d outside partition %d", b.SrcPart, b.DstPart, v, b.DstPart)
-			}
-		}
-		if flags != b.Messages() {
-			return fmt.Errorf("layout: block %d->%d has %d flagged destinations for %d messages", b.SrcPart, b.DstPart, flags, b.Messages())
-		}
+		block[[2]int{int(b.SrcPart), int(b.DstPart)}] = bi
+		next[bi] = b.MsgStart
 	}
-	if dstCur != int64(len(l.MsgDst)) {
-		return fmt.Errorf("layout: blocks cover %d of %d message destinations", dstCur, len(l.MsgDst))
+	if msgCur != msgs {
+		return fmt.Errorf("layout: blocks cover %d of %d messages", msgCur, msgs)
 	}
 	// Intra edges stay within the source's partition.
-	n := g.NumVertices()
 	for v := 0; v < n; v++ {
 		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
 			if int(d)/per != v/per {
@@ -481,87 +612,149 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 			}
 		}
 	}
-	if err := l.validatePull(h, n); err != nil {
+
+	intra, err := l.IntraPull.lanes("intra", h, n)
+	if err != nil {
 		return err
 	}
+	for v := 0; v < n; v++ {
+		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
+			if !intra.next(d, graph.VertexID(v)) {
+				return fmt.Errorf("layout: intra pull lane of %d does not hold intra edge (%d,%d) in source order", d, v, d)
+			}
+		}
+	}
+	if err := intra.padding(graph.VertexID(n)); err != nil {
+		return err
+	}
+
+	inter, err := l.InterPull.lanes("inter", h, n)
+	if err != nil {
+		return err
+	}
+	var edges int64
+	for u := 0; u < n; u++ {
+		p, lastQ, bi := u/per, -1, -1
+		for _, d := range g.OutNeighbors(graph.VertexID(u)) {
+			q := int(d) / per
+			if q == p {
+				continue
+			}
+			edges++
+			if !l.Compressed || q != lastQ {
+				var ok bool
+				if bi, ok = block[[2]int{p, q}]; !ok || next[bi] == l.Blocks[bi].MsgEnd || l.MsgSrc[next[bi]] != graph.VertexID(u) {
+					return fmt.Errorf("layout: inter edge (%d,%d) has no message from %d in block %d->%d", u, d, u, p, q)
+				}
+				next[bi]++
+				lastQ = q
+			}
+			if m := next[bi] - 1; !inter.next(d, graph.VertexID(m)) {
+				return fmt.Errorf("layout: inter pull lane of %d does not hold message %d of edge (%d,%d) in push order", d, m, u, d)
+			}
+		}
+	}
+	for bi, b := range l.Blocks {
+		if next[bi] != b.MsgEnd {
+			return fmt.Errorf("layout: block %d->%d holds %d messages the graph does not send", b.SrcPart, b.DstPart, b.MsgEnd-next[bi])
+		}
+	}
+	if err := inter.padding(graph.VertexID(msgs)); err != nil {
+		return err
+	}
+
 	// Edge conservation.
-	if int64(len(l.MsgDst)) != l.InterEdges {
-		return fmt.Errorf("layout: %d message destinations, want %d inter-edges", len(l.MsgDst), l.InterEdges)
+	if edges != l.InterEdges || interEdges != l.InterEdges {
+		return fmt.Errorf("layout: graph has %d inter-edges and blocks carry %d, want %d", edges, interEdges, l.InterEdges)
 	}
 	if l.IntraEdges+l.InterEdges != g.NumEdges() {
 		return fmt.Errorf("layout: intra %d + inter %d != edges %d", l.IntraEdges, l.InterEdges, g.NumEdges())
 	}
-	if !l.Compressed && l.NumMessages() != l.InterEdges {
+	if !l.Compressed && msgs != l.InterEdges {
 		return fmt.Errorf("layout: uncompressed layout must have one message per inter-edge")
 	}
 	return nil
 }
 
-// validatePull checks the pull against the push CSR, which is everything
-// the pull kernels rely on. Each partition's lane slots hold each of its
-// vertices once, then only padding lanes (the sink n). The chunk offsets
-// tile PullIdx in whole steps of PullLanes entries. Replaying the push rows
-// in source order visits every lane's entries in place, and each entry
-// past the end of a lane's row is the sink.
-func (l *Layout) validatePull(h *partition.Hierarchy, n int) error {
-	P := l.NumPartitions
-	if len(l.PullPart) != P+1 || l.PullPart[0] != 0 {
-		return fmt.Errorf("layout: %d pull chunk ranges for %d partitions", len(l.PullPart)-1, P)
+// laneCheck replays a pull's rows in the order they were filled: cur[v] is
+// the next entry of v's lane, end[v] its chunk's end.
+type laneCheck struct {
+	name     string
+	s        *SELL
+	cur, end []int64
+}
+
+// lanes checks the shape of the pull named name against h and n, which is
+// everything the pull kernels rely on besides the entries: each
+// partition's lane slots hold each of its vertices once, then only padding
+// lanes (the sink n), and the chunk offsets tile Idx in whole steps of
+// PullLanes entries. It returns the checker that replays the rows.
+func (s *SELL) lanes(name string, h *partition.Hierarchy, n int) (*laneCheck, error) {
+	P := len(h.Partitions)
+	if len(s.Part) != P+1 || s.Part[0] != 0 {
+		return nil, fmt.Errorf("layout: %d %s pull chunk ranges for %d partitions", len(s.Part)-1, name, P)
 	}
 	for p, part := range h.Partitions {
-		if got, want := l.PullPart[p+1]-l.PullPart[p], (part.Vertices()+PullLanes-1)/PullLanes; int(got) != want {
-			return fmt.Errorf("layout: partition %d has %d pull chunks, want %d", p, got, want)
+		if got, want := s.Part[p+1]-s.Part[p], (part.Vertices()+PullLanes-1)/PullLanes; int(got) != want {
+			return nil, fmt.Errorf("layout: partition %d has %d %s pull chunks, want %d", p, got, name, want)
 		}
 	}
-	chunks := int(l.PullPart[P])
-	off := l.PullChunk
-	if len(off) != chunks+1 || len(l.PullPerm) != chunks*PullLanes || off[0] != 0 || off[chunks] != int64(len(l.PullIdx)) {
-		return fmt.Errorf("layout: %d pull chunk offsets and %d lanes do not tile %d chunks of %d entries", len(off), len(l.PullPerm), chunks, len(l.PullIdx))
+	chunks := int(s.Part[P])
+	off := s.Chunk
+	if len(off) != chunks+1 || len(s.Perm) != chunks*PullLanes || off[0] != 0 || off[chunks] != int64(len(s.Idx)) {
+		return nil, fmt.Errorf("layout: %d %s pull chunk offsets and %d lanes do not tile %d chunks of %d entries", len(off), name, len(s.Perm), chunks, len(s.Idx))
 	}
 	for c := 0; c < chunks; c++ {
 		if w := off[c+1] - off[c]; w < 0 || w%PullLanes != 0 {
-			return fmt.Errorf("layout: pull chunk %d spans %d entries, not whole steps of %d", c, w, PullLanes)
+			return nil, fmt.Errorf("layout: %s pull chunk %d spans %d entries, not whole steps of %d", name, c, w, PullLanes)
 		}
 	}
 	sink := graph.VertexID(n)
-	// cur[v] is the next entry of v's lane, end[v] its chunk's end.
-	cur, end := make([]int64, n), make([]int64, n)
-	for i := range cur {
-		cur[i] = -1
+	lc := &laneCheck{name: name, s: s, cur: make([]int64, n), end: make([]int64, n)}
+	for i := range lc.cur {
+		lc.cur[i] = -1
 	}
 	for p, part := range h.Partitions {
-		clo, chi := int(l.PullPart[p]), int(l.PullPart[p+1])
-		for i, v := range l.PullPerm[clo*PullLanes : chi*PullLanes] {
+		clo, chi := int(s.Part[p]), int(s.Part[p+1])
+		for i, v := range s.Perm[clo*PullLanes : chi*PullLanes] {
 			if i >= part.Vertices() {
 				if v != sink {
-					return fmt.Errorf("layout: padding lane %d of partition %d holds %d, not the sink %d", i, p, v, sink)
+					return nil, fmt.Errorf("layout: %s pull padding lane %d of partition %d holds %d, not the sink %d", name, i, p, v, sink)
 				}
 				continue
 			}
-			if v < part.VertexStart || v >= part.VertexEnd || cur[v] >= 0 {
-				return fmt.Errorf("layout: lane %d of partition %d holds %d: the lanes are not a permutation of [%d,%d)", i, p, v, part.VertexStart, part.VertexEnd)
+			if v < part.VertexStart || v >= part.VertexEnd || lc.cur[v] >= 0 {
+				return nil, fmt.Errorf("layout: %s pull lane %d of partition %d holds %d: the lanes are not a permutation of [%d,%d)", name, i, p, v, part.VertexStart, part.VertexEnd)
 			}
 			c := clo + i/PullLanes
-			cur[v], end[v] = off[c]+int64(i%PullLanes), off[c+1]
+			lc.cur[v], lc.end[v] = off[c]+int64(i%PullLanes), off[c+1]
 		}
 	}
-	for v := 0; v < n; v++ {
-		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
-			if cur[d] >= end[d] || l.PullIdx[cur[d]] != graph.VertexID(v) {
-				return fmt.Errorf("layout: pull lane of %d does not hold intra edge (%d,%d) in source order", d, v, d)
-			}
-			cur[d] += PullLanes
-		}
+	return lc, nil
+}
+
+// next reports whether x is the next entry of d's lane, and steps past it.
+func (lc *laneCheck) next(d, x graph.VertexID) bool {
+	if lc.cur[d] >= lc.end[d] || lc.s.Idx[lc.cur[d]] != x {
+		return false
 	}
-	for c := 0; c < chunks; c++ {
-		for i, v := range l.PullPerm[c*PullLanes : (c+1)*PullLanes] {
-			e := off[c] + int64(i)
-			if v != sink {
-				e = cur[v]
+	lc.cur[d] += PullLanes
+	return true
+}
+
+// padding checks, once every row has been replayed, that each entry past a
+// lane's row is sink.
+func (lc *laneCheck) padding(sink graph.VertexID) error {
+	s, laneSink := lc.s, graph.VertexID(len(lc.cur))
+	for c := 0; c+1 < len(s.Chunk); c++ {
+		for i, v := range s.Lanes(c) {
+			e := s.Chunk[c] + int64(i)
+			if v != laneSink {
+				e = lc.cur[v]
 			}
-			for ; e < off[c+1]; e += PullLanes {
-				if l.PullIdx[e] != sink {
-					return fmt.Errorf("layout: pull entry %d past the row of lane %d of chunk %d holds %d, not the sink %d", e, i, c, l.PullIdx[e], sink)
+			for ; e < s.Chunk[c+1]; e += PullLanes {
+				if s.Idx[e] != sink {
+					return fmt.Errorf("layout: %s pull entry %d past the row of lane %d of chunk %d holds %d, not the sink %d", lc.name, e, i, c, s.Idx[e], sink)
 				}
 			}
 		}
@@ -569,10 +762,30 @@ func (l *Layout) validatePull(h *partition.Hierarchy, n int) error {
 	return nil
 }
 
-// PullPadding returns the number of padding entries in the intra pull:
-// the entries that add the sink's +0 because a lane's row is shorter than
-// its chunk's longest.
-func (l *Layout) PullPadding() int64 { return int64(len(l.PullIdx)) - l.IntraEdges }
+// PullStats describes one pull: its real entries (one per edge), its
+// padding entries, the padding as a share of the real entries, and the
+// resident bytes of its arrays.
+type PullStats struct {
+	Entries  int64   `json:"entries"`
+	Padding  int64   `json:"padding"`
+	PadShare float64 `json:"padding_share"`
+	Bytes    int64   `json:"bytes"`
+}
+
+func (s *SELL) stats(edges int64) PullStats {
+	st := PullStats{Entries: edges, Padding: int64(len(s.Idx)) - edges, Bytes: s.bytes()}
+	if edges > 0 {
+		st.PadShare = float64(st.Padding) / float64(edges)
+	}
+	return st
+}
+
+// IntraPullStats describes the intra pull; its padding entries add the
+// sink's +0 because a lane's row is shorter than its chunk's longest.
+func (l *Layout) IntraPullStats() PullStats { return l.IntraPull.stats(l.IntraEdges) }
+
+// InterPullStats describes the inter pull.
+func (l *Layout) InterPullStats() PullStats { return l.InterPull.stats(l.InterEdges) }
 
 // BinBytes returns the total size of the message value bins (one 4-byte rank
 // value per message), the memory the scatter phase writes and the gather
@@ -581,13 +794,13 @@ func (l *Layout) PullPadding() int64 { return int64(len(l.PullIdx)) - l.IntraEdg
 func (l *Layout) BinBytes() int64 { return l.NumMessages() * 4 }
 
 // Bytes returns the resident size of the layout's arrays: blocks, block
-// indexes, message sources and destinations, the intra push CSR and the
-// intra pull, padding included.
+// indexes, message sources, the intra push CSR and both pulls, padding
+// included.
 func (l *Layout) Bytes() int64 {
 	n := int64(cap(l.Blocks))*int64(unsafe.Sizeof(Block{})) +
-		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.MsgDst)+cap(l.IntraDst)) +
-		4*int64(cap(l.PullPart)+cap(l.PullPerm)+cap(l.PullIdx)) +
-		8*int64(cap(l.IntraOff)+cap(l.PullChunk)) +
+		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.IntraDst)) +
+		8*int64(cap(l.IntraOff)) +
+		l.IntraPull.bytes() + l.InterPull.bytes() +
 		int64(cap(l.DstBlocks))*int64(unsafe.Sizeof([]int32(nil)))
 	for _, list := range l.DstBlocks {
 		n += 4 * int64(cap(list))

@@ -55,8 +55,8 @@ func TestFig4Compression(t *testing.T) {
 	if got, want := decodeBlocks(l), [][2]graph.VertexID{{1, 6}, {1, 7}}; !slices.Equal(got, want) {
 		t.Errorf("decoded (source, destination) pairs = %v, want %v", got, want)
 	}
-	if !slices.Equal(l.MsgDst, []graph.VertexID{6 | FirstDst, 7}) {
-		t.Errorf("MsgDst = %#x, want the first destination flagged", l.MsgDst)
+	if got := pullRows(l.InterPull, g.NumVertices(), 1); !slices.Equal(got[6], []graph.VertexID{0}) || !slices.Equal(got[7], []graph.VertexID{0}) {
+		t.Errorf("inter pull rows of 6 and 7 = %v, %v, want both to hold message 0", got[6], got[7])
 	}
 
 	// Uncompressed: two messages.
@@ -70,8 +70,8 @@ func TestFig4Compression(t *testing.T) {
 	if lu.NumMessages() != 2 {
 		t.Fatalf("uncompressed NumMessages = %d, want 2", lu.NumMessages())
 	}
-	if !slices.Equal(lu.MsgDst, []graph.VertexID{6 | FirstDst, 7 | FirstDst}) {
-		t.Errorf("uncompressed MsgDst = %#x, want every destination flagged", lu.MsgDst)
+	if got := pullRows(lu.InterPull, g.NumVertices(), 2); !slices.Equal(got[6], []graph.VertexID{0}) || !slices.Equal(got[7], []graph.VertexID{1}) {
+		t.Errorf("uncompressed inter pull rows of 6 and 7 = %v, %v, want messages 0 and 1", got[6], got[7])
 	}
 	if lu.BinBytes() != 8 || l.BinBytes() != 4 {
 		t.Errorf("BinBytes: compressed %d, uncompressed %d", l.BinBytes(), lu.BinBytes())
@@ -275,10 +275,10 @@ func TestPropertyLayoutInvariants(t *testing.T) {
 
 // referenceLayout is a plain serial construction of the layout: one scan
 // over the vertices in ID order appends each inter-edge to its (p,q) block's
-// message list and each intra edge to its destination's pull row, then the
-// blocks are concatenated in (p,q) order, and each partition's pull rows
-// are sorted by length (longest first, ties by ID), cut into chunks of
-// PullLanes rows and written column-major, padded with n.
+// message list and each intra edge to its destination's intra pull row,
+// then the blocks are concatenated in (p,q) order and each inter-edge's
+// message index appended to its destination's inter pull row, block by
+// block, and both pulls are written by referenceSELL.
 func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Layout {
 	type message struct {
 		src  graph.VertexID
@@ -292,18 +292,16 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
 		IntraOff:      make([]int64, n+1),
-		PullPart:      []int32{0},
-		PullChunk:     []int64{0},
 	}
 	blocks := make([][]message, P*P)
-	pull := make([][]graph.VertexID, n)
+	intraRows := make([][]graph.VertexID, n)
 	for v := 0; v < n; v++ {
 		p, lastQ := v/per, -1
 		for _, d := range g.OutNeighbors(graph.VertexID(v)) {
 			q := int(d) / per
 			if q == p {
 				l.IntraDst = append(l.IntraDst, d)
-				pull[d] = append(pull[d], graph.VertexID(v))
+				intraRows[d] = append(intraRows[d], graph.VertexID(v))
 				continue
 			}
 			b := &blocks[p*P+q]
@@ -318,32 +316,7 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 	}
 	l.IntraEdges = int64(len(l.IntraDst))
 	l.InterEdges = g.NumEdges() - l.IntraEdges
-	sink := graph.VertexID(n)
-	for _, part := range h.Partitions {
-		rows := make([]graph.VertexID, 0, part.Vertices())
-		for v := part.VertexStart; v < part.VertexEnd; v++ {
-			rows = append(rows, v)
-		}
-		slices.SortStableFunc(rows, func(a, b graph.VertexID) int { return len(pull[b]) - len(pull[a]) })
-		for len(rows)%PullLanes != 0 {
-			rows = append(rows, sink)
-		}
-		for c := 0; c < len(rows); c += PullLanes {
-			lanes := rows[c : c+PullLanes]
-			l.PullPerm = append(l.PullPerm, lanes...)
-			for k := 0; k < len(pull[lanes[0]]); k++ {
-				for _, v := range lanes {
-					if v != sink && k < len(pull[v]) {
-						l.PullIdx = append(l.PullIdx, pull[v][k])
-					} else {
-						l.PullIdx = append(l.PullIdx, sink)
-					}
-				}
-			}
-			l.PullChunk = append(l.PullChunk, int64(len(l.PullIdx)))
-		}
-		l.PullPart = append(l.PullPart, int32(len(l.PullChunk)-1))
-	}
+	interRows := make([][]graph.VertexID, n)
 	for p := 0; p < P; p++ {
 		l.SrcBlockStart[p] = int32(len(l.Blocks))
 		for q := 0; q < P; q++ {
@@ -352,21 +325,84 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 				continue
 			}
 			l.DstBlocks[q] = append(l.DstBlocks[q], int32(len(l.Blocks)))
-			start, dstStart := int64(len(l.MsgSrc)), int64(len(l.MsgDst))
+			start, edges := int64(len(l.MsgSrc)), int64(0)
 			for _, m := range msgs {
 				l.MsgSrc = append(l.MsgSrc, m.src)
-				l.MsgDst = append(l.MsgDst, m.dsts[0]|FirstDst)
-				l.MsgDst = append(l.MsgDst, m.dsts[1:]...)
+				edges += int64(len(m.dsts))
 			}
 			l.Blocks = append(l.Blocks, Block{
 				SrcPart: int32(p), DstPart: int32(q),
 				MsgStart: start, MsgEnd: int64(len(l.MsgSrc)),
-				DstStart: dstStart, DstEnd: int64(len(l.MsgDst)),
+				Edges: edges,
 			})
 		}
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
 	}
+	for q := 0; q < P; q++ {
+		for _, bi := range l.DstBlocks[q] {
+			b := l.Blocks[bi]
+			for k, m := range blocks[int(b.SrcPart)*P+q] {
+				for _, d := range m.dsts {
+					interRows[d] = append(interRows[d], graph.VertexID(b.MsgStart+int64(k)))
+				}
+			}
+		}
+	}
+	l.IntraPull = referenceSELL(h, intraRows, graph.VertexID(n))
+	l.InterPull = referenceSELL(h, interRows, graph.VertexID(len(l.MsgSrc)))
 	return l
+}
+
+// referenceSELL writes one pull from plain rows: each partition's rows are
+// sorted by length (longest first, ties by ID), cut into chunks of
+// PullLanes rows and written column-major, padding lanes set to n and
+// padding entries to sink.
+func referenceSELL(h *partition.Hierarchy, rows [][]graph.VertexID, sink graph.VertexID) SELL {
+	laneSink := graph.VertexID(len(rows))
+	s := SELL{Part: []int32{0}, Chunk: []int64{0}}
+	for _, part := range h.Partitions {
+		order := make([]graph.VertexID, 0, part.Vertices())
+		for v := part.VertexStart; v < part.VertexEnd; v++ {
+			order = append(order, v)
+		}
+		slices.SortStableFunc(order, func(a, b graph.VertexID) int { return len(rows[b]) - len(rows[a]) })
+		for len(order)%PullLanes != 0 {
+			order = append(order, laneSink)
+		}
+		for c := 0; c < len(order); c += PullLanes {
+			lanes := order[c : c+PullLanes]
+			s.Perm = append(s.Perm, lanes...)
+			for k := 0; k < len(rows[lanes[0]]); k++ {
+				for _, v := range lanes {
+					if v != laneSink && k < len(rows[v]) {
+						s.Idx = append(s.Idx, rows[v][k])
+					} else {
+						s.Idx = append(s.Idx, sink)
+					}
+				}
+			}
+			s.Chunk = append(s.Chunk, int64(len(s.Idx)))
+		}
+		s.Part = append(s.Part, int32(len(s.Chunk)-1))
+	}
+	return s
+}
+
+// pullRows returns every vertex's row of a pull over n vertices whose
+// sink is sink: its lane's entries up to the first sink.
+func pullRows(s SELL, n int, sink graph.VertexID) [][]graph.VertexID {
+	rows := make([][]graph.VertexID, n)
+	for c := 0; c+1 < len(s.Chunk); c++ {
+		for i, v := range s.Lanes(c) {
+			if int(v) >= n {
+				continue
+			}
+			for e := s.Chunk[c] + int64(i); e < s.Chunk[c+1] && s.Idx[e] != sink; e += PullLanes {
+				rows[v] = append(rows[v], s.Idx[e])
+			}
+		}
+	}
+	return rows
 }
 
 // TestBuildWorkersMatchesReference: on a power-law graph big enough to
@@ -394,18 +430,21 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 				{"Compressed", got.Compressed == want.Compressed},
 				{"Blocks.SrcPart/DstPart", slices.EqualFunc(got.Blocks, want.Blocks, func(a, b Block) bool { return a.SrcPart == b.SrcPart && a.DstPart == b.DstPart })},
 				{"Blocks.MsgStart/MsgEnd", slices.EqualFunc(got.Blocks, want.Blocks, func(a, b Block) bool { return a.MsgStart == b.MsgStart && a.MsgEnd == b.MsgEnd })},
-				{"Blocks.DstStart/DstEnd", slices.EqualFunc(got.Blocks, want.Blocks, func(a, b Block) bool { return a.DstStart == b.DstStart && a.DstEnd == b.DstEnd })},
+				{"Blocks.Edges", slices.EqualFunc(got.Blocks, want.Blocks, func(a, b Block) bool { return a.Edges == b.Edges })},
 				{"SrcBlockStart", slices.Equal(got.SrcBlockStart, want.SrcBlockStart)},
 				{"SrcBlockEnd", slices.Equal(got.SrcBlockEnd, want.SrcBlockEnd)},
 				{"DstBlocks", slices.EqualFunc(got.DstBlocks, want.DstBlocks, slices.Equal[[]int32])},
 				{"MsgSrc", slices.Equal(got.MsgSrc, want.MsgSrc)},
-				{"MsgDst", slices.Equal(got.MsgDst, want.MsgDst)},
 				{"IntraOff", slices.Equal(got.IntraOff, want.IntraOff)},
 				{"IntraDst", slices.Equal(got.IntraDst, want.IntraDst)},
-				{"PullPart", slices.Equal(got.PullPart, want.PullPart)},
-				{"PullChunk", slices.Equal(got.PullChunk, want.PullChunk)},
-				{"PullPerm", slices.Equal(got.PullPerm, want.PullPerm)},
-				{"PullIdx", slices.Equal(got.PullIdx, want.PullIdx)},
+				{"IntraPull.Part", slices.Equal(got.IntraPull.Part, want.IntraPull.Part)},
+				{"IntraPull.Chunk", slices.Equal(got.IntraPull.Chunk, want.IntraPull.Chunk)},
+				{"IntraPull.Perm", slices.Equal(got.IntraPull.Perm, want.IntraPull.Perm)},
+				{"IntraPull.Idx", slices.Equal(got.IntraPull.Idx, want.IntraPull.Idx)},
+				{"InterPull.Part", slices.Equal(got.InterPull.Part, want.InterPull.Part)},
+				{"InterPull.Chunk", slices.Equal(got.InterPull.Chunk, want.InterPull.Chunk)},
+				{"InterPull.Perm", slices.Equal(got.InterPull.Perm, want.InterPull.Perm)},
+				{"InterPull.Idx", slices.Equal(got.InterPull.Idx, want.InterPull.Idx)},
 				{"IntraEdges", got.IntraEdges == want.IntraEdges},
 				{"InterEdges", got.InterEdges == want.InterEdges},
 			} {
@@ -417,16 +456,15 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 	}
 }
 
-// decodeBlocks decodes every block the way the gather does — one flat pass
-// over its destination range, stepping to the next message at each flagged
-// entry — and returns the (source, destination) pair of every destination.
+// decodeBlocks returns the (source, destination) pair of every inter pull
+// entry: each entry of a vertex's row is a message carrying one edge from
+// the message's source to the vertex.
 func decodeBlocks(l *Layout) [][2]graph.VertexID {
+	rows := pullRows(l.InterPull, len(l.IntraOff)-1, graph.VertexID(l.NumMessages()))
 	var out [][2]graph.VertexID
-	for _, b := range l.Blocks {
-		m := b.MsgStart - 1
-		for _, d := range l.MsgDst[b.DstStart:b.DstEnd] {
-			m += int64(d >> 31)
-			out = append(out, [2]graph.VertexID{l.MsgSrc[m], d &^ FirstDst})
+	for v, row := range rows {
+		for _, m := range row {
+			out = append(out, [2]graph.VertexID{l.MsgSrc[m], graph.VertexID(v)})
 		}
 	}
 	return out
@@ -459,57 +497,108 @@ func sameMultiset(a, b [][2]graph.VertexID) bool {
 	return maps.Equal(count(a), count(b))
 }
 
-// TestValidateRejectsBadFlags: a misencoded destination stream (a cleared
-// first flag, an extra flag, a destination outside its block's partition)
-// fails Validate, so it can never reach the gather's message-index decode.
-func TestValidateRejectsBadFlags(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 256, Edges: 3000, OutAlpha: 2.1, InAlpha: 0.8, Seed: 4})
+// TestValidateRejectsBadInterRows: an inter pull that does not replay
+// the graph's inter-edges message by message in push order fails
+// Validate, so the gather can never add a vertex's messages out of order,
+// add a message that does not target it, or drop one. The corruptions: two
+// messages of one lane swapped, a row entry replaced by a message of
+// another destination partition, a row entry replaced by the sink, a
+// padding entry holding a message, and a block that claims one edge too
+// many.
+func TestValidateRejectsBadInterRows(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 250, Edges: 3000, OutAlpha: 2.1, InAlpha: 0.8, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := buildHierarchy(t, g, 64)
-	// A compressed block whose second destination continues its first
-	// message, so an extra flag there changes the message count.
-	pick := func(l *Layout) Block {
-		for _, b := range l.Blocks {
-			if b.Dsts() > 1 && l.MsgDst[b.DstStart+1]&FirstDst == 0 {
-				return b
+	// lane returns the InterPull.Idx positions of lane slot's row and
+	// padding.
+	lane := func(l *Layout, slot int) (row, pad []int64) {
+		sink := graph.VertexID(l.NumMessages())
+		ip := &l.InterPull
+		c := slot / PullLanes
+		for e := ip.Chunk[c] + int64(slot%PullLanes); e < ip.Chunk[c+1]; e += PullLanes {
+			if ip.Idx[e] == sink {
+				pad = append(pad, e)
+			} else {
+				row = append(row, e)
 			}
 		}
-		t.Fatal("no block with a multi-destination first message")
-		return Block{}
+		return row, pad
+	}
+	pick := func(l *Layout, ok func(row, pad []int64) bool) int {
+		for slot, v := range l.InterPull.Perm {
+			if row, pad := lane(l, slot); int(v) < g.NumVertices() && ok(row, pad) {
+				return slot
+			}
+		}
+		t.Fatal("no lane to corrupt")
+		return 0
+	}
+	twoMessages := func(l *Layout) []int64 {
+		row, _ := lane(l, pick(l, func(row, _ []int64) bool {
+			return len(row) >= 2 && l.InterPull.Idx[row[0]] != l.InterPull.Idx[row[1]]
+		}))
+		return row
 	}
 	for _, c := range []struct {
 		name    string
-		corrupt func(l *Layout, b Block)
+		corrupt func(l *Layout)
 	}{
-		{"cleared first flag", func(l *Layout, b Block) { l.MsgDst[b.DstStart] &^= FirstDst }},
-		{"extra flag", func(l *Layout, b Block) { l.MsgDst[b.DstStart+1] |= FirstDst }},
-		{"destination outside its block", func(l *Layout, b Block) {
-			other := graph.VertexID((int(b.DstPart) + 1) % l.NumPartitions * h.VerticesPerPartition)
-			l.MsgDst[b.DstStart+1] = other
+		{"two messages swapped", func(l *Layout) {
+			row, idx := twoMessages(l), l.InterPull.Idx
+			idx[row[0]], idx[row[1]] = idx[row[1]], idx[row[0]]
+		}},
+		{"foreign message", func(l *Layout) {
+			row := twoMessages(l)
+			m := l.InterPull.Idx[row[0]]
+			for _, b := range l.Blocks {
+				if m >= graph.VertexID(b.MsgStart) && m < graph.VertexID(b.MsgEnd) {
+					// The first message of a block with another destination.
+					for _, o := range l.Blocks {
+						if o.DstPart != b.DstPart {
+							l.InterPull.Idx[row[0]] = graph.VertexID(o.MsgStart)
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no foreign message")
+		}},
+		{"sink inside a row", func(l *Layout) {
+			l.InterPull.Idx[twoMessages(l)[0]] = graph.VertexID(l.NumMessages())
+		}},
+		{"padding entry holds a message", func(l *Layout) {
+			slot := pick(l, func(row, pad []int64) bool { return len(pad) > 0 })
+			_, pad := lane(l, slot)
+			l.InterPull.Idx[pad[0]] = 0
+		}},
+		{"block claims an extra edge", func(l *Layout) {
+			l.Blocks[len(l.Blocks)/2].Edges++
 		}},
 	} {
-		l, err := Build(g, h, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Validate(g, h); err != nil {
-			t.Fatalf("%s: intact layout rejected: %v", c.name, err)
-		}
-		c.corrupt(l, pick(l))
-		if err := l.Validate(g, h); err == nil {
-			t.Errorf("%s: Validate accepted the corrupted layout", c.name)
+		for _, compress := range []bool{true, false} {
+			l, err := Build(g, h, compress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Validate(g, h); err != nil {
+				t.Fatalf("%s: intact layout rejected: %v", c.name, err)
+			}
+			c.corrupt(l)
+			if err := l.Validate(g, h); err == nil {
+				t.Errorf("%s (compress=%v): Validate accepted the corrupted layout", c.name, compress)
+			}
 		}
 	}
 }
 
-// TestBuildRejectsFlagBitVertices: a graph of 2^31 or more vertices would
-// put vertex IDs on the FirstDst bit, so Build and Patch refuse it. The
-// hierarchy claims the count; no such graph is allocated.
-func TestBuildRejectsFlagBitVertices(t *testing.T) {
+// TestBuildRejectsOversizedGraphs: a graph of 2^31 or more vertices would
+// put a pull index past the AVX2 gather's int32, so Build and Patch refuse
+// it. The hierarchy claims the count; no such graph is allocated.
+func TestBuildRejectsOversizedGraphs(t *testing.T) {
 	g, _ := gen.Uniform(100, 100, 1)
-	h := &partition.Hierarchy{NumVertices: maxVertices}
+	h := &partition.Hierarchy{NumVertices: maxIndex}
 	if _, err := Build(g, h, true); err == nil || !strings.Contains(err.Error(), "2^31") {
 		t.Fatalf("Build: err = %v, want the 2^31-vertex limit", err)
 	}
@@ -534,11 +623,13 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 	}
 	h := buildHierarchy(t, g, 64)
 	sink := graph.VertexID(g.NumVertices())
-	// lane returns the PullIdx positions of lane slot's row and padding.
+	// lane returns the IntraPull.Idx positions of lane slot's row and
+	// padding.
 	lane := func(l *Layout, slot int) (row, pad []int64) {
+		ip := &l.IntraPull
 		c := slot / PullLanes
-		for e := l.PullChunk[c] + int64(slot%PullLanes); e < l.PullChunk[c+1]; e += PullLanes {
-			if l.PullIdx[e] == sink {
+		for e := ip.Chunk[c] + int64(slot%PullLanes); e < ip.Chunk[c+1]; e += PullLanes {
+			if ip.Idx[e] == sink {
 				pad = append(pad, e)
 			} else {
 				row = append(row, e)
@@ -548,8 +639,8 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 	}
 	// pick returns the first slot whose lane passes ok.
 	pick := func(l *Layout, ok func(row, pad []int64) bool) int {
-		for slot := range l.PullPerm {
-			if row, pad := lane(l, slot); l.PullPerm[slot] != sink && ok(row, pad) {
+		for slot := range l.IntraPull.Perm {
+			if row, pad := lane(l, slot); l.IntraPull.Perm[slot] != sink && ok(row, pad) {
 				return slot
 			}
 		}
@@ -557,7 +648,7 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 		return 0
 	}
 	twoSources := func(l *Layout) []int64 {
-		row, _ := lane(l, pick(l, func(row, _ []int64) bool { return len(row) >= 2 && l.PullIdx[row[0]] != l.PullIdx[row[1]] }))
+		row, _ := lane(l, pick(l, func(row, _ []int64) bool { return len(row) >= 2 && l.IntraPull.Idx[row[0]] != l.IntraPull.Idx[row[1]] }))
 		return row
 	}
 	for _, c := range []struct {
@@ -566,27 +657,27 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 	}{
 		{"two sources swapped", func(l *Layout) {
 			row := twoSources(l)
-			l.PullIdx[row[0]], l.PullIdx[row[1]] = l.PullIdx[row[1]], l.PullIdx[row[0]]
+			l.IntraPull.Idx[row[0]], l.IntraPull.Idx[row[1]] = l.IntraPull.Idx[row[1]], l.IntraPull.Idx[row[0]]
 		}},
 		{"source outside the partition", func(l *Layout) {
 			row := twoSources(l)
-			p := int(l.PullIdx[row[0]]) / h.VerticesPerPartition
-			l.PullIdx[row[0]] = graph.VertexID((p + 1) % l.NumPartitions * h.VerticesPerPartition)
+			p := int(l.IntraPull.Idx[row[0]]) / h.VerticesPerPartition
+			l.IntraPull.Idx[row[0]] = graph.VertexID((p + 1) % l.NumPartitions * h.VerticesPerPartition)
 		}},
 		{"row entry replaced by the sink", func(l *Layout) {
-			l.PullIdx[twoSources(l)[0]] = sink
+			l.IntraPull.Idx[twoSources(l)[0]] = sink
 		}},
 		{"padding entry holds a vertex", func(l *Layout) {
 			slot := pick(l, func(_, pad []int64) bool { return len(pad) > 0 })
 			_, pad := lane(l, slot)
-			l.PullIdx[pad[0]] = l.PullPerm[slot]
+			l.IntraPull.Idx[pad[0]] = l.IntraPull.Perm[slot]
 		}},
 		{"vertex in two lanes", func(l *Layout) {
-			l.PullPerm[1] = l.PullPerm[0]
+			l.IntraPull.Perm[1] = l.IntraPull.Perm[0]
 		}},
 		{"padding lane ahead of a real lane", func(l *Layout) {
-			j := slices.Index(l.PullPerm, sink)
-			l.PullPerm[j-1], l.PullPerm[j] = l.PullPerm[j], l.PullPerm[j-1]
+			j := slices.Index(l.IntraPull.Perm, sink)
+			l.IntraPull.Perm[j-1], l.IntraPull.Perm[j] = l.IntraPull.Perm[j], l.IntraPull.Perm[j-1]
 		}},
 	} {
 		l, err := Build(g, h, true)
@@ -600,5 +691,77 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 		if err := l.Validate(g, h); err == nil {
 			t.Errorf("%s: Validate accepted the corrupted layout", c.name)
 		}
+	}
+}
+
+// TestDividerMatchesDivision: the multiply-and-shift partition lookup
+// equals integer division for every divisor shape — 1, powers of two and
+// their neighbours, random divisors and the largest — at the dividends
+// where a rounding error would show: 0, multiples of the divisor and their
+// neighbours, random values and the largest vertex ID.
+func TestDividerMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 0))
+	divisors := []uint32{1, 2, 3, 7, maxIndex - 1}
+	for k := 2; k < 31; k++ {
+		divisors = append(divisors, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for range 200 {
+		divisors = append(divisors, 1+rng.Uint32N(maxIndex-1))
+	}
+	for _, d := range divisors {
+		dv := newDivider(d)
+		check := func(v uint32) {
+			if v >= maxIndex {
+				return
+			}
+			if got, want := dv.div(graph.VertexID(v)), int(v/d); got != want {
+				t.Fatalf("%d / %d = %d, want %d", v, d, got, want)
+			}
+		}
+		check(0)
+		check(maxIndex - 1)
+		for range 200 {
+			check(rng.Uint32N(maxIndex))
+			k := rng.Uint32N(maxIndex/d + 1)
+			check(k*d - 1)
+			check(k * d)
+			check(k*d + 1)
+		}
+	}
+}
+
+// TestChunksHoldEveryEntry: each partition's Chunks range holds every
+// chunk with entries and no chunk without, in both pulls, on a graph whose
+// partitions mix vertices with and without in-edges and one partition no
+// inter-edge reaches.
+func TestChunksHoldEveryEntry(t *testing.T) {
+	b := graph.NewBuilder(96)
+	rng := rand.New(rand.NewPCG(21, 0))
+	for range 600 {
+		// Vertices 64..95 receive no inter-edge; every third vertex
+		// receives nothing at all.
+		u, v := rng.IntN(96), rng.IntN(64)
+		if v%3 != 0 {
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	g := b.Build()
+	h := buildHierarchy(t, g, 128) // 32 vertices per partition
+	l, err := Build(g, h, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*SELL{"intra": &l.IntraPull, "inter": &l.InterPull} {
+		for p := 0; p < l.NumPartitions; p++ {
+			clo, chi := s.Chunks(p)
+			for c := int(s.Part[p]); c < int(s.Part[p+1]); c++ {
+				if busy := s.Chunk[c] < s.Chunk[c+1]; busy != (c >= clo && c < chi) {
+					t.Errorf("%s pull partition %d: chunk %d holds %d entries, Chunks = [%d,%d)", name, p, c, s.Chunk[c+1]-s.Chunk[c], clo, chi)
+				}
+			}
+		}
+	}
+	if clo, chi := l.InterPull.Chunks(2); clo != chi {
+		t.Errorf("partition 2 receives no inter-edge, yet its inter pull Chunks = [%d,%d)", clo, chi)
 	}
 }

@@ -51,7 +51,9 @@ func touchedPartitions(d *graph.Delta, h *partition.Hierarchy) []int {
 
 // TestPatchEqualsBuild replays random mutation batches and checks that the
 // spliced layout is bit-identical to a cold Build at every version, for both
-// compressed and uncompressed layouts and several partition sizes.
+// compressed and uncompressed layouts and several partition sizes. Every
+// batch holds mutations whose two ends lie in different partitions, so the
+// inter pull of partitions no touched source belongs to changes too.
 func TestPatchEqualsBuild(t *testing.T) {
 	const n, edges = 600, 3000
 	for _, compress := range []bool{true, false} {
@@ -71,7 +73,17 @@ func TestPatchEqualsBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			for batch := 0; batch < 5; batch++ {
-				ver, err := vg.ApplyBatch(randomBatch(rng, n, 40))
+				muts := randomBatch(rng, n, 40)
+				crossing := 0
+				for _, m := range muts {
+					if prevH.PartitionOfVertex(m.Src) != prevH.PartitionOfVertex(m.Dst) {
+						crossing++
+					}
+				}
+				if crossing == 0 {
+					t.Fatalf("batch %d has no mutation across partitions", batch)
+				}
+				ver, err := vg.ApplyBatch(muts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,6 +112,9 @@ func TestPatchEqualsBuild(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("compress=%v partBytes=%d batch %d: patched layout differs from cold build", compress, partBytes, batch)
+				}
+				if reflect.DeepEqual(got.InterPull, prevL.InterPull) {
+					t.Fatalf("compress=%v partBytes=%d batch %d: the batch left the inter pull as it was", compress, partBytes, batch)
 				}
 				if err := got.Validate(d.Next, h); err != nil {
 					t.Fatal(err)
@@ -145,7 +160,7 @@ func TestPatchRejectsBadInput(t *testing.T) {
 }
 
 // TestDecodeRoundTrip: for compressed and uncompressed layouts, before and
-// after a Patch, the flat decode of every block yields exactly the graph's
+// after a Patch, the inter pull's entries yield exactly the graph's
 // inter-edge (source, destination) multiset.
 func TestDecodeRoundTrip(t *testing.T) {
 	const n, edges = 600, 3000

@@ -251,7 +251,7 @@ func (a *Accounting) AddPartitionRun(s PartitionRun) error {
 	dstsIn := make([]int64, P)
 	for _, b := range s.Lay.Blocks {
 		nm := b.Messages()
-		nd := b.Dsts()
+		nd := b.Edges
 		msgsOut[b.SrcPart] += nm
 		dstsOut[b.SrcPart] += nd
 		msgsIn[b.DstPart] += nm
@@ -419,7 +419,7 @@ func (a *Accounting) AddBatchRun(s BatchRun) error {
 	dstsIn := make([]int64, P)
 	for _, b := range s.Lay.Blocks {
 		msgsIn[b.DstPart] += b.Messages()
-		dstsIn[b.DstPart] += b.Dsts()
+		dstsIn[b.DstPart] += b.Edges
 	}
 
 	// Random-access classification context: the cached working set is the

@@ -213,13 +213,17 @@ func (s *Service) execPPRBatch(sg *servingGraph, snap *snapshot, batch []*pprReq
 // HiPa-family serving artifact serves them itself — ExecBatch accepts it,
 // reloads have already patched it forward, and its arenas are warm. Other
 // serving engines get a B-PPR artifact, built at most once per snapshot on
-// first demand through the same prep cache.
+// first demand through the same prep cache, its arena pool capped like the
+// serving artifact's.
 func (snap *snapshot) bpprPrep(opts common.Options) (*common.Prepared, error) {
 	if snap.prep.Family() == hipa.Family {
 		return snap.prep, nil
 	}
 	snap.pprOnce.Do(func() {
 		snap.pprPrep, snap.pprErr = bppr.Engine{}.Prepare(snap.g, opts)
+		if snap.pprErr == nil {
+			snap.pprPrep.SetArenaCap(snap.prep.ArenaCap())
+		}
 	})
 	return snap.pprPrep, snap.pprErr
 }

@@ -366,7 +366,7 @@ func (s *Service) loadGraph(spec GraphSpec) (*servingGraph, error) {
 		Threads:    s.cfg.Threads,
 		PrepCache:  s.prep,
 	}
-	prep, err := s.engine.Prepare(g, opts)
+	prep, err := s.prepare(g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -436,6 +436,26 @@ func (s *Service) ranksFor(sg *servingGraph, snap *snapshot, recompute bool) (*r
 	fl.res, fl.err = res, err
 	close(fl.done)
 	return res, err
+}
+
+// prepare builds (or fetches) the serving artifact of g and caps its arena
+// pool (capArenas).
+func (s *Service) prepare(g *graph.Graph, opts common.Options) (*common.Prepared, error) {
+	prep, err := s.engine.Prepare(g, opts)
+	if err == nil {
+		s.capArenas(prep)
+	}
+	return prep, err
+}
+
+// capArenas sizes an artifact's arena pool to the Execs that can hold one
+// of its arenas at once: the Exec semaphore's MaxConcurrentExecs, plus one
+// for a reload, whose warm re-rank runs on the artifact about to be
+// published while Execs on the live one still return their arenas there.
+// Below that, overlapped /v1/ppr, /v1/rank and reload Execs drop arenas on
+// return and create them again.
+func (s *Service) capArenas(prep *common.Prepared) {
+	prep.SetArenaCap(s.cfg.MaxConcurrentExecs + 1)
 }
 
 // execSnapshot runs one engine Exec for snap under the concurrency
@@ -522,7 +542,9 @@ func (s *Service) Reload(name string, r io.Reader) (*ReloadReport, error) {
 		d, derr := sg.vg.DeltaBetween(from, ver)
 		var np *common.Prepared
 		if derr == nil {
-			np, err = prep.Advance(d, sg.opts)
+			if np, err = prep.Advance(d, sg.opts); err == nil {
+				s.capArenas(np)
+			}
 			rep.Inserted += d.Inserted
 			rep.Deleted += d.Deleted
 		}
@@ -533,9 +555,10 @@ func (s *Service) Reload(name string, r io.Reader) (*ReloadReport, error) {
 			if gerr != nil {
 				return nil, fmt.Errorf("batch %d: %w", i+1, gerr)
 			}
-			if np, err = s.engine.Prepare(g, sg.opts); err != nil {
+			if np, err = s.prepare(g, sg.opts); err != nil {
 				return nil, fmt.Errorf("batch %d: cold rebuild: %w", i+1, err)
 			}
+			np.Follow(prep)
 			incremental = false
 		} else if !np.Incremental {
 			incremental = false

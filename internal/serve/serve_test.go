@@ -11,10 +11,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hipa/internal/engines/common"
+	"hipa/internal/execbuf"
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/obs"
@@ -628,6 +630,93 @@ func TestFailedReloadKeepsArenasWarm(t *testing.T) {
 	}
 	if got := live.prep.ArenaStats().Created; got != created {
 		t.Errorf("live pool created %d arenas over 3 Execs after a failed reload, want 0", got-created)
+	}
+}
+
+// TestOverlappedExecsReuseArenas: /v1/ppr batches, /v1/rank recomputes and
+// reloads whose warm re-ranks overlap them create no arena once the pool
+// holds as many as can be in use at once — MaxConcurrentExecs, plus one
+// for the artifact a reload is about to publish. Every artifact a reload
+// produces follows the live one's pool (it draws its first arena from
+// there), Execs that start on a superseded snapshot draw from its
+// successor, and each pool keeps up to that many arenas, so none is
+// dropped on return and created again.
+func TestOverlappedExecsReuseArenas(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := testConfig(reg)
+	cfg.Threads = 0
+	s, srv, sg := pprTestServer(t, cfg)
+	if code := getJSON(t, srv.URL+"/v1/rank?vertex=3", nil); code != http.StatusOK {
+		t.Fatalf("initial rank = %d", code)
+	}
+	live := sg.cur.Load().prep
+	if got, want := live.ArenaCap(), s.cfg.MaxConcurrentExecs+1; got != want {
+		t.Fatalf("serving artifact's arena cap = %d, want %d", got, want)
+	}
+	// Warm-up: put as many arenas in the pool as can be in use at once.
+	held := make([]*execbuf.Arena, live.ArenaCap())
+	for i := range held {
+		held[i] = live.AcquireArena()
+	}
+	for _, a := range held {
+		live.ReleaseArena(a)
+	}
+	before := execbuf.GlobalStats()
+
+	mirror := graph.NewVersioned(sg.cur.Load().g)
+	stream, err := gen.NewMutationStream(mirror, 11, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var pprs, ranks atomic.Int64
+	loop := func(url func(i int) string, n *atomic.Int64) {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			resp, err := http.Get(url(i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET %s = %d", url(i), resp.StatusCode)
+				return
+			}
+			n.Add(1)
+		}
+	}
+	wg.Add(2)
+	go loop(func(i int) string { return fmt.Sprintf("%s/v1/ppr?seeds=%d&k=5", srv.URL, i%50) }, &pprs)
+	go loop(func(i int) string { return fmt.Sprintf("%s/v1/rank?vertex=%d&recompute=1", srv.URL, i%50) }, &ranks)
+	// At least 12 reloads, and more until both request loops have been
+	// answered a few times while reloads run.
+	reloads := 0
+	for ; reloads < 12 || (pprs.Load() < 4 || ranks.Load() < 4) && reloads < 1000; reloads++ {
+		if _, err := s.Reload("wiki", reloadBody(t, mirror, stream)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if pprs.Load() < 4 || ranks.Load() < 4 {
+		t.Fatalf("%d /v1/ppr and %d /v1/rank requests overlapped %d reloads, want 4 of each", pprs.Load(), ranks.Load(), reloads)
+	}
+	after := execbuf.GlobalStats()
+	if created := after.Created - before.Created; created != 0 {
+		t.Errorf("%d arenas created over %d reloads, %d /v1/ppr and %d /v1/rank requests after warm-up, want 0",
+			created, reloads, pprs.Load(), ranks.Load())
+	}
+	if after.Reused == before.Reused {
+		t.Error("no Exec drew a pooled arena")
 	}
 }
 

@@ -10,6 +10,7 @@ package validate
 
 import (
 	"fmt"
+	"slices"
 
 	"hipa/internal/cachesim"
 	"hipa/internal/graph"
@@ -44,6 +45,11 @@ type Replay struct {
 	// the message-destination array read during gather.
 	binSlot []int64
 	dstSlot []int64
+	// The replay decodes the paper's push: message m's destinations are
+	// msgDst[msgOff[m]:msgOff[m+1]], rebuilt from the layout's inter pull
+	// (pushOrder).
+	msgOff []int64
+	msgDst []graph.VertexID
 
 	// Measured DRAM traffic (cache-miss line fills only).
 	Counters memsim.Counters
@@ -93,7 +99,8 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 	// destination-local placement is a contiguous slice per node; binSlot
 	// maps each global message index to its dst-major position.
 	r.binSlot = make([]int64, lay.NumMessages())
-	r.dstSlot = make([]int64, len(lay.MsgDst))
+	r.msgOff, r.msgDst = pushOrder(lay)
+	r.dstSlot = make([]int64, len(r.msgDst))
 	var binBounds, dstBounds []int64
 	{
 		var cum, dcum int64
@@ -109,7 +116,7 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 				r.binSlot[m] = cum
 				cum++
 			}
-			for di := b.DstStart; di < b.DstEnd; di++ {
+			for di := r.msgOff[b.MsgStart]; di < r.msgOff[b.MsgEnd]; di++ {
 				r.dstSlot[di] = dcum
 				dcum++
 			}
@@ -155,7 +162,7 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 	r.acc = alloc("acc", n*4, vertexPolicy)
 	r.bins = alloc("bins", lay.NumMessages()*4, binPolicy)
 	r.msgSrcR = alloc("msgsrc", lay.NumMessages()*4, srcPolicy)
-	r.msgDstR = alloc("msgdst", int64(len(lay.MsgDst))*4, dstPolicy)
+	r.msgDstR = alloc("msgdst", int64(len(r.msgDst))*4, dstPolicy)
 	r.intraR = alloc("intra", int64(len(lay.IntraDst))*4, intraPolicy)
 
 	// Thread placement via the scheduler simulation.
@@ -174,6 +181,45 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 		r.threadNode = append(r.threadNode, t.Node(m))
 	}
 	return r, nil
+}
+
+// pushOrder rebuilds the paper's push order of the inter-edges from the
+// layout's inter pull: message m's destinations are dst[off[m]:off[m+1]],
+// in ascending vertex order (its source's adjacency order, as CSR rows are
+// sorted), a repeated edge repeated, so block b's are
+// dst[off[b.MsgStart]:off[b.MsgEnd]].
+func pushOrder(lay *layout.Layout) (off []int64, dst []graph.VertexID) {
+	ip := &lay.InterPull
+	msgs := lay.NumMessages()
+	sink := graph.VertexID(msgs)
+	off = make([]int64, msgs+1)
+	for _, m := range ip.Idx {
+		if m != sink {
+			off[m+1]++
+		}
+	}
+	for m := int64(0); m < msgs; m++ {
+		off[m+1] += off[m]
+	}
+	// Walk the rows in vertex order, each vertex's from its lane.
+	n := len(lay.IntraOff) - 1
+	slot := make([]int, n)
+	for k, v := range ip.Perm {
+		if int(v) < n {
+			slot[v] = k
+		}
+	}
+	cur := slices.Clone(off[:msgs])
+	dst = make([]graph.VertexID, off[msgs])
+	for v, k := range slot {
+		c := k / layout.PullLanes
+		for e := ip.Chunk[c] + int64(k%layout.PullLanes); e < ip.Chunk[c+1] && ip.Idx[e] != sink; e += layout.PullLanes {
+			m := ip.Idx[e]
+			dst[cur[m]] = graph.VertexID(v)
+			cur[m]++
+		}
+	}
+	return off, dst
 }
 
 // orderBlocksByDst returns block indices grouped by destination partition in
@@ -230,15 +276,12 @@ func (r *Replay) RunIteration() {
 	r.forEachThreadPartition(func(t, p int) {
 		for _, bi := range lay.DstBlocks[p] {
 			b := lay.Blocks[bi]
-			m := b.MsgStart - 1
-			for di := b.DstStart; di < b.DstEnd; di++ {
-				d := lay.MsgDst[di]
-				if d&layout.FirstDst != 0 {
-					m++
-					r.access(t, r.bins, r.binSlot[m]*4, false)
+			for m := b.MsgStart; m < b.MsgEnd; m++ {
+				r.access(t, r.bins, r.binSlot[m]*4, false)
+				for di := r.msgOff[m]; di < r.msgOff[m+1]; di++ {
+					r.access(t, r.msgDstR, r.dstSlot[di]*4, false)
+					r.access(t, r.acc, int64(r.msgDst[di])*4, true)
 				}
-				r.access(t, r.msgDstR, r.dstSlot[di]*4, false)
-				r.access(t, r.acc, int64(d&^layout.FirstDst)*4, true)
 			}
 		}
 		part := r.hier.Partitions[p]
