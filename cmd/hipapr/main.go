@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	hipapr -graph g.bin [-engine hipa|p-pr|v-pr|gpop|polymer|ec-hipa|nb-pr|delta]
+//	hipapr -graph g.bin [-engine hipa|p-pr|v-pr|gpop|polymer|delta-pr|b-ppr|delta|bppr]
 //	       [-iters 20] [-threads 0] [-partition 256K] [-platform skylake]
 //	       [-divisor 1] [-top 10] [-verify] [-verify-tol 1e-6] [-tol 0]
 //	       [-repeat 1] [-stats s.json] [-trace t.json]
@@ -65,7 +65,7 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "binary HGR1 graph file (required)")
-		engine    = flag.String("engine", "hipa", "engine: hipa, p-pr, v-pr, gpop, polymer, ec-hipa (ec), nb-pr (nb)")
+		engine    = flag.String("engine", "hipa", "engine, case-insensitive: "+strings.Join(harness.EngineNames(), ", "))
 		iters     = flag.Int("iters", 20, "iterations")
 		threads   = flag.Int("threads", 0, "worker threads (0 = engine default)")
 		partition = flag.String("partition", "", "partition size, e.g. 256K or 1M (default: engine default)")
@@ -277,7 +277,7 @@ func main() {
 
 	if *top > 0 {
 		fmt.Printf("top %d vertices by rank:\n", *top)
-		for _, v := range topK(res.Ranks, *top) {
+		for _, v := range common.TopK(res.Ranks, *top) {
 			fmt.Printf("  %8d  %.6g\n", v, res.Ranks[v])
 		}
 	}
@@ -349,26 +349,6 @@ func replayMutations(e common.Engine, g *graph.Graph, o common.Options, base *co
 			i+1, ver, d.Inserted, d.Deleted, len(d.Perturbed), prepMode, prep.PrepSeconds, res.Iterations, res.WallSeconds)
 	}
 	return res
-}
-
-func topK(ranks []float32, k int) []int {
-	if k > len(ranks) {
-		k = len(ranks)
-	}
-	idx := make([]int, len(ranks))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if ranks[idx[j]] > ranks[idx[best]] {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:k]
 }
 
 func parseSize(s string) (int, error) {

@@ -3,19 +3,19 @@ package hipa
 import (
 	"hipa/internal/engines/common"
 	deltaengine "hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
 	"hipa/internal/engines/gpop"
 	hipaengine "hipa/internal/engines/hipa"
-	"hipa/internal/engines/nb"
 	"hipa/internal/engines/polymer"
 	"hipa/internal/engines/ppr"
 	"hipa/internal/engines/vpr"
 	"hipa/internal/platform"
 )
 
-// Engine is one PageRank implementation. All five engines compute the same
-// damped PageRank with dangling-mass redistribution and produce identical
-// rank vectors (to float32 precision).
+// Engine is one PageRank implementation. Every engine computes the same
+// damped PageRank with dangling-mass redistribution. The paper five
+// (Engines) produce identical rank vectors (to float32 precision); Delta-PR
+// stops propagating a vertex's change once it falls below a gate derived
+// from the tolerance, so its ranks approximate theirs.
 type Engine = common.Engine
 
 // Options configures an engine run. The zero value selects the paper's
@@ -99,24 +99,17 @@ var (
 	Polymer Engine = polymer.Engine{}
 )
 
-// The three frontier-aware engines: EC-HiPa and Delta-PR run HiPa's pinned
-// execution shape on the frontier-aware superstep driver, NB-PR runs the
-// barrierless round driver (common.RunAsyncRounds). None is bit-identical
-// to the paper five (pruning and asynchrony trade float32 exactness for
-// skipped work), so they are registered separately from the paper's
-// reporting set.
+// The frontier-aware engine. It runs HiPa's pinned execution shape on the
+// frontier-aware superstep driver, but it is not bit-identical to the paper
+// five (delta gating trades float32 exactness for skipped work), so it is
+// registered separately from the paper's reporting set.
 var (
-	// EC is EC-HiPa: HiPa's execution shape with early partition
-	// convergence — whole partitions retire from the active set once every
-	// vertex in them changes by less than the tolerance.
-	EC Engine = ec.Engine{}
-	// NB is NB-PR: barrierless non-blocking PageRank (Eedi et al.) with
-	// atomic rank publication and round-based termination detection.
-	NB Engine = nb.Engine{}
 	// Delta is Delta-PR: delta-propagation PageRank on HiPa's partitioned
 	// substrate with a vertex-granular frontier — the warm-start engine of
 	// versioned graphs (Options.Warm resumes from a previous version's
-	// ranks, seeding the frontier sparsely from the mutation delta).
+	// ranks, seeding the frontier sparsely from the mutation delta). For a
+	// cold run that should stop once converged, use HiPa with
+	// Options.Tolerance.
 	Delta Engine = deltaengine.Engine{}
 )
 
@@ -126,8 +119,8 @@ var (
 func Engines() []Engine { return []Engine{HiPa, PPR, VPR, GPOP, Polymer} }
 
 // AllEngines returns every registered engine: the paper five followed by
-// the frontier-aware additions.
-func AllEngines() []Engine { return []Engine{HiPa, PPR, VPR, GPOP, Polymer, EC, NB, Delta} }
+// the frontier-aware Delta-PR.
+func AllEngines() []Engine { return []Engine{HiPa, PPR, VPR, GPOP, Polymer, Delta} }
 
 // ReferencePageRank is the sequential float64 ground-truth implementation
 // used to validate every engine.

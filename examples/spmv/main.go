@@ -63,7 +63,7 @@ func main() {
 		}
 		redis := float32(d * dangling / float64(n))
 		for v := 0; v < n; v++ {
-			rank[v] = base + d*acc[v] + redis
+			rank[v] = base + float32(d*acc[v]) + redis
 		}
 	}
 

@@ -40,7 +40,7 @@ const MaxBatch = algorithms.MaxBatch
 
 // DefaultTolerance is the per-column retirement threshold used when
 // Options.Tolerance is zero. Per-column convergence is the engine's point
-// (a finished query must stop paying for its batch-mates), so like EC-HiPa
+// (a finished query must stop paying for its batch-mates), so like Delta-PR
 // a zero tolerance selects a default instead of disabling the check; runs
 // still stop at Options.Iterations regardless.
 const DefaultTolerance = 1e-7

@@ -10,13 +10,13 @@ import (
 // ExecRun is the tail every Exec shares once its set-up is done: it times
 // the iteration loop, prices the run on the platform and assembles the
 // Result. An engine fills in the set-up fields, drives its kernels through
-// Supersteps (or Async), and hands Finish the cost-model description of its
+// Supersteps, and hands Finish the cost-model description of its
 // run together with the ranks the Result keeps.
 type ExecRun struct {
 	// Engine is the registry name: Result.Engine and the loop's registry
 	// label.
 	Engine string
-	// Prefix starts every error the tail returns ("hipa", "ec", ...).
+	// Prefix starts every error the tail returns ("hipa", "delta", ...).
 	Prefix string
 	Prep   *Prepared
 	// Opts are the run's resolved options.
@@ -50,18 +50,6 @@ func (r *ExecRun) Supersteps(k PhaseKernels, tol float64, frontier Frontier) int
 		Frontier:    frontier,
 		Rec:         r.Opts.Obs,
 	}, k)
-	r.wall = time.Since(start)
-	return r.iterations
-}
-
-// Async is Supersteps for the barrierless round driver: cfg carries the
-// engine's publication lanes, the run supplies the rest. Returns the
-// largest round count any worker reached.
-func (r *ExecRun) Async(cfg AsyncConfig, round func(tid, r int) float64) int {
-	cfg.Engine, cfg.Threads, cfg.Rec = r.Engine, r.Threads, r.Opts.Obs
-	cfg.Rounds, cfg.Tolerance = r.Opts.Iterations, r.Opts.Tolerance
-	start := time.Now()
-	r.iterations, _ = RunAsyncRounds(cfg, round)
 	r.wall = time.Since(start)
 	return r.iterations
 }

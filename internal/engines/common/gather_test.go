@@ -112,7 +112,8 @@ func TestInterPullMatchesPush(t *testing.T) {
 				pushGather(g, hier, lay, s.Bins, want)
 				withKernels(avx2, func() {
 					for p := 0; p < hier.NumPartitions(); p++ {
-						s.gatherMessages(p)
+						clo, chi := lay.InterPull.Chunks(p)
+						AddSELL(&lay.InterPull, s.Bins, s.Acc, clo, chi)
 					}
 				})
 				for v := range want {

@@ -22,9 +22,6 @@ const (
 	SpanReduce          = "reduce"
 	SpanGather          = "gather"
 	SpanApply           = "apply"
-	// SpanRound is one worker round of the barrierless engine, which has no
-	// phase structure to break a superstep into.
-	SpanRound = "round"
 )
 
 // RunnerLane is the trace lane for serial work done between parallel

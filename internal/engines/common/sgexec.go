@@ -156,7 +156,7 @@ func (s *SGState) SeedDangling(groups []partition.Group) {
 
 // ScatterPartition runs the scatter phase for partition p: the intra pull
 // over p's chunks, then one compressed value per outgoing message. The
-// FCFS engines and EC-HiPa scatter a partition at a time; HiPa's pinned
+// FCFS engines scatter a partition at a time; HiPa's pinned
 // kernels split the pull across a node's threads instead (PinnedKernels).
 func (s *SGState) ScatterPartition(p int, tid int) {
 	_ = tid
@@ -209,32 +209,27 @@ func (s *SGState) ReduceDangling() {
 	}
 }
 
-// GatherPartition runs the gather phase for partition p: adds the messages
-// targeting p to the accumulators (gatherMessages), then recomputes the
-// ranks of p's vertices, tracking the thread's L∞ rank change for
-// convergence checks. The partition's dangling mass under the new ranks is
-// folded into the thread's partial (one local sum per partition,
-// accumulated in partition order), so the next iteration's ReduceDangling
-// sees exactly what a scatter-side pass would have produced.
+// GatherPartition runs the gather phase for partition p. It first pulls
+// p's inter pull chunks over the bins (AddSELL): each vertex v of p gets
+// Bins[m] added to Acc[v], which holds v's intra sum, for every message m
+// targeting it, one add at a time in ascending m. A push decoding p's
+// blocks in DstBlocks order adds the same values to the same accumulators
+// in the same order, so the sums are bit-identical to the paper's gather.
+// Padding entries add Bins[M], +0, which leaves the sum (never −0)
+// unchanged. It then recomputes the ranks of p's vertices, tracking the
+// thread's L∞ rank change for convergence checks. The partition's dangling
+// mass under the new ranks is folded into the thread's partial (one local
+// sum per partition, accumulated in partition order), so the next
+// iteration's ReduceDangling sees exactly what a scatter-side pass would
+// have produced.
 func (s *SGState) GatherPartition(p int, tid int) {
-	s.gatherMessages(p)
+	ip := &s.Lay.InterPull
+	clo, chi := ip.Chunks(p)
+	AddSELL(ip, s.Bins, s.Acc, clo, chi)
 	part := s.Hier.Partitions[p]
 	res, dangling := s.updateRanks(int(part.VertexStart), int(part.VertexEnd), s.residuals[tid].V)
 	s.residuals[tid].V = res
 	s.partials[tid].V += dangling
-}
-
-// gatherMessages pulls partition p's inter pull chunks over the bins
-// (AddSELL): each vertex v of p gets Bins[m] added to Acc[v], which holds
-// v's intra sum, for every message m targeting it, one add at a time in
-// ascending m. A push decoding p's blocks in DstBlocks order adds the same
-// values to the same accumulators in the same order, so the sums are
-// bit-identical to the paper's gather. Padding entries add Bins[M], +0,
-// which leaves the sum (never −0) unchanged.
-func (s *SGState) gatherMessages(p int) {
-	ip := &s.Lay.InterPull
-	clo, chi := ip.Chunks(p)
-	AddSELL(ip, s.Bins, s.Acc, clo, chi)
 }
 
 // updateRanks recomputes the ranks of [lo,hi) from the accumulators and

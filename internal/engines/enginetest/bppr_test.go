@@ -9,7 +9,6 @@ import (
 	"hipa/internal/engines/bppr"
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
 	"hipa/internal/engines/hipa"
 	"hipa/internal/engines/ppr"
 	"hipa/internal/engines/vpr"
@@ -400,7 +399,7 @@ func TestBPPRRunsOnHiPaFamilyArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []common.Engine{hipa.Engine{}, ec.Engine{}, delta.Engine{}} {
+	for _, e := range []common.Engine{hipa.Engine{}, delta.Engine{}} {
 		prep, err := e.Prepare(g, o)
 		if err != nil {
 			t.Fatal(err)

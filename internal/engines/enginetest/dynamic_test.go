@@ -14,10 +14,8 @@ import (
 
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
 	"hipa/internal/engines/gpop"
 	"hipa/internal/engines/hipa"
-	"hipa/internal/engines/nb"
 	"hipa/internal/engines/polymer"
 	"hipa/internal/engines/ppr"
 	"hipa/internal/engines/vpr"
@@ -267,7 +265,7 @@ func TestWarmStartRejectedByStaticEngines(t *testing.T) {
 	g := frontierGraph()
 	o := testOptions(5)
 	warm := &common.WarmStart{Ranks: make([]float32, g.NumVertices())}
-	for _, eng := range []common.Engine{ppr.Engine{}, vpr.Engine{}, gpop.Engine{}, polymer.Engine{}, ec.Engine{}, nb.Engine{}} {
+	for _, eng := range []common.Engine{ppr.Engine{}, vpr.Engine{}, gpop.Engine{}, polymer.Engine{}} {
 		t.Run(eng.Name(), func(t *testing.T) {
 			prep, err := eng.Prepare(g, o)
 			if err != nil {

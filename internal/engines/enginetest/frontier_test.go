@@ -11,25 +11,20 @@ import (
 
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
-	"hipa/internal/engines/nb"
-	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/machine"
-	"hipa/internal/obs"
 	"hipa/internal/platform"
 )
 
 var updateFrontierGolden = flag.Bool("update-frontier", false, "rewrite testdata/golden_frontier.json from the current implementation")
 
 // frontierEngines are the frontier-aware engines. They are deliberately
-// NOT part of allEngines(): none reproduces the dense engines' bit-exact
-// rank vectors (pruning, asynchrony, and delta gating trade exactness for
-// skipped work), so they carry their own golden cases and
-// convergence-quality gates instead of joining the five-engine
-// bit-exactness matrix.
+// NOT part of allEngines(): Delta-PR does not reproduce the dense engines'
+// bit-exact rank vectors (delta gating trades exactness for skipped work),
+// so it carries its own golden cases and convergence-quality gates instead
+// of joining the five-engine bit-exactness matrix.
 func frontierEngines() []common.Engine {
-	return []common.Engine{ec.Engine{}, nb.Engine{}, delta.Engine{}}
+	return []common.Engine{delta.Engine{}}
 }
 
 // frontierTol is the convergence tolerance the golden and quality cases run
@@ -46,8 +41,8 @@ const (
 // mix leaves the top bits empty), making it a pure ring whose PageRank is
 // exactly uniform: every engine "converges" in one iteration and pruning
 // never has a chance to stagger. This fixture draws degrees from well-mixed
-// LCG bits, so ranks vary, partitions converge at different iterations, and
-// early-convergence pruning is observable.
+// LCG bits, so ranks vary, vertices converge at different iterations, and
+// frontier pruning is observable.
 func frontierGraph() *graph.Graph {
 	const n = 2000
 	b := graph.NewBuilder(n)
@@ -83,9 +78,8 @@ func frontierGoldenCases() []struct {
 		engine common.Engine
 		opts   common.Options
 	}
-	// EC-HiPa and Delta-PR are bit-deterministic at any thread count
-	// (serial per-partition folds), so both presets pin full multithreaded
-	// runs.
+	// Delta-PR is bit-deterministic at any thread count (serial
+	// per-partition folds), so both presets pin full multithreaded runs.
 	for _, preset := range []struct {
 		name string
 		mk   func() *machine.Machine
@@ -97,22 +91,8 @@ func frontierGoldenCases() []struct {
 			key    string
 			engine common.Engine
 			opts   common.Options
-		}{preset.name + "/" + ec.Name, ec.Engine{}, base(preset.mk)})
-		cases = append(cases, struct {
-			key    string
-			engine common.Engine
-			opts   common.Options
 		}{preset.name + "/" + delta.Name, delta.Engine{}, base(preset.mk)})
 	}
-	// NB-PR is only deterministic with a single worker (the asynchrony
-	// disappears and the run is a fixed-order chaotic iteration).
-	nbOpts := base(machine.SkylakeSilver4210)
-	nbOpts.Threads = 1
-	cases = append(cases, struct {
-		key    string
-		engine common.Engine
-		opts   common.Options
-	}{"skylake/" + nb.Name + "/1thread", nb.Engine{}, nbOpts})
 	return cases
 }
 
@@ -127,8 +107,8 @@ type frontierGoldenEntry struct {
 	PartitionsSkipped  int64 `json:"partitions_skipped"`
 }
 
-// TestFrontierGoldenBitExactness is the refactoring safety net for the two
-// frontier-aware engines, mirroring TestGoldenBitExactness: bit-identical
+// TestFrontierGoldenBitExactness is the refactoring safety net for the
+// frontier-aware engine, mirroring TestGoldenBitExactness: bit-identical
 // rank vectors, identical modelled metrics, and identical pruning counters
 // across code changes. Regenerate with
 // `go test ./internal/engines/enginetest -run FrontierGolden -update-frontier`
@@ -201,55 +181,6 @@ func TestFrontierGoldenBitExactness(t *testing.T) {
 	}
 }
 
-// TestECSkipsPartitionsOnGoldenCase pins the acceptance criterion of the
-// early-convergence engine: on a golden case it demonstrably retires at
-// least one partition before termination. The skip is asserted twice — on
-// the run's FrontierReport and on the per-iteration active-partition counter
-// the driver surfaces through obs.
-func TestECSkipsPartitionsOnGoldenCase(t *testing.T) {
-	g := frontierGraph()
-	o := frontierGoldenCases()[0].opts
-	rec := &obs.Recorder{}
-	o.Obs = rec
-	res, err := (ec.Engine{}).Run(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.Frontier
-	if rep == nil {
-		t.Fatal("EC-HiPa returned no FrontierReport")
-	}
-	if rep.PartitionsSkipped < 1 {
-		t.Errorf("PartitionsSkipped = %d, want >= 1: pruning never engaged on the golden case", rep.PartitionsSkipped)
-	}
-	if res.Iterations >= o.Iterations {
-		t.Errorf("ran the full %d-iteration budget; tolerance %g should terminate earlier", o.Iterations, frontierTol)
-	}
-	if frac := rep.ActiveFraction(); frac <= 0 || frac >= 1 {
-		t.Errorf("active fraction = %v, want inside (0,1): pruning must save work without emptying instantly", frac)
-	}
-	if len(res.Iters) != res.Iterations {
-		t.Fatalf("recorded %d iteration stats, want %d", len(res.Iters), res.Iterations)
-	}
-	// The per-iteration counters must start dense, shrink monotonically, and
-	// end strictly below the partition total (>= 1 partition retired early).
-	first, last := res.Iters[0], res.Iters[len(res.Iters)-1]
-	if first.ActivePartitions != rep.TotalPartitions {
-		t.Errorf("iteration 0 ran %d partitions, want all %d", first.ActivePartitions, rep.TotalPartitions)
-	}
-	if last.ActivePartitions >= rep.TotalPartitions {
-		t.Errorf("final iteration still ran all %d partitions; expected at least one retired", rep.TotalPartitions)
-	}
-	prev := first
-	for i, st := range res.Iters {
-		if st.ActivePartitions > prev.ActivePartitions || st.ActiveVertices > prev.ActiveVertices {
-			t.Errorf("iteration %d active set grew (%d/%d -> %d/%d); retirement is one-way",
-				i, prev.ActivePartitions, prev.ActiveVertices, st.ActivePartitions, st.ActiveVertices)
-		}
-		prev = st
-	}
-}
-
 // exactMaxAbsDiff compares float32 ranks against a long float64 power
 // iteration ("exact" ranks for quality purposes).
 func exactMaxAbsDiff(g *graph.Graph, got []float32, damping float64) float64 {
@@ -265,10 +196,10 @@ func exactMaxAbsDiff(g *graph.Graph, got []float32, damping float64) float64 {
 }
 
 // TestFrontierEnginesConvergenceQuality is the approximation contract:
-// neither engine is bit-identical to the dense five, but both must land
-// within 10× the run tolerance of the exact ranks. (The geometric tail a
-// frozen partition or an early-stopping worker misses is bounded by
-// tol/(1−damping) ≈ 6.7×tol at damping 0.85.)
+// Delta-PR is not bit-identical to the dense five, but it must land within
+// 10× the run tolerance of the exact ranks on this fixture. (The geometric
+// tail a gated vertex misses is about tol/(1−damping) ≈ 6.7×tol at damping
+// 0.85; hubs on skewed graphs amplify it, EXPERIMENTS "Frontier engines".)
 func TestFrontierEnginesConvergenceQuality(t *testing.T) {
 	g := frontierGraph()
 	for _, e := range frontierEngines() {
@@ -296,9 +227,9 @@ func TestFrontierEnginesConvergenceQuality(t *testing.T) {
 }
 
 // TestFrontierEnginesWithDanglingVertices repeats the quality gate on a
-// dangling-heavy graph: half the vertices have no out-edges, so the frozen
-// per-partition (ec) and per-worker (nb) dangling folds carry half the rank
-// mass and any staleness bug would blow the sum or the error.
+// dangling-heavy graph: half the vertices have no out-edges, so the
+// per-partition dangling folds carry half the rank mass and any staleness
+// bug would blow the sum or the error.
 func TestFrontierEnginesWithDanglingVertices(t *testing.T) {
 	b := graph.NewBuilder(200)
 	for v := 0; v < 100; v++ {
@@ -324,62 +255,10 @@ func TestFrontierEnginesWithDanglingVertices(t *testing.T) {
 	}
 }
 
-// TestNBTerminationHammer exercises the barrierless engine's two shared-
-// memory mechanisms — atomic rank publication and round-based termination —
-// under real contention, repeatedly and across worker counts. Run under
-// `go test -race` this is the data-race gate for the lock-free hot path; in
-// a plain run it still verifies that termination detection fires (no worker
-// spins to the budget) and quality holds under chaotic interleavings.
-func TestNBTerminationHammer(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 1200, Edges: 15000, OutAlpha: 2.1, InAlpha: 0.9, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := testOptions(frontierBudget)
-	o.Tolerance = frontierTol
-	// Native platform: the workers are real goroutines racing on the rank
-	// bits; modelling would only serialize what the test wants contended.
-	o.Platform = platform.NewNative(o.Machine)
-	prep, err := (nb.Engine{}).Prepare(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, threads := range []int{2, 4, 8, 16} {
-		for rep := 0; rep < 3; rep++ {
-			oo := o
-			oo.Threads = threads
-			res, err := (nb.Engine{}).Exec(prep, oo)
-			if err != nil {
-				t.Fatalf("%d threads rep %d: %v", threads, rep, err)
-			}
-			if res.Iterations >= frontierBudget {
-				t.Errorf("%d threads rep %d: termination never detected within %d rounds", threads, rep, frontierBudget)
-			}
-			if got := common.RankSum(res.Ranks); math.Abs(got-1) > 5e-3 {
-				t.Errorf("%d threads rep %d: rank sum = %f", threads, rep, got)
-			}
-			// The quality gate here is looser than the 10×tol one on
-			// frontierGraph: this fixture is a power-law graph whose hubs
-			// amplify a sub-tolerance residual by their in-degree weight
-			// (Σ 1/deg over in-neighbours ≫ 1), so an L∞-residual stop
-			// cannot bound the final error at a small multiple of tol on any
-			// engine. The hammer's job is interleaving and termination
-			// coverage; 200×tol still catches a wrong fixed point (those
-			// were ×10000 off before the staleness window existed).
-			if worst := exactMaxAbsDiff(g, res.Ranks, common.DefaultDamping); worst > 200*frontierTol {
-				t.Errorf("%d threads rep %d: max abs error %g vs exact, want <= %g", threads, rep, worst, 200*frontierTol)
-			}
-		}
-	}
-}
-
 // TestFrontierExecZeroAllocsPerIteration extends the zero-allocs-per-
 // iteration gate (see TestExecZeroAllocsPerIteration) to the frontier
-// engines. Tolerances are chosen so iteration counts stay fixed and the
-// differential is meaningful: ec gets an unreachable tolerance (the frontier
-// machinery — converged-bit checks, per-partition folds, Rebuild — runs
-// every iteration but never retires anything), nb gets zero (termination
-// detection off, every worker runs exactly the round budget).
+// engine. The tolerance is chosen so iteration counts stay fixed and the
+// differential is meaningful.
 func TestFrontierExecZeroAllocsPerIteration(t *testing.T) {
 	const iterShort, iterLong = 3, 13
 	g := allocGraph(t)
@@ -387,8 +266,6 @@ func TestFrontierExecZeroAllocsPerIteration(t *testing.T) {
 		engine common.Engine
 		tol    float64
 	}{
-		{ec.Engine{}, 1e-30},
-		{nb.Engine{}, 0},
 		// Delta-PR with an unreachable tolerance keeps every vertex active
 		// (the gate eps = tol/16 never trips), so the differential spans
 		// full dense supersteps of the delta machinery.

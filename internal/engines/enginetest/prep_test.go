@@ -8,7 +8,6 @@ import (
 	"hipa/internal/engines/bppr"
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
 	"hipa/internal/engines/hipa"
 	"hipa/internal/gen"
 	"hipa/internal/machine"
@@ -142,7 +141,6 @@ func TestExecRejectsMismatches(t *testing.T) {
 		exec         func(*common.Prepared, common.Options) (*common.Result, error)
 	}{
 		{"HiPa", "hipa", hipa.Engine{}, nil},
-		{"EC-HiPa", "ec", ec.Engine{}, nil},
 		{"Delta-PR", "delta", delta.Engine{}, nil},
 		{"B-PPR", "bppr", bppr.Engine{}, nil},
 		{"B-PPR-ExecBatch", "bppr", bppr.Engine{}, batchExec},

@@ -7,7 +7,6 @@ import (
 	"hipa/internal/engines/bppr"
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
 	"hipa/internal/engines/gpop"
 	"hipa/internal/engines/hipa"
 	"hipa/internal/engines/polymer"
@@ -23,8 +22,7 @@ import (
 // default thread count follows GOMAXPROCS, so served ranks rely on this.
 // The graphs are a skewed one of eight partitions, where partition, group
 // and pull-slice boundaries all move with the thread count, and one that is
-// a single partition, whose pull is cut into per-thread chunk ranges. NB-PR
-// is left out: its barrierless rounds are nondeterministic by design.
+// a single partition, whose pull is cut into per-thread chunk ranges.
 func TestThreadsInvariance(t *testing.T) {
 	multi, err := gen.RMAT(gen.RMATConfig{Scale: 12, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 3, Noise: 0.05})
 	if err != nil {
@@ -35,7 +33,7 @@ func TestThreadsInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := []common.Engine{hipa.Engine{}, ppr.Engine{}, vpr.Engine{}, gpop.Engine{}, polymer.Engine{},
-		ec.Engine{}, delta.Engine{}, bppr.Engine{}}
+		delta.Engine{}, bppr.Engine{}}
 	for _, gc := range []struct {
 		name      string
 		g         *graph.Graph

@@ -42,7 +42,7 @@ func (Engine) Name() string { return "HiPa" }
 // RoundThreads returns HiPa's effective thread count for the requested one:
 // at least one thread per NUMA node (one group list per node), rounded down
 // to a node multiple, like the paper's per-node thread split. BeginPinned
-// applies it for every engine sharing HiPa's execution shape (HiPa, EC-HiPa,
+// applies it for every engine sharing HiPa's execution shape (HiPa,
 // Delta-PR, B-PPR).
 func RoundThreads(requested, nodes int) (threads, groupsPerNode int) {
 	threads = requested
@@ -73,8 +73,8 @@ func (Engine) Prepare(g *graph.Graph, o common.Options) (*common.Prepared, error
 const Family = "HiPa"
 
 // PrepareArtifact is HiPa's Prepare with the artifact's engine stamp
-// parameterised, so engines sharing HiPa's execution shape (the
-// early-convergence engine) build byte-identical artifacts under their own
+// parameterised, so engines sharing HiPa's execution shape (Delta-PR,
+// B-PPR) build byte-identical artifacts under their own
 // name. The prep-cache key carries no engine field, so the underlying
 // hierarchy/layout payload is still shared across such engines, and every
 // such artifact carries Family.

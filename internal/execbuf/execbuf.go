@@ -17,7 +17,6 @@ package execbuf
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hipa/internal/obs"
 )
@@ -30,14 +29,6 @@ type PadF64 struct {
 	_ [7]int64
 }
 
-// PadU64 is an atomic uint64 padded to its own cache line — the publication
-// slot of the barrierless engine (rank residual bits, round counters,
-// dangling-mass bits), written by one worker and read by all.
-type PadU64 struct {
-	V atomic.Uint64
-	_ [7]uint64
-}
-
 // Arena owns the mutable scratch buffers of one Exec. A zero Arena is
 // ready to use; buffers are allocated on first request and kept for reuse.
 // An Arena is not safe for concurrent use — each concurrent Exec must hold
@@ -45,19 +36,14 @@ type PadU64 struct {
 type Arena struct {
 	ranks, acc, bins, contrib []float32
 	partials, residuals       []PadF64
-	// Frontier scratch (active-set engines): per-partition converged bitmap,
-	// active work list, residuals, iteration counts, and dangling masses.
-	bitmap     []uint64
-	worklist   []int32
+	// Frontier scratch (Delta-PR): per-partition iteration counts, active
+	// counts, residuals, and dangling masses.
 	partIters  []int32
 	partCounts []int32
 	partRes    []float32
 	partDang   []float64
 	// Pinned pull slices: a [lo,hi) vertex range per thread.
 	slices []int32
-	// Barrierless scratch: atomic rank bits and padded publication slots.
-	bits    []uint32
-	atomics []PadU64
 	// Blocked (rank-B) scratch of the batched PPR engine: two vertex-
 	// interleaved rank blocks (double-buffered), the B-wide contribution and
 	// accumulator blocks, the sparse per-column teleport addends, the
@@ -150,29 +136,6 @@ func (a *Arena) growPad(buf *[]PadF64, n int) []PadF64 {
 	return (*buf)[:n]
 }
 
-// Bitmap returns the converged-partition bitmap covering n partitions (one
-// bit each), zeroed: no partition starts converged.
-func (a *Arena) Bitmap(n int) []uint64 {
-	words := (n + 63) / 64
-	if cap(a.bitmap) < words {
-		a.bitmap = make([]uint64, words)
-		a.grows++
-	}
-	s := a.bitmap[:words]
-	clear(s)
-	return s
-}
-
-// WorkList returns the n-element active-partition work list. Contents are
-// unspecified; the frontier fills it with the initial (dense) active set.
-func (a *Arena) WorkList(n int) []int32 {
-	if cap(a.worklist) < n {
-		a.worklist = make([]int32, n)
-		a.grows++
-	}
-	return a.worklist[:n]
-}
-
 // PartIters returns the per-partition executed-iteration counters, zeroed —
 // the active-set input of the traffic model (platform.PartitionRun.PartIters).
 func (a *Arena) PartIters(n int) []int32 {
@@ -204,9 +167,7 @@ func (a *Arena) PartResiduals(n int) []float32 {
 	return s
 }
 
-// PartDangling returns the per-partition dangling-mass buffer, zeroed. A
-// converged partition's entry stays frozen at its last written value, which
-// is exactly its dangling contribution under its frozen ranks.
+// PartDangling returns the per-partition dangling-mass buffer, zeroed.
 func (a *Arena) PartDangling(n int) []float64 {
 	if cap(a.partDang) < n {
 		a.partDang = make([]float64, n)
@@ -293,33 +254,6 @@ func (a *Arena) ColIters(n int) []int32 {
 	return s
 }
 
-// RankBits returns the n-element atomic rank buffer of the barrierless
-// engine: uint32 views of float32 ranks, published with atomic stores and
-// pulled with atomic loads. Contents are unspecified; the caller seeds the
-// initial distribution.
-func (a *Arena) RankBits(n int) []uint32 {
-	if cap(a.bits) < n {
-		a.bits = make([]uint32, n)
-		a.grows++
-	}
-	return a.bits[:n]
-}
-
-// Atomics returns n cache-line-padded atomic slots, zeroed — the
-// barrierless engine's per-worker publication lanes (residual bits, round
-// counters, dangling-mass bits share one call, sliced by the caller).
-func (a *Arena) Atomics(n int) []PadU64 {
-	if cap(a.atomics) < n {
-		a.atomics = make([]PadU64, n)
-		a.grows++
-	}
-	s := a.atomics[:n]
-	for i := range s {
-		s[i].V.Store(0)
-	}
-	return s
-}
-
 // Grows reports how many times any buffer was (re)allocated over the
 // arena's lifetime. A warm arena serving same-shaped Execs stays constant —
 // the regression tests assert repeated Exec calls do not grow it.
@@ -329,10 +263,9 @@ func (a *Arena) Grows() int { return a.grows }
 func (a *Arena) Footprint() int64 {
 	f32 := cap(a.ranks) + cap(a.acc) + cap(a.bins) + cap(a.contrib) + cap(a.partRes) +
 		cap(a.ranksBlockA) + cap(a.ranksBlockB) + cap(a.contribBlock) + cap(a.accBlock) + cap(a.seedAdd)
-	pad := cap(a.partials) + cap(a.residuals) + cap(a.atomics)
-	i32 := cap(a.worklist) + cap(a.partIters) + cap(a.partCounts) + cap(a.slices) + cap(a.bits) +
-		cap(a.cols) + cap(a.colIters)
-	i64 := cap(a.bitmap) + cap(a.partDang) + cap(a.partDangB) + cap(a.colLanes)
+	pad := cap(a.partials) + cap(a.residuals)
+	i32 := cap(a.partIters) + cap(a.partCounts) + cap(a.slices) + cap(a.cols) + cap(a.colIters)
+	i64 := cap(a.partDang) + cap(a.partDangB) + cap(a.colLanes)
 	return int64(f32)*4 + int64(pad)*64 + int64(i32)*4 + int64(i64)*8
 }
 

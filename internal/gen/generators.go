@@ -137,6 +137,15 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	return b.Build(), nil
 }
 
+// jitter draws the per-level noise factor 1 + noise·(2u−1). Each product is
+// rounded by an explicit conversion, here and where the factor is applied:
+// Go may fuse a multiply and an add into one instruction (arm64 does),
+// which rounds once and would draw different graphs than amd64.
+func jitter(noise float64, rng *rand.Rand) float64 {
+	u := float64(rng.Float64())
+	return 1 + float64(noise*(float64(2*u)-1))
+}
+
 func rmatEdge(cfg RMATConfig, rng *rand.Rand) graph.Edge {
 	var src, dst uint32
 	a, b, c := cfg.A, cfg.B, cfg.C
@@ -144,9 +153,9 @@ func rmatEdge(cfg RMATConfig, rng *rand.Rand) graph.Edge {
 		// Perturb probabilities per level (Graph500-style noise).
 		na, nb, nc3 := a, b, c
 		if cfg.Noise > 0 {
-			na *= 1 + cfg.Noise*(2*rng.Float64()-1)
-			nb *= 1 + cfg.Noise*(2*rng.Float64()-1)
-			nc3 *= 1 + cfg.Noise*(2*rng.Float64()-1)
+			na = float64(na * jitter(cfg.Noise, rng))
+			nb = float64(nb * jitter(cfg.Noise, rng))
+			nc3 = float64(nc3 * jitter(cfg.Noise, rng))
 		}
 		r := rng.Float64()
 		switch {
@@ -210,7 +219,7 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	var rawSum float64
 	maxDeg := float64(n) // clip extreme tail
 	for i := range raw {
-		u := rng.Float64()
+		u := float64(rng.Float64())
 		d := math.Pow(1-u, -1/(cfg.OutAlpha-1)) // Pareto xmin=1
 		if d > maxDeg {
 			d = maxDeg

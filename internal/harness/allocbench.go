@@ -14,7 +14,7 @@ import (
 // AllocBaselineVersion is the schema_version written into BENCH_*.json
 // allocation baselines. Bump it when the measurement protocol or the field
 // meanings change; Compare refuses to diff across versions. v2 added the
-// frontier-aware engines (EC-HiPa, NB-PR) and the per-engine
+// frontier-aware engines (EC-HiPa, NB-PR; both since removed) and the per-engine
 // frontier-effectiveness fields; v3 added Delta-PR to the engine set and
 // the dynamic-replay section (per-batch warm vs cold convergence
 // iterations); v4 added B-PPR to the engine set, the batched-PPR traffic

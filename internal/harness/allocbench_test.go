@@ -28,9 +28,9 @@ func TestMeasureAllocBaselineZeroPerIteration(t *testing.T) {
 			t.Errorf("%s: per-Exec allocs = %d, expected a positive fixed cost", name, m.ExecAllocs)
 		}
 	}
-	// The frontier-aware engines carry an effectiveness profile; the dense
+	// The frontier-aware engine carries an effectiveness profile; the dense
 	// five must not.
-	for _, name := range []string{"EC-HiPa", "NB-PR", "Delta-PR"} {
+	for _, name := range []string{"Delta-PR"} {
 		if m := b.Engines[name]; m.IterationsExecuted <= 0 || m.ActiveFraction <= 0 {
 			t.Errorf("%s: frontier profile missing: %+v", name, m)
 		}
@@ -88,8 +88,8 @@ func TestAllocBaselineCompareGates(t *testing.T) {
 		SchemaVersion: AllocBaselineVersion, Suite: "pagerank", Dataset: "journal",
 		Divisor: 1024, IterShort: 4, IterLong: 12,
 		Engines: map[string]AllocMeasurement{
-			"HiPa":    {AllocsPerIter: 0, BytesPerIter: 0, ExecAllocs: 30, ExecBytes: 30000},
-			"EC-HiPa": {ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 12, ActiveFraction: 0.8, PartitionsSkipped: 40},
+			"HiPa":     {AllocsPerIter: 0, BytesPerIter: 0, ExecAllocs: 30, ExecBytes: 30000},
+			"Delta-PR": {ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 12, ActiveFraction: 0.8, PartitionsSkipped: 40},
 		},
 		Dynamic: []DynamicBatch{{WarmIterations: 4, ColdIterations: 10, PerturbedFraction: 0.004}},
 		Batch: []BatchPoint{
@@ -128,16 +128,16 @@ func TestAllocBaselineCompareGates(t *testing.T) {
 		{"engine missing", func(b *AllocBaseline) { delete(b.Engines, "HiPa") }, true},
 		{"shape mismatch", func(b *AllocBaseline) { b.Divisor = 256 }, true},
 		{"frontier drift within slack", func(b *AllocBaseline) {
-			b.Engines["EC-HiPa"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 13, ActiveFraction: 0.85, PartitionsSkipped: 25}
+			b.Engines["Delta-PR"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 13, ActiveFraction: 0.85, PartitionsSkipped: 25}
 		}, false},
 		{"iteration-count blowup", func(b *AllocBaseline) {
-			b.Engines["EC-HiPa"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 20, ActiveFraction: 0.8, PartitionsSkipped: 40}
+			b.Engines["Delta-PR"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 20, ActiveFraction: 0.8, PartitionsSkipped: 40}
 		}, true},
 		{"active-fraction drift", func(b *AllocBaseline) {
-			b.Engines["EC-HiPa"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 12, ActiveFraction: 0.95, PartitionsSkipped: 40}
+			b.Engines["Delta-PR"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 12, ActiveFraction: 0.95, PartitionsSkipped: 40}
 		}, true},
 		{"pruning stopped engaging", func(b *AllocBaseline) {
-			b.Engines["EC-HiPa"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 12, ActiveFraction: 0.8, PartitionsSkipped: 0}
+			b.Engines["Delta-PR"] = AllocMeasurement{ExecAllocs: 30, ExecBytes: 30000, IterationsExecuted: 12, ActiveFraction: 0.8, PartitionsSkipped: 0}
 		}, true},
 		{"dynamic drift within slack", func(b *AllocBaseline) {
 			b.Dynamic[0] = DynamicBatch{WarmIterations: 5, ColdIterations: 11, PerturbedFraction: 0.05}

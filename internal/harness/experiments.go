@@ -7,9 +7,7 @@ import (
 	"hipa/internal/engines/bppr"
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
 	"hipa/internal/engines/hipa"
-	"hipa/internal/engines/nb"
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/machine"
@@ -612,16 +610,16 @@ func NodeScaling(cfg *Config, dataset string) ([]NodeScalingRow, *Table, error) 
 // ---------------------------------------------------------------- frontier
 
 // FrontierTolerance is the convergence tolerance the frontier experiment
-// runs every engine to; the per-partition retirement threshold of EC-HiPa
-// and the round-termination threshold of NB-PR use the same value so the
-// work-saved columns are comparable.
+// runs both engines to: HiPa's residual stop and Delta-PR's gate and
+// termination threshold use the same value so the work-saved columns are
+// comparable.
 const FrontierTolerance = 1e-6
 
 // frontierBudget bounds the run-to-convergence iteration count.
 const frontierBudget = 200
 
 // FrontierRow reports one engine's work-saved-vs-accuracy trade-off: dense
-// HiPa as the exact baseline, then the frontier-aware engines, all run to
+// HiPa as the exact baseline, then the frontier-aware Delta-PR, both run to
 // FrontierTolerance. VertexIters is the executed vertex-iteration count (a
 // dense engine accrues iterations × vertices); MaxAbsDiff is measured
 // against exact power-iteration ranks.
@@ -635,9 +633,9 @@ type FrontierRow struct {
 	Seconds           float64
 }
 
-// Frontier regenerates the work-saved-vs-accuracy comparison of the
-// frontier-aware engines (EC-HiPa partition pruning, NB-PR barrierless
-// rounds) against dense HiPa on the named dataset (EXPERIMENTS.md).
+// Frontier regenerates the work-saved-vs-accuracy comparison of Delta-PR's
+// vertex-granular frontier against dense HiPa stopped by the same tolerance
+// on the named dataset (EXPERIMENTS.md).
 func Frontier(cfg *Config, dataset string) ([]FrontierRow, *Table, error) {
 	m, err := cfg.DefaultMachine()
 	if err != nil {
@@ -652,12 +650,12 @@ func Frontier(cfg *Config, dataset string) ([]FrontierRow, *Table, error) {
 		Title:  fmt.Sprintf("Frontier engines: work saved vs accuracy (%s, tolerance %g)", dataset, FrontierTolerance),
 		Header: []string{"engine", "iters", "active%", "vertex-iters", "parts-skipped", "max-abs-diff", "seconds"},
 		Notes: []string{
-			"every engine runs to the same tolerance; max-abs-diff is vs exact power-iteration ranks",
+			"both engines run to the same tolerance; max-abs-diff is vs exact power-iteration ranks",
 			"active% is the executed share of the dense vertex-iteration space (100% = no pruning)",
 		},
 	}
 	var rows []FrontierRow
-	for _, e := range []common.Engine{hipa.Engine{}, ec.Engine{}, nb.Engine{}} {
+	for _, e := range []common.Engine{hipa.Engine{}, delta.Engine{}} {
 		o := cfg.PaperOptions(e.Name(), m)
 		o.Iterations = frontierBudget
 		o.Tolerance = FrontierTolerance

@@ -27,10 +27,8 @@ import (
 	"hipa/internal/engines/bppr"
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/delta"
-	"hipa/internal/engines/ec"
 	"hipa/internal/engines/gpop"
 	"hipa/internal/engines/hipa"
-	"hipa/internal/engines/nb"
 	"hipa/internal/engines/polymer"
 	"hipa/internal/engines/ppr"
 	"hipa/internal/engines/vpr"
@@ -147,16 +145,14 @@ func Engines() []common.Engine {
 }
 
 // AllEngines returns every registered engine: the paper five followed by
-// the frontier-aware additions (EC-HiPa, NB-PR, Delta-PR) and the batched
-// personalized-PageRank engine (B-PPR).
+// the frontier-aware Delta-PR and the batched personalized-PageRank engine
+// (B-PPR).
 func AllEngines() []common.Engine {
-	return append(Engines(), ec.Engine{}, nb.Engine{}, delta.Engine{}, bppr.Engine{})
+	return append(Engines(), delta.Engine{}, bppr.Engine{})
 }
 
 // engineAliases maps short -engine spellings to registry names.
 var engineAliases = map[string]string{
-	"ec":    ec.Name,
-	"nb":    nb.Name,
 	"delta": delta.Name,
 	"bppr":  bppr.Name,
 }
@@ -168,12 +164,12 @@ func EngineNames() []string {
 	for _, e := range AllEngines() {
 		names = append(names, e.Name())
 	}
-	return append(names, "ec", "nb", "delta", "bppr")
+	return append(names, "delta", "bppr")
 }
 
 // EngineByName looks an engine up by its registry name (case-insensitive)
-// or a short alias ("ec", "nb", "delta"). The error of an unknown name lists every
-// accepted value.
+// or a short alias ("delta", "bppr"). The error of an unknown name lists
+// every accepted value.
 func EngineByName(name string) (common.Engine, error) {
 	if full, ok := engineAliases[strings.ToLower(name)]; ok {
 		name = full
@@ -202,10 +198,10 @@ func (c *Config) PaperOptions(engineName string, m *machine.Machine) common.Opti
 		o.Platform = platform.NewNative(m)
 	}
 	switch strings.ToLower(engineName) {
-	case "hipa", "ec-hipa", "ec", "delta-pr", "delta", "b-ppr", "bppr":
-		// EC-HiPa, Delta-PR, and B-PPR share HiPa's execution shape and
-		// tuning; their pruning/retirement tolerances default inside the
-		// engines when Tolerance is zero.
+	case "hipa", "delta-pr", "delta", "b-ppr", "bppr":
+		// Delta-PR and B-PPR share HiPa's execution shape and tuning; their
+		// gate and retirement tolerances default inside the engines when
+		// Tolerance is zero.
 		o.Threads = m.LogicalCores()
 		o.PartitionBytes = c.PartBytes(256 << 10)
 	case "p-pr":
@@ -214,7 +210,7 @@ func (c *Config) PaperOptions(engineName string, m *machine.Machine) common.Opti
 	case "gpop":
 		o.Threads = m.PhysicalCores()
 		o.PartitionBytes = c.PartBytes(1 << 20)
-	default: // v-PR, Polymer, NB-PR
+	default: // v-PR, Polymer
 		o.Threads = m.LogicalCores()
 	}
 	return o

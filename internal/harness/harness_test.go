@@ -452,8 +452,8 @@ func TestFrontierExperimentShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (HiPa, EC-HiPa, NB-PR)", len(rows))
+	if len(rows) != 2 || len(tbl.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (HiPa, Delta-PR)", len(rows))
 	}
 	byName := map[string]FrontierRow{}
 	for _, r := range rows {
@@ -465,15 +465,11 @@ func TestFrontierExperimentShape(t *testing.T) {
 	if h := byName["HiPa"]; h.ActiveFraction != 1 || h.PartitionsSkipped != 0 {
 		t.Errorf("dense HiPa row must report the full active set: %+v", h)
 	}
-	ecRow := byName["EC-HiPa"]
-	if ecRow.PartitionsSkipped <= 0 || ecRow.ActiveFraction >= 1 {
-		t.Errorf("EC-HiPa pruned nothing: %+v", ecRow)
+	if d := byName["Delta-PR"]; d.ActiveFraction <= 0 || d.ActiveFraction >= 1 {
+		t.Errorf("Delta-PR pruned nothing: %+v", d)
 	}
-	// Accuracy gates: the synchronous engines stay within 10× the tolerance;
-	// NB-PR's chaotic iteration on a power-law graph gets the same 200×
-	// headroom as its hammer test (hub in-degree amplifies a sub-tolerance
-	// residual).
-	for name, limit := range map[string]float64{"HiPa": 10, "EC-HiPa": 10, "NB-PR": 200} {
+	// Accuracy gate: both synchronous engines stay within 10× the tolerance.
+	for name, limit := range map[string]float64{"HiPa": 10, "Delta-PR": 10} {
 		if r := byName[name]; r.MaxAbsDiff > limit*FrontierTolerance {
 			t.Errorf("%s: max abs error %g vs exact ranks, want <= %g", name, r.MaxAbsDiff, limit*FrontierTolerance)
 		}

@@ -142,7 +142,9 @@ func BucketUpper(i int) float64 {
 		return math.Inf(1)
 	}
 	o, s := (i-1)/histSubBuckets, (i-1)%histSubBuckets
-	return math.Ldexp(1+float64(s+1)/histSubBuckets, histMinExp+o)
+	// The conversion rounds the quotient (a multiply by the reciprocal)
+	// before the add, so no platform fuses the two.
+	return math.Ldexp(1+float64(float64(s+1)/histSubBuckets), histMinExp+o)
 }
 
 // Observe records one sample.

@@ -272,23 +272,27 @@ func Estimate(r Run) (*Report, error) {
 
 	rep := &Report{PerThreadSeconds: make([]float64, len(r.Threads)), Iterations: r.Iterations}
 	var slowest float64
+	// Every product that feeds an add is rounded by an explicit float64
+	// conversion: Go may fuse a multiply and an add into one instruction
+	// (arm64 does), which rounds once, and the goldens pin these seconds to
+	// the bit.
 	for i, t := range r.Threads {
 		// Compute.
 		comp := t.ComputeCycles / (m.CPUGHz * 1e9)
 		if t.PhysShared {
-			comp *= SMTPenalty
+			comp = float64(comp * SMTPenalty)
 		}
 		// Cache-hit latencies, charged relative to L1 (an L1-resident access
 		// is already covered by the compute constants) and overlapped
 		// MLP-wide like DRAM misses.
 		l2ns := m.L2.LatencyNS - m.L1.LatencyNS
 		llcns := m.LLC.LatencyNS - m.L1.LatencyNS
-		cache := (float64(t.L2Accesses)*l2ns + float64(t.LLCAccesses)*llcns) / MLP * 1e-9
+		cache := float64((float64(float64(t.L2Accesses)*l2ns) + float64(float64(t.LLCAccesses)*llcns)) / MLP * 1e-9)
 		// Random DRAM latency with (limited) overlap. Random misses are
 		// latency-priced only; their line fills count toward the traffic
 		// totals below but not toward stream bandwidth, because a
 		// latency-bound access pattern cannot saturate the memory bus.
-		random := (float64(t.RandomLocal)*m.LocalLatencyNS + float64(t.RandomRemote)*m.RemoteLatencyNS) / MLPDram * 1e-9
+		random := float64((float64(float64(t.RandomLocal)*m.LocalLatencyNS) + float64(float64(t.RandomRemote)*m.RemoteLatencyNS)) / MLPDram * 1e-9)
 		// Streaming bandwidth, shared per node. Uncoordinated streams from
 		// more threads than physical cores defeat prefetching and cause
 		// row conflicts, cutting effective bandwidth by cores/demanders
@@ -329,8 +333,8 @@ func Estimate(r Run) (*Report, error) {
 		rep.RandomDRAMAccesses += t.RandomLocal + t.RandomRemote
 	}
 	rep.EstimatedSeconds = slowest +
-		float64(r.Barriers)*m.SyncBarrierNS*1e-9 +
-		r.SchedCostNS*1e-9
+		float64(float64(r.Barriers)*m.SyncBarrierNS*1e-9) +
+		float64(r.SchedCostNS*1e-9)
 
 	if total := rep.LocalBytes + rep.RemoteBytes; total > 0 {
 		rep.RemoteFraction = float64(rep.RemoteBytes) / float64(total)

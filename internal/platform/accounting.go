@@ -97,7 +97,10 @@ func (a *Accounting) AccountAtomic(t int, count int64) {
 	if a.m == nil {
 		return
 	}
-	a.costs[t].ComputeCycles += AtomicPenaltyCycles * float64(count)
+	// The float64 conversions here and in the compute terms below round each
+	// product before it is added, so no platform fuses it into a
+	// multiply-add and the modelled cycles match amd64's bit for bit.
+	a.costs[t].ComputeCycles += float64(AtomicPenaltyCycles * float64(count))
 }
 
 // AccountRead classifies `bytes` of streamed reads by thread t against the
@@ -185,8 +188,8 @@ type PartitionRun struct {
 
 	Iterations int
 	// PartIters, when non-nil, overrides Iterations per partition: entry p is
-	// the number of iterations partition p actually executed. Frontier-aware
-	// engines pass their executed-iteration counters here so modelled traffic
+	// the number of iterations partition p actually executed. Delta-PR passes
+	// its executed-iteration counters here so modelled traffic
 	// scales with the active set instead of iters × verts; barrier counts
 	// still use Iterations (the driver ran that many supersteps). Must have
 	// one entry per partition when set.
@@ -328,9 +331,9 @@ func (a *Accounting) AddPartitionRun(s PartitionRun) error {
 		}
 
 		// Compute.
-		a.costs[t].ComputeCycles += float64(itersP) * ((CyclesPerEdge+s.ExtraCyclesPerEdge)*float64(intra+dstsIn[p]) +
-			CyclesPerVertex*2*float64(vp) +
-			CyclesPerMessage*float64(msgsOut[p]+msgsIn[p]))
+		a.costs[t].ComputeCycles += float64(float64(itersP) * (float64((CyclesPerEdge+s.ExtraCyclesPerEdge)*float64(intra+dstsIn[p])) +
+			float64(CyclesPerVertex*2*float64(vp)) +
+			float64(CyclesPerMessage*float64(msgsOut[p]+msgsIn[p]))))
 	}
 	// Three barriers per iteration: after scatter, after gather, after the
 	// dangling-mass reduction. The driver runs every superstep over the full
@@ -472,9 +475,9 @@ func (a *Accounting) AddBatchRun(s BatchRun) error {
 		a.random(t, dataNode, s.LineSteps*(intra+dstsIn[p]))
 
 		// Compute scales with the active column count.
-		a.costs[t].ComputeCycles += float64(s.ColSteps) * (CyclesPerEdge*float64(intra+dstsIn[p]) +
-			CyclesPerVertex*2*float64(vp) +
-			CyclesPerMessage*float64(msgsIn[p]))
+		a.costs[t].ComputeCycles += float64(float64(s.ColSteps) * (float64(CyclesPerEdge*float64(intra+dstsIn[p])) +
+			float64(CyclesPerVertex*2*float64(vp)) +
+			float64(CyclesPerMessage*float64(msgsIn[p]))))
 	}
 	a.barriers += steps * 3
 	return nil
@@ -513,12 +516,6 @@ type VertexRun struct {
 	BoundaryRemoteFraction float64
 
 	Iterations int
-	// ThreadIters, when non-nil, overrides Iterations per thread: entry t is
-	// the number of rounds thread t actually executed. The barrierless
-	// engine passes its per-worker round counts here — workers run unequal
-	// round counts and never synchronise, so the run is also charged zero
-	// barriers. Must have one entry per thread when set.
-	ThreadIters []int64
 }
 
 // AddVertexRun classifies the events of a pull/push vertex-centric run into
@@ -533,9 +530,6 @@ func (a *Accounting) AddVertexRun(s VertexRun) error {
 	}
 	if !s.G.HasInEdges() {
 		return fmt.Errorf("platform: vertex accounting needs in-edges")
-	}
-	if s.ThreadIters != nil && len(s.ThreadIters) != nThreads {
-		return fmt.Errorf("platform: ThreadIters has %d entries for %d threads", len(s.ThreadIters), nThreads)
 	}
 	m := a.m
 	threadsOnNode := make([]int, m.NUMANodes)
@@ -591,21 +585,15 @@ func (a *Accounting) AddVertexRun(s VertexRun) error {
 		inEdges := edgesOf(t)
 		c := &a.costs[t]
 
-		// A barrierless run charges each worker its own round count.
-		itersT := iters
-		if s.ThreadIters != nil {
-			itersT = s.ThreadIters[t]
-		}
-
 		dataNode := -1
 		if s.NUMAAware {
 			dataNode = c.Node
 		}
 		// Streams: in-edge structure (4B per edge + 8B offsets per vertex),
 		// contribution write + rank write (4B each per vertex).
-		stream := itersT * (inEdges*4 + verts*8 + verts*8)
+		stream := iters * (inEdges*4 + verts*8 + verts*8)
 		if s.FrontierBytesPerVertex > 0 {
-			stream += itersT * verts * s.FrontierBytesPerVertex
+			stream += iters * verts * s.FrontierBytesPerVertex
 		}
 		if dataNode >= 0 {
 			c.StreamLocalBytes += stream
@@ -629,8 +617,8 @@ func (a *Accounting) AddVertexRun(s VertexRun) error {
 		if ws > llcCap {
 			pHit = float64(llcCap) / float64(ws)
 		}
-		hits := int64(float64(itersT*inEdges) * pHit)
-		misses := itersT*inEdges - hits
+		hits := int64(float64(iters*inEdges) * pHit)
+		misses := iters*inEdges - hits
 		if s.SpatialReuseFactor > 1 {
 			// Clustered in-edges reuse each fetched line for several edges.
 			misses = int64(float64(misses) / s.SpatialReuseFactor)
@@ -644,7 +632,7 @@ func (a *Accounting) AddVertexRun(s VertexRun) error {
 			remote := int64(float64(misses) * s.BoundaryRemoteFraction)
 			c.RandomLocal += misses - remote
 			c.RandomRemote += remote
-			c.StreamRemoteBytes += itersT * verts * 4 * int64(m.NUMANodes-1)
+			c.StreamRemoteBytes += iters * verts * 4 * int64(m.NUMANodes-1)
 		} else {
 			lm := misses / int64(m.NUMANodes)
 			c.RandomLocal += lm
@@ -657,15 +645,11 @@ func (a *Accounting) AddVertexRun(s VertexRun) error {
 		if s.AtomicUpdates {
 			perEdge += AtomicPenaltyCycles
 		}
-		cyc := float64(itersT) * (perEdge*float64(inEdges) + CyclesPerVertex*float64(verts))
+		cyc := float64(float64(iters) * (float64(perEdge*float64(inEdges)) + float64(CyclesPerVertex*float64(verts))))
 		c.ComputeCycles += cyc
 	}
-	// Two barriers per iteration (contribution pass, rank pass) — unless the
-	// run was barrierless (per-thread round counts): then nothing ever
-	// synchronised.
-	if s.ThreadIters == nil {
-		a.barriers += iters * 2
-	}
+	// Two barriers per iteration (contribution pass, rank pass).
+	a.barriers += iters * 2
 	return nil
 }
 
