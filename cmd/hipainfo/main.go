@@ -226,7 +226,7 @@ func main() {
 		rep.Graph.NumVertices, rep.Graph.NumEdges, rep.Graph.AvgOutDegree, rep.Graph.MaxOutDegree, rep.Graph.Dangling)
 	fmt.Printf("skew       : top 10%% of vertices own %.1f%% of out-edges\n", 100*rep.SkewTop10)
 	fmt.Printf("machine    : %s\n", m)
-	fmt.Printf("kernels    : %s (both pulls and the rank update)\n", rep.Kernels)
+	fmt.Printf("kernels    : %s (both pulls and the rank update, HiPa's and B-PPR's width-1)\n", rep.Kernels)
 	if vs := rep.Versioned; vs != nil {
 		fmt.Printf("versioned  : v%d after %d batches (%d mutations); %d -> %d edges; snapshot v%d, %d compactions\n",
 			vs.Version, vs.LogBatches, vs.LogMutations, vs.SnapshotEdges, vs.Edges, vs.SnapshotVersion, vs.Compactions)

@@ -55,6 +55,8 @@ const MaxBatch = 64
 // batch, and any batch narrowed to one column by retirement) the kernels
 // run it column-scalar, without the per-column loops — the same float32
 // operations in the same order, so the contracts above hold bit for bit.
+// A width-1 block is SGState's layout, so its intra pull and rank update
+// are HiPa's vector kernels (common.PullSELL, common.UpdateRanks).
 //
 // All reductions (dangling fold, residual fold, retirement) are serial and
 // in global partition/column order, so results are bit-deterministic at any
@@ -145,8 +147,10 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 			s.baseS[j] = float32((1 - damping) / float64(n))
 		}
 	}
-	for i := 0; i < n*b; i += b {
-		copy(s.ranksCur[i:i+b], init[:b])
+	// Every vertex's block is init: the first block, then doubling copies.
+	copy(s.ranksCur, init[:b])
+	for k := b; k < n*b; k *= 2 {
+		copy(s.ranksCur[k:], s.ranksCur[:k])
 	}
 	for j, sv := range seedSets {
 		if len(sv) == 0 {
@@ -160,9 +164,15 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 			s.ranksCur[int(v)*b+j] = w
 		}
 	}
-	for v, iv := range inv[:n] {
-		for i := v * b; i < v*b+b; i++ {
-			s.contrib[i] = s.ranksCur[i] * iv
+	if b == 1 {
+		for v, iv := range inv[:n] {
+			s.contrib[v] = s.ranksCur[v] * iv
+		}
+	} else {
+		for v, iv := range inv[:n] {
+			for i := v * b; i < v*b+b; i++ {
+				s.contrib[i] = s.ranksCur[i] * iv
+			}
 		}
 	}
 
@@ -438,7 +448,16 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 	pd := s.partDang[p*b : (p+1)*b : (p+1)*b]
 	if len(cols) == 1 {
 		// The same update, column-scalar: one active column needs no
-		// per-column loop or scratch.
+		// per-column loop or scratch. A width-1 block's column is
+		// contiguous, so it takes the shared rank-update kernel, with the
+		// seed addends as its addend; a column narrowed from a wider
+		// block is strided and keeps the loop.
+		if b == 1 {
+			lo, hi := int(part.VertexStart), int(part.VertexEnd)
+			lanes[0], pd[0] = common.UpdateRanks(ranks[lo:hi], next[lo:hi], contrib[lo:hi], acc[lo:hi], inv[lo:hi], seedAdd[lo:hi],
+				d, s.baseS[0], s.redisS[0], lanes[0])
+			return
+		}
 		j := int(cols[0])
 		base, redis, res := s.baseS[j], s.redisS[j], lanes[j]
 		var dang float64

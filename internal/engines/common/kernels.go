@@ -96,58 +96,74 @@ func pullSELLScalar(pull *layout.SELL, vals, acc []float32, clo, chi int, add bo
 	}
 }
 
-// updateRanks sets, for each vertex i of the equal-length slices, ranks[i]
-// = (base + d·acc[i]) + redis and contrib[i] = ranks[i]·inv[i]. It returns
-// the running L∞ rank change folded from res and the dangling mass (inv ==
-// 0) under the new ranks, summed in vertex order from +0.
-func updateRanks(ranks, contrib, acc, inv []float32, d, base, redis float32, res float64) (float64, float64) {
+// UpdateRanks sets, for each vertex i of the equal-length slices, next[i]
+// = ((base + d·acc[i]) + redis) + add[i] and contrib[i] = next[i]·inv[i],
+// reading the old rank from ranks[i] before it writes next[i], so next may
+// be ranks itself. An empty add is no addend: the rank is (base + d·acc[i])
+// + redis. It returns the running L∞ rank change folded from res (NaN
+// skipped) and the dangling mass (inv == 0) under the new ranks, summed in
+// vertex order from +0.
+func UpdateRanks(ranks, next, contrib, acc, inv, add []float32, d, base, redis float32, res float64) (float64, float64) {
 	var dangling float64
 	if useAVX2 {
 		m := len(ranks) &^ 7
-		res, dangling = updateRanksAVX2(ranks[:m], contrib, acc, inv, d, base, redis, res)
-		ranks, contrib, acc, inv = ranks[m:], contrib[m:], acc[m:], inv[m:]
+		res, dangling = updateRanksAVX2(ranks[:m], next, contrib, acc, inv, add, d, base, redis, res)
+		ranks, next, contrib, acc, inv = ranks[m:], next[m:], contrib[m:], acc[m:], inv[m:]
+		if len(add) != 0 {
+			add = add[m:]
+		}
 	}
-	return updateRanksScalar(ranks, contrib, acc, inv, d, base, redis, res, dangling)
+	return updateRanksScalar(ranks, next, contrib, acc, inv, add, d, base, redis, res, dangling)
 }
 
-// updateRanksScalar is updateRanks continuing a dangling sum. The explicit
+// updateRanksScalar is UpdateRanks continuing a dangling sum. The explicit
 // float32 conversion of d·acc keeps the compiler from fusing it with the
 // add: arm64 would otherwise emit one multiply-add, which rounds once, so
 // its ranks would differ from amd64's.
-func updateRanksScalar(ranks, contrib, acc, inv []float32, d, base, redis float32, res, dangling float64) (float64, float64) {
+func updateRanksScalar(ranks, next, contrib, acc, inv, add []float32, d, base, redis float32, res, dangling float64) (float64, float64) {
 	n := len(ranks)
-	contrib, acc, inv = contrib[:n], acc[:n], inv[:n]
+	next, contrib, acc, inv = next[:n], contrib[:n], acc[:n], inv[:n]
+	if len(add) != 0 {
+		add = add[:n]
+	}
 	v := 0
-	// 4-way unrolled rank update. Each vertex is independent, the residual
-	// max is order-insensitive, and the dangling adds stay in vertex order,
-	// so the unroll is bit-identical to the scalar loop.
-	for ; v+4 <= n; v += 4 {
-		old0, old1, old2, old3 := ranks[v], ranks[v+1], ranks[v+2], ranks[v+3]
-		nv0 := base + float32(d*acc[v]) + redis
-		nv1 := base + float32(d*acc[v+1]) + redis
-		nv2 := base + float32(d*acc[v+2]) + redis
-		nv3 := base + float32(d*acc[v+3]) + redis
-		ranks[v], ranks[v+1], ranks[v+2], ranks[v+3] = nv0, nv1, nv2, nv3
-		iv0, iv1, iv2, iv3 := inv[v], inv[v+1], inv[v+2], inv[v+3]
-		contrib[v], contrib[v+1], contrib[v+2], contrib[v+3] = nv0*iv0, nv1*iv1, nv2*iv2, nv3*iv3
-		if iv0 == 0 {
-			dangling += float64(nv0)
+	// 4-way unrolled rank update without an addend. Each vertex is
+	// independent, the residual max is order-insensitive, and the dangling
+	// adds stay in vertex order, so the unroll is bit-identical to the
+	// one-vertex loop below, which runs the rest and every addend. The old
+	// ranks are read before the new ones are written, for next == ranks.
+	if len(add) == 0 {
+		for ; v+4 <= n; v += 4 {
+			old0, old1, old2, old3 := ranks[v], ranks[v+1], ranks[v+2], ranks[v+3]
+			nv0 := base + float32(d*acc[v]) + redis
+			nv1 := base + float32(d*acc[v+1]) + redis
+			nv2 := base + float32(d*acc[v+2]) + redis
+			nv3 := base + float32(d*acc[v+3]) + redis
+			next[v], next[v+1], next[v+2], next[v+3] = nv0, nv1, nv2, nv3
+			iv0, iv1, iv2, iv3 := inv[v], inv[v+1], inv[v+2], inv[v+3]
+			contrib[v], contrib[v+1], contrib[v+2], contrib[v+3] = nv0*iv0, nv1*iv1, nv2*iv2, nv3*iv3
+			if iv0 == 0 {
+				dangling += float64(nv0)
+			}
+			if iv1 == 0 {
+				dangling += float64(nv1)
+			}
+			if iv2 == 0 {
+				dangling += float64(nv2)
+			}
+			if iv3 == 0 {
+				dangling += float64(nv3)
+			}
+			res = maxAbsDiff4(res, nv0, old0, nv1, old1, nv2, old2, nv3, old3)
 		}
-		if iv1 == 0 {
-			dangling += float64(nv1)
-		}
-		if iv2 == 0 {
-			dangling += float64(nv2)
-		}
-		if iv3 == 0 {
-			dangling += float64(nv3)
-		}
-		res = maxAbsDiff4(res, nv0, old0, nv1, old1, nv2, old2, nv3, old3)
 	}
 	for ; v < n; v++ {
 		old := ranks[v]
 		nv := base + float32(d*acc[v]) + redis
-		ranks[v] = nv
+		if len(add) != 0 {
+			nv += add[v]
+		}
+		next[v] = nv
 		contrib[v] = nv * inv[v]
 		if inv[v] == 0 {
 			dangling += float64(nv)

@@ -47,11 +47,12 @@ func xgetbv() (eax, edx uint32)
 func pullAVX2(off []int64, idx, perm []graph.VertexID, vals, acc []float32, add bool) (maxIdx, maxPerm uint32)
 
 // rankAVX2 is the rank update over len(ranks), a multiple of 8, vertices;
-// contrib, acc and inv are at least as long. It returns the lanes'
-// largest |new−old| (NaN skipped, from +0) and the dangling sum from +0.
+// next, contrib, acc and inv, and add unless it is empty, are at least as
+// long. It returns the lanes' largest |new−old| (NaN skipped, from +0) and
+// the dangling sum from +0.
 //
 //go:noescape
-func rankAVX2(ranks, contrib, acc, inv []float32, d, base, redis float32) (maxDiff float32, dangling float64)
+func rankAVX2(ranks, next, contrib, acc, inv, add []float32, d, base, redis float32) (maxDiff float32, dangling float64)
 
 func pullSELLAVX2(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool) {
 	const lanes = layout.PullLanes
@@ -69,13 +70,16 @@ func pullSELLAVX2(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool
 	}
 }
 
-func updateRanksAVX2(ranks, contrib, acc, inv []float32, d, base, redis float32, res float64) (float64, float64) {
+func updateRanksAVX2(ranks, next, contrib, acc, inv, add []float32, d, base, redis float32, res float64) (float64, float64) {
 	m := len(ranks)
 	if m == 0 {
 		return res, 0
 	}
-	_, _, _ = contrib[m-1], acc[m-1], inv[m-1]
-	maxDiff, dangling := rankAVX2(ranks, contrib, acc, inv, d, base, redis)
+	_, _, _, _ = next[m-1], contrib[m-1], acc[m-1], inv[m-1]
+	if len(add) != 0 {
+		_ = add[m-1]
+	}
+	maxDiff, dangling := rankAVX2(ranks, next, contrib, acc, inv, add, d, base, redis)
 	if diff := float64(maxDiff); diff > res {
 		res = diff
 	}

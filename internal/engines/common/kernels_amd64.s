@@ -137,20 +137,24 @@ bad:
 	VZEROUPPER
 	RET
 
-// func rankAVX2(ranks, contrib, acc, inv []float32, d, base, redis float32) (maxDiff float32, dangling float64)
+// func rankAVX2(ranks, next, contrib, acc, inv, add []float32, d, base, redis float32) (maxDiff float32, dangling float64)
 //
-// DI = ranks, SI = contrib, R8 = acc, R9 = inv, CX = length, AX = vertex,
-// Y10/Y11/Y12 = d/base/redis, Y13 = the abs mask, Y9 = largest |new−old|,
-// Y8 = +0, X7 = dangling sum.
-TEXT ·rankAVX2(SB), NOSPLIT, $0-128
-	MOVQ         ranks_base+0(FP), DI
+// R12 = ranks, DI = next, SI = contrib, R8 = acc, R9 = inv, R11 = add,
+// R13 = len(add) (0: no addend), CX = length, AX = vertex, Y10/Y11/Y12 =
+// d/base/redis, Y13 = the abs mask, Y9 = largest |new−old|, Y8 = +0, X7 =
+// dangling sum.
+TEXT ·rankAVX2(SB), NOSPLIT, $0-176
+	MOVQ         ranks_base+0(FP), R12
 	MOVQ         ranks_len+8(FP), CX
-	MOVQ         contrib_base+24(FP), SI
-	MOVQ         acc_base+48(FP), R8
-	MOVQ         inv_base+72(FP), R9
-	VBROADCASTSS d+96(FP), Y10
-	VBROADCASTSS base+100(FP), Y11
-	VBROADCASTSS redis+104(FP), Y12
+	MOVQ         next_base+24(FP), DI
+	MOVQ         contrib_base+48(FP), SI
+	MOVQ         acc_base+72(FP), R8
+	MOVQ         inv_base+96(FP), R9
+	MOVQ         add_base+120(FP), R11
+	MOVQ         add_len+128(FP), R13
+	VBROADCASTSS d+144(FP), Y10
+	VBROADCASTSS base+148(FP), Y11
+	VBROADCASTSS redis+152(FP), Y12
 	MOVL         $0x7fffffff, AX
 	VMOVD        AX, X13
 	VPBROADCASTD X13, Y13
@@ -160,13 +164,18 @@ TEXT ·rankAVX2(SB), NOSPLIT, $0-128
 	XORQ         AX, AX
 
 loop:
-	CMPQ      AX, CX
-	JCC       done
-	VMOVUPS   (R8)(AX*4), Y0
-	VMULPS    Y0, Y10, Y0        // d·acc
-	VADDPS    Y0, Y11, Y0        // base + d·acc
-	VADDPS    Y12, Y0, Y0        // (base + d·acc) + redis
-	VMOVUPS   (DI)(AX*4), Y1
+	CMPQ    AX, CX
+	JCC     done
+	VMOVUPS (R8)(AX*4), Y0
+	VMULPS  Y0, Y10, Y0        // d·acc
+	VADDPS  Y0, Y11, Y0        // base + d·acc
+	VADDPS  Y12, Y0, Y0        // (base + d·acc) + redis
+	TESTQ   R13, R13
+	JZ      update
+	VADDPS  (R11)(AX*4), Y0, Y0 // ((base + d·acc) + redis) + add
+
+update:
+	VMOVUPS   (R12)(AX*4), Y1   // old, read before the store: next may be ranks
 	VMOVUPS   Y0, (DI)(AX*4)
 	VMOVUPS   (R9)(AX*4), Y2
 	VMULPS    Y2, Y0, Y3
@@ -179,7 +188,7 @@ loop:
 	TESTL     DX, DX
 	JNZ       dangling
 
-next:
+advance:
 	ADDQ $8, AX
 	JMP  loop
 
@@ -191,7 +200,7 @@ dangling:
 	LEAL      -1(DX), BX
 	ANDL      BX, DX
 	JNZ       dangling
-	JMP       next
+	JMP       advance
 
 done:
 	VEXTRACTF128 $1, Y9, X0
@@ -200,7 +209,7 @@ done:
 	VMAXPS       X0, X9, X9
 	VPSHUFD      $0xb1, X9, X0
 	VMAXPS       X0, X9, X9
-	VMOVSS       X9, maxDiff+112(FP)
-	VMOVSD       X7, dangling+120(FP)
+	VMOVSS       X9, maxDiff+160(FP)
+	VMOVSD       X7, dangling+168(FP)
 	VZEROUPPER
 	RET

@@ -11,6 +11,6 @@ func pullSELLAVX2(*layout.SELL, []float32, []float32, int, int, bool) {
 	panic("common: AVX2 kernels not compiled in")
 }
 
-func updateRanksAVX2([]float32, []float32, []float32, []float32, float32, float32, float32, float64) (float64, float64) {
+func updateRanksAVX2(_, _, _, _, _, _ []float32, _, _, _ float32, _ float64) (float64, float64) {
 	panic("common: AVX2 kernels not compiled in")
 }

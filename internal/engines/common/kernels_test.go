@@ -204,14 +204,25 @@ func TestPullKernelsMatch(t *testing.T) {
 // loop's ranks and contributions bit for bit and returns the same residual
 // and dangling sum, over every length from 0 to 33 — so every split
 // between the vector body and the scalar tail — with signed zeros,
-// subnormals, infinities and NaN in the old ranks and the accumulators,
-// and a dangling vertex in every lane position.
+// subnormals, infinities and NaN in the old ranks, the accumulators and
+// the addends, and a dangling vertex in every lane position. Each case
+// runs in place (next is ranks, HiPa's update) and into a separate buffer
+// (B-PPR's), without an addend and with a sparse one that dangling
+// vertices carry too, so an addend out of its place in the sum, or a
+// dangling sum taken before it, shows.
+//
+// The NaN drawn is the one an invalid operation (Inf − Inf, Inf·0) makes
+// on amd64, so every NaN in flight has the same bits. When an add meets
+// two NaNs that differ, x86 returns its first operand, and Go does not fix
+// the operand order of a commutative add: the scalar loop's -race build
+// returns the other of the two than its default build. With two kinds of
+// NaN the sums would differ by build, not by kernel.
 func TestRankUpdateKernelsMatch(t *testing.T) {
 	needAVX2(t)
 	special := []float32{
 		0, float32(math.Copysign(0, -1)),
 		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -1e-39,
-		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0xffc00000),
 		1, -1, math.MaxFloat32, -math.MaxFloat32,
 	}
 	rng := rand.New(rand.NewPCG(29, 0))
@@ -226,10 +237,13 @@ func TestRankUpdateKernelsMatch(t *testing.T) {
 		// ones, and all with accumulators whose ranks cancel, so the
 		// dangling sum depends on the order of its adds.
 		for pattern := 0; pattern < 15; pattern++ {
-			ranks, acc, inv := make([]float32, length), make([]float32, length), make([]float32, length)
+			ranks, acc, inv, add := make([]float32, length), make([]float32, length), make([]float32, length), make([]float32, length)
 			for i := range ranks {
 				ranks[i], acc[i] = draw(), draw()
 				inv[i] = 1 / float32(1+rng.IntN(9))
+				if rng.IntN(3) == 0 {
+					add[i] = draw()
+				}
 				switch {
 				case pattern == 1,
 					pattern >= 2 && pattern < 10 && i%8 == pattern-2,
@@ -243,30 +257,48 @@ func TestRankUpdateKernelsMatch(t *testing.T) {
 			d, base, redis := float32(0.85), draw(), rng.Float32()*1e-5
 			res := []float64{0, 1e-6, math.Inf(1)}[rng.IntN(3)]
 			type out struct {
-				ranks, contrib []float32
-				res, dangling  float64
+				ranks, next, contrib []float32
+				res, dangling        float64
 			}
-			run := func(avx2 bool) (o out) {
-				o.ranks, o.contrib = slices.Clone(ranks), make([]float32, length)
-				withKernels(avx2, func() {
-					o.res, o.dangling = updateRanks(o.ranks, o.contrib, acc, inv, d, base, redis, res)
-				})
-				return o
-			}
-			want, got := run(false), run(true)
-			what := fmt.Sprintf("length %d pattern %d", length, pattern)
-			for i := range want.ranks {
-				if math.Float32bits(got.ranks[i]) != math.Float32bits(want.ranks[i]) ||
-					math.Float32bits(got.contrib[i]) != math.Float32bits(want.contrib[i]) {
-					t.Fatalf("%s: vertex %d: rank %v contrib %v (avx2), rank %v contrib %v (scalar)",
-						what, i, got.ranks[i], got.contrib[i], want.ranks[i], want.contrib[i])
+			for _, form := range []struct {
+				name    string
+				inPlace bool
+				add     []float32
+			}{
+				{"in place", true, nil},
+				{"separate", false, nil},
+				{"in place with addend", true, add},
+				{"separate with addend", false, add},
+			} {
+				run := func(avx2 bool) (o out) {
+					o.ranks, o.next, o.contrib = slices.Clone(ranks), make([]float32, length), make([]float32, length)
+					if form.inPlace {
+						o.next = o.ranks
+					}
+					withKernels(avx2, func() {
+						o.res, o.dangling = UpdateRanks(o.ranks, o.next, o.contrib, acc, inv, form.add, d, base, redis, res)
+					})
+					return o
 				}
-			}
-			if math.Float64bits(got.res) != math.Float64bits(want.res) {
-				t.Fatalf("%s: residual %v (avx2), %v (scalar)", what, got.res, want.res)
-			}
-			if math.Float64bits(got.dangling) != math.Float64bits(want.dangling) {
-				t.Fatalf("%s: dangling %v (avx2), %v (scalar)", what, got.dangling, want.dangling)
+				want, got := run(false), run(true)
+				what := fmt.Sprintf("length %d pattern %d %s", length, pattern, form.name)
+				for i := range want.next {
+					if math.Float32bits(got.next[i]) != math.Float32bits(want.next[i]) ||
+						math.Float32bits(got.contrib[i]) != math.Float32bits(want.contrib[i]) {
+						t.Fatalf("%s: vertex %d: rank %v contrib %v (avx2), rank %v contrib %v (scalar)",
+							what, i, got.next[i], got.contrib[i], want.next[i], want.contrib[i])
+					}
+					if !form.inPlace && (math.Float32bits(got.ranks[i]) != math.Float32bits(ranks[i]) ||
+						math.Float32bits(want.ranks[i]) != math.Float32bits(ranks[i])) {
+						t.Fatalf("%s: vertex %d: the read buffer was written", what, i)
+					}
+				}
+				if math.Float64bits(got.res) != math.Float64bits(want.res) {
+					t.Fatalf("%s: residual %v (avx2), %v (scalar)", what, got.res, want.res)
+				}
+				if math.Float64bits(got.dangling) != math.Float64bits(want.dangling) {
+					t.Fatalf("%s: dangling %v (avx2), %v (scalar)", what, got.dangling, want.dangling)
+				}
 			}
 		}
 	}
@@ -330,7 +362,9 @@ func TestCorruptPullPanics(t *testing.T) {
 }
 
 // BenchmarkUpdateRanks times the rank update alone over the 18,750
-// vertices of the rank-small shape, once per kernel set.
+// vertices of the rank-small shape, once per kernel set: HiPa's in place,
+// and as teleport B-PPR's width-1 update of a personalized column, into a
+// separate buffer with a sparse addend on its seeds.
 func BenchmarkUpdateRanks(b *testing.B) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 18750, Edges: 267578, OutAlpha: 2.3, InAlpha: 0.9, Seed: 1, HotShuffle: true})
 	if err != nil {
@@ -338,12 +372,26 @@ func BenchmarkUpdateRanks(b *testing.B) {
 	}
 	n := g.NumVertices()
 	inv := InvOutDegrees(g)
-	ranks, contrib, acc := make([]float32, n), make([]float32, n), make([]float32, n)
+	ranks, next, contrib, acc, add := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
 	FillInitRanks(acc)
+	for v := 0; v < n; v += n / 16 {
+		add[v] = 0.15 / 16
+	}
+	perVertex := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/vertex")
+	}
 	eachKernel(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			updateRanks(ranks, contrib, acc, inv, 0.85, 1e-5, 1e-6, 0)
+			UpdateRanks(ranks, ranks, contrib, acc, inv, nil, 0.85, 1e-5, 1e-6, 0)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/vertex")
+		perVertex(b)
+	})
+	b.Run("teleport", func(b *testing.B) {
+		eachKernel(b, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				UpdateRanks(ranks, next, contrib, acc, inv, add, 0.85, 0, 0, 0)
+			}
+			perVertex(b)
+		})
 	})
 }

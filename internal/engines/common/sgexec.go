@@ -238,5 +238,6 @@ func (s *SGState) GatherPartition(p int, tid int) {
 // under the new ranks, summed in vertex order. The accumulators are left as
 // they are: the next scatter's pull stores every one of them.
 func (s *SGState) updateRanks(lo, hi int, res float64) (float64, float64) {
-	return updateRanks(s.Ranks[lo:hi], s.Contrib[lo:hi], s.Acc[lo:hi], s.Inv[lo:hi], float32(s.Damping), s.base, s.redis, res)
+	r := s.Ranks[lo:hi]
+	return UpdateRanks(r, r, s.Contrib[lo:hi], s.Acc[lo:hi], s.Inv[lo:hi], nil, float32(s.Damping), s.base, s.redis, res)
 }

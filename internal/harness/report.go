@@ -26,8 +26,8 @@ type RunReport struct {
 	Threads    int    `json:"threads"`
 	Iterations int    `json:"iterations"`
 	Machine    string `json:"machine,omitempty"`
-	// Kernels is the kernel set that ran both pulls and the rank update:
-	// "avx2" or "scalar" (common.KernelSet).
+	// Kernels is the kernel set that ran both pulls and the rank update,
+	// HiPa's and B-PPR's width-1 one: "avx2" or "scalar" (common.KernelSet).
 	Kernels string `json:"kernels"`
 
 	WallSeconds float64 `json:"wall_seconds"`
