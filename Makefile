@@ -48,8 +48,8 @@ procs:
 	GOMAXPROCS=8 $(GO) test -count=1 ./...
 
 # The scalar kernels under the same goldens: vet and the engine,
-# algorithms, layout and serve tests with the AVX2 kernels compiled out
-# (-tags purego), and a vet of the arm64 build, so the fallback keeps
+# algorithms, layout, serve and root-package tests with the AVX2 kernels
+# compiled out (-tags purego), and a vet of the arm64 build, so the fallback keeps
 # compiling where the assembly does not exist. The last step fails if the
 # arm64 compiler fused a multiply and an add anywhere in the module: a fused
 # multiply-add rounds once, so ranks, generated graphs and modelled seconds
@@ -57,7 +57,7 @@ procs:
 # instead (float32(d*acc) + redis).
 purego:
 	$(GO) vet -tags purego ./...
-	$(GO) test -tags purego -count=1 ./internal/engines/... ./internal/algorithms/ ./internal/layout/ ./internal/serve/
+	$(GO) test -tags purego -count=1 ./internal/engines/... ./internal/algorithms/ ./internal/layout/ ./internal/serve/ .
 	GOARCH=arm64 $(GO) vet ./...
 	@fused=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./... 2>&1 | grep -E 'FN?M(ADD|SUB)'); \
 	if [ -n "$$fused" ]; then \

@@ -429,7 +429,9 @@ func BenchmarkCacheSim(b *testing.B) {
 	}
 }
 
-// BenchmarkAlgorithms measures the future-work kernels.
+// BenchmarkAlgorithms measures the future-work kernels. PageRankDelta's
+// tolerance of 1.6e-6 puts Delta-PR's propagation gate (tolerance/16) at
+// 1e-7.
 func BenchmarkAlgorithms(b *testing.B) {
 	cfg := benchCfg()
 	g, err := cfg.Graph("journal")
@@ -449,6 +451,14 @@ func BenchmarkAlgorithms(b *testing.B) {
 			}
 		}
 	})
+	b.Run("SpMVIterate", func(b *testing.B) {
+		b.SetBytes(4 * g.NumEdges() * 4)
+		for i := 0; i < b.N; i++ {
+			if _, err := SpMVIterate(g, x, 4, ac); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("BFS", func(b *testing.B) {
 		b.SetBytes(g.NumEdges() * 4)
 		for i := 0; i < b.N; i++ {
@@ -459,7 +469,14 @@ func BenchmarkAlgorithms(b *testing.B) {
 	})
 	b.Run("PageRankDelta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := PageRankDelta(g, DeltaOptions{Config: ac, Epsilon: 1e-7, MaxIterations: 20}); err != nil {
+			if _, err := PageRankDelta(g, DeltaOptions{Config: ac, Tolerance: 1.6e-6, MaxIterations: 20}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("PersonalizedPageRank", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := PersonalizedPageRank(g, []VertexID{0}, 20, 0.85, ac); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -21,11 +21,11 @@ func main() {
 	}
 	fmt.Printf("twitter analog: %d users, %d follow edges\n\n", g.NumVertices(), g.NumEdges())
 
-	// Incremental PageRank: stop propagating deltas below epsilon. The
-	// active set shrinks as influence scores converge.
+	// Incremental PageRank: stop propagating deltas below tolerance/16.
+	// The active set shrinks as influence scores converge.
 	res, err := hipa.PageRankDelta(g, hipa.DeltaOptions{
 		Config:        hipa.AlgoConfig{Threads: 8},
-		Epsilon:       1e-8,
+		Tolerance:     1.6e-7,
 		MaxIterations: 40,
 	})
 	if err != nil {

@@ -15,7 +15,8 @@
 //   - the full reproduction harness for every table and figure of the
 //     paper's evaluation (Repro* functions);
 //   - the future-work algorithms on the HiPa substrate (SpMV, PageRank-
-//     Delta, BFS) in the algorithms subpackage.
+//     Delta, personalized PageRank, BFS); PageRankDelta and
+//     PersonalizedPageRank run the Delta-PR and B-PPR engines.
 //
 // Quickstart:
 //

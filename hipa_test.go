@@ -3,6 +3,7 @@ package hipa
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -180,5 +181,70 @@ func TestPublicWeightedAndPersonalized(t *testing.T) {
 	}
 	if s := RankSum(pr); math.Abs(s-1) > 1e-3 {
 		t.Fatalf("personalized rank sum = %f", s)
+	}
+}
+
+// TestAlgorithmsThreadInvariance: the public algorithms' outputs are a
+// function of the graph and the inputs alone, so the GOMAXPROCS default of
+// AlgoConfig.Threads sizes resources only. The graph has dangling vertices
+// and a dozen partitions; x is signed.
+func TestAlgorithmsThreadInvariance(t *testing.T) {
+	g, err := PowerLaw(3000, 40000, 2.1, 0.9, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float32, g.NumVertices())
+	for i := range x {
+		x[i] = float32(i%13) - 6.5
+	}
+	bits := func(vs []float32) []uint32 {
+		out := make([]uint32, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float32bits(v)
+		}
+		return out
+	}
+	runs := []struct {
+		name string
+		run  func(cfg AlgoConfig) (any, error)
+	}{
+		{"SpMV", func(cfg AlgoConfig) (any, error) {
+			y, err := SpMV(g, x, cfg)
+			return bits(y), err
+		}},
+		{"SpMVIterate", func(cfg AlgoConfig) (any, error) {
+			y, err := SpMVIterate(g, x, 3, cfg)
+			return bits(y), err
+		}},
+		{"PageRankDelta", func(cfg AlgoConfig) (any, error) {
+			res, err := PageRankDelta(g, DeltaOptions{Config: cfg, Tolerance: 1e-6, MaxIterations: 40})
+			if err != nil {
+				return nil, err
+			}
+			return []any{bits(res.Ranks), res.Iterations, res.ActiveHistory}, nil
+		}},
+		{"PersonalizedPageRank", func(cfg AlgoConfig) (any, error) {
+			r, err := PersonalizedPageRank(g, []VertexID{5, 900, 2000}, 40, 0.85, cfg)
+			return bits(r), err
+		}},
+		{"BFS", func(cfg AlgoConfig) (any, error) {
+			return BFS(g, 1, cfg)
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			var want any
+			for _, threads := range []int{1, 2, 4, 8} {
+				got, err := r.run(AlgoConfig{Threads: threads, PartitionBytes: 1024})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if threads == 1 {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("threads=%d: output differs from threads=1", threads)
+				}
+			}
+		})
 	}
 }

@@ -1,13 +1,18 @@
 // Package algorithms implements the paper's future-work extensions (§6) on
-// top of the HiPa substrate: sparse matrix-vector multiplication (SpMV),
-// PageRank-Delta, and breadth-first search. Each algorithm reuses the
-// hierarchical partitioning (internal/partition) and the compressed
-// partition-centric layout (internal/layout) with persistent pinned-style
-// worker threads, exactly as the HiPa PageRank engine does.
+// top of the HiPa substrate: sparse matrix-vector multiplication (SpMV,
+// plain and weighted), breadth-first search, and the blocked
+// scatter-gather kernel (BlockSG) that the B-PPR engine runs. SpMV reuses
+// the hierarchical partitioning (internal/partition), the compressed
+// partition-centric layout (internal/layout) and HiPa's pull kernels with
+// one worker per partition group, as the HiPa PageRank engine does.
+// PageRank-Delta and personalized PageRank are the Delta-PR and B-PPR
+// engines, which the root package's PageRankDelta and PersonalizedPageRank
+// run.
 package algorithms
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -53,7 +58,6 @@ func (c Config) withDefaults(n int) Config {
 
 // prepared bundles the HiPa substrate for one graph.
 type prepared struct {
-	g    *graph.Graph
 	hier *partition.Hierarchy
 	lay  *layout.Layout
 	cfg  Config
@@ -77,58 +81,7 @@ func prepare(g *graph.Graph, cfg Config) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &prepared{g: g, hier: hier, lay: lay, cfg: cfg}, nil
-}
-
-// propagate computes y[v] = Σ_{u→v} x[u] with the partition-centric
-// scatter-gather: each thread scatters its own partitions' compressed
-// messages and intra-edges, then gathers the messages targeting its
-// partitions. y must be zeroed; x and y may not alias.
-func (p *prepared) propagate(x, y []float32, bins []float32, bar *common.Barrier, tid int) {
-	gr := p.hier.Groups[tid]
-	lay := p.lay
-	// Scatter.
-	for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
-		part := p.hier.Partitions[pi]
-		for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
-			xv := x[v]
-			if xv == 0 {
-				continue
-			}
-			for _, d := range lay.IntraDst[lay.IntraOff[v]:lay.IntraOff[v+1]] {
-				y[d] += xv
-			}
-		}
-		for bi := lay.SrcBlockStart[pi]; bi < lay.SrcBlockEnd[pi]; bi++ {
-			b := lay.Blocks[bi]
-			for m := b.MsgStart; m < b.MsgEnd; m++ {
-				bins[m] = x[lay.MsgSrc[m]]
-			}
-		}
-	}
-	bar.Wait()
-	// Gather: walk the partitions' inter pull rows, each vertex's messages
-	// in ascending index, the order a push decodes them in.
-	ip := &lay.InterPull
-	sink := graph.VertexID(lay.NumMessages())
-	for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
-		clo, chi := ip.Chunks(pi)
-		for c := clo; c < chi; c++ {
-			lo, end := ip.Chunk[c], ip.Chunk[c+1]
-			for i, d := range ip.Lanes(c) {
-				for e := lo + int64(i); e < end; e += layout.PullLanes {
-					m := ip.Idx[e]
-					if m == sink {
-						break
-					}
-					if val := bins[m]; val != 0 {
-						y[d] += val
-					}
-				}
-			}
-		}
-	}
-	bar.Wait()
+	return &prepared{hier: hier, lay: lay, cfg: cfg}, nil
 }
 
 // SpMV computes y = A^T·x where A is the graph's adjacency matrix with unit
@@ -136,176 +89,85 @@ func (p *prepared) propagate(x, y []float32, bins []float32, bar *common.Barrier
 // the generalisation of PageRank ("the computation of PageRank can be
 // interpreted as iterative sparse matrix-vector multiplications", §1).
 func SpMV(g *graph.Graph, x []float32, cfg Config) ([]float32, error) {
-	if len(x) != g.NumVertices() {
-		return nil, fmt.Errorf("algorithms: x has %d entries for %d vertices", len(x), g.NumVertices())
+	return SpMVIterate(g, x, 1, cfg)
+}
+
+// SpMVIterate applies y ← A^T·y k times (power iteration without
+// normalisation), returning the final vector. Useful for k-hop counts.
+//
+// Each application runs HiPa's two pulls over one partitioning: the intra
+// pull stores in y[v] the sum of x over v's intra in-neighbours, each
+// partition writes its compressed messages, and after a barrier the inter
+// pull adds each vertex's messages in ascending index. Every y[v] is the
+// same float32 sum, in the same order, as a push over the partitions
+// (layout's package doc), at any thread count.
+func SpMVIterate(g *graph.Graph, x []float32, k int, cfg Config) ([]float32, error) {
+	n := g.NumVertices()
+	if k < 0 {
+		return nil, fmt.Errorf("algorithms: negative iteration count %d", k)
+	}
+	if len(x) != n {
+		return nil, fmt.Errorf("algorithms: x has %d entries for %d vertices", len(x), n)
 	}
 	p, err := prepare(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	y := make([]float32, len(x))
-	bins := make([]float32, p.lay.NumMessages())
+	lay := p.lay
+	// Iteration i reads vecs[i%2] and writes vecs[(i+1)%2]. Slot n of both
+	// vectors, and slot M of the bins, is the +0 the pulls' padding
+	// entries read.
+	vecs := [2][]float32{make([]float32, n+1), make([]float32, n+1)}
+	copy(vecs[0], x)
+	bins := make([]float32, lay.NumMessages()+1)
 	bar := common.NewBarrier(p.cfg.Threads)
 	common.RunThreads(p.cfg.Threads, func(tid int) {
-		p.propagate(x, y, bins, bar, tid)
+		gr := p.hier.Groups[tid]
+		for i := range k {
+			x, y := vecs[i%2], vecs[(i+1)%2][:n]
+			for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
+				common.PullSELL(&lay.IntraPull, x, y, int(lay.IntraPull.Part[pi]), int(lay.IntraPull.Part[pi+1]))
+				for bi := lay.SrcBlockStart[pi]; bi < lay.SrcBlockEnd[pi]; bi++ {
+					b := lay.Blocks[bi]
+					for m := b.MsgStart; m < b.MsgEnd; m++ {
+						bins[m] = x[lay.MsgSrc[m]]
+					}
+				}
+			}
+			bar.Wait()
+			for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
+				clo, chi := lay.InterPull.Chunks(pi)
+				common.AddSELL(&lay.InterPull, bins, y, clo, chi)
+			}
+			bar.Wait()
+		}
 	})
-	return y, nil
-}
-
-// SpMVIterate applies y ← A^T·y k times (power iteration without
-// normalisation), returning the final vector. Useful for k-hop counts.
-func SpMVIterate(g *graph.Graph, x []float32, k int, cfg Config) ([]float32, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("algorithms: negative iteration count %d", k)
-	}
-	cur := append([]float32(nil), x...)
-	for i := 0; i < k; i++ {
-		next, err := SpMV(g, cur, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-// DeltaOptions configures PageRankDelta.
-type DeltaOptions struct {
-	Config
-	// Damping factor (0 = 0.85).
-	Damping float64
-	// Epsilon is the minimum |delta| for a vertex to propagate; 0 makes
-	// the computation exactly equal to standard PageRank.
-	Epsilon float64
-	// MaxIterations bounds the run (0 = 20).
-	MaxIterations int
-}
-
-// DeltaResult reports the outcome of PageRankDelta.
-type DeltaResult struct {
-	Ranks      []float32
-	Iterations int
-	// ActiveHistory records the number of delta-propagating vertices per
-	// iteration; with Epsilon > 0 it shrinks as the computation converges.
-	ActiveHistory []int
-}
-
-// PageRankDelta computes PageRank incrementally: each iteration propagates
-// only the rank *changes* (deltas) of vertices whose delta exceeds Epsilon,
-// the standard delta-optimisation the paper lists as future work (§6). With
-// Epsilon = 0 the result equals standard PageRank after the same number of
-// iterations.
-//
-// This is the reference (serial recurrence) form; the registered engine
-// form — partitioned, pinned, warm-startable from a versioned-graph delta —
-// lives in internal/engines/delta and keeps the same recurrence.
-func PageRankDelta(g *graph.Graph, o DeltaOptions) (*DeltaResult, error) {
-	p, err := prepare(g, o.Config)
-	if err != nil {
-		return nil, err
-	}
-	if o.Damping == 0 {
-		o.Damping = common.DefaultDamping
-	}
-	if o.Damping <= 0 || o.Damping >= 1 {
-		return nil, fmt.Errorf("algorithms: damping %g out of (0,1)", o.Damping)
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = common.DefaultIterations
-	}
-	if o.Epsilon < 0 {
-		return nil, fmt.Errorf("algorithms: negative epsilon")
-	}
-
-	n := g.NumVertices()
-	d := float32(o.Damping)
-	inv := common.InvOutDegrees(g)
-
-	// rank starts at the PageRank iteration's fixed offset; delta carries
-	// the mass movement. Iteration i of standard PR corresponds to:
-	//   rank_i(v) = rank_{i-1}(v) + delta_i(v)
-	// with delta_0 = 1/n (the initial mass), and
-	//   delta_{i+1}(v) = d·( Σ_{u→v} delta_i(u)/outdeg(u) + S_i/n )
-	//                  + [i == 0]·((1-d)/n - 1/n + ...)
-	// We implement the equivalent accumulation form: rank = Σ contributions.
-	rank := make([]float32, n)
-	delta := make([]float32, n)
-	send := make([]float32, n) // delta_i(u)/outdeg(u), gated by epsilon
-	acc := make([]float32, n)
-	base := float32((1 - o.Damping) / float64(n))
-	init := float32(1.0 / float64(n))
-	for v := range rank {
-		rank[v] = init
-		delta[v] = init
-	}
-
-	res := &DeltaResult{}
-	bins := make([]float32, p.lay.NumMessages())
-	bar := common.NewBarrier(p.cfg.Threads)
-	eps := float32(o.Epsilon)
-
-	for it := 0; it < o.MaxIterations; it++ {
-		active := 0
-		var danglingDelta float64
-		for v := 0; v < n; v++ {
-			dv := delta[v]
-			ad := dv
-			if ad < 0 {
-				ad = -ad
-			}
-			if inv[v] == 0 {
-				danglingDelta += float64(dv)
-				send[v] = 0
-				continue
-			}
-			if ad > eps {
-				send[v] = dv * inv[v]
-				active++
-			} else {
-				send[v] = 0
-			}
-		}
-		res.ActiveHistory = append(res.ActiveHistory, active)
-		if active == 0 && danglingDelta == 0 {
-			break
-		}
-		common.RunThreads(p.cfg.Threads, func(tid int) {
-			p.propagate(send, acc, bins, bar, tid)
-		})
-		redis := float32(d * float32(danglingDelta/float64(n)))
-		for v := 0; v < n; v++ {
-			nd := float32(d*acc[v]) + redis
-			if it == 0 {
-				// First iteration: the rank formula replaces the uniform
-				// initial mass with base + propagated mass.
-				nd += base - init
-			}
-			delta[v] = nd
-			rank[v] += nd
-			acc[v] = 0
-		}
-		res.Iterations++
-	}
-	res.Ranks = rank
-	return res, nil
+	return vecs[k%2][:n], nil
 }
 
 // BFSResult reports a breadth-first search.
 type BFSResult struct {
 	// Levels[v] is the BFS depth of v, or -1 if unreachable.
 	Levels []int32
-	// Parents[v] is the BFS tree parent, or the vertex itself for the
-	// source, or undefined for unreachable vertices.
+	// Parents[v] is the smallest ID among v's in-neighbours one level
+	// shallower, the source itself for the source, and 0 for unreachable
+	// vertices.
 	Parents []graph.VertexID
 	// Visited is the number of reached vertices.
 	Visited int
 }
 
+// unvisited is the search state of a vertex no frontier edge has reached.
+const unvisited = math.MaxUint64
+
 // BFS runs a level-synchronous parallel breadth-first search from source
 // (the paper's §6 extension): each level's frontier is split evenly over
-// the threads, so no partition hierarchy is built. Parent updates use
-// compare-and-swap; the resulting levels are deterministic (parents may
-// vary between runs within a level).
+// the threads, so no partition hierarchy is built. A vertex's search state
+// is one word, its level above its parent; every frontier edge u→v offers
+// depth<<32 | u to v as an atomic minimum. Earlier levels are smaller
+// words and unvisited is the largest, so the minimum claims an unvisited
+// vertex and keeps, at its level, the smallest parent: levels and parents
+// are a function of the graph alone.
 func BFS(g *graph.Graph, source graph.VertexID, cfg Config) (*BFSResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -315,44 +177,33 @@ func BFS(g *graph.Graph, source graph.VertexID, cfg Config) (*BFSResult, error) 
 		return nil, fmt.Errorf("algorithms: source %d out of range [0,%d)", source, n)
 	}
 	threads := cfg.withDefaults(n).Threads
-	levels := make([]int32, n)
-	for i := range levels {
-		levels[i] = -1
+	state := make([]uint64, n)
+	for i := range state {
+		state[i] = unvisited
 	}
-	parents := make([]int32, n)
-	for i := range parents {
-		parents[i] = -1
-	}
-	levels[source] = 0
-	parents[source] = int32(source)
+	state[source] = uint64(source)
 
 	frontier := []graph.VertexID{source}
 	visited := 1
 	off := g.OutOffsets()
 	adj := g.OutEdges()
-	var nextCount atomic.Int64
-	for depth := int32(1); len(frontier) > 0; depth++ {
-		// Split the frontier across threads; collect next frontier
-		// per-thread then concatenate (deterministic levels, parent CAS).
-		parts := make([][]graph.VertexID, threads)
-		nextCount.Store(0)
+	// Each thread collects its share of the next frontier in its own part,
+	// reused from level to level; the parts are then concatenated.
+	parts := make([][]graph.VertexID, threads)
+	for depth := uint64(1); len(frontier) > 0; depth++ {
 		common.RunThreads(threads, func(tid int) {
 			lo := len(frontier) * tid / threads
 			hi := len(frontier) * (tid + 1) / threads
-			var next []graph.VertexID
+			next := parts[tid][:0]
 			for _, u := range frontier[lo:hi] {
+				offer := depth<<32 | uint64(u)
 				for _, v := range adj[off[u]:off[u+1]] {
-					if atomic.LoadInt32(&parents[v]) != -1 {
-						continue
-					}
-					if atomic.CompareAndSwapInt32(&parents[v], -1, int32(u)) {
-						levels[v] = depth
+					if offerMin(&state[v], offer) {
 						next = append(next, v)
 					}
 				}
 			}
 			parts[tid] = next
-			nextCount.Add(int64(len(next)))
 		})
 		frontier = frontier[:0]
 		for _, part := range parts {
@@ -360,16 +211,24 @@ func BFS(g *graph.Graph, source graph.VertexID, cfg Config) (*BFSResult, error) 
 		}
 		visited += len(frontier)
 	}
-
-	out := &BFSResult{
-		Levels:  levels,
-		Parents: make([]graph.VertexID, n),
-		Visited: visited,
-	}
-	for i, pr := range parents {
-		if pr >= 0 {
-			out.Parents[i] = graph.VertexID(pr)
+	out := &BFSResult{Levels: make([]int32, n), Parents: make([]graph.VertexID, n), Visited: visited}
+	for v, s := range state {
+		if s == unvisited {
+			out.Levels[v] = -1
+			continue
 		}
+		out.Levels[v], out.Parents[v] = int32(s>>32), graph.VertexID(s)
 	}
 	return out, nil
+}
+
+// offerMin lowers *p to offer when offer is smaller, and reports whether
+// it replaced unvisited.
+func offerMin(p *uint64, offer uint64) bool {
+	for s := atomic.LoadUint64(p); offer < s; s = atomic.LoadUint64(p) {
+		if atomic.CompareAndSwapUint64(p, s, offer) {
+			return s == unvisited
+		}
+	}
+	return false
 }

@@ -3,10 +3,10 @@ package algorithms
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
-	"hipa/internal/engines/common"
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 )
@@ -44,6 +44,62 @@ func TestSpMVMatchesReference(t *testing.T) {
 	for v := range want {
 		if math.Abs(float64(got[v]-want[v])) > 1e-3*(1+math.Abs(float64(want[v]))) {
 			t.Fatalf("SpMV[%d] = %f, want %f", v, got[v], want[v])
+		}
+	}
+}
+
+// TestSpMVBitIdenticalToPush: each y[v] is the float32 sum a serial push
+// over the partitioning produces, first v's intra in-neighbours in source
+// order, then its messages in index order, for signed x with ±0 entries, at
+// every thread count.
+func TestSpMVBitIdenticalToPush(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 3000, Edges: 40000, OutAlpha: 2.1, InAlpha: 0.9, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 99))
+	x := make([]float32, g.NumVertices())
+	for i := range x {
+		switch rng.IntN(8) {
+		case 0:
+		case 1:
+			x[i] = float32(math.Copysign(0, -1))
+		default:
+			x[i] = (rng.Float32() - 0.5) * float32(rng.IntN(1000))
+		}
+	}
+	cfg := Config{PartitionBytes: 1024, NumNodes: 2}
+	p, err := prepare(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := p.lay
+	want := make([]float32, len(x))
+	for u := range x {
+		for _, d := range lay.IntraDst[lay.IntraOff[u]:lay.IntraOff[u+1]] {
+			want[d] += x[u]
+		}
+	}
+	for _, b := range lay.Blocks {
+		for m := b.MsgStart; m < b.MsgEnd; m++ {
+			u := lay.MsgSrc[m]
+			for _, d := range g.OutNeighbors(u) {
+				if p.hier.PartitionOfVertex(d) == int(b.DstPart) {
+					want[d] += x[u]
+				}
+			}
+		}
+	}
+	for _, threads := range []int{1, 2, 4, 8} {
+		cfg.Threads = threads
+		got, err := SpMV(g, x, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if math.Float32bits(got[v]) != math.Float32bits(want[v]) {
+				t.Fatalf("threads=%d: y[%d] = %g, push gives %g", threads, v, got[v], want[v])
+			}
 		}
 	}
 }
@@ -128,137 +184,6 @@ func TestPropertySpMVLinear(t *testing.T) {
 	}
 }
 
-func TestPageRankDeltaEpsilonZeroMatchesReference(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 800, Edges: 10000, OutAlpha: 2.0, InAlpha: 0.8, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iters = 12
-	res, err := PageRankDelta(g, DeltaOptions{Config: testCfg(), Epsilon: 0, MaxIterations: iters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := common.ReferencePageRank(g, iters, common.DefaultDamping)
-	for v := range ref {
-		if math.Abs(float64(res.Ranks[v])-ref[v]) > 1e-4*ref[v]+1e-5 {
-			t.Fatalf("rank[%d] = %g, want %g", v, res.Ranks[v], ref[v])
-		}
-	}
-	if s := common.RankSum(res.Ranks); math.Abs(s-1) > 1e-3 {
-		t.Errorf("rank sum = %f", s)
-	}
-}
-
-func TestPageRankDeltaEpsilonPrunes(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 1500, Edges: 20000, OutAlpha: 2.1, InAlpha: 1.0, Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := PageRankDelta(g, DeltaOptions{Config: testCfg(), Epsilon: 1e-7, MaxIterations: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The active set must shrink over iterations and eventually converge.
-	first := res.ActiveHistory[0]
-	last := res.ActiveHistory[len(res.ActiveHistory)-1]
-	if last >= first {
-		t.Errorf("active set did not shrink: %v", res.ActiveHistory)
-	}
-	// Result approximates the converged PageRank.
-	ref := common.ReferencePageRank(g, 50, common.DefaultDamping)
-	var worst float64
-	for v := range ref {
-		if d := math.Abs(float64(res.Ranks[v]) - ref[v]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-4 {
-		t.Errorf("worst abs error vs converged PR: %g", worst)
-	}
-}
-
-// danglingHeavyGraph builds a 400-vertex graph where only the first half has
-// out-edges: half the rank mass is dangling and redistributed uniformly every
-// iteration, the case where delta propagation is easiest to get wrong (the
-// dangling deltas travel through the redistribution term, not the edges).
-func danglingHeavyGraph() *graph.Graph {
-	b := graph.NewBuilder(400)
-	x := uint64(0x9E3779B97F4A7C15)
-	for v := 0; v < 200; v++ {
-		for k := 0; k < 3; k++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			b.AddEdge(graph.VertexID(v), graph.VertexID(int(x>>33)%400))
-		}
-	}
-	return b.Build()
-}
-
-// TestPageRankDeltaMatchesExactRanks is the correctness gate the bench-only
-// coverage lacked: a converged PageRankDelta run (small epsilon, generous
-// budget) must agree with exact power-iteration ranks within epsilon on each
-// example graph, including the dangling-heavy one.
-func TestPageRankDeltaMatchesExactRanks(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() (*graph.Graph, error)
-	}{
-		{"power-law", func() (*graph.Graph, error) {
-			return gen.PowerLaw(gen.PowerLawConfig{Vertices: 1000, Edges: 12000, OutAlpha: 2.1, InAlpha: 0.9, Seed: 61})
-		}},
-		{"uniform", func() (*graph.Graph, error) {
-			return gen.Uniform(600, 7000, 7)
-		}},
-		{"dangling-heavy", func() (*graph.Graph, error) {
-			return danglingHeavyGraph(), nil
-		}},
-	}
-	const budget = 200
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g, err := tc.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := PageRankDelta(g, DeltaOptions{Config: testCfg(), Epsilon: 1e-8, MaxIterations: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Iterations >= budget {
-				t.Errorf("delta computation never converged within %d iterations", budget)
-			}
-			ref := common.ReferencePageRank(g, budget, common.DefaultDamping)
-			var worst float64
-			for v := range ref {
-				if d := math.Abs(float64(res.Ranks[v]) - ref[v]); d > worst {
-					worst = d
-				}
-			}
-			// float32 accumulation against a float64 reference: 1e-5 is ~40×
-			// the ulp of a typical rank here and far below any rank's value.
-			if worst > 1e-5 {
-				t.Errorf("worst abs error vs exact ranks: %g, want <= 1e-5", worst)
-			}
-			if s := common.RankSum(res.Ranks); math.Abs(s-1) > 1e-3 {
-				t.Errorf("rank sum = %f, want 1", s)
-			}
-		})
-	}
-}
-
-func TestPageRankDeltaErrors(t *testing.T) {
-	g, _ := gen.Uniform(10, 20, 1)
-	if _, err := PageRankDelta(g, DeltaOptions{Config: testCfg(), Damping: 2}); err == nil {
-		t.Error("expected error for damping out of range")
-	}
-	if _, err := PageRankDelta(g, DeltaOptions{Config: testCfg(), Epsilon: -1}); err == nil {
-		t.Error("expected error for negative epsilon")
-	}
-	empty := graph.NewBuilder(0).Build()
-	if _, err := PageRankDelta(empty, DeltaOptions{Config: testCfg()}); err == nil {
-		t.Error("expected error for empty graph")
-	}
-}
-
 func refBFSLevels(g *graph.Graph, src graph.VertexID) []int32 {
 	levels := make([]int32, g.NumVertices())
 	for i := range levels {
@@ -279,47 +204,55 @@ func refBFSLevels(g *graph.Graph, src graph.VertexID) []int32 {
 	return levels
 }
 
+// refBFSParents is the serial min-parent rule: each reached vertex's parent
+// is its smallest in-neighbour one level shallower, the source's is
+// itself, and an unreachable vertex's is 0.
+func refBFSParents(g *graph.Graph, src graph.VertexID, levels []int32) []graph.VertexID {
+	parents := make([]graph.VertexID, g.NumVertices())
+	for v := range parents {
+		if levels[v] > 0 {
+			parents[v] = math.MaxUint32
+		}
+	}
+	parents[src] = src
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, v := range g.OutNeighbors(graph.VertexID(u)) {
+			if levels[u] >= 0 && levels[v] == levels[u]+1 && graph.VertexID(u) < parents[v] {
+				parents[v] = graph.VertexID(u)
+			}
+		}
+	}
+	return parents
+}
+
+// TestBFSMatchesReference: levels, parents and the visit count equal the
+// serial references bit for bit at every thread count.
 func TestBFSMatchesReference(t *testing.T) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 2000, Edges: 30000, OutAlpha: 2.0, InAlpha: 0.9, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(g, 0, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := refBFSLevels(g, 0)
+	wantParents := refBFSParents(g, 0, want)
 	visited := 0
 	for v := range want {
-		if res.Levels[v] != want[v] {
-			t.Fatalf("level[%d] = %d, want %d", v, res.Levels[v], want[v])
-		}
 		if want[v] >= 0 {
 			visited++
 		}
 	}
-	if res.Visited != visited {
-		t.Errorf("Visited = %d, want %d", res.Visited, visited)
-	}
-	// Parent consistency: parent of v is one level shallower and has an
-	// edge to v.
-	for v := 0; v < g.NumVertices(); v++ {
-		if res.Levels[v] <= 0 {
-			continue
+	for _, threads := range []int{1, 2, 4, 8} {
+		res, err := BFS(g, 0, Config{Threads: threads, PartitionBytes: 256, NumNodes: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		p := res.Parents[v]
-		if res.Levels[p] != res.Levels[v]-1 {
-			t.Fatalf("parent level of %d: %d, want %d", v, res.Levels[p], res.Levels[v]-1)
+		if !slices.Equal(res.Levels, want) {
+			t.Fatalf("threads=%d: levels differ from the serial BFS", threads)
 		}
-		found := false
-		for _, d := range g.OutNeighbors(p) {
-			if d == graph.VertexID(v) {
-				found = true
-				break
-			}
+		if !slices.Equal(res.Parents, wantParents) {
+			t.Fatalf("threads=%d: parents differ from the serial min-parent rule", threads)
 		}
-		if !found {
-			t.Fatalf("parent %d has no edge to %d", p, v)
+		if res.Visited != visited {
+			t.Errorf("threads=%d: Visited = %d, want %d", threads, res.Visited, visited)
 		}
 	}
 }

@@ -70,63 +70,3 @@ func WeightedSpMV(g *graph.Graph, x []float32, weights []float32, cfg Config) ([
 	})
 	return y, nil
 }
-
-// PersonalizedPageRank computes PageRank with a personalized teleport
-// vector: instead of restarting uniformly, the random surfer restarts at the
-// given source vertices (uniformly among them). Dangling mass also returns
-// to the sources. Built on the same partition-centric substrate.
-func PersonalizedPageRank(g *graph.Graph, sources []graph.VertexID, iterations int, damping float64, cfg Config) ([]float32, error) {
-	n := g.NumVertices()
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("algorithms: need at least one source")
-	}
-	for _, s := range sources {
-		if int(s) >= n {
-			return nil, fmt.Errorf("algorithms: source %d out of range [0,%d)", s, n)
-		}
-	}
-	if iterations < 1 {
-		return nil, fmt.Errorf("algorithms: need at least one iteration")
-	}
-	if damping <= 0 || damping >= 1 {
-		return nil, fmt.Errorf("algorithms: damping %g out of (0,1)", damping)
-	}
-	p, err := prepare(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	teleport := make([]float32, n)
-	share := float32(1.0 / float64(len(sources)))
-	for _, s := range sources {
-		teleport[s] += share
-	}
-	inv := common.InvOutDegrees(g)
-	rank := append([]float32(nil), teleport...)
-	send := make([]float32, n)
-	acc := make([]float32, n)
-	bins := make([]float32, p.lay.NumMessages())
-	bar := common.NewBarrier(p.cfg.Threads)
-	d := float32(damping)
-
-	for it := 0; it < iterations; it++ {
-		var dangling float64
-		for v := 0; v < n; v++ {
-			if inv[v] == 0 {
-				dangling += float64(rank[v])
-				send[v] = 0
-				continue
-			}
-			send[v] = rank[v] * inv[v]
-		}
-		common.RunThreads(p.cfg.Threads, func(tid int) {
-			p.propagate(send, acc, bins, bar, tid)
-		})
-		restart := float32(1-damping) + float32(d*float32(dangling))
-		for v := 0; v < n; v++ {
-			rank[v] = float32(restart*teleport[v]) + float32(d*acc[v])
-			acc[v] = 0
-		}
-	}
-	return rank, nil
-}

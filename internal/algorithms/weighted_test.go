@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hipa/internal/engines/common"
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 )
@@ -122,119 +121,5 @@ func TestPropertyWeightedSpMVMultiEdges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPersonalizedPageRank(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 1000, Edges: 12000, OutAlpha: 2.1, InAlpha: 0.9, Seed: 73})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := []graph.VertexID{7}
-	ranks, err := PersonalizedPageRank(g, src, 30, 0.85, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mass conserved.
-	var sum float64
-	for _, r := range ranks {
-		sum += float64(r)
-	}
-	if math.Abs(sum-1) > 1e-3 {
-		t.Fatalf("personalized rank sum = %f", sum)
-	}
-	// The source dominates its own personalized ranking.
-	for v, r := range ranks {
-		if graph.VertexID(v) != 7 && float64(r) > float64(ranks[7]) {
-			// Allowed only for extremely central hubs; the source's restart
-			// mass should usually win. Check it is at least top-5.
-			top := 0
-			for _, r2 := range ranks {
-				if r2 > ranks[7] {
-					top++
-				}
-			}
-			if top > 5 {
-				t.Fatalf("source rank %g ranked below %d vertices", ranks[7], top)
-			}
-			break
-		}
-	}
-	// Sequential reference for personalized PR.
-	ref := refPersonalized(g, src, 30, 0.85)
-	for v := range ref {
-		if math.Abs(ref[v]-float64(ranks[v])) > 1e-4 {
-			t.Fatalf("rank[%d] = %g, want %g", v, ranks[v], ref[v])
-		}
-	}
-}
-
-func refPersonalized(g *graph.Graph, sources []graph.VertexID, iters int, d float64) []float64 {
-	n := g.NumVertices()
-	tele := make([]float64, n)
-	for _, s := range sources {
-		tele[s] += 1 / float64(len(sources))
-	}
-	rank := append([]float64(nil), tele...)
-	next := make([]float64, n)
-	for it := 0; it < iters; it++ {
-		var dangling float64
-		for i := range next {
-			next[i] = 0
-		}
-		for v := 0; v < n; v++ {
-			deg := g.OutDegree(graph.VertexID(v))
-			if deg == 0 {
-				dangling += rank[v]
-				continue
-			}
-			c := rank[v] / float64(deg)
-			for _, dst := range g.OutNeighbors(graph.VertexID(v)) {
-				next[dst] += c
-			}
-		}
-		restart := (1 - d) + d*dangling
-		for v := 0; v < n; v++ {
-			rank[v] = restart*tele[v] + d*next[v]
-		}
-	}
-	return rank
-}
-
-func TestPersonalizedPageRankErrors(t *testing.T) {
-	g, _ := gen.Uniform(10, 30, 2)
-	if _, err := PersonalizedPageRank(g, nil, 5, 0.85, testCfg()); err == nil {
-		t.Error("expected error for no sources")
-	}
-	if _, err := PersonalizedPageRank(g, []graph.VertexID{99}, 5, 0.85, testCfg()); err == nil {
-		t.Error("expected error for bad source")
-	}
-	if _, err := PersonalizedPageRank(g, []graph.VertexID{0}, 0, 0.85, testCfg()); err == nil {
-		t.Error("expected error for zero iterations")
-	}
-	if _, err := PersonalizedPageRank(g, []graph.VertexID{0}, 5, 2, testCfg()); err == nil {
-		t.Error("expected error for bad damping")
-	}
-}
-
-// Uniform personalization over ALL vertices equals standard PageRank.
-func TestPersonalizedUniformEqualsStandard(t *testing.T) {
-	g, err := gen.Uniform(300, 3000, 74)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := make([]graph.VertexID, g.NumVertices())
-	for i := range all {
-		all[i] = graph.VertexID(i)
-	}
-	got, err := PersonalizedPageRank(g, all, 15, 0.85, testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := common.ReferencePageRank(g, 15, 0.85)
-	for v := range ref {
-		if math.Abs(ref[v]-float64(got[v])) > 1e-4 {
-			t.Fatalf("uniform personalization [%d] = %g, want %g", v, got[v], ref[v])
-		}
 	}
 }

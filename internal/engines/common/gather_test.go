@@ -195,10 +195,11 @@ func BenchmarkScatterPartition(b *testing.B) {
 	})
 }
 
-// TestMaxAbsDiff4MatchesScalar: the branch-free four-lane fold returns what
-// the scalar compare-and-negate fold returns, on random values and on the
-// special ones — signed zeros, subnormals, infinities and NaN, which both
-// folds skip.
+// TestMaxAbsDiff4MatchesScalar: the branch-free fold, applied to four
+// vertices as the unrolled rank update applies it, returns what the scalar
+// compare-and-negate fold returns, on random values and on the special
+// ones — signed zeros, subnormals, infinities and NaN, which both folds
+// skip.
 func TestMaxAbsDiff4MatchesScalar(t *testing.T) {
 	scalar := func(res float64, pairs [8]float32) float64 {
 		for i := 0; i < 8; i += 2 {
@@ -232,9 +233,9 @@ func TestMaxAbsDiff4MatchesScalar(t *testing.T) {
 		}
 		res := []float64{0, 1e-6, math.Inf(1)}[rng.IntN(3)]
 		want := scalar(res, p)
-		got := maxAbsDiff4(res, p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7])
+		got := maxAbsDiff(maxAbsDiff(maxAbsDiff(maxAbsDiff(res, p[0], p[1]), p[2], p[3]), p[4], p[5]), p[6], p[7])
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("maxAbsDiff4(%v, %v) = %v, scalar fold %v", res, p, got, want)
+			t.Fatalf("maxAbsDiff folds (%v, %v) = %v, scalar fold %v", res, p, got, want)
 		}
 	}
 }

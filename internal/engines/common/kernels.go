@@ -154,7 +154,10 @@ func updateRanksScalar(ranks, next, contrib, acc, inv, add []float32, d, base, r
 			if iv3 == 0 {
 				dangling += float64(nv3)
 			}
-			res = maxAbsDiff4(res, nv0, old0, nv1, old1, nv2, old2, nv3, old3)
+			res = maxAbsDiff(res, nv0, old0)
+			res = maxAbsDiff(res, nv1, old1)
+			res = maxAbsDiff(res, nv2, old2)
+			res = maxAbsDiff(res, nv3, old3)
 		}
 	}
 	for ; v < n; v++ {
@@ -168,33 +171,19 @@ func updateRanksScalar(ranks, next, contrib, acc, inv, add []float32, d, base, r
 		if inv[v] == 0 {
 			dangling += float64(nv)
 		}
-		if diff := math.Abs(float64(nv - old)); diff > res {
-			res = diff
-		}
+		res = maxAbsDiff(res, nv, old)
 	}
 	return res, dangling
 }
 
-// maxAbsDiff4 folds four |new-old| rank deltas into a running maximum.
+// maxAbsDiff folds one |new-old| rank change into a running maximum; it
+// inlines, so the unrolled loop keeps its operands in registers.
 // math.Abs clears the sign bit instead of branching on it: the sign of a
-// rank change is data-random, so a branch would mispredict. A NaN delta
-// fails every compare and is skipped, as in the scalar fold.
-func maxAbsDiff4(res float64, n0, o0, n1, o1, n2, o2, n3, o3 float32) float64 {
-	d0 := math.Abs(float64(n0 - o0))
-	d1 := math.Abs(float64(n1 - o1))
-	d2 := math.Abs(float64(n2 - o2))
-	d3 := math.Abs(float64(n3 - o3))
-	if d0 > res {
-		res = d0
-	}
-	if d1 > res {
-		res = d1
-	}
-	if d2 > res {
-		res = d2
-	}
-	if d3 > res {
-		res = d3
+// rank change is data-random, so a branch would mispredict. A NaN change
+// fails the compare and is skipped.
+func maxAbsDiff(res float64, nv, old float32) float64 {
+	if d := math.Abs(float64(nv - old)); d > res {
+		return d
 	}
 	return res
 }

@@ -1,8 +1,8 @@
-// Package delta implements Delta-PR: the delta-propagation PageRank of
-// algorithms.PageRankDelta promoted to a registered engine on HiPa's
-// partitioned substrate. Each iteration propagates only the rank *changes*
-// (deltas) of vertices whose |delta| exceeds a gate derived from the
-// tolerance, over the same hierarchical partitioning, compressed inter-edge
+// Package delta implements Delta-PR: delta-propagation PageRank as a
+// registered engine on HiPa's partitioned substrate (the root package's
+// PageRankDelta runs it cold). Each iteration propagates only the rank
+// *changes* (deltas) of vertices whose |delta| exceeds a gate derived from
+// the tolerance, over the same hierarchical partitioning, compressed inter-edge
 // messages, and pinned persistent threads as HiPa (the artifacts are
 // byte-identical and share prep-cache payloads).
 //
@@ -191,8 +191,8 @@ func (s *state) gatherPartition(p int) {
 		if first {
 			// First superstep of a cold or dense-warm run: delta_0 is the
 			// full starting rank, so the recurrence swaps the starting mass
-			// for the stationary base term (algorithms.PageRankDelta's
-			// it==0 correction, per-vertex so warm starts are exact).
+			// for the stationary base term, per vertex so warm starts are
+			// exact.
 			nd += base - ranks[v]
 		}
 		acc[v] = 0

@@ -36,8 +36,8 @@
 // bit-identical to the paper's push, and any set of chunks can run on a
 // different thread without races. The intra-edges are also stored as the
 // paper's push CSR (IntraOff/IntraDst), source-ordered, which the sparse
-// consumers (Delta-PR's frontier scatter, the framework programs, SpMV, the
-// cost model and the exact simulator) walk.
+// consumers (Delta-PR's frontier scatter, the framework programs, the cost
+// model and the exact simulator) walk.
 //
 // The same structure with compression disabled (one message per inter-edge)
 // serves as the ablation baseline for the compression optimisation.
