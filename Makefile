@@ -70,13 +70,16 @@ purego:
 # (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised
 # in CI, and over the gather, scatter and rank-update benchmarks so the inter
 # pull, the intra pull and the rank update compile and run, in the default
-# build (both kernel sets) and in the purego build.
+# build (both kernel sets) and in the purego build, then over the blocked
+# scatter and the width-1 personalized query (BenchmarkBPPRQuery, the
+# sparse start's push and latch).
 KERNEL_BENCH = 'BenchmarkGatherPartition|BenchmarkScatterPartition|BenchmarkUpdateRanks'
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
 	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchtime 1x ./internal/engines/common/
 	$(GO) test -tags purego -run '^$$' -bench $(KERNEL_BENCH) -benchtime 1x ./internal/engines/common/
 	$(GO) test -run '^$$' -bench 'BenchmarkBlockScatter' -benchtime 1x ./internal/algorithms/
+	$(GO) test -run '^$$' -bench 'BenchmarkBPPRQuery' -benchtime 1x ./internal/engines/bppr/
 
 ci: vet staticcheck build race race-prep procs purego bench-prep bench bench-module smoke dynamic-smoke telemetry-smoke serve-smoke batch-smoke bench-gate
 

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hipa/internal/engines/common"
 	"hipa/internal/execbuf"
@@ -58,6 +59,15 @@ const MaxBatch = 64
 // A width-1 block is SGState's layout, so its intra pull and rank update
 // are HiPa's vector kernels (common.PullSELL, common.UpdateRanks).
 //
+// A width-1 personalized column starts sparse: its support is the seeds
+// and spreads one hop per iteration. While the frontier — the vertices of
+// non-zero contribution — has fewer out-edges than 1/pushShare of the
+// pulls' entries, an iteration pushes it over the graph's out-CSR on one
+// thread instead of pulling (Push), and the gather skips its decode. The
+// first iteration past the share latches to the pulls for the rest of the
+// Exec. Each destination receives the same non-zero addends in the same
+// order either way, so the push changes no bit (DESIGN §4i).
+//
 // All reductions (dangling fold, residual fold, retirement) are serial and
 // in global partition/column order, so results are bit-deterministic at any
 // worker count.
@@ -92,6 +102,16 @@ type BlockSG struct {
 	lastDangling float64        // active-column dangling sum of the last Reduce
 	started      int            // iterations begun; selects the final rank buffer
 	arena        *execbuf.Arena // the Exec's arena, for PinnedKernels' pull slices
+
+	// Sparse start (a width-1 seeded column): push is set while iterations
+	// push. front holds the frontier, ascending, partition p's segment at
+	// its first vertex with frontCount[p] entries and frontEdges[p]
+	// out-edges; the gather of a push iteration rewrites p's segment.
+	push       bool
+	front      []graph.VertexID
+	frontCount []int32
+	frontEdges []int64
+	pushIters  int
 
 	// Modelled-traffic accounting, folded serially in Reduce: colSteps is
 	// Σ over supersteps of the active column count (per-column work), and
@@ -140,12 +160,21 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 	// Restart distributions and the per-column update constants.
 	var init [MaxBatch]float32
 	uniform := float32(1.0 / float64(n))
-	for j := 0; j < b; j++ {
+	for j, sv := range seedSets {
 		s.cols[j] = int32(j)
-		if len(seedSets[j]) == 0 {
+		if len(sv) == 0 {
 			init[j] = uniform
 			s.baseS[j] = float32((1 - damping) / float64(n))
 		}
+		for _, v := range sv {
+			if int(v) >= n {
+				return nil, fmt.Errorf("blocksg: column %d seed %d outside graph of %d vertices", j, v, n)
+			}
+		}
+	}
+	if b == 1 && len(seedSets[0]) > 0 {
+		s.startSparse(seedSets[0])
+		return s, nil
 	}
 	// Every vertex's block is init: the first block, then doubling copies.
 	copy(s.ranksCur, init[:b])
@@ -153,14 +182,8 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 		copy(s.ranksCur[k:], s.ranksCur[:k])
 	}
 	for j, sv := range seedSets {
-		if len(sv) == 0 {
-			continue
-		}
 		w := float32(1.0 / float64(len(sv)))
 		for _, v := range sv {
-			if int(v) >= n {
-				return nil, fmt.Errorf("blocksg: column %d seed %d outside graph of %d vertices", j, v, n)
-			}
 			s.ranksCur[int(v)*b+j] = w
 		}
 	}
@@ -197,15 +220,160 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 	return s, nil
 }
 
+// pushShare is the sparse start's switch: an iteration pushes while its
+// frontier's out-edges are fewer than 1/pushShare of the pulls' entries.
+// On the journal-shaped 18,750-vertex graph a single-seed column's
+// frontier carries under 0.01%, 0.1%, 0.6%, 4% and 18% of the edges in
+// iterations 0–4; pushing the 18% iteration costs more than pulling it
+// (EXPERIMENTS "Sparse start").
+const pushShare = 20
+
+// startSparse seeds a width-1 personalized column in O(seeds) after
+// clearing its blocks: the seeds' ranks and contributions, the dangling
+// seeds' mass in their partitions' partDang (equal addends, so the sum
+// does not depend on the seeds' order) and the first frontier, the seeds
+// of non-zero contribution. acc is zeroed for the first push.
+func (s *BlockSG) startSparse(seeds []graph.VertexID) {
+	n, P := s.G.NumVertices(), s.Hier.NumPartitions()
+	s.front = s.arena.Frontier(n)
+	s.frontCount = s.arena.PartCounts(P)
+	s.frontEdges = s.arena.PartEdges(P)
+	clear(s.ranksCur)
+	clear(s.contrib)
+	clear(s.acc)
+	off := s.G.OutOffsets()
+	w := float32(1.0 / float64(len(seeds)))
+	for _, v := range seeds {
+		s.ranksCur[v] = w
+		c := w * s.Inv[v]
+		s.contrib[v] = c
+		p := s.Hier.PartitionOfVertex(v)
+		if s.Inv[v] == 0 {
+			s.partDang[p] += float64(w)
+		}
+		if c != 0 {
+			s.front[int(s.Hier.Partitions[p].VertexStart)+int(s.frontCount[p])] = v
+			s.frontCount[p]++
+			s.frontEdges[p] += off[v+1] - off[v]
+		}
+	}
+	for p, k := range s.frontCount {
+		if k > 1 {
+			lo := int(s.Hier.Partitions[p].VertexStart)
+			slices.Sort(s.front[lo : lo+int(k)])
+		}
+	}
+	s.push = true
+}
+
+// pushNext reports whether the coming iteration pushes: the column is
+// still sparse, and its frontier's out-edges are under the switch.
+func (s *BlockSG) pushNext() bool {
+	if !s.push {
+		return false
+	}
+	var edges int64
+	for _, e := range s.frontEdges {
+		edges += e
+	}
+	return edges*pushShare < int64(len(s.Lay.IntraPull.Idx)+len(s.Lay.InterPull.Idx))
+}
+
 // StartIteration swaps the double-buffered rank blocks so the ranks the
-// previous gather wrote become the read side. Runs serially before each
-// iteration's scatter.
+// previous gather wrote become the read side, and decides whether a
+// sparse column pushes this iteration; once it does not, it never does
+// again in this Exec — a seeded column's support only grows. Runs
+// serially before each iteration's scatter.
 func (s *BlockSG) StartIteration(it int) {
 	if it > 0 {
 		s.ranksCur, s.ranksNext = s.ranksNext, s.ranksCur
 	}
 	s.started++
+	s.push = s.pushNext()
+	if s.push {
+		s.pushIters++
+	}
 }
+
+// Push is the scatter of a push iteration, on one thread: it adds the
+// frontier's contributions into the zeroed acc over the out-CSR, first
+// every intra destination and then every inter one, each pass walking the
+// frontier in ascending source order. A destination thus receives the
+// non-zero addends of its intra pull row in row order from +0, then those
+// of its inter pull row in message order, which is ascending source —
+// exactly what the pull and the gather's decode add, less their +0 terms.
+// The second pass finds nothing on a one-partition graph.
+func (s *BlockSG) Push() {
+	s.pushPass(true)
+	if s.Lay.InterEdges > 0 {
+		s.pushPass(false)
+	}
+}
+
+// pushPass pushes every frontier segment's intra (inside) or inter edges.
+func (s *BlockSG) pushPass(inside bool) {
+	off, adj := s.G.OutOffsets(), s.G.OutEdges()
+	for p, k := range s.frontCount {
+		part := s.Hier.Partitions[p]
+		lo := int(part.VertexStart)
+		common.PushCSR(off, adj, s.contrib, s.acc, s.front[lo:lo+int(k)], part.VertexStart, part.VertexEnd, inside)
+	}
+}
+
+// collectFrontier rewrites partition p's frontier segment, [lo,hi) its
+// vertex range, from the contributions its rank update just wrote, and
+// zeroes its accumulators for the next push.
+func (s *BlockSG) collectFrontier(p, lo, hi int) {
+	// Branch-free compaction: every vertex is written, and the cursor
+	// steps past the non-zero ones.
+	front := s.front[lo:hi]
+	k := 0
+	for i, c := range s.contrib[lo:hi] {
+		front[k] = graph.VertexID(lo + i)
+		if c != 0 {
+			k++
+		}
+	}
+	off := s.G.OutOffsets()
+	var edges int64
+	for _, v := range front[:k] {
+		edges += off[v+1] - off[v]
+	}
+	s.frontCount[p], s.frontEdges[p] = int32(k), edges
+	clear(s.acc[lo:hi])
+}
+
+// Frontier returns the sparse column's frontier statistics for the
+// superstep driver, or nil when the batch has no sparse start.
+func (s *BlockSG) Frontier() common.Frontier {
+	if s.front == nil {
+		return nil
+	}
+	return s
+}
+
+// Stats implements common.Frontier: a push iteration's active vertices
+// are its frontier; every other iteration is dense. The rank update runs
+// on every partition either way.
+func (s *BlockSG) Stats() common.FrontierStats {
+	P, n := s.Hier.NumPartitions(), int64(s.G.NumVertices())
+	st := common.FrontierStats{ActivePartitions: P, TotalPartitions: P, ActiveVertices: n, TotalVertices: n}
+	if s.pushNext() {
+		var k int64
+		for _, c := range s.frontCount {
+			k += int64(c)
+		}
+		st.ActiveVertices = k
+	}
+	return st
+}
+
+// Rebuild implements common.Frontier: the gather already rewrote the
+// frontier, so it only reports the next iteration's statistics.
+func (s *BlockSG) Rebuild(int) (common.FrontierStats, bool) { return s.Stats(), false }
+
+// PushIterations reports how many iterations pushed.
+func (s *BlockSG) PushIterations() int { return s.pushIters }
 
 // pullTileRows sizes PullIntra's tile: a tile of pullTileRows/B steps of a
 // chunk reads at most 8*pullTileRows/B contribution rows of B floats, 16 KB,
@@ -401,6 +569,10 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 	src := lay.MsgSrc
 	sink := graph.VertexID(len(src))
 	clo, chi := ip.Chunks(p)
+	if s.push {
+		// The push added the inter-edges too.
+		clo = chi
+	}
 	for c := clo; c < chi; c++ {
 		lo, end := ip.Chunk[c], ip.Chunk[c+1]
 		for i, v := range ip.Lanes(c) {
@@ -456,6 +628,9 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 			lo, hi := int(part.VertexStart), int(part.VertexEnd)
 			lanes[0], pd[0] = common.UpdateRanks(ranks[lo:hi], next[lo:hi], contrib[lo:hi], acc[lo:hi], inv[lo:hi], seedAdd[lo:hi],
 				d, s.baseS[0], s.redisS[0], lanes[0])
+			if s.push {
+				s.collectFrontier(p, lo, hi)
+			}
 			return
 		}
 		j := int(cols[0])
@@ -607,6 +782,12 @@ type blockPinned struct {
 }
 
 func (k *blockPinned) scatter(tid int) {
+	if k.s.push {
+		if tid == 0 {
+			k.s.Push()
+		}
+		return
+	}
 	k.s.PullIntra(int(k.slices[2*tid]), int(k.slices[2*tid+1]))
 }
 

@@ -92,6 +92,19 @@ func danglingHeavyGraph() *graph.Graph {
 	return b.Build()
 }
 
+// TestPageRankDeltaFirstActiveSetSkipsDangling: the first iteration's
+// active set is the vertices that propagate their starting mass, so on the
+// dangling-heavy graph it is the 200 vertices with out-edges, not all 400.
+func TestPageRankDeltaFirstActiveSetSkipsDangling(t *testing.T) {
+	res, err := hipa.PageRankDelta(danglingHeavyGraph(), hipa.DeltaOptions{Config: testCfg(), MaxIterations: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.ActiveHistory[0]; got != 200 {
+		t.Fatalf("iteration 0 reports %d active vertices, want the 200 with out-edges", got)
+	}
+}
+
 // TestPageRankDeltaMatchesExactRanks: a converged PageRankDelta run (a
 // 1e-8 propagation gate, tolerance 1.6e-7, and a generous budget) must
 // agree with exact power-iteration ranks on each example graph, including

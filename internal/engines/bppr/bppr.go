@@ -22,11 +22,13 @@ package bppr
 
 import (
 	"fmt"
+	"sync"
 
 	"hipa/internal/algorithms"
 	"hipa/internal/engines/common"
 	"hipa/internal/engines/hipa"
 	"hipa/internal/graph"
+	"hipa/internal/obs"
 	"hipa/internal/perfmodel"
 	"hipa/internal/platform"
 	"hipa/internal/sched"
@@ -45,6 +47,18 @@ const MaxBatch = algorithms.MaxBatch
 // still stop at Options.Iterations regardless.
 const DefaultTolerance = 1e-7
 
+// MetricPushIterationsTotal counts the supersteps that pushed a sparse
+// frontier instead of pulling (algorithms.BlockSG's sparse start), beside
+// the engine's hipa_iterations_total.
+const MetricPushIterationsTotal = "hipa_push_iterations_total"
+
+// pushIterations is the registry counter, resolved once.
+var pushIterations = sync.OnceValue(func() *obs.Counter {
+	reg := obs.Default()
+	reg.SetHelp(MetricPushIterationsTotal, "Supersteps that pushed a sparse frontier over the out-edges instead of pulling, per engine.")
+	return reg.Counter(MetricPushIterationsTotal, "engine", Name)
+})
+
 // Query is one personalized PageRank request: rank with teleportation to
 // the uniform restart vector over Seeds (empty = the global uniform
 // vector, i.e. plain PageRank). Seeds must be in range and duplicate-free.
@@ -62,7 +76,10 @@ type BatchResult struct {
 	Iterations []int
 	// Supersteps is the number of driver iterations the batch ran.
 	Supersteps int
-	Threads    int
+	// PushIterations is how many of them pushed a sparse frontier: the
+	// first iterations of a width-1 personalized batch.
+	PushIterations int
+	Threads        int
 
 	WallSeconds      float64
 	PrepSeconds      float64
@@ -175,7 +192,8 @@ func execBatch(prep *common.Prepared, o common.Options, queries []Query) (*Batch
 	if err != nil {
 		return nil, nil, fmt.Errorf("bppr: %w", err)
 	}
-	performed := p.Supersteps(state.PinnedKernels(p.Hier.Groups), tol, nil)
+	performed := p.Supersteps(state.PinnedKernels(p.Hier.Groups), tol, state.Frontier())
+	pushIterations().Add(int64(state.PushIterations()))
 
 	// The arena (and with it the rank block) is recycled by the next Exec;
 	// the result de-interleaves its own per-query copies.
@@ -205,6 +223,7 @@ func execBatch(prep *common.Prepared, o common.Options, queries []Query) (*Batch
 		Ranks:            ranks,
 		Iterations:       iters,
 		Supersteps:       performed,
+		PushIterations:   state.PushIterations(),
 		Threads:          res.Threads,
 		WallSeconds:      res.WallSeconds,
 		PrepSeconds:      res.PrepSeconds,

@@ -96,6 +96,27 @@ func pullSELLScalar(pull *layout.SELL, vals, acc []float32, clo, chi int, add bo
 	}
 }
 
+// PushCSR adds vals[u] to acc[d] for each out-edge (u,d) of each source u
+// of src, in src's order, over the out-CSR off/adj: the edges whose
+// destination lies in [lo,hi) when inside is set, the others otherwise.
+// With src ascending, each destination receives its addends in ascending
+// source order, the order in which a pull row sums them, so a push over
+// the sources of non-zero value into a zeroed acc is bit-identical to
+// the pull (DESIGN §4i, "Sparse start"). A repeated edge adds twice, as
+// its repeated pull entry does. Scalar and serial: it is the sparse
+// direction, for frontiers far below the pull's entries.
+func PushCSR(off []int64, adj []graph.VertexID, vals, acc []float32, src []graph.VertexID, lo, hi graph.VertexID, inside bool) {
+	span := uint32(hi - lo)
+	for _, u := range src {
+		c := vals[u]
+		for _, d := range adj[off[u]:off[u+1]] {
+			if (uint32(d-lo) < span) == inside {
+				acc[d] += c
+			}
+		}
+	}
+}
+
 // UpdateRanks sets, for each vertex i of the equal-length slices, next[i]
 // = ((base + d·acc[i]) + redis) + add[i] and contrib[i] = next[i]·inv[i],
 // reading the old rank from ranks[i] before it writes next[i], so next may

@@ -332,8 +332,10 @@ func (g *deltaPhase) run(tid int) {
 }
 
 // seedCold gates the uniform initial mass as delta_0 = 1/n for every vertex
-// and seeds the per-partition dangling masses — the engine's cold start,
-// also used (with ranks = w) for a dense warm start without a graph delta.
+// and seeds the per-partition dangling masses and active counts — the
+// engine's cold start, also used (with ranks = w) for a dense warm start
+// without a graph delta. The first iteration's active set is the gated
+// vertices, which leaves out the dangling ones.
 func (s *state) seedCold() {
 	for p := range s.hier.Partitions {
 		part := s.hier.Partitions[p]
@@ -359,6 +361,7 @@ func (s *state) seedCold() {
 		}
 		s.partDang[p] = dangling
 		s.partCounts[p] = active
+		s.activeVerts += int64(active)
 	}
 	s.correct = true
 }
@@ -469,11 +472,9 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 	case o.Warm == nil:
 		common.FillInitRanks(s.ranks)
 		s.seedCold()
-		s.activeVerts = s.totalVerts
 	case o.Warm.Delta == nil:
 		copy(s.ranks, o.Warm.Ranks)
 		s.seedCold()
-		s.activeVerts = s.totalVerts
 	default:
 		copy(s.ranks, o.Warm.Ranks)
 		clear(s.send)

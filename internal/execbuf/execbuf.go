@@ -58,7 +58,12 @@ type Arena struct {
 	colLanes     []float64
 	cols         []int32
 	colIters     []int32
-	grows        int
+	// Sparse-start scratch of a width-1 batch (B-PPR): the frontier, a
+	// vertex list cut into one segment per partition, and each partition's
+	// frontier out-edges. The segment sizes live in partCounts.
+	frontier  []uint32
+	partEdges []int64
+	grows     int
 	// owner is the Pool that checked this arena out (nil while free or
 	// never pooled). Put settles the checkout with the owner, so an arena
 	// released into a different pool — a dynamic reload moving work between
@@ -149,7 +154,8 @@ func (a *Arena) PartIters(n int) []int32 {
 }
 
 // PartCounts returns the per-partition active-vertex counters, zeroed —
-// scratch of the vertex-granular delta engine's frontier bookkeeping.
+// scratch of the frontier bookkeeping of the vertex-granular delta engine
+// and of B-PPR's sparse start.
 func (a *Arena) PartCounts(n int) []int32 {
 	if cap(a.partCounts) < n {
 		a.partCounts = make([]int32, n)
@@ -254,6 +260,28 @@ func (a *Arena) ColIters(n int) []int32 {
 	return s
 }
 
+// Frontier returns the n-element frontier vertex list of B-PPR's sparse
+// start. Contents are unspecified; the caller writes each partition's
+// segment before reading it.
+func (a *Arena) Frontier(n int) []uint32 {
+	if cap(a.frontier) < n {
+		a.frontier = make([]uint32, n)
+		a.grows++
+	}
+	return a.frontier[:n]
+}
+
+// PartEdges returns the per-partition frontier out-edge counters, zeroed.
+func (a *Arena) PartEdges(n int) []int64 {
+	if cap(a.partEdges) < n {
+		a.partEdges = make([]int64, n)
+		a.grows++
+	}
+	s := a.partEdges[:n]
+	clear(s)
+	return s
+}
+
 // Grows reports how many times any buffer was (re)allocated over the
 // arena's lifetime. A warm arena serving same-shaped Execs stays constant —
 // the regression tests assert repeated Exec calls do not grow it.
@@ -264,8 +292,8 @@ func (a *Arena) Footprint() int64 {
 	f32 := cap(a.ranks) + cap(a.acc) + cap(a.bins) + cap(a.contrib) + cap(a.partRes) +
 		cap(a.ranksBlockA) + cap(a.ranksBlockB) + cap(a.contribBlock) + cap(a.accBlock) + cap(a.seedAdd)
 	pad := cap(a.partials) + cap(a.residuals)
-	i32 := cap(a.partIters) + cap(a.partCounts) + cap(a.slices) + cap(a.cols) + cap(a.colIters)
-	i64 := cap(a.partDang) + cap(a.partDangB) + cap(a.colLanes)
+	i32 := cap(a.partIters) + cap(a.partCounts) + cap(a.slices) + cap(a.cols) + cap(a.colIters) + cap(a.frontier)
+	i64 := cap(a.partDang) + cap(a.partDangB) + cap(a.colLanes) + cap(a.partEdges)
 	return int64(f32)*4 + int64(pad)*64 + int64(i32)*4 + int64(i64)*8
 }
 
