@@ -12,9 +12,11 @@ import (
 )
 
 // AlgoConfig configures the parallel substrate for the extension algorithms
-// (SpMV, PageRank-Delta, personalized PageRank, BFS) — the paper's §6
-// future work, implemented on the same hierarchical partitioning as the
-// HiPa engine. No output depends on Threads.
+// (SpMV, weighted SpMV, PageRank-Delta, personalized PageRank, BFS) — the
+// paper's §6 future work. SpMV and the two PageRanks run on HiPa's
+// hierarchical partitioning, which PartitionBytes and NumNodes shape;
+// weighted SpMV and BFS build none: they split the vertices or the
+// frontier over the threads. No output depends on Threads.
 type AlgoConfig = algorithms.Config
 
 // SpMV computes y[v] = Σ_{u→v} x[u] (adjacency-matrix transpose product)
@@ -86,7 +88,8 @@ func BFS(g *Graph, source VertexID, cfg AlgoConfig) (*BFSResult, error) {
 
 // WeightedSpMV computes y[v] = Σ w(u,v)·x[u] with weights given per edge in
 // CSR order. Weighted updates cannot share compressed messages, so this
-// kernel runs partition-centric but pull-based.
+// kernel builds no partitioning: each thread pulls the weighted in-edges of
+// its own vertex range.
 func WeightedSpMV(g *Graph, x, weights []float32, cfg AlgoConfig) ([]float32, error) {
 	return algorithms.WeightedSpMV(g, x, weights, cfg)
 }

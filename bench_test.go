@@ -467,6 +467,22 @@ func BenchmarkAlgorithms(b *testing.B) {
 			}
 		}
 	})
+	fc := FrameworkConfig{Threads: ac.Threads}
+	b.Run("WCC", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := WCC(g, fc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Hops", func(b *testing.B) {
+		b.SetBytes(g.NumEdges() * 4)
+		for i := 0; i < b.N; i++ {
+			if _, err := Hops(g, 0, fc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("PageRankDelta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := PageRankDelta(g, DeltaOptions{Config: ac, Tolerance: 1.6e-6, MaxIterations: 20}); err != nil {

@@ -1,8 +1,8 @@
-// Components: the generic-framework scenario from the paper's conclusion —
+// Components: the generic-use scenario from the paper's conclusion —
 // "the methodology of HiPa can be deployed to more generic use scenarios."
-// Uses the partition-centric vertex-program framework on the HiPa substrate
-// to label weakly connected components and compute hop distances on a web
-// graph, with convergence by deactivation.
+// Labels weakly connected components and computes hop distances and
+// reachability on a web graph with the frontier traversals: BFS's edge map
+// on the superstep driver, each run ending when its frontier empties.
 package main
 
 import (

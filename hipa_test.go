@@ -186,8 +186,9 @@ func TestPublicWeightedAndPersonalized(t *testing.T) {
 
 // TestAlgorithmsThreadInvariance: the public algorithms' outputs are a
 // function of the graph and the inputs alone, so the GOMAXPROCS default of
-// AlgoConfig.Threads sizes resources only. The graph has dangling vertices
-// and a dozen partitions; x is signed.
+// AlgoConfig.Threads and FrameworkConfig.Threads sizes resources only. The
+// graph has dangling vertices and a dozen partitions; x is signed. The
+// traversals compare their values, iterations and active histories.
 func TestAlgorithmsThreadInvariance(t *testing.T) {
 	g, err := PowerLaw(3000, 40000, 2.1, 0.9, 17)
 	if err != nil {
@@ -229,6 +230,23 @@ func TestAlgorithmsThreadInvariance(t *testing.T) {
 		}},
 		{"BFS", func(cfg AlgoConfig) (any, error) {
 			return BFS(g, 1, cfg)
+		}},
+		{"WeightedSpMV", func(cfg AlgoConfig) (any, error) {
+			w := make([]float32, g.NumEdges())
+			for i := range w {
+				w[i] = float32(i%7)*0.37 - 1
+			}
+			y, err := WeightedSpMV(g, x, w, cfg)
+			return bits(y), err
+		}},
+		{"WCC", func(cfg AlgoConfig) (any, error) {
+			return WCC(g, FrameworkConfig{Threads: cfg.Threads})
+		}},
+		{"Hops", func(cfg AlgoConfig) (any, error) {
+			return Hops(g, 1, FrameworkConfig{Threads: cfg.Threads})
+		}},
+		{"Reachable", func(cfg AlgoConfig) (any, error) {
+			return Reachable(g, 1, FrameworkConfig{Threads: cfg.Threads})
 		}},
 	}
 	for _, r := range runs {

@@ -1,10 +1,13 @@
-// Package algorithms implements the paper's future-work extensions (§6) on
-// top of the HiPa substrate: sparse matrix-vector multiplication (SpMV,
-// plain and weighted), breadth-first search, and the blocked
-// scatter-gather kernel (BlockSG) that the B-PPR engine runs. SpMV reuses
-// the hierarchical partitioning (internal/partition), the compressed
-// partition-centric layout (internal/layout) and HiPa's pull kernels with
-// one worker per partition group, as the HiPa PageRank engine does.
+// Package algorithms implements the paper's future-work extensions (§6):
+// sparse matrix-vector multiplication (SpMV, plain and weighted), the
+// frontier traversals (BFS, and the Hops, Reachable and WCC built on its
+// edge map), and the blocked scatter-gather kernel (BlockSG) that the
+// B-PPR engine runs. All of them run on the superstep driver
+// (common.SuperstepLoop). SpMV reuses the hierarchical partitioning
+// (internal/partition), the compressed partition-centric layout
+// (internal/layout) and HiPa's pull kernels with one worker per partition
+// group, as the HiPa PageRank engine does; the traversals and the weighted
+// SpMV split the vertices or the frontier over the threads directly.
 // PageRank-Delta and personalized PageRank are the Delta-PR and B-PPR
 // engines, which the root package's PageRankDelta and PersonalizedPageRank
 // run.
@@ -12,9 +15,7 @@ package algorithms
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"sync/atomic"
 
 	"hipa/internal/engines/common"
 	"hipa/internal/graph"
@@ -95,10 +96,11 @@ func SpMV(g *graph.Graph, x []float32, cfg Config) ([]float32, error) {
 // SpMVIterate applies y ← A^T·y k times (power iteration without
 // normalisation), returning the final vector. Useful for k-hop counts.
 //
-// Each application runs HiPa's two pulls over one partitioning: the intra
-// pull stores in y[v] the sum of x over v's intra in-neighbours, each
-// partition writes its compressed messages, and after a barrier the inter
-// pull adds each vertex's messages in ascending index. Every y[v] is the
+// Each application is one superstep of HiPa's two pulls over one
+// partitioning: in the scatter phase the intra pull stores in y[v] the sum
+// of x over v's intra in-neighbours and each partition writes its
+// compressed messages, and in the gather phase the inter pull adds each
+// vertex's messages in ascending index. Every y[v] is the
 // same float32 sum, in the same order, as a push over the partitions
 // (layout's package doc), at any thread count.
 func SpMVIterate(g *graph.Graph, x []float32, k int, cfg Config) ([]float32, error) {
@@ -114,121 +116,49 @@ func SpMVIterate(g *graph.Graph, x []float32, k int, cfg Config) ([]float32, err
 		return nil, err
 	}
 	lay := p.lay
-	// Iteration i reads vecs[i%2] and writes vecs[(i+1)%2]. Slot n of both
-	// vectors, and slot M of the bins, is the +0 the pulls' padding
-	// entries read.
-	vecs := [2][]float32{make([]float32, n+1), make([]float32, n+1)}
-	copy(vecs[0], x)
-	bins := make([]float32, lay.NumMessages()+1)
-	bar := common.NewBarrier(p.cfg.Threads)
-	common.RunThreads(p.cfg.Threads, func(tid int) {
-		gr := p.hier.Groups[tid]
-		for i := range k {
-			x, y := vecs[i%2], vecs[(i+1)%2][:n]
-			for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
-				common.PullSELL(&lay.IntraPull, x, y, int(lay.IntraPull.Part[pi]), int(lay.IntraPull.Part[pi+1]))
-				for bi := lay.SrcBlockStart[pi]; bi < lay.SrcBlockEnd[pi]; bi++ {
-					b := lay.Blocks[bi]
-					for m := b.MsgStart; m < b.MsgEnd; m++ {
-						bins[m] = x[lay.MsgSrc[m]]
-					}
-				}
-			}
-			bar.Wait()
-			for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
-				clo, chi := lay.InterPull.Chunks(pi)
-				common.AddSELL(&lay.InterPull, bins, y, clo, chi)
-			}
-			bar.Wait()
-		}
-	})
-	return vecs[k%2][:n], nil
+	s := &spmv{lay: lay, groups: p.hier.Groups, n: n, bins: make([]float32, lay.NumMessages()+1)}
+	// Slot n of both vectors, and slot M of the bins, is the +0 the pulls'
+	// padding entries read.
+	s.vecs = [2][]float32{make([]float32, n+1), make([]float32, n+1)}
+	copy(s.vecs[0], x)
+	common.RunSupersteps(superstep(p.cfg.Threads, k), kernels(s.flip, s.scatter, s.gather))
+	return s.vecs[k%2][:n], nil
 }
 
-// BFSResult reports a breadth-first search.
-type BFSResult struct {
-	// Levels[v] is the BFS depth of v, or -1 if unreachable.
-	Levels []int32
-	// Parents[v] is the smallest ID among v's in-neighbours one level
-	// shallower, the source itself for the source, and 0 for unreachable
-	// vertices.
-	Parents []graph.VertexID
-	// Visited is the number of reached vertices.
-	Visited int
+// spmv is SpMVIterate's superstep state: thread tid pulls and scatters
+// the partitions of group tid.
+type spmv struct {
+	lay    *layout.Layout
+	groups []partition.Group
+	n      int
+	vecs   [2][]float32
+	x, y   []float32
+	bins   []float32
 }
 
-// unvisited is the search state of a vertex no frontier edge has reached.
-const unvisited = math.MaxUint64
+// flip starts iteration it: it reads vecs[it%2] and writes vecs[(it+1)%2].
+func (s *spmv) flip(it int) { s.x, s.y = s.vecs[it%2], s.vecs[(it+1)%2][:s.n] }
 
-// BFS runs a level-synchronous parallel breadth-first search from source
-// (the paper's §6 extension): each level's frontier is split evenly over
-// the threads, so no partition hierarchy is built. A vertex's search state
-// is one word, its level above its parent; every frontier edge u→v offers
-// depth<<32 | u to v as an atomic minimum. Earlier levels are smaller
-// words and unvisited is the largest, so the minimum claims an unvisited
-// vertex and keeps, at its level, the smallest parent: levels and parents
-// are a function of the graph alone.
-func BFS(g *graph.Graph, source graph.VertexID, cfg Config) (*BFSResult, error) {
-	n := g.NumVertices()
-	if n == 0 {
-		return nil, fmt.Errorf("algorithms: empty graph")
-	}
-	if int(source) >= n {
-		return nil, fmt.Errorf("algorithms: source %d out of range [0,%d)", source, n)
-	}
-	threads := cfg.withDefaults(n).Threads
-	state := make([]uint64, n)
-	for i := range state {
-		state[i] = unvisited
-	}
-	state[source] = uint64(source)
-
-	frontier := []graph.VertexID{source}
-	visited := 1
-	off := g.OutOffsets()
-	adj := g.OutEdges()
-	// Each thread collects its share of the next frontier in its own part,
-	// reused from level to level; the parts are then concatenated.
-	parts := make([][]graph.VertexID, threads)
-	for depth := uint64(1); len(frontier) > 0; depth++ {
-		common.RunThreads(threads, func(tid int) {
-			lo := len(frontier) * tid / threads
-			hi := len(frontier) * (tid + 1) / threads
-			next := parts[tid][:0]
-			for _, u := range frontier[lo:hi] {
-				offer := depth<<32 | uint64(u)
-				for _, v := range adj[off[u]:off[u+1]] {
-					if offerMin(&state[v], offer) {
-						next = append(next, v)
-					}
-				}
+// scatter stores each vertex's intra sum in y and writes the group's
+// compressed messages.
+func (s *spmv) scatter(tid int) {
+	lay, gr := s.lay, s.groups[tid]
+	for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
+		common.PullSELL(&lay.IntraPull, s.x, s.y, int(lay.IntraPull.Part[pi]), int(lay.IntraPull.Part[pi+1]))
+		for bi := lay.SrcBlockStart[pi]; bi < lay.SrcBlockEnd[pi]; bi++ {
+			b := lay.Blocks[bi]
+			for m := b.MsgStart; m < b.MsgEnd; m++ {
+				s.bins[m] = s.x[lay.MsgSrc[m]]
 			}
-			parts[tid] = next
-		})
-		frontier = frontier[:0]
-		for _, part := range parts {
-			frontier = append(frontier, part...)
 		}
-		visited += len(frontier)
 	}
-	out := &BFSResult{Levels: make([]int32, n), Parents: make([]graph.VertexID, n), Visited: visited}
-	for v, s := range state {
-		if s == unvisited {
-			out.Levels[v] = -1
-			continue
-		}
-		out.Levels[v], out.Parents[v] = int32(s>>32), graph.VertexID(s)
-	}
-	return out, nil
 }
 
-// offerMin lowers *p to offer when offer is smaller, and reports whether
-// it replaced unvisited.
-func offerMin(p *uint64, offer uint64) bool {
-	for s := atomic.LoadUint64(p); offer < s; s = atomic.LoadUint64(p) {
-		if atomic.CompareAndSwapUint64(p, s, offer) {
-			return s == unvisited
-		}
+// gather adds the messages to the group's vertices.
+func (s *spmv) gather(tid int) {
+	gr := s.groups[tid]
+	for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
+		clo, chi := s.lay.InterPull.Chunks(pi)
+		common.AddSELL(&s.lay.InterPull, s.bins, s.y, clo, chi)
 	}
-	return false
 }

@@ -742,9 +742,6 @@ func (s *BlockSG) CopyColumn(j int, dst []float32) {
 // matches its solo run.
 func (s *BlockSG) ColumnIterations() []int32 { return s.colIters }
 
-// ActiveColumns reports how many columns are still iterating.
-func (s *BlockSG) ActiveColumns() int { return len(s.cols) }
-
 // ColSteps is the summed active-column count over all executed supersteps —
 // the Σ_t B_active(t) factor of the per-column modelled traffic.
 func (s *BlockSG) ColSteps() int64 { return s.colSteps }

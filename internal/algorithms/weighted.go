@@ -13,10 +13,9 @@ import (
 //
 // Weights break the inter-edge compression of §3.4 — two edges from the same
 // source to the same partition no longer carry the same value — so this
-// kernel runs partition-centric but uncompressed: the partition structure
-// still provides cache-resident accumulators and NUMA-local streaming, which
-// is the part of HiPa that generalises (§1: "Our discussions and
-// optimizations proposed for PageRank can also be applied to SpMV").
+// kernel builds no partitioning: one superstep pulls each vertex's weighted
+// in-edges, one serial sum in in-edge order per vertex, so the output does
+// not depend on the thread count.
 func WeightedSpMV(g *graph.Graph, x []float32, weights []float32, cfg Config) ([]float32, error) {
 	n := g.NumVertices()
 	if len(x) != n {
@@ -25,17 +24,17 @@ func WeightedSpMV(g *graph.Graph, x []float32, weights []float32, cfg Config) ([
 	if int64(len(weights)) != g.NumEdges() {
 		return nil, fmt.Errorf("algorithms: %d weights for %d edges", len(weights), g.NumEdges())
 	}
-	p, err := prepare(g, cfg)
-	if err != nil {
-		return nil, err
+	if n == 0 {
+		return nil, fmt.Errorf("algorithms: empty graph")
 	}
 	y := make([]float32, n)
 	off := g.OutOffsets()
 	adj := g.OutEdges()
 
 	// Weighted updates cannot share compressed messages, so each thread
-	// pulls the in-edges targeting its own partitions instead — writes stay
-	// owner-exclusive and cache-resident, reads stream the weighted edges.
+	// pulls the in-edges of its own vertex range instead: writes stay
+	// owner-exclusive, reads stream the weighted edges. The ranges carry
+	// about equal in-edge counts.
 	g.BuildIn()
 	inOff := g.InOffsets()
 	inAdj := g.InEdges()
@@ -53,20 +52,17 @@ func WeightedSpMV(g *graph.Graph, x []float32, weights []float32, cfg Config) ([
 		}
 	}
 
-	bar := common.NewBarrier(p.cfg.Threads)
-	common.RunThreads(p.cfg.Threads, func(tid int) {
-		gr := p.hier.Groups[tid]
-		for pi := gr.PartStart; pi < gr.PartEnd; pi++ {
-			part := p.hier.Partitions[pi]
-			for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
-				var acc float32
-				for ii := inOff[v]; ii < inOff[v+1]; ii++ {
-					acc += float32(weights[widx[ii]] * x[inAdj[ii]])
-				}
-				y[v] = acc
+	threads := cfg.withDefaults(n).Threads
+	bounds := common.SplitByWeight(inOff, threads)
+	pull := func(tid int) {
+		for v := bounds[tid]; v < bounds[tid+1]; v++ {
+			var acc float32
+			for ii := inOff[v]; ii < inOff[v+1]; ii++ {
+				acc += float32(weights[widx[ii]] * x[inAdj[ii]])
 			}
+			y[v] = acc
 		}
-		bar.Wait()
-	})
+	}
+	common.RunSupersteps(superstep(threads, 1), kernels(nil, pull, noPhase))
 	return y, nil
 }

@@ -283,12 +283,6 @@ func (s *System) backInvalidate(node int, line uint64) {
 // L1Stats returns aggregate L1 counters.
 func (s *System) L1Stats() Stats { return sumStats(s.l1) }
 
-// L2Stats returns aggregate L2 counters.
-func (s *System) L2Stats() Stats { return sumStats(s.l2) }
-
-// LLCStats returns aggregate LLC counters.
-func (s *System) LLCStats() Stats { return sumStats(s.llc) }
-
 func sumStats(cs []*cache) Stats {
 	var st Stats
 	for _, c := range cs {

@@ -26,8 +26,7 @@ func NewBarrier(n int) *Barrier {
 // Wait blocks until all parties have called Wait, then releases them all.
 // The returned value is true for exactly one caller per generation (the last
 // arriver), which can perform serial work; note the serial work then happens
-// *after* release, so use Wait's return only for idempotent bookkeeping, or
-// call WaitLeader for pre-release serial sections.
+// *after* release, so use Wait's return only for idempotent bookkeeping.
 func (b *Barrier) Wait() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -43,26 +42,4 @@ func (b *Barrier) Wait() bool {
 		b.cond.Wait()
 	}
 	return false
-}
-
-// WaitLeader blocks all parties; the last arriver runs fn while everyone is
-// still parked, then releases the barrier. This is the reduction hook used
-// for the per-iteration dangling-mass sum.
-func (b *Barrier) WaitLeader(fn func()) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.parties {
-		if fn != nil {
-			fn()
-		}
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
 }

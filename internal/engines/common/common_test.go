@@ -11,6 +11,7 @@ import (
 
 	"hipa/internal/gen"
 	"hipa/internal/graph"
+	"hipa/internal/par"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -42,19 +43,24 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	const parties = 8
+	const parties, rounds = 8, 50
 	b := NewBarrier(parties)
-	var phase atomic.Int64
-	counts := make([]int64, parties)
-	RunThreads(parties, func(tid int) {
-		for i := 0; i < 50; i++ {
-			// Everyone must observe the same phase before the barrier.
-			counts[tid] = phase.Load()
-			b.WaitLeader(func() { phase.Add(1) })
+	var arrived [parties]atomic.Int64
+	var early atomic.Int64
+	par.Run(parties, func(tid int) {
+		for i := int64(1); i <= rounds; i++ {
+			arrived[tid].Store(i)
+			b.Wait()
+			// Nobody passes round i before everyone has arrived at it.
+			for j := range arrived {
+				if arrived[j].Load() < i {
+					early.Add(1)
+				}
+			}
 		}
 	})
-	if phase.Load() != 50 {
-		t.Fatalf("phase = %d, want 50", phase.Load())
+	if early.Load() != 0 {
+		t.Fatalf("%d parties passed the barrier before every party arrived", early.Load())
 	}
 }
 
@@ -62,7 +68,7 @@ func TestBarrierLeaderExactlyOne(t *testing.T) {
 	const parties = 5
 	b := NewBarrier(parties)
 	var leaders atomic.Int64
-	RunThreads(parties, func(tid int) {
+	par.Run(parties, func(tid int) {
 		for i := 0; i < 20; i++ {
 			if b.Wait() {
 				leaders.Add(1)

@@ -29,54 +29,6 @@ func TestGoParallelismDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// concurrencyProbe runs fn under RunThreadsCapped and reports the peak
-// number of simultaneously live calls and which tids ran.
-func concurrencyProbe(threads, parallelism int) (peak int64, ran []bool) {
-	var cur, hi atomic.Int64
-	seen := make([]atomic.Bool, threads)
-	RunThreadsCapped(threads, parallelism, func(tid int) {
-		c := cur.Add(1)
-		for {
-			p := hi.Load()
-			if c <= p || hi.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		seen[tid].Store(true)
-		runtime.Gosched()
-		cur.Add(-1)
-	})
-	ran = make([]bool, threads)
-	for i := range seen {
-		ran[i] = seen[i].Load()
-	}
-	return hi.Load(), ran
-}
-
-func TestRunThreadsCappedHighWaterMark(t *testing.T) {
-	const threads = 32
-	for _, par := range []int{1, 2, 4} {
-		peak, ran := concurrencyProbe(threads, par)
-		if peak > int64(par) {
-			t.Errorf("parallelism %d: observed %d concurrent bodies", par, peak)
-		}
-		for tid, ok := range ran {
-			if !ok {
-				t.Errorf("parallelism %d: tid %d never ran", par, tid)
-			}
-		}
-	}
-	// Degenerate cases fall through to plain RunThreads: every tid still runs.
-	for _, par := range []int{0, -1, threads, threads + 5} {
-		_, ran := concurrencyProbe(threads, par)
-		for tid, ok := range ran {
-			if !ok {
-				t.Errorf("parallelism %d: tid %d never ran", par, tid)
-			}
-		}
-	}
-}
-
 // TestRunSuperstepsHonorsParallelism: the driver must thread the cap into
 // every parallel phase — this is the fix for GoParallelism being silently
 // dropped on the FCFS path.

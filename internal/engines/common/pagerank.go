@@ -1,9 +1,6 @@
 package common
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"hipa/internal/graph"
 	"hipa/internal/par"
 )
@@ -99,49 +96,6 @@ func ReferencePageRank(g *graph.Graph, iterations int, damping float64) []float6
 		rank, next = next, rank
 	}
 	return rank
-}
-
-// RunThreads runs fn(tid) for tid in [0,threads), one goroutine per tid;
-// the Go runtime multiplexes them onto GOMAXPROCS cores.
-func RunThreads(threads int, fn func(tid int)) {
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func(tid int) {
-			defer wg.Done()
-			fn(tid)
-		}(t)
-	}
-	wg.Wait()
-}
-
-// RunThreadsCapped runs fn(tid) for tid in [0,threads) on at most
-// `parallelism` concurrent goroutines (Options.GoParallelism): workers claim
-// tids from a shared counter, so every tid runs exactly once regardless of
-// the cap. parallelism <= 0 or >= threads degenerates to RunThreads. The
-// tid-to-goroutine mapping is not deterministic, but every engine's
-// per-tid state is disjoint, so results do not depend on it.
-func RunThreadsCapped(threads, parallelism int, fn func(tid int)) {
-	if parallelism <= 0 || parallelism >= threads {
-		RunThreads(threads, fn)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				tid := int(next.Add(1)) - 1
-				if tid >= threads {
-					return
-				}
-				fn(tid)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // SplitByWeight cuts [0,n) into `parts` contiguous ranges with approximately

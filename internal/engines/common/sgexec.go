@@ -71,13 +71,6 @@ func NewSGState(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, d
 	return NewSGStateArena(g, hier, lay, InvOutDegrees(g), damping, threads, nil)
 }
 
-// NewSGStateWithInv is NewSGState with a precomputed 1/outdeg array, shared
-// read-only from a Prepared artifact so concurrent Execs skip the O(V)
-// recomputation.
-func NewSGStateWithInv(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, inv []float32, damping float64, threads int) *SGState {
-	return NewSGStateArena(g, hier, lay, inv, damping, threads, nil)
-}
-
 // NewSGStateArena builds the execution state on top of a scratch arena so
 // repeated Execs reuse buffers instead of reallocating them; a nil arena
 // gets a private one. The returned state starts at the uniform distribution

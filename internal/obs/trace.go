@@ -26,13 +26,6 @@ type traceEvent struct {
 	Args map[string]int64 `json:"args,omitempty"`
 }
 
-// traceFile is the exported JSON object, loadable in chrome://tracing and
-// Perfetto.
-type traceFile struct {
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
-}
-
 // Trace collects phase spans from concurrently running (simulated) threads
 // and exports them in the Chrome trace_event JSON format: one lane per
 // simulated thread (named after its sched placement), one complete ("X")

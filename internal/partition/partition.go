@@ -40,17 +40,6 @@ type Config struct {
 	VertexBalanced bool
 }
 
-// DefaultConfig returns the paper's tuned Skylake configuration for the
-// given topology.
-func DefaultConfig(numNodes, groupsPerNode int) Config {
-	return Config{
-		PartitionBytes: 256 << 10,
-		BytesPerVertex: 4,
-		NumNodes:       numNodes,
-		GroupsPerNode:  groupsPerNode,
-	}
-}
-
 // Partition is one cache-able vertex range [VertexStart, VertexEnd).
 type Partition struct {
 	ID          int

@@ -1,9 +1,7 @@
 package platform
 
 import (
-	"hipa/internal/cachesim"
 	"hipa/internal/machine"
-	"hipa/internal/memsim"
 	"hipa/internal/perfmodel"
 	"hipa/internal/sched"
 )
@@ -122,11 +120,3 @@ func (p *Modeled) Finalize(a *Accounting, shape RunShape) (*perfmodel.Report, er
 		UncoordinatedStreams: shape.UncoordinatedStreams,
 	})
 }
-
-// NewCacheSystem opens the exact cache simulation for this platform's
-// machine (used by the validation harness, not the analytic fast path).
-func (p *Modeled) NewCacheSystem() *cachesim.System { return cachesim.NewSystem(p.m) }
-
-// NewMemorySpace opens the NUMA placement simulation for this platform's
-// machine.
-func (p *Modeled) NewMemorySpace() *memsim.Space { return memsim.NewSpace(p.m) }

@@ -247,13 +247,6 @@ func (s *Scheduler) Terminate(t *Thread) {
 	s.stats.Terminated++
 }
 
-// TerminateAll ends every live thread.
-func (s *Scheduler) TerminateAll() {
-	for _, t := range s.threads {
-		s.Terminate(t)
-	}
-}
-
 // ContendedPhysicalCores returns how many physical cores currently host two
 // or more live threads — the paper's hyper-thread contention condition
 // (§3.3.1: paired logical cores competing for the same L2).
@@ -306,8 +299,8 @@ func (s *Scheduler) RunObliviousRegions(regions, threads int, bindNodes bool) (S
 // RunPinnedThreads simulates Algorithm 2's lifecycle: spawn `threads`
 // persistent threads once, bind thread i to node i/(threads/nodes) (block
 // assignment, matching HiPa's partition placement) and pin it to a distinct
-// logical core there. The threads stay alive; callers terminate via
-// TerminateAll. It returns the threads and the stats delta.
+// logical core there. The threads stay alive. It returns the threads and
+// the stats delta.
 func (s *Scheduler) RunPinnedThreads(threads int) ([]*Thread, Stats, error) {
 	before := s.stats
 	if threads > s.mach.LogicalCores() {
