@@ -242,7 +242,7 @@ func main() {
 	fmt.Printf("compression: %d inter-edges -> %d messages (%.2f edges/message, %d blocks, bin %dB)\n",
 		rep.Compression.InterEdges, rep.Compression.Messages, rep.Compression.EdgesPerMessage,
 		rep.Compression.Blocks, rep.Compression.BinBytes)
-	fmt.Printf("layout     : %dB resident (blocks, message sources, intra push CSR, intra and inter pulls)\n", rep.LayoutBytes)
+	fmt.Printf("layout     : %dB resident (blocks, message sources, intra and inter pulls)\n", rep.LayoutBytes)
 	for _, pl := range []struct {
 		name  string
 		st    layout.PullStats

@@ -121,7 +121,7 @@ func SpMVIterate(g *graph.Graph, x []float32, k int, cfg Config) ([]float32, err
 	// padding entries read.
 	s.vecs = [2][]float32{make([]float32, n+1), make([]float32, n+1)}
 	copy(s.vecs[0], x)
-	common.RunSupersteps(superstep(p.cfg.Threads, k), kernels(s.flip, s.scatter, s.gather))
+	common.RunSupersteps(superstep(p.cfg.Threads, k), common.PhaseKernels{StartIteration: s.flip, Scatter: s.scatter, Gather: s.gather})
 	return s.vecs[k%2][:n], nil
 }
 

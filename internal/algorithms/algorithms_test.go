@@ -9,6 +9,7 @@ import (
 
 	"hipa/internal/gen"
 	"hipa/internal/graph"
+	"hipa/internal/layout/layouttest"
 )
 
 func testCfg() Config {
@@ -75,8 +76,8 @@ func TestSpMVBitIdenticalToPush(t *testing.T) {
 	}
 	lay := p.lay
 	want := make([]float32, len(x))
-	for u := range x {
-		for _, d := range lay.IntraDst[lay.IntraOff[u]:lay.IntraOff[u+1]] {
+	for u, dsts := range layouttest.IntraOut(g, p.hier) {
+		for _, d := range dsts {
 			want[d] += x[u]
 		}
 	}

@@ -61,12 +61,12 @@ const MaxBatch = 64
 //
 // A width-1 personalized column starts sparse: its support is the seeds
 // and spreads one hop per iteration. While the frontier — the vertices of
-// non-zero contribution — has fewer out-edges than 1/pushShare of the
-// pulls' entries, an iteration pushes it over the graph's out-CSR on one
-// thread instead of pulling (Push), and the gather skips its decode. The
-// first iteration past the share latches to the pulls for the rest of the
-// Exec. Each destination receives the same non-zero addends in the same
-// order either way, so the push changes no bit (DESIGN §4i).
+// non-zero contribution — has few out-edges against the pulls' entries
+// (common.PushPays), an iteration pushes it over the graph's out-CSR on
+// one thread instead of pulling (Push), and the gather skips its decode.
+// The first iteration past the switch latches to the pulls for the rest
+// of the Exec. Each destination receives the same non-zero addends in the
+// same order either way, so the push changes no bit (DESIGN §4i).
 //
 // All reductions (dangling fold, residual fold, retirement) are serial and
 // in global partition/column order, so results are bit-deterministic at any
@@ -220,14 +220,6 @@ func NewBlockSG(g *graph.Graph, hier *partition.Hierarchy, lay *layout.Layout, i
 	return s, nil
 }
 
-// pushShare is the sparse start's switch: an iteration pushes while its
-// frontier's out-edges are fewer than 1/pushShare of the pulls' entries.
-// On the journal-shaped 18,750-vertex graph a single-seed column's
-// frontier carries under 0.01%, 0.1%, 0.6%, 4% and 18% of the edges in
-// iterations 0–4; pushing the 18% iteration costs more than pulling it
-// (EXPERIMENTS "Sparse start").
-const pushShare = 20
-
 // startSparse seeds a width-1 personalized column in O(seeds) after
 // clearing its blocks: the seeds' ranks and contributions, the dangling
 // seeds' mass in their partitions' partDang (equal addends, so the sum
@@ -276,7 +268,7 @@ func (s *BlockSG) pushNext() bool {
 	for _, e := range s.frontEdges {
 		edges += e
 	}
-	return edges*pushShare < int64(len(s.Lay.IntraPull.Idx)+len(s.Lay.InterPull.Idx))
+	return common.PushPays(edges, int64(len(s.Lay.IntraPull.Idx)+len(s.Lay.InterPull.Idx)))
 }
 
 // StartIteration swaps the double-buffered rank blocks so the ranks the

@@ -12,15 +12,17 @@ import (
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/layout"
+	"hipa/internal/layout/layouttest"
 	"hipa/internal/partition"
 )
 
 // TestBlockPullMatchesPush: one dense pinned scatter of the blocked kernel,
 // with each node's intra pull split over its threads, leaves every active
-// column of acc bitwise equal to a serial push over IntraOff/IntraDst, and
-// leaves the retired columns' entries untouched. The graph has several
-// partitions and intra hubs of in-degree ≥ 1000, where any change to a
-// destination's add order shows in the float32 sums.
+// column of acc bitwise equal to a serial push over the intra
+// out-neighbours (layouttest.IntraOut), and leaves the retired columns'
+// entries untouched. The graph has several partitions and intra hubs of
+// in-degree ≥ 1000, where any change to a destination's add order shows
+// in the float32 sums.
 func TestBlockPullMatchesPush(t *testing.T) {
 	// 16,384 vertices in four 16 KB partitions; the low-ID R-MAT hubs
 	// collect thousands of intra in-edges.
@@ -57,16 +59,19 @@ func TestBlockPullMatchesPush(t *testing.T) {
 			if hier.NumPartitions() < 2 {
 				t.Fatalf("%d partitions, want several", hier.NumPartitions())
 			}
+			intraOut := layouttest.IntraOut(g, hier)
 			in := make([]int, n)
-			for _, d := range lay.IntraDst {
-				in[d]++
+			for _, dsts := range intraOut {
+				for _, d := range dsts {
+					in[d]++
+				}
 			}
 			if hub := slices.Max(in); hub < 1000 {
 				t.Fatalf("largest intra in-degree %d, want an intra hub of at least 1000", hub)
 			}
 			clear(want)
-			for v := 0; v < n; v++ {
-				for _, d := range lay.IntraDst[lay.IntraOff[v]:lay.IntraOff[v+1]] {
+			for v, dsts := range intraOut {
+				for _, d := range dsts {
 					for _, j := range tc.cols {
 						want[int(d)*tc.b+int(j)] += ranks[v*tc.b+int(j)] * inv[v]
 					}
@@ -87,7 +92,7 @@ func TestBlockPullMatchesPush(t *testing.T) {
 				s.cols = append(s.cols[:0], tc.cols...)
 				k := s.PinnedKernels(hier.Groups)
 				common.RunSupersteps(common.SuperstepConfig{Threads: threads, Parallelism: procs, Iterations: 1},
-					common.PhaseKernels{Scatter: k.Scatter, Reduce: func() {}, Gather: func(int) {}})
+					common.PhaseKernels{Scatter: k.Scatter})
 				for v := 0; v < n; v++ {
 					for j := 0; j < tc.b; j++ {
 						got := math.Float32bits(s.acc[v*tc.b+j])

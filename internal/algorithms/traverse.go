@@ -105,16 +105,16 @@ func bfsView[V uint32 | int32](g *graph.Graph, source graph.VertexID, cfg Traver
 }
 
 // WCC computes weakly connected component labels by synchronous min-label
-// propagation over g's symmetrised out-CSR: every vertex starts with its
-// own ID, and each round the vertices whose label fell in the previous one
-// offer it to their neighbours. Each component ends labelled with its
-// smallest vertex ID.
+// propagation over g's out- and in-edges (the in-CSR is built once and
+// cached on g): every vertex starts with its own ID, and each round the
+// vertices whose label fell in the previous one offer it to their
+// neighbours. Each component ends labelled with its smallest vertex ID.
 func WCC(g *graph.Graph, cfg TraversalConfig) (*TraversalResult[uint32], error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, fmt.Errorf("algorithms: empty graph")
 	}
-	t := newWCC(g.Symmetrize(), cfg.threads(n))
+	t := newWCC(g, cfg.threads(n))
 	res := &TraversalResult[uint32]{Values: make([]uint32, n)}
 	res.Iterations, res.ActiveHistory = t.run(cfg.rounds(n), &obs.Recorder{})
 	for v, label := range t.state {
@@ -155,9 +155,12 @@ type traversal struct {
 	adj     []graph.VertexID
 	state   []uint64
 	threads int
-	// labels is WCC's, each vertex's label at the start of the round; BFS
-	// leaves it nil and offers the round's depth.
+	// labels is WCC's, each vertex's label at the start of the round, which
+	// it offers along the in-edges inOff/inAdj too; BFS leaves them nil
+	// and offers the round's depth.
 	labels []uint64
+	inOff  []int64
+	inAdj  []graph.VertexID
 	depth  uint64
 	// cur[:active] is the round's frontier; the scatter threads reserve
 	// their claims' slots in next through tail.
@@ -187,8 +190,10 @@ func (t *traversal) seedBFS(source graph.VertexID) {
 	t.cur[0], t.active = source, 1
 }
 
-func newWCC(sym *graph.Graph, threads int) *traversal {
-	t := newTraversal(sym, threads)
+func newWCC(g *graph.Graph, threads int) *traversal {
+	t := newTraversal(g, threads)
+	g.BuildIn()
+	t.inOff, t.inAdj = g.InCSR()
 	t.labels = make([]uint64, len(t.state))
 	t.seedWCC()
 	return t
@@ -221,9 +226,9 @@ func (t *traversal) run(rounds int, rec *obs.Recorder) (int, []int) {
 
 func (t *traversal) kernels() common.PhaseKernels {
 	if t.labels != nil {
-		return kernels(nil, t.wccScatter, t.adopt)
+		return common.PhaseKernels{Scatter: t.wccScatter, Gather: t.adopt}
 	}
-	return kernels(func(it int) { t.depth = uint64(it + 1) }, t.bfsScatter, noPhase)
+	return common.PhaseKernels{StartIteration: func(it int) { t.depth = uint64(it + 1) }, Scatter: t.bfsScatter}
 }
 
 // share is thread tid's even share of vs.
@@ -255,24 +260,32 @@ func (t *traversal) bfsScatter(tid int) {
 }
 
 // wccScatter is WCC's edge map, buffered as bfsScatter's: u offers its
-// label, and a vertex joins the next frontier when the round first lowers
-// its state below its label.
+// label along its out-edges and its in-edges, and a vertex joins the next
+// frontier when the round first lowers its state below its label.
 func (t *traversal) wccScatter(tid int) {
 	var claimed [64]graph.VertexID
 	k := 0
 	for _, u := range share(t.cur[:t.active], tid, t.threads) {
 		offer := t.labels[u]
-		for _, v := range t.adj[t.off[u]:t.off[u+1]] {
-			if offerMin(&t.state[v], offer, t.labels[v]) {
-				claimed[k] = v
-				if k++; k == len(claimed) {
-					t.flush(claimed[:])
-					k = 0
-				}
+		k = t.offerLabel(offer, t.adj[t.off[u]:t.off[u+1]], &claimed, k)
+		k = t.offerLabel(offer, t.inAdj[t.inOff[u]:t.inOff[u+1]], &claimed, k)
+	}
+	t.flush(claimed[:k])
+}
+
+// offerLabel offers a label to each of vs, buffering the vertices it
+// claims in claimed[k:], and returns the buffer's new length.
+func (t *traversal) offerLabel(offer uint64, vs []graph.VertexID, claimed *[64]graph.VertexID, k int) int {
+	for _, v := range vs {
+		if offerMin(&t.state[v], offer, t.labels[v]) {
+			claimed[k] = v
+			if k++; k == len(claimed) {
+				t.flush(claimed[:])
+				k = 0
 			}
 		}
 	}
-	t.flush(claimed[:k])
+	return k
 }
 
 // flush appends vs to the next frontier.
@@ -333,15 +346,3 @@ func (t *traversal) bfsResult() *BFSResult {
 func superstep(threads, iterations int) common.SuperstepConfig {
 	return common.SuperstepConfig{Threads: threads, Parallelism: runtime.GOMAXPROCS(0), Iterations: iterations}
 }
-
-// kernels fills in stored no-op Reduce, Residual and DanglingMass: the
-// computations on the driver outside the PageRank engines fold no
-// dangling mass and check no residual.
-func kernels(start func(it int), scatter, gather func(tid int)) common.PhaseKernels {
-	return common.PhaseKernels{StartIteration: start, Scatter: scatter, Reduce: noReduce, Gather: gather,
-		Residual: noResidual, DanglingMass: noResidual}
-}
-
-func noReduce()           {}
-func noPhase(int)         {}
-func noResidual() float64 { return 0 }

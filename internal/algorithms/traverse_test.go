@@ -390,7 +390,7 @@ func TestTraversalWarmRunIsAllocationFree(t *testing.T) {
 		seed func(*traversal)
 	}{
 		{"BFS", newBFS(g, 3, 4), func(t *traversal) { t.seedBFS(3) }},
-		{"WCC", newWCC(g.Symmetrize(), 4), (*traversal).seedWCC},
+		{"WCC", newWCC(g, 4), (*traversal).seedWCC},
 	} {
 		cfg := superstep(c.t.threads, rounds)
 		cfg.Frontier = c.t

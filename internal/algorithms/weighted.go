@@ -63,6 +63,6 @@ func WeightedSpMV(g *graph.Graph, x []float32, weights []float32, cfg Config) ([
 			y[v] = acc
 		}
 	}
-	common.RunSupersteps(superstep(threads, 1), kernels(nil, pull, noPhase))
+	common.RunSupersteps(superstep(threads, 1), common.PhaseKernels{Scatter: pull})
 	return y, nil
 }

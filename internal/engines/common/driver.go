@@ -14,7 +14,10 @@ import (
 // PhaseKernels are the engine-specific bodies of one superstep. The driver
 // owns everything else: phase fan-out, the serial sections between phases,
 // convergence checking, and telemetry. Scatter and Gather run on every
-// worker (tid in [0,threads)); the rest run serially between phases.
+// worker (tid in [0,threads)); the rest run serially between phases. Only
+// Scatter is required: a nil Gather skips the second phase and its two
+// barrier generations, a nil Reduce or StartIteration does nothing, and a
+// nil Residual or DanglingMass reads 0 (so a Tolerance needs a Residual).
 //
 // Vertex-centric engines map their contribution pass to Scatter and their
 // pull pass to Gather, so traces from all five engines line up.
@@ -134,13 +137,17 @@ type SuperstepLoop struct {
 	wg          sync.WaitGroup
 }
 
-// NewSuperstepLoop validates cfg, spawns the worker pool, and returns the
-// parked loop. The pool size is min(cfg.Parallelism, cfg.Threads) real
-// goroutines (all of them when the cap is unset), each claiming tids from a
-// shared counter so every tid runs exactly once per phase regardless of the
-// cap; per-tid kernel state is disjoint in every engine, so results do not
-// depend on the tid-to-goroutine mapping.
+// NewSuperstepLoop validates cfg (it panics on a Tolerance without
+// k.Residual), spawns the worker pool, and returns the parked loop. The
+// pool size is min(cfg.Parallelism, cfg.Threads) real goroutines (all of
+// them when the cap is unset), each claiming tids from a shared counter so
+// every tid runs exactly once per phase regardless of the cap; per-tid
+// kernel state is disjoint in every engine, so results do not depend on
+// the tid-to-goroutine mapping.
 func NewSuperstepLoop(cfg SuperstepConfig, k PhaseKernels) *SuperstepLoop {
+	if cfg.Tolerance > 0 && k.Residual == nil {
+		panic("common: SuperstepConfig.Tolerance > 0 needs a PhaseKernels.Residual")
+	}
 	workers := cfg.Threads
 	if cfg.Parallelism > 0 && cfg.Parallelism < workers {
 		workers = cfg.Parallelism
@@ -235,16 +242,20 @@ func (l *SuperstepLoop) Run(iterations int) int {
 		if tr != nil {
 			serialStart = time.Now()
 		}
-		k.Reduce()
+		if k.Reduce != nil {
+			k.Reduce()
+		}
 		if tr != nil {
 			tr.Span(runner, SpanReduce, it, serialStart)
 		}
-		if em != nil {
-			phaseStart = time.Now()
-		}
-		l.runPhase(SpanGather, it, k.Gather)
-		if em != nil {
-			em.gather.Observe(time.Since(phaseStart).Seconds())
+		if k.Gather != nil {
+			if em != nil {
+				phaseStart = time.Now()
+			}
+			l.runPhase(SpanGather, it, k.Gather)
+			if em != nil {
+				em.gather.Observe(time.Since(phaseStart).Seconds())
+			}
 		}
 		if !needResidual {
 			continue
@@ -252,7 +263,10 @@ func (l *SuperstepLoop) Run(iterations int) int {
 		if tr != nil {
 			serialStart = time.Now()
 		}
-		res := k.Residual()
+		var res float64
+		if k.Residual != nil {
+			res = k.Residual()
+		}
 		if tr != nil {
 			tr.Span(runner, SpanApply, it, serialStart)
 		}
@@ -269,10 +283,12 @@ func (l *SuperstepLoop) Run(iterations int) int {
 		}
 		if rec != nil {
 			st := obs.IterationStats{
-				Iter:         it,
-				WallSeconds:  time.Since(itStart).Seconds(),
-				Residual:     res,
-				DanglingMass: k.DanglingMass(),
+				Iter:        it,
+				WallSeconds: time.Since(itStart).Seconds(),
+				Residual:    res,
+			}
+			if k.DanglingMass != nil {
+				st.DanglingMass = k.DanglingMass()
 			}
 			if f != nil {
 				st.ActiveVertices = cur.ActiveVertices

@@ -31,32 +31,70 @@ func TestGoParallelismDefaultsToGOMAXPROCS(t *testing.T) {
 
 // TestRunSuperstepsHonorsParallelism: the driver must thread the cap into
 // every parallel phase — this is the fix for GoParallelism being silently
-// dropped on the FCFS path.
+// dropped on the FCFS path. With only a Scatter (a nil Reduce, Gather,
+// Residual and DanglingMass, as the traversals pass) each iteration runs
+// one phase, one generation of each barrier, and records its statistics.
 func TestRunSuperstepsHonorsParallelism(t *testing.T) {
-	const threads, par = 16, 2
-	var cur, hi atomic.Int64
-	probe := func(int) {
-		c := cur.Add(1)
-		for {
-			p := hi.Load()
-			if c <= p || hi.CompareAndSwap(p, c) {
-				break
+	const threads, par, iters = 16, 2, 3
+	for _, tc := range []struct {
+		name   string
+		gather bool
+	}{{"scatter+gather", true}, {"scatter only", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cur, hi, bodies atomic.Int64
+			probe := func(int) {
+				bodies.Add(1)
+				c := cur.Add(1)
+				for {
+					p := hi.Load()
+					if c <= p || hi.CompareAndSwap(p, c) {
+						break
+					}
+				}
+				runtime.Gosched()
+				cur.Add(-1)
 			}
+			k := PhaseKernels{Scatter: probe}
+			phases := 1
+			if tc.gather {
+				k.Reduce, k.Gather = func() {}, probe
+				phases = 2
+			}
+			rec := &obs.Recorder{}
+			l := NewSuperstepLoop(SuperstepConfig{Threads: threads, Parallelism: par, Rec: rec}, k)
+			performed := l.Run(iters)
+			gens := l.start.gen
+			l.Close()
+			if performed != iters {
+				t.Fatalf("performed = %d, want %d", performed, iters)
+			}
+			if hi.Load() > par {
+				t.Errorf("observed %d concurrent kernel bodies, cap is %d", hi.Load(), par)
+			}
+			if got, want := bodies.Load(), int64(threads*phases*iters); got != want {
+				t.Errorf("ran %d kernel bodies, want %d", got, want)
+			}
+			if gens != uint64(phases*iters) {
+				t.Errorf("%d start-barrier generations over %d iterations, want %d", gens, iters, phases*iters)
+			}
+			if got := len(rec.IterationStats()); got != iters {
+				t.Errorf("recorded %d iteration stats, want %d", got, iters)
+			}
+		})
+	}
+}
+
+// TestToleranceNeedsResidual: a nil Residual reads 0, so a loop with a
+// Tolerance and no Residual would stop after one iteration as if converged;
+// NewSuperstepLoop refuses it instead, before spawning any worker.
+func TestToleranceNeedsResidual(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSuperstepLoop accepted Tolerance > 0 with a nil Residual")
 		}
-		runtime.Gosched()
-		cur.Add(-1)
-	}
-	performed := RunSupersteps(SuperstepConfig{
-		Threads:     threads,
-		Parallelism: par,
-		Iterations:  3,
-	}, PhaseKernels{Scatter: probe, Reduce: func() {}, Gather: probe})
-	if performed != 3 {
-		t.Fatalf("performed = %d, want 3", performed)
-	}
-	if hi.Load() > par {
-		t.Errorf("observed %d concurrent kernel bodies, cap is %d", hi.Load(), par)
-	}
+	}()
+	l := NewSuperstepLoop(SuperstepConfig{Threads: 2, Tolerance: 1e-6}, PhaseKernels{Scatter: func(int) {}})
+	l.Close()
 }
 
 // fakeFrontier is a scripted Frontier: every Rebuild retires one of its

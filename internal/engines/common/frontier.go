@@ -17,6 +17,9 @@ type FrontierReport struct {
 	// PartitionsSkipped is the partition-iterations pruned away:
 	// IterationsExecuted × TotalPartitions − ActivePartitionIterations.
 	PartitionsSkipped int64 `json:"partitions_skipped"`
+	// PushPartitionIterations is the scattering partition-iterations that
+	// pushed their intra-edges over the out-CSR instead of pulling them.
+	PushPartitionIterations int64 `json:"push_partition_iterations"`
 }
 
 // ActiveFraction is the executed share of the dense vertex-iteration space;

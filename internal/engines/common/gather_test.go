@@ -10,6 +10,7 @@ import (
 	"hipa/internal/gen"
 	"hipa/internal/graph"
 	"hipa/internal/layout"
+	"hipa/internal/layout/layouttest"
 	"hipa/internal/partition"
 )
 
@@ -242,7 +243,7 @@ func TestMaxAbsDiff4MatchesScalar(t *testing.T) {
 
 // TestIntraPullMatchesPush: one dense pinned scatter, with the node's
 // intra pull split over its threads, leaves Acc bitwise equal to a serial
-// push over IntraOff/IntraDst. The graph has several partitions and intra
+// push over the intra out-neighbours (layouttest.IntraOut). The graph has several partitions and intra
 // hubs of in-degree ≥ 1000, where any change to a destination's add order
 // shows in the float32 sums.
 func TestIntraPullMatchesPush(t *testing.T) {
@@ -271,18 +272,21 @@ func TestIntraPullMatchesPush(t *testing.T) {
 		if hier.NumPartitions() < 2 {
 			t.Fatalf("%d partitions, want several", hier.NumPartitions())
 		}
+		intraOut := layouttest.IntraOut(g, hier)
 		in := make([]int, n)
-		for _, d := range lay.IntraDst {
-			in[d]++
+		for _, dsts := range intraOut {
+			for _, d := range dsts {
+				in[d]++
+			}
 		}
 		if hub := slices.Max(in); hub < 1000 {
 			t.Fatalf("largest intra in-degree %d, want an intra hub of at least 1000", hub)
 		}
 
 		want := make([]float32, n)
-		for v := 0; v < n; v++ {
+		for v, dsts := range intraOut {
 			c := warm[v] * inv[v]
-			for _, d := range lay.IntraDst[lay.IntraOff[v]:lay.IntraOff[v+1]] {
+			for _, d := range dsts {
 				want[d] += c
 			}
 		}

@@ -104,7 +104,7 @@ func pullSELLScalar(pull *layout.SELL, vals, acc []float32, clo, chi int, add bo
 // the sources of non-zero value into a zeroed acc is bit-identical to
 // the pull (DESIGN §4i, "Sparse start"). A repeated edge adds twice, as
 // its repeated pull entry does. Scalar and serial: it is the sparse
-// direction, for frontiers far below the pull's entries.
+// direction, for frontiers far below the pull's entries (PushPays).
 func PushCSR(off []int64, adj []graph.VertexID, vals, acc []float32, src []graph.VertexID, lo, hi graph.VertexID, inside bool) {
 	span := uint32(hi - lo)
 	for _, u := range src {
@@ -116,6 +116,17 @@ func PushCSR(off []int64, adj []graph.VertexID, vals, acc []float32, src []graph
 		}
 	}
 }
+
+// pushShare is the direction switch of B-PPR's sparse start and Delta-PR's
+// scatter: a push pays while its sources' out-edges are fewer than
+// 1/pushShare of the pull entries it replaces. A journal-shaped PPR
+// frontier of 18% of the edges pushed slower than it pulled (EXPERIMENTS
+// "Sparse start").
+const pushShare = 20
+
+// PushPays reports whether pushing sources of edges out-edges beats
+// pulling entries pull entries: GBBS's direction switch (Dhulipala et al.).
+func PushPays(edges, entries int64) bool { return edges*pushShare < entries }
 
 // UpdateRanks sets, for each vertex i of the equal-length slices, next[i]
 // = ((base + d·acc[i]) + redis) + add[i] and contrib[i] = next[i]·inv[i],

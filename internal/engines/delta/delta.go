@@ -7,12 +7,15 @@
 // byte-identical and share prep-cache payloads).
 //
 // The engine maintains a vertex-granular frontier: a vertex is active while
-// its gated send value is non-zero, and a partition whose active count is
-// zero is skipped by the scatter phase entirely. The gather phase stays
-// dense — it decodes the (mostly zero) message bins, applies the delta
-// recurrence, and regates every vertex — which keeps every fold
-// per-partition and in partition order, so results are bit-deterministic at
-// any thread count for a given partitioning.
+// its gated send value is non-zero, and a partition with no active vertex
+// is skipped by the scatter phase entirely. An active partition pushes its
+// few active sources over the graph's out-CSR, or pulls its intra-edges
+// through HiPa's SELL kernel, as its active out-edges favour; both add the
+// same values in the same order. The gather phase stays dense — it
+// decodes the (mostly zero) message bins, applies the delta recurrence,
+// and regates every vertex — which keeps every fold per-partition and in
+// partition order, so results are bit-deterministic at any thread count
+// for a given partitioning.
 //
 // Delta-PR is the warm-start engine of versioned graphs: given
 // Options.Warm it resumes from a previous version's converged ranks, and
@@ -25,6 +28,7 @@ package delta
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"hipa/internal/engines/common"
@@ -71,24 +75,29 @@ func (Engine) Prepare(g *graph.Graph, o common.Options) (*common.Prepared, error
 
 // state is the mutable execution state of one Delta-PR Exec, drawn from the
 // artifact's arena. send[v] is the gated outgoing delta contribution
-// delta(v)·inv(v) — non-zero iff v is active — and partCounts[p] is the
-// number of active vertices in partition p, maintained by the gather phase
-// and consulted by the scatter phase to skip quiescent partitions.
+// delta(v)·inv(v) — non-zero iff v is active — and send[n] and bins[M]
+// are the +0 the pulls' padding adds. The gather writes each partition's
+// active count (partCounts), its active vertices, ascending, into front
+// at the partition's first vertex, and their out-edges (partEdges), by
+// which the scatter skips a partition or picks its direction.
 type state struct {
-	g    *graph.Graph
-	hier *partition.Hierarchy
-	lay  *layout.Layout
-	inv  []float32
+	g      *graph.Graph
+	hier   *partition.Hierarchy
+	lay    *layout.Layout
+	inv    []float32
+	groups []partition.Group // pinned: thread tid runs partitions groups[tid]
 
 	ranks []float32
 	acc   []float32
 	send  []float32
 	bins  []float32
+	front []graph.VertexID
 
 	partRes    []float32
 	partDang   []float64
 	partIters  []int32
 	partCounts []int32
+	partEdges  []int64
 
 	damping float64
 	d       float32 // float32 damping for the hot loop
@@ -99,35 +108,28 @@ type state struct {
 	correct bool    // whether the first superstep applies that correction
 
 	lastDangling float64
-	totalVerts   int64
 	activeVerts  int64
 
-	iterations      int
-	activePartIters int64
-	activeVertIters int64
-	skipped         int64
+	rep common.FrontierReport // the run's frontier effectiveness so far
 }
 
-// scatterPartition streams partition p's active sends: intra-edges add into
-// the local accumulators, inter-edges write the compressed message bins.
-// Bins were zeroed by the gather that consumed them, so only non-zero sends
-// need writing; a partition with no active vertex is skipped by the caller.
+// scatterPartition streams partition p's active sends: its intra-edges
+// into the zeroed local accumulators, pushing the active sources over the
+// graph's out-CSR when pushes(p), else through the intra pull over every
+// send (its zero sends and padding +0 change no sum, which is never −0, so
+// both directions give the same bits), and its inter-edges into the
+// compressed message bins. Bins were zeroed by the gather that consumed
+// them, so only non-zero sends need writing.
 func (s *state) scatterPartition(p int) {
 	part := s.hier.Partitions[p]
 	send := s.send
-	acc := s.acc
 	lay := s.lay
-	intraOff := lay.IntraOff
-	for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
-		c := send[v]
-		if c == 0 {
-			continue
-		}
-		lo, hi := intraOff[v], intraOff[v+1]
-		dst := lay.IntraDst[lo:hi:hi]
-		for _, d := range dst {
-			acc[d] += c
-		}
+	if s.pushes(p) {
+		lo := int(part.VertexStart)
+		common.PushCSR(s.g.OutOffsets(), s.g.OutEdges(), send, s.acc, s.front[lo:lo+int(s.partCounts[p])], part.VertexStart, part.VertexEnd, true)
+	} else {
+		clo, chi := lay.IntraPull.Chunks(p)
+		common.AddSELL(&lay.IntraPull, send, s.acc, clo, chi)
 	}
 	for bi := lay.SrcBlockStart[p]; bi < lay.SrcBlockEnd[p]; bi++ {
 		b := lay.Blocks[bi]
@@ -141,52 +143,41 @@ func (s *state) scatterPartition(p int) {
 	}
 }
 
+// pushes reports whether partition p pushes its intra-edges, weighing what
+// each direction reads: the push its active sources' out-edges, inter ones
+// included, the pull its intra entries, padding included.
+func (s *state) pushes(p int) bool {
+	ip := &s.lay.IntraPull
+	return common.PushPays(s.partEdges[p], ip.Chunk[ip.Part[p+1]]-ip.Chunk[ip.Part[p]])
+}
+
 // gatherPartition adds the messages targeting p to their destinations'
-// accumulators, walking p's inter pull rows (each vertex's messages in
-// ascending index, the push's order) and skipping zero bins, consumes
-// those bins back to zero block by block, applies the delta recurrence to
-// p's vertices, and regates them:
+// accumulators through p's inter pull (AddSELL, in ascending message
+// index, the push's order), consumes those bins back to zero block by
+// block, applies the delta recurrence to p's vertices, and regates them:
 //
 //	nd(v)   = d·acc(v) + redis  (+ base − rank(v) on the first superstep)
 //	rank(v) += nd(v)
 //	send(v) = nd(v)·inv(v) if |nd(v)| > eps, else 0
 //
-// folding p's new dangling delta, residual, and active count into the
-// per-partition arrays — every fold is partition-local, so thread count
-// never perturbs an order.
+// Every fold is partition-local, so thread count never perturbs an order.
 func (s *state) gatherPartition(p int) {
 	acc := s.acc
 	lay := s.lay
-	ip := &lay.InterPull
-	sink := graph.VertexID(lay.NumMessages())
-	clo, chi := ip.Chunks(p)
-	for c := clo; c < chi; c++ {
-		lo, end := ip.Chunk[c], ip.Chunk[c+1]
-		for i, v := range ip.Lanes(c) {
-			for e := lo + int64(i); e < end; e += layout.PullLanes {
-				m := ip.Idx[e]
-				if m == sink {
-					break
-				}
-				if val := s.bins[m]; val != 0 {
-					acc[v] += val
-				}
-			}
-		}
-	}
+	clo, chi := lay.InterPull.Chunks(p)
+	common.AddSELL(&lay.InterPull, s.bins, acc, clo, chi)
 	for _, bi := range lay.DstBlocks[p] {
 		b := lay.Blocks[bi]
 		clear(s.bins[b.MsgStart:b.MsgEnd])
 	}
 
 	part := s.hier.Partitions[p]
-	ranks, send, inv := s.ranks, s.send, s.inv
-	d, base, redis, eps := s.d, s.base, s.redis, s.eps
+	lo, hi := int(part.VertexStart), int(part.VertexEnd)
+	ranks := s.ranks
+	d, base, redis := s.d, s.base, s.redis
 	first := s.first && s.correct
 	var res float64
-	var dangling float64
-	var active int32
-	for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
+	for v := lo; v < hi; v++ {
 		nd := float32(d*acc[v]) + redis
 		if first {
 			// First superstep of a cold or dense-warm run: delta_0 is the
@@ -195,31 +186,46 @@ func (s *state) gatherPartition(p int) {
 			// exact.
 			nd += base - ranks[v]
 		}
-		acc[v] = 0
+		acc[v] = nd
 		ranks[v] += nd
-		ad := float64(nd)
-		if ad < 0 {
-			ad = -ad
-		}
-		if ad > res {
+		if ad := math.Abs(float64(nd)); ad > res {
 			res = ad
 		}
+	}
+	s.partRes[p] = float32(res)
+	s.gate(p, lo, hi)
+	s.partIters[p]++
+}
+
+// gate regates partition p's vertices [lo,hi) on the new deltas their
+// accumulators hold, zeroing the accumulators, and stores p's dangling
+// delta, active count, active list and active out-edges.
+func (s *state) gate(p, lo, hi int) {
+	acc, send, inv, front := s.acc, s.send, s.inv, s.front[lo:hi]
+	off := s.g.OutOffsets()
+	var dangling float64
+	var active int32
+	var edges int64
+	for v := lo; v < hi; v++ {
+		nd := acc[v]
+		acc[v] = 0
 		if inv[v] == 0 {
 			dangling += float64(nd)
 			send[v] = 0
 			continue
 		}
-		if float32(ad) > eps {
+		if float32(math.Abs(float64(nd))) > s.eps {
 			send[v] = nd * inv[v]
+			front[active] = graph.VertexID(v)
 			active++
+			edges += off[v+1] - off[v]
 		} else {
 			send[v] = 0
 		}
 	}
-	s.partRes[p] = float32(res)
 	s.partDang[p] = dangling
 	s.partCounts[p] = active
-	s.partIters[p]++
+	s.partEdges[p] = edges
 }
 
 // reduce folds the per-partition dangling deltas in partition order into
@@ -250,19 +256,19 @@ func (s *state) danglingMass() float64 { return s.lastDangling }
 
 // startIteration marks the first superstep (for the correction term) and
 // accrues the frontier-effectiveness counters for the iteration about to
-// run.
+// run, the scattering partitions that push included.
 func (s *state) startIteration(it int) {
 	s.first = it == 0
-	s.iterations++
-	var parts int
-	for p := range s.partCounts {
-		if s.partCounts[p] > 0 {
-			parts++
+	st := s.Stats()
+	s.rep.IterationsExecuted++
+	s.rep.ActivePartitionIterations += int64(st.ActivePartitions)
+	s.rep.ActiveVertexIterations += st.ActiveVertices
+	s.rep.PartitionsSkipped += int64(st.TotalPartitions - st.ActivePartitions)
+	for p, e := range s.partEdges {
+		if e > 0 && s.pushes(p) {
+			s.rep.PushPartitionIterations++
 		}
 	}
-	s.activePartIters += int64(parts)
-	s.activeVertIters += s.activeVerts
-	s.skipped += int64(len(s.partCounts) - parts)
 }
 
 // Stats implements common.Frontier.
@@ -277,7 +283,7 @@ func (s *state) Stats() common.FrontierStats {
 		ActivePartitions: parts,
 		TotalPartitions:  len(s.partCounts),
 		ActiveVertices:   s.activeVerts,
-		TotalVertices:    s.totalVerts,
+		TotalVertices:    s.rep.TotalVertices,
 	}
 }
 
@@ -287,81 +293,42 @@ func (s *state) Stats() common.FrontierStats {
 // would feed the next iteration's redistribution term).
 func (s *state) Rebuild(int) (common.FrontierStats, bool) {
 	var verts int64
+	var pending float64
 	for p := range s.partCounts {
 		verts += int64(s.partCounts[p])
-	}
-	s.activeVerts = verts
-	var pending float64
-	for p := range s.partDang {
 		pending += s.partDang[p]
 	}
-	st := s.Stats()
-	return st, verts == 0 && pending == 0
+	s.activeVerts = verts
+	return s.Stats(), verts == 0 && pending == 0
 }
 
-// report summarises the run's frontier effectiveness.
-func (s *state) report() *common.FrontierReport {
-	return &common.FrontierReport{
-		TotalPartitions:           len(s.partCounts),
-		TotalVertices:             s.totalVerts,
-		IterationsExecuted:        s.iterations,
-		ActivePartitionIterations: s.activePartIters,
-		ActiveVertexIterations:    s.activeVertIters,
-		PartitionsSkipped:         s.skipped,
-	}
-}
-
-// deltaPhase walks one thread's pinned partition group through a phase —
-// scatter skips quiescent partitions, gather is dense.
-type deltaPhase struct {
-	s      *state
-	groups []partition.Group
-	gather bool
-}
-
-func (g *deltaPhase) run(tid int) {
-	s := g.s
-	gr := g.groups[tid]
-	for p := gr.PartStart; p < gr.PartEnd; p++ {
-		if g.gather {
-			s.gatherPartition(p)
-		} else if s.partCounts[p] > 0 {
+// scatter runs thread tid's partitions that have an active out-edge.
+func (s *state) scatter(tid int) {
+	for p := s.groups[tid].PartStart; p < s.groups[tid].PartEnd; p++ {
+		if s.partEdges[p] > 0 {
 			s.scatterPartition(p)
 		}
 	}
 }
 
+// gather runs every partition of thread tid.
+func (s *state) gather(tid int) {
+	for p := s.groups[tid].PartStart; p < s.groups[tid].PartEnd; p++ {
+		s.gatherPartition(p)
+	}
+}
+
 // seedCold gates the uniform initial mass as delta_0 = 1/n for every vertex
-// and seeds the per-partition dangling masses and active counts — the
-// engine's cold start, also used (with ranks = w) for a dense warm start
-// without a graph delta. The first iteration's active set is the gated
-// vertices, which leaves out the dangling ones.
+// and seeds the per-partition dangling masses, active counts, lists and
+// out-edges — the engine's cold start, also used (with ranks = w) for a
+// dense warm start without a graph delta. The first iteration's active set
+// is the gated vertices, which leaves out the dangling ones.
 func (s *state) seedCold() {
-	for p := range s.hier.Partitions {
-		part := s.hier.Partitions[p]
-		var dangling float64
-		var active int32
-		for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
-			dv := s.ranks[v]
-			if s.inv[v] == 0 {
-				dangling += float64(dv)
-				s.send[v] = 0
-				continue
-			}
-			ad := dv
-			if ad < 0 {
-				ad = -ad
-			}
-			if ad > s.eps {
-				s.send[v] = dv * s.inv[v]
-				active++
-			} else {
-				s.send[v] = 0
-			}
-		}
-		s.partDang[p] = dangling
-		s.partCounts[p] = active
-		s.activeVerts += int64(active)
+	for p, part := range s.hier.Partitions {
+		lo, hi := int(part.VertexStart), int(part.VertexEnd)
+		copy(s.acc[lo:hi], s.ranks[lo:hi])
+		s.gate(p, lo, hi)
+		s.activeVerts += int64(s.partCounts[p])
 	}
 	s.correct = true
 }
@@ -406,8 +373,8 @@ func (s *state) seedWarmDelta(d *graph.Delta, w []float32) {
 	s.partDang[0] = danglingSeed
 	s.correct = false
 	// Nothing scatters in superstep 0 — the seed already sits in the
-	// accumulators — but the perturbed vertices count as active so the
-	// frontier statistics reflect the seeded work.
+	// accumulators, and partEdges stays zero — but the perturbed vertices
+	// count as active so the frontier statistics reflect the seeded work.
 	for _, v := range d.Perturbed {
 		s.partCounts[s.hier.PartitionOfVertex(v)]++
 	}
@@ -456,17 +423,20 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		inv:        prep.Partition().Inv,
 		ranks:      arena.Ranks(n),
 		acc:        arena.Acc(n),
-		send:       arena.Contrib(n),
-		bins:       arena.Bins(int(lay.NumMessages())),
+		send:       arena.Contrib(n + 1),
+		bins:       arena.Bins(int(lay.NumMessages()) + 1),
+		front:      arena.Frontier(n),
 		partRes:    arena.PartResiduals(P),
 		partDang:   arena.PartDangling(P),
 		partIters:  arena.PartIters(P),
 		partCounts: arena.PartCounts(P),
+		partEdges:  arena.PartEdges(P),
 		damping:    o.Damping,
 		d:          float32(o.Damping),
 		base:       float32((1 - o.Damping) / float64(n)),
 		eps:        float32(tol / epsDivisor),
-		totalVerts: int64(n),
+		groups:     hier.Groups,
+		rep:        common.FrontierReport{TotalPartitions: P, TotalVertices: int64(n)},
 	}
 	switch {
 	case o.Warm == nil:
@@ -481,17 +451,15 @@ func (Engine) Exec(prep *common.Prepared, o common.Options) (*common.Result, err
 		s.seedWarmDelta(o.Warm.Delta, o.Warm.Ranks)
 	}
 
-	scatter := &deltaPhase{s: s, groups: hier.Groups}
-	gather := &deltaPhase{s: s, groups: hier.Groups, gather: true}
 	iters := p.Supersteps(common.PhaseKernels{
 		StartIteration: s.startIteration,
-		Scatter:        scatter.run,
+		Scatter:        s.scatter,
 		Reduce:         s.reduce,
-		Gather:         gather.run,
+		Gather:         s.gather,
 		Residual:       s.residual,
 		DanglingMass:   s.danglingMass,
 	}, tol, s)
-	p.Frontier = s.report()
+	p.Frontier = &s.rep
 
 	return p.Finish(func(a *platform.Accounting) error {
 		return a.AddPartitionRun(platform.PartitionRun{

@@ -1,10 +1,10 @@
-// Package layout builds the partition-centric data layout that HiPa and the
-// p-PR baseline iterate over (paper §3.4, Fig. 4): intra-edges kept local
-// to the owning core's cache, and inter-edges compressed into
-// per-(source-partition, destination-partition) message blocks — all
-// inter-edges that share a source vertex and a destination partition
-// collapse into a single message carrying one rank value (PCPM's
-// compression, Lakhotia et al.).
+// Package layout builds the partition-centric data layout that HiPa, the
+// p-PR baseline, Delta-PR and B-PPR iterate over (paper §3.4, Fig. 4):
+// intra-edges kept local to the owning core's cache, and inter-edges
+// compressed into per-(source-partition, destination-partition) message
+// blocks — all inter-edges that share a source vertex and a destination
+// partition collapse into a single message carrying one rank value
+// (PCPM's compression, Lakhotia et al.).
 //
 // Messages are stored sorted by (source partition, destination partition,
 // source vertex). The scatter phase of the owning thread therefore streams
@@ -34,10 +34,10 @@
 // order; the padding adds the +0 engines keep at the sink slot, which
 // leaves a sum that is never −0 unchanged. So the pulls' float32 sums are
 // bit-identical to the paper's push, and any set of chunks can run on a
-// different thread without races. The intra-edges are also stored as the
-// paper's push CSR (IntraOff/IntraDst), source-ordered, which the sparse
-// consumers (Delta-PR's frontier scatter, the framework programs, the cost
-// model and the exact simulator) walk.
+// different thread without races. The intra pull is the one stored copy
+// of the intra-edges: a kernel that pushes a sparse frontier instead
+// walks the graph's own out-CSR and keeps the destinations inside the
+// partition (common.PushCSR).
 //
 // The same structure with compression disabled (one message per inter-edge)
 // serves as the ablation baseline for the compression optimisation.
@@ -122,10 +122,6 @@ type Layout struct {
 	// MsgSrc[i] is message i's source vertex.
 	MsgSrc []graph.VertexID
 
-	// Intra-edge CSR over all vertices: destinations of v's intra-partition
-	// edges are IntraDst[IntraOff[v]:IntraOff[v+1]].
-	IntraOff []int64
-	IntraDst []graph.VertexID
 	// IntraPull's rows are each vertex's intra in-neighbours, ascending;
 	// its sink is the vertex count n.
 	IntraPull SELL
@@ -142,6 +138,16 @@ type Layout struct {
 // NumMessages returns the total compressed message count.
 func (l *Layout) NumMessages() int64 { return int64(len(l.MsgSrc)) }
 
+// PartIntraEdges returns the intra-edges of partition p of h, the
+// hierarchy l was built under: its out-edges less those its blocks carry.
+func (l *Layout) PartIntraEdges(h *partition.Hierarchy, p int) int64 {
+	intra := h.Partitions[p].EdgeCount
+	for _, b := range l.Blocks[l.SrcBlockStart[p]:l.SrcBlockEnd[p]] {
+		intra -= b.Edges
+	}
+	return intra
+}
+
 // Build constructs the layout for g under hierarchy h with the default
 // parallelism. When compress is false every inter-edge becomes its own
 // single-destination message.
@@ -154,8 +160,8 @@ func Build(g *graph.Graph, h *partition.Hierarchy, compress bool) (*Layout, erro
 //
 // Both edge-scanning passes (count, then fill) run parallel over source
 // partitions: every array cell they touch — a (p,q) row of the pair-count
-// and cursor matrices, a vertex's push row and intra pull lane (an intra
-// edge's destination lies in its source's partition), p's intra pull
+// and cursor matrices, a vertex's intra pull lane (an intra edge's
+// destination lies in its source's partition), p's intra pull
 // chunks, a message inside one of p's blocks and its destinations — is
 // owned by exactly one source partition p, so rows can be processed
 // concurrently with disjoint writes, and within a row the serial vertex
@@ -181,35 +187,30 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 		partEdges[p+1] = partEdges[p] + h.Partitions[p].EdgeCount
 	}
 
-	// Pass 1: count messages and destinations per (p,q), and intra out- and
+	// Pass 1: count messages and destinations per (p,q), and intra
 	// in-edges per vertex, then order each partition's intra pull rows. The
 	// pair matrix is dense; partition counts stay small at realistic
 	// partition sizes (P = |V|·4B / partitionBytes).
 	msgCount := make([]int64, P*P)
 	dstCount := make([]int64, P*P)
-	intraPerRow := make([]int64, P)
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		var hist []int64
 		for p := plo; p < phi; p++ {
 			vlo, vhi := s.rowRange(p)
-			intraPerRow[p] = s.count(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
+			s.count(p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
 			hist = l.IntraPull.sortLanes(p, vlo, s.deg[vlo:vhi], s.sink, hist)
 		}
 	})
-	var intraTotal int64
-	for _, c := range intraPerRow {
-		intraTotal += c
-	}
-	push, err := l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
+	push, err := l.placeBlocks(msgCount, dstCount, g.NumEdges())
 	if err != nil {
 		return nil, err
 	}
 
-	// Pass 2: fill messages, their destination runs and both intra
-	// structures in one row-parallel scan, through the per-block cursors
-	// placeBlocks left in msgCount and dstCount and the per-destination
-	// lane cursors fill derives from the intra pull's chunks; then build
-	// the inter pull from the push order.
+	// Pass 2: fill messages, their destination runs and the intra pull in
+	// one row-parallel scan, through the per-block cursors placeBlocks
+	// left in msgCount and dstCount and the per-destination lane cursors
+	// fill derives from the intra pull's chunks; then build the inter pull
+	// from the push order.
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
 			vlo, vhi := s.rowRange(p)
@@ -243,7 +244,6 @@ func newLayout(h *partition.Hierarchy, compress bool) *Layout {
 		SrcBlockStart: make([]int32, P),
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
-		IntraOff:      make([]int64, h.NumVertices+1),
 		IntraPull:     newSELL(h),
 		InterPull:     newSELL(h),
 	}
@@ -390,19 +390,15 @@ func (s rowScan) rowRange(p int) (int, int) {
 
 // count adds source partition p's messages and destinations per destination
 // partition q to msgs[q] and dsts[q] (p's row of the pair matrices), each
-// vertex v's intra out-edges to l.IntraOff[v+1] and its intra in-edges to
-// s.deg[v]. It returns p's intra-edge total.
-func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
-	var intra int64
-	outOff, in := l.IntraOff, s.deg
+// vertex v's intra in-edges to s.deg[v].
+func (s rowScan) count(p, vlo, vhi int, msgs, dsts []int64) {
+	in := s.deg
 	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
-		var out int64
 		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
 			if uint32(d)-lo < per {
 				in[d]++
-				out++
 				continue
 			}
 			q := s.part.div(d)
@@ -412,10 +408,7 @@ func (s rowScan) count(l *Layout, p, vlo, vhi int, msgs, dsts []int64) int64 {
 				lastQ = q
 			}
 		}
-		outOff[v+1] = out
-		intra += out
 	}
-	return intra
 }
 
 // interPush is the inter-edges in the paper's push order: message m's
@@ -433,23 +426,20 @@ type interPush struct {
 // messages follow the scan's source order and each message's destinations
 // are a contiguous run of its row, so one message cursor and one
 // destination cursor per block place everything. An intra edge (v,d) is
-// also appended to d's intra pull lane through the cursor s.deg[d], which
+// appended to d's intra pull lane through the cursor s.deg[d], which
 // steps by PullLanes; sources arrive in ascending order, so each lane ends
 // up sorted.
 func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64, push interPush, intra bool) {
 	if intra {
 		l.IntraPull.pad(p, s.deg, s.sink, s.sink)
 	}
-	intraDst, cur, pullIdx := l.IntraDst, s.deg, l.IntraPull.Idx
+	cur, pullIdx := s.deg, l.IntraPull.Idx
 	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
-		next := l.IntraOff[v]
 		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
 			if uint32(d)-lo < per {
 				if intra {
-					intraDst[next] = d
-					next++
 					pullIdx[cur[d]] = graph.VertexID(v)
 					cur[d] += PullLanes
 				}
@@ -522,21 +512,16 @@ func (s rowScan) pullInter(l *Layout, push interPush, workers int) {
 	})
 }
 
-// placeBlocks turns the per-vertex intra counts into the push CSR offsets
-// and the per-chunk entry counts into the intra pull's chunk offsets, lays
-// out the blocks in (p,q) order with global message and destination
-// prefix sums, and allocates the edge arrays and the push order the fill
-// writes. msgCount and dstCount become each (p,q) pair's first message and
-// first destination index: the cursors of the fill pass. It refuses a
-// layout of 2^31 or more messages, whose indices would not fit a pull.
-func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64) (interPush, error) {
+// placeBlocks turns the per-chunk entry counts into the intra pull's chunk
+// offsets, lays out the blocks in (p,q) order with global message and
+// destination prefix sums (the destinations are the inter-edges; the rest
+// of the graph's edges are intra), and allocates the edge arrays and the push
+// order the fill writes. msgCount and dstCount become each (p,q) pair's
+// first message and first destination index: the cursors of the fill
+// pass. It refuses a layout of 2^31 or more messages, whose indices would
+// not fit a pull.
+func (l *Layout) placeBlocks(msgCount, dstCount []int64, edges int64) (interPush, error) {
 	P := l.NumPartitions
-	l.IntraEdges = intraTotal
-	l.InterEdges = edges - intraTotal
-	for v := 0; v+1 < len(l.IntraOff); v++ {
-		l.IntraOff[v+1] += l.IntraOff[v]
-	}
-
 	var totalMsgs, totalDsts int64
 	for p := 0; p < P; p++ {
 		l.SrcBlockStart[p] = int32(len(l.Blocks))
@@ -559,10 +544,10 @@ func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64
 		}
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
 	}
+	l.InterEdges, l.IntraEdges = totalDsts, edges-totalDsts
 	if totalMsgs >= maxIndex {
 		return interPush{}, fmt.Errorf("layout: %d messages; a pull index holds fewer than 2^31", totalMsgs)
 	}
-	l.IntraDst = make([]graph.VertexID, intraTotal)
 	l.IntraPull.place()
 	l.MsgSrc = make([]graph.VertexID, totalMsgs)
 	push := interPush{off: make([]int64, totalMsgs+1), dst: make([]graph.VertexID, totalDsts)}
@@ -571,11 +556,11 @@ func (l *Layout) placeBlocks(msgCount, dstCount []int64, intraTotal, edges int64
 }
 
 // Validate checks structural invariants; used by tests. The blocks must
-// tile the messages; the intra pull must replay the push CSR and the inter
-// pull the graph's inter-edges, each grouped into messages as the build
+// tile the messages; the intra pull must replay the graph's intra-edges
+// and the inter pull its inter-edges, grouped into messages as the build
 // groups them: every lane lists, in order, exactly the sources or messages
-// a push would add into its vertex, and every entry past a row is the
-// pull's sink.
+// a push over g's out-CSR would add into its vertex, and every entry past
+// a row is the pull's sink.
 func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	per := h.VerticesPerPartition
 	n := g.NumVertices()
@@ -604,30 +589,11 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	if msgCur != msgs {
 		return fmt.Errorf("layout: blocks cover %d of %d messages", msgCur, msgs)
 	}
-	// Intra edges stay within the source's partition.
-	for v := 0; v < n; v++ {
-		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
-			if int(d)/per != v/per {
-				return fmt.Errorf("layout: intra edge (%d,%d) crosses partitions", v, d)
-			}
-		}
-	}
 
 	intra, err := l.IntraPull.lanes("intra", h, n)
 	if err != nil {
 		return err
 	}
-	for v := 0; v < n; v++ {
-		for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
-			if !intra.next(d, graph.VertexID(v)) {
-				return fmt.Errorf("layout: intra pull lane of %d does not hold intra edge (%d,%d) in source order", d, v, d)
-			}
-		}
-	}
-	if err := intra.padding(graph.VertexID(n)); err != nil {
-		return err
-	}
-
 	inter, err := l.InterPull.lanes("inter", h, n)
 	if err != nil {
 		return err
@@ -638,6 +604,9 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 		for _, d := range g.OutNeighbors(graph.VertexID(u)) {
 			q := int(d) / per
 			if q == p {
+				if !intra.next(d, graph.VertexID(u)) {
+					return fmt.Errorf("layout: intra pull lane of %d does not hold intra edge (%d,%d) in source order", d, u, d)
+				}
 				continue
 			}
 			edges++
@@ -658,6 +627,9 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 		if next[bi] != b.MsgEnd {
 			return fmt.Errorf("layout: block %d->%d holds %d messages the graph does not send", b.SrcPart, b.DstPart, b.MsgEnd-next[bi])
 		}
+	}
+	if err := intra.padding(graph.VertexID(n)); err != nil {
+		return err
 	}
 	if err := inter.padding(graph.VertexID(msgs)); err != nil {
 		return err
@@ -794,12 +766,10 @@ func (l *Layout) InterPullStats() PullStats { return l.InterPull.stats(l.InterEd
 func (l *Layout) BinBytes() int64 { return l.NumMessages() * 4 }
 
 // Bytes returns the resident size of the layout's arrays: blocks, block
-// indexes, message sources, the intra push CSR and both pulls, padding
-// included.
+// indexes, message sources and both pulls, padding included.
 func (l *Layout) Bytes() int64 {
 	n := int64(cap(l.Blocks))*int64(unsafe.Sizeof(Block{})) +
-		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)+cap(l.IntraDst)) +
-		8*int64(cap(l.IntraOff)) +
+		4*int64(cap(l.SrcBlockStart)+cap(l.SrcBlockEnd)+cap(l.MsgSrc)) +
 		l.IntraPull.bytes() + l.InterPull.bytes() +
 		int64(cap(l.DstBlocks))*int64(unsafe.Sizeof([]int32(nil)))
 	for _, list := range l.DstBlocks {

@@ -52,7 +52,7 @@ func TestFig4Compression(t *testing.T) {
 	if l.MsgSrc[0] != 1 {
 		t.Errorf("message source = %d, want 1", l.MsgSrc[0])
 	}
-	if got, want := decodeBlocks(l), [][2]graph.VertexID{{1, 6}, {1, 7}}; !slices.Equal(got, want) {
+	if got, want := decodeBlocks(l, g.NumVertices()), [][2]graph.VertexID{{1, 6}, {1, 7}}; !slices.Equal(got, want) {
 		t.Errorf("decoded (source, destination) pairs = %v, want %v", got, want)
 	}
 	if got := pullRows(l.InterPull, g.NumVertices(), 1); !slices.Equal(got[6], []graph.VertexID{0}) || !slices.Equal(got[7], []graph.VertexID{0}) {
@@ -124,7 +124,7 @@ func TestBlocksOrderingAndIndexes(t *testing.T) {
 }
 
 // The update multiset delivered by the layout must equal the edge multiset:
-// replaying scatter+gather symbolically reproduces every inter-edge exactly
+// replaying both pulls symbolically reproduces every inter-edge exactly
 // once and every intra-edge exactly once.
 func TestEdgeMultisetPreserved(t *testing.T) {
 	for _, compress := range []bool{true, false} {
@@ -138,12 +138,13 @@ func TestEdgeMultisetPreserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[[2]graph.VertexID]int{}
-		for _, e := range decodeBlocks(l) {
+		n := g.NumVertices()
+		for _, e := range decodeBlocks(l, n) {
 			got[e]++
 		}
-		for v := 0; v < g.NumVertices(); v++ {
-			for _, d := range l.IntraDst[l.IntraOff[v]:l.IntraOff[v+1]] {
-				got[[2]graph.VertexID{graph.VertexID(v), d}]++
+		for v, row := range pullRows(l.IntraPull, n, graph.VertexID(n)) {
+			for _, u := range row {
+				got[[2]graph.VertexID{u, graph.VertexID(v)}]++
 			}
 		}
 		want := map[[2]graph.VertexID]int{}
@@ -291,7 +292,6 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 		SrcBlockStart: make([]int32, P),
 		SrcBlockEnd:   make([]int32, P),
 		DstBlocks:     make([][]int32, P),
-		IntraOff:      make([]int64, n+1),
 	}
 	blocks := make([][]message, P*P)
 	intraRows := make([][]graph.VertexID, n)
@@ -300,7 +300,7 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 		for _, d := range g.OutNeighbors(graph.VertexID(v)) {
 			q := int(d) / per
 			if q == p {
-				l.IntraDst = append(l.IntraDst, d)
+				l.IntraEdges++
 				intraRows[d] = append(intraRows[d], graph.VertexID(v))
 				continue
 			}
@@ -312,9 +312,7 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 			last := &(*b)[len(*b)-1]
 			last.dsts = append(last.dsts, d)
 		}
-		l.IntraOff[v+1] = int64(len(l.IntraDst))
 	}
-	l.IntraEdges = int64(len(l.IntraDst))
 	l.InterEdges = g.NumEdges() - l.IntraEdges
 	interRows := make([][]graph.VertexID, n)
 	for p := 0; p < P; p++ {
@@ -435,8 +433,6 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 				{"SrcBlockEnd", slices.Equal(got.SrcBlockEnd, want.SrcBlockEnd)},
 				{"DstBlocks", slices.EqualFunc(got.DstBlocks, want.DstBlocks, slices.Equal[[]int32])},
 				{"MsgSrc", slices.Equal(got.MsgSrc, want.MsgSrc)},
-				{"IntraOff", slices.Equal(got.IntraOff, want.IntraOff)},
-				{"IntraDst", slices.Equal(got.IntraDst, want.IntraDst)},
 				{"IntraPull.Part", slices.Equal(got.IntraPull.Part, want.IntraPull.Part)},
 				{"IntraPull.Chunk", slices.Equal(got.IntraPull.Chunk, want.IntraPull.Chunk)},
 				{"IntraPull.Perm", slices.Equal(got.IntraPull.Perm, want.IntraPull.Perm)},
@@ -459,8 +455,8 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 // decodeBlocks returns the (source, destination) pair of every inter pull
 // entry: each entry of a vertex's row is a message carrying one edge from
 // the message's source to the vertex.
-func decodeBlocks(l *Layout) [][2]graph.VertexID {
-	rows := pullRows(l.InterPull, len(l.IntraOff)-1, graph.VertexID(l.NumMessages()))
+func decodeBlocks(l *Layout, n int) [][2]graph.VertexID {
+	rows := pullRows(l.InterPull, n, graph.VertexID(l.NumMessages()))
 	var out [][2]graph.VertexID
 	for v, row := range rows {
 		for _, m := range row {
@@ -607,8 +603,8 @@ func TestBuildRejectsOversizedGraphs(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadIntraSrc: a pull that does not replay the push CSR
-// exactly fails Validate, so the dense scatter can never sum a
+// TestValidateRejectsBadIntraSrc: a pull that does not replay g's
+// intra-edges exactly fails Validate, so the dense scatter can never sum a
 // destination's sources out of push order, lose or gain an edge, or store a
 // sum for a vertex twice or not at all. The corruptions: two sources of one
 // lane swapped, a source moved out of its partition, a row entry or a

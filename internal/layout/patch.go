@@ -12,8 +12,8 @@ import (
 // Patch rebuilds the layout for g under h by recounting only the touched
 // source partitions' rows and splicing their intra edges out of the old
 // layout. The result is bit-identical to BuildWorkers(g, h, old.Compressed,
-// ·): every intra edge (push row and intra pull chunk) of an untouched
-// source partition is copied verbatim (the intra pull lanes hold vertex
+// ·): every intra edge (intra pull chunk) of an untouched source partition
+// is copied verbatim (the intra pull lanes hold vertex
 // IDs, so nothing is rebased but the partition's chunk offsets, which move
 // by one constant), and the messages and the inter pull are rebuilt from
 // the rows exactly as Build builds them — the incremental-prep path behind
@@ -58,18 +58,17 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 	s := newRowScan(g, h, compress)
 	pull, oldPull := &l.IntraPull, &old.IntraPull
 
-	// Pass 1: per-(p,q) message/destination counts, per-vertex intra
-	// counts and the intra pull lanes and chunk sizes. Touched partitions
+	// Pass 1: per-(p,q) message/destination counts, intra-edge counts
+	// and the intra pull lanes and chunk sizes. Touched partitions
 	// re-scan their adjacency rows exactly like Build; untouched partitions
 	// read their counts off the old layout and keep their lanes.
 	msgCount := make([]int64, P*P)
 	dstCount := make([]int64, P*P)
-	var intraTotal int64
 	var hist []int64
 	for p := 0; p < P; p++ {
 		vlo, vhi := s.rowRange(p)
 		if isTouched[p] {
-			intraTotal += s.count(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
+			s.count(p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P])
 			hist = pull.sortLanes(p, vlo, s.deg[vlo:vhi], s.sink, hist)
 			continue
 		}
@@ -79,18 +78,13 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 			msgCount[idx] = b.Messages()
 			dstCount[idx] = b.Edges
 		}
-		for v := vlo; v < vhi; v++ {
-			c := old.IntraOff[v+1] - old.IntraOff[v]
-			l.IntraOff[v+1] = c
-			intraTotal += c
-		}
 		clo, chi := int(pull.Part[p]), int(pull.Part[p+1])
 		copy(pull.Perm[clo*PullLanes:chi*PullLanes], oldPull.Perm[clo*PullLanes:chi*PullLanes])
 		for c := clo; c < chi; c++ {
 			pull.Chunk[c+1] = oldPull.Chunk[c+1] - oldPull.Chunk[c]
 		}
 	}
-	push, err := l.placeBlocks(msgCount, dstCount, intraTotal, g.NumEdges())
+	push, err := l.placeBlocks(msgCount, dstCount, g.NumEdges())
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +99,9 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 		if isTouched[p] {
 			continue
 		}
-		// An untouched partition's push rows and intra pull chunks are each
-		// one contiguous run; its chunk offsets moved by one constant,
-		// which placeBlocks' prefix sum over the copied chunk sizes applied.
-		copy(l.IntraDst[l.IntraOff[vlo]:l.IntraOff[vhi]],
-			old.IntraDst[old.IntraOff[vlo]:old.IntraOff[vhi]])
+		// An untouched partition's intra pull chunks are one contiguous
+		// run; its chunk offsets moved by one constant, which placeBlocks'
+		// prefix sum over the copied chunk sizes applied.
 		clo, chi := pull.Part[p], pull.Part[p+1]
 		copy(pull.Idx[pull.Chunk[clo]:pull.Chunk[chi]], oldPull.Idx[oldPull.Chunk[clo]:oldPull.Chunk[chi]])
 	}

@@ -177,7 +177,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameMultiset(decodeBlocks(l), interEdges(g, h)) {
+		if !sameMultiset(decodeBlocks(l, g.NumVertices()), interEdges(g, h)) {
 			t.Fatalf("compress=%v: built layout does not decode to the inter-edges", compress)
 		}
 		prevVer := vg.Version()
@@ -197,7 +197,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameMultiset(decodeBlocks(pl), interEdges(d.Next, nh)) {
+		if !sameMultiset(decodeBlocks(pl, d.Next.NumVertices()), interEdges(d.Next, nh)) {
 			t.Fatalf("compress=%v: patched layout does not decode to the inter-edges", compress)
 		}
 	}

@@ -291,7 +291,7 @@ func (a *Accounting) AddPartitionRun(s PartitionRun) error {
 		}
 		part := s.Hier.Partitions[p]
 		vp := int64(part.Vertices())
-		intra := s.Lay.IntraOff[part.VertexEnd] - s.Lay.IntraOff[part.VertexStart]
+		intra := s.Lay.PartIntraEdges(s.Hier, p)
 
 		// Where p's data lives: its own node when NUMA-aware, interleaved
 		// otherwise.
@@ -441,7 +441,7 @@ func (a *Accounting) AddBatchRun(s BatchRun) error {
 		}
 		part := s.Hier.Partitions[p]
 		vp := int64(part.Vertices())
-		intra := s.Lay.IntraOff[part.VertexEnd] - s.Lay.IntraOff[part.VertexStart]
+		intra := s.Lay.PartIntraEdges(s.Hier, p)
 
 		dataNode := -1
 		if s.NUMAAware {

@@ -24,6 +24,7 @@ import (
 // Replay drives one graph's scatter-gather access pattern through the exact
 // simulators.
 type Replay struct {
+	g      *graph.Graph
 	mach   *machine.Machine
 	hier   *partition.Hierarchy
 	lay    *layout.Layout
@@ -45,6 +46,9 @@ type Replay struct {
 	// the message-destination array read during gather.
 	binSlot []int64
 	dstSlot []int64
+	// intraStart[p] is partition p's first intra-edge in the paper's push
+	// lists, stored in source order.
+	intraStart []int64
 	// The replay decodes the paper's push: message m's destinations are
 	// msgDst[msgOff[m]:msgOff[m+1]], rebuilt from the layout's inter pull
 	// (pushOrder).
@@ -82,6 +86,7 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 		return nil, err
 	}
 	r := &Replay{
+		g:         g,
 		mach:      m,
 		hier:      hier,
 		lay:       lay,
@@ -99,7 +104,7 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 	// destination-local placement is a contiguous slice per node; binSlot
 	// maps each global message index to its dst-major position.
 	r.binSlot = make([]int64, lay.NumMessages())
-	r.msgOff, r.msgDst = pushOrder(lay)
+	r.msgOff, r.msgDst = pushOrder(lay, g.NumVertices())
 	r.dstSlot = make([]int64, len(r.msgDst))
 	var binBounds, dstBounds []int64
 	{
@@ -124,10 +129,16 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 		binBounds = append(binBounds, cum*4)
 		dstBounds = append(dstBounds, dcum*4)
 	}
-	// Per-source-ordered arrays (message sources, intra-edge lists) are
-	// owned by the source partition's node: boundaries where the source
-	// partition's node changes.
+	// Per-source-ordered arrays (message sources, the paper's intra-edge
+	// push lists, priced as stored though the layout keeps only the pull)
+	// are owned by the source partition's node: boundaries where the
+	// source partition's node changes.
 	var srcBounds, intraBounds []int64
+	r.intraStart = make([]int64, hier.NumPartitions()+1)
+	for p := range hier.Partitions {
+		r.intraStart[p+1] = r.intraStart[p] + lay.PartIntraEdges(hier, p)
+	}
+	intraEdges := r.intraStart[hier.NumPartitions()]
 	{
 		node := 0
 		for _, b := range lay.Blocks {
@@ -137,12 +148,10 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 			}
 		}
 		srcBounds = append(srcBounds, lay.NumMessages()*4)
-		node = 0
 		for _, na := range hier.Nodes[1:] {
-			intraBounds = append(intraBounds, lay.IntraOff[na.VertexLow]*4)
-			_ = node
+			intraBounds = append(intraBounds, r.intraStart[na.PartStart]*4)
 		}
-		intraBounds = append(intraBounds, int64(len(lay.IntraDst))*4)
+		intraBounds = append(intraBounds, intraEdges*4)
 	}
 	var vertexPolicy, binPolicy, srcPolicy, dstPolicy, intraPolicy memsim.Placement = memsim.Interleave{}, memsim.Interleave{}, memsim.Interleave{}, memsim.Interleave{}, memsim.Interleave{}
 	if numaAware {
@@ -163,7 +172,7 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 	r.bins = alloc("bins", lay.NumMessages()*4, binPolicy)
 	r.msgSrcR = alloc("msgsrc", lay.NumMessages()*4, srcPolicy)
 	r.msgDstR = alloc("msgdst", int64(len(r.msgDst))*4, dstPolicy)
-	r.intraR = alloc("intra", int64(len(lay.IntraDst))*4, intraPolicy)
+	r.intraR = alloc("intra", intraEdges*4, intraPolicy)
 
 	// Thread placement via the scheduler simulation.
 	sc := sched.New(m, 1)
@@ -184,11 +193,11 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 }
 
 // pushOrder rebuilds the paper's push order of the inter-edges from the
-// layout's inter pull: message m's destinations are dst[off[m]:off[m+1]],
+// layout's inter pull over n vertices: message m's destinations are dst[off[m]:off[m+1]],
 // in ascending vertex order (its source's adjacency order, as CSR rows are
 // sorted), a repeated edge repeated, so block b's are
 // dst[off[b.MsgStart]:off[b.MsgEnd]].
-func pushOrder(lay *layout.Layout) (off []int64, dst []graph.VertexID) {
+func pushOrder(lay *layout.Layout, n int) (off []int64, dst []graph.VertexID) {
 	ip := &lay.InterPull
 	msgs := lay.NumMessages()
 	sink := graph.VertexID(msgs)
@@ -202,7 +211,6 @@ func pushOrder(lay *layout.Layout) (off []int64, dst []graph.VertexID) {
 		off[m+1] += off[m]
 	}
 	// Walk the rows in vertex order, each vertex's from its lane.
-	n := len(lay.IntraOff) - 1
 	slot := make([]int, n)
 	for k, v := range ip.Perm {
 		if int(v) < n {
@@ -254,13 +262,21 @@ func (r *Replay) access(t int, reg *memsim.Region, offset int64, isRandom bool) 
 func (r *Replay) RunIteration() {
 	lay := r.lay
 	// Scatter phase: interleave threads partition by partition.
+	// The intra-edges are walked as the paper's push lists: g's out-CSR
+	// restricted to the partition, at a running offset into their region.
+	off, adj := r.g.OutOffsets(), r.g.OutEdges()
 	r.forEachThreadPartition(func(t, p int) {
 		part := r.hier.Partitions[p]
+		span := uint32(part.VertexEnd - part.VertexStart)
+		ii := r.intraStart[p]
 		for v := int(part.VertexStart); v < int(part.VertexEnd); v++ {
 			r.access(t, r.ranks, int64(v)*4, false)
-			for ii := lay.IntraOff[v]; ii < lay.IntraOff[v+1]; ii++ {
-				r.access(t, r.intraR, ii*4, false)
-				r.access(t, r.acc, int64(lay.IntraDst[ii])*4, true)
+			for _, d := range adj[off[v]:off[v+1]] {
+				if uint32(d-part.VertexStart) < span {
+					r.access(t, r.intraR, ii*4, false)
+					r.access(t, r.acc, int64(d)*4, true)
+					ii++
+				}
 			}
 		}
 		for bi := lay.SrcBlockStart[p]; bi < lay.SrcBlockEnd[p]; bi++ {
