@@ -248,8 +248,8 @@ func main() {
 		st    layout.PullStats
 		edges string
 	}{{"intra pull", rep.IntraPull, "intra edges"}, {"inter pull", rep.InterPull, "inter-edges"}} {
-		fmt.Printf("%-11s: %d entries + %d padding (%.1f%% of the %s), %dB\n",
-			pl.name, pl.st.Entries, pl.st.Padding, 100*pl.st.PadShare, pl.edges, pl.st.Bytes)
+		fmt.Printf("%-11s: %d entries + %d padding (%.1f%% of the %s), %dB, index %dB (%.1f%% of entries narrow)\n",
+			pl.name, pl.st.Entries, pl.st.Padding, 100*pl.st.PadShare, pl.edges, pl.st.Bytes, pl.st.IndexBytes, 100*pl.st.NarrowShare)
 	}
 	fmt.Printf("placement  : rank array %dB across %v pages per node (sliced by partition ownership)\n",
 		rep.RankBytes, rep.RankPages)

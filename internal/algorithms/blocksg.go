@@ -268,7 +268,7 @@ func (s *BlockSG) pushNext() bool {
 	for _, e := range s.frontEdges {
 		edges += e
 	}
-	return common.PushPays(edges, int64(len(s.Lay.IntraPull.Idx)+len(s.Lay.InterPull.Idx)))
+	return common.PushPays(edges, s.Lay.IntraPull.Entries()+s.Lay.InterPull.Entries())
 }
 
 // StartIteration swaps the double-buffered rank blocks so the ranks the
@@ -367,6 +367,10 @@ func (s *BlockSG) Rebuild(int) (common.FrontierStats, bool) { return s.Stats(), 
 // PushIterations reports how many iterations pushed.
 func (s *BlockSG) PushIterations() int { return s.pushIters }
 
+// gatherTileSteps is the steps of an inter pull chunk GatherPartition
+// decodes at a time.
+const gatherTileSteps = 64
+
 // pullTileRows sizes PullIntra's tile: a tile of pullTileRows/B steps of a
 // chunk reads at most 8*pullTileRows/B contribution rows of B floats, 16 KB,
 // so they stay in L1 while every active column walks the tile.
@@ -391,32 +395,38 @@ const pullTileRows = 512
 func (s *BlockSG) PullIntra(clo, chi int) {
 	const lanes = layout.PullLanes
 	pull := &s.Lay.IntraPull
-	off, idx, perm := pull.Chunk, pull.Idx, pull.Perm
+	perm := pull.Perm
 	b := s.B
 	cols := s.cols
 	contrib, acc := s.contrib, s.acc
 	sink := graph.VertexID(len(acc) / b)
+	if len(cols) == 1 && b == 1 {
+		// A width-1 block is SGState's layout, so it takes the shared pull
+		// kernel.
+		common.PullSELL(pull, contrib, acc, clo, chi)
+		return
+	}
+	var buf [pullTileRows / 2 * lanes]graph.VertexID
+	tileLen := max(1, pullTileRows/b) * lanes
 	if len(cols) == 1 {
 		// Column-scalar: one active column needs no per-column loop or
-		// scratch. A width-1 block is SGState's layout, so it takes the
-		// shared pull kernel.
-		if b == 1 {
-			common.PullSELL(pull, contrib, acc, clo, chi)
-			return
-		}
+		// scratch.
 		j := int(cols[0])
 		for c := clo; c < chi; c++ {
 			var s0, s1, s2, s3, s4, s5, s6, s7 float32
-			for e, end := off[c], off[c+1]; e < end; e += lanes {
-				r := idx[e : e+lanes : e+lanes]
-				s0 += contrib[int(r[0])*b+j]
-				s1 += contrib[int(r[1])*b+j]
-				s2 += contrib[int(r[2])*b+j]
-				s3 += contrib[int(r[3])*b+j]
-				s4 += contrib[int(r[4])*b+j]
-				s5 += contrib[int(r[5])*b+j]
-				s6 += contrib[int(r[6])*b+j]
-				s7 += contrib[int(r[7])*b+j]
+			dec := pull.Decoder(c, sink)
+			for t := dec.Next(buf[:tileLen]); len(t) > 0; t = dec.Next(buf[:tileLen]) {
+				for e := 0; e < len(t); e += lanes {
+					r := t[e : e+lanes : e+lanes]
+					s0 += contrib[int(r[0])*b+j]
+					s1 += contrib[int(r[1])*b+j]
+					s2 += contrib[int(r[2])*b+j]
+					s3 += contrib[int(r[3])*b+j]
+					s4 += contrib[int(r[4])*b+j]
+					s5 += contrib[int(r[5])*b+j]
+					s6 += contrib[int(r[6])*b+j]
+					s7 += contrib[int(r[7])*b+j]
+				}
 			}
 			v := perm[c*lanes : c*lanes+lanes : c*lanes+lanes]
 			if v[lanes-1] == sink {
@@ -437,17 +447,16 @@ func (s *BlockSG) PullIntra(clo, chi int) {
 	// path, eight lanes side by side, while the tile's contribution rows
 	// stay in L1 for the next column.
 	var sums [MaxBatch][lanes]float32
-	step := int64(max(1, pullTileRows/b)) * lanes
 	for c := clo; c < chi; c++ {
 		for k := range cols {
 			sums[k] = [lanes]float32{}
 		}
-		for t, end := off[c], off[c+1]; t < end; t += step {
-			tend := min(t+step, end)
+		dec := pull.Decoder(c, sink)
+		for t := dec.Next(buf[:tileLen]); len(t) > 0; t = dec.Next(buf[:tileLen]) {
 			// Lanes are sorted by length, so the lanes still real at the
 			// tile's first step are a prefix.
 			live := 0
-			for live < lanes && idx[t+int64(live)] != sink {
+			for live < lanes && t[live] != sink {
 				live++
 			}
 			if live < lanes {
@@ -455,8 +464,8 @@ func (s *BlockSG) PullIntra(clo, chi int) {
 					j := int(j)
 					for i := 0; i < live; i++ {
 						sum := sums[k][i]
-						for e := t + int64(i); e < tend; e += lanes {
-							u := int(idx[e])
+						for e := i; e < len(t); e += lanes {
+							u := int(t[e])
 							if u == int(sink) {
 								break
 							}
@@ -471,8 +480,8 @@ func (s *BlockSG) PullIntra(clo, chi int) {
 				j := int(j)
 				sk := &sums[k]
 				s0, s1, s2, s3, s4, s5, s6, s7 := sk[0], sk[1], sk[2], sk[3], sk[4], sk[5], sk[6], sk[7]
-				for e := t; e < tend; e += lanes {
-					r := idx[e : e+lanes : e+lanes]
+				for e := 0; e < len(t); e += lanes {
+					r := t[e : e+lanes : e+lanes]
 					s0 += contrib[int(r[0])*b+j]
 					s1 += contrib[int(r[1])*b+j]
 					s2 += contrib[int(r[2])*b+j]
@@ -565,40 +574,36 @@ func (s *BlockSG) GatherPartition(p int, tid int) {
 		// The push added the inter-edges too.
 		clo = chi
 	}
+	var buf [gatherTileSteps * layout.PullLanes]graph.VertexID
 	for c := clo; c < chi; c++ {
-		lo, end := ip.Chunk[c], ip.Chunk[c+1]
-		for i, v := range ip.Lanes(c) {
-			// Lanes are sorted by row length, so the first lane whose row
-			// is empty ends the chunk's real rows.
-			if ip.Idx[lo+int64(i)] == sink {
-				break
-			}
-			if len(cols) == 1 {
-				j := int(cols[0])
-				a := int(v)*b + j
-				sum := acc[a]
-				for e := lo + int64(i); e < end; e += layout.PullLanes {
-					m := ip.Idx[e]
-					if m == sink {
-						break
-					}
-					u := int(src[m])
-					sum += float32(ranks[u*b+j] * inv[u])
-				}
-				acc[a] = sum
-				continue
-			}
-			ab := acc[int(v)*b : int(v)*b+b : int(v)*b+b]
-			for e := lo + int64(i); e < end; e += layout.PullLanes {
-				m := ip.Idx[e]
-				if m == sink {
+		dec := ip.Decoder(c, sink)
+		lanes := ip.Lanes(c)
+		for t := dec.Next(buf[:]); len(t) > 0; t = dec.Next(buf[:]) {
+			for i, v := range lanes {
+				// Lanes are sorted by row length, so the first lane
+				// whose row has ended ends the tile's real rows.
+				if t[i] == sink {
 					break
 				}
-				u := int(src[m])
-				iv := inv[u]
-				rb := ranks[u*b : u*b+b : u*b+b]
-				for _, j := range cols {
-					ab[j] += float32(rb[j] * iv)
+				if len(cols) == 1 {
+					j := int(cols[0])
+					a := int(v)*b + j
+					sum := acc[a]
+					for e := i; e < len(t) && t[e] != sink; e += layout.PullLanes {
+						u := int(src[t[e]])
+						sum += float32(ranks[u*b+j] * inv[u])
+					}
+					acc[a] = sum
+					continue
+				}
+				ab := acc[int(v)*b : int(v)*b+b : int(v)*b+b]
+				for e := i; e < len(t) && t[e] != sink; e += layout.PullLanes {
+					u := int(src[t[e]])
+					iv := inv[u]
+					rb := ranks[u*b : u*b+b : u*b+b]
+					for _, j := range cols {
+						ab[j] += float32(rb[j] * iv)
+					}
 				}
 			}
 		}

@@ -128,40 +128,53 @@ func TestInterPullMatchesPush(t *testing.T) {
 }
 
 // BenchmarkGatherPartition times one thread's gather phase over every
-// partition of a small R-MAT graph split into 16 partitions, and reports,
-// once per kernel set, the cost per inter pull entry (ns/entry, padding
-// counted), per rank-updated vertex, and the pull's padding entries as a
-// percentage of its inter-edges (pad_pct).
+// partition of an R-MAT graph, and reports, once per kernel set, the cost
+// per inter pull entry (ns/entry, padding counted), per rank-updated
+// vertex, the pull's padding entries as a percentage of its inter-edges
+// (pad_pct), and the bytes of index stream per entry (stream_B/entry). Two
+// shapes: "l2", scale 15 in 8 KB partitions, whose pull stays in the
+// private caches, and "stream", scale 19 with 31 edges per vertex in 256 KB
+// partitions (8 of them, rank-large's partition size), whose 60 MB or more
+// of pull streams from memory.
 func BenchmarkGatherPartition(b *testing.B) {
-	g, err := gen.RMAT(gen.RMATConfig{Scale: 15, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 1, Noise: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hier, err := partition.Build(g, partition.Config{PartitionBytes: 8 << 10, BytesPerVertex: 4, NumNodes: 1, GroupsPerNode: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lay, err := layout.Build(g, hier, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewSGState(g, hier, lay, 0.85, 1)
-	P := hier.NumPartitions()
-	for p := 0; p < P; p++ {
-		s.ScatterPartition(p, 0)
-	}
-	st := lay.InterPullStats()
-	eachKernel(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for p := 0; p < P; p++ {
-				s.GatherPartition(p, 0)
+	for _, c := range []struct {
+		name                  string
+		scale, factor, pbytes int
+	}{{"l2", 15, 16, 8 << 10}, {"stream", 19, 31, 256 << 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			g, err := gen.RMAT(gen.RMATConfig{Scale: c.scale, EdgeFactor: c.factor, A: 0.57, B: 0.19, C: 0.19, D: 0.05, Seed: 1, Noise: 0.05})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		per := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(per/float64(st.Entries+st.Padding), "ns/entry")
-		b.ReportMetric(per/float64(g.NumVertices()), "ns/vertex")
-		b.ReportMetric(100*st.PadShare, "pad_pct")
-	})
+			hier, err := partition.Build(g, partition.Config{PartitionBytes: c.pbytes, BytesPerVertex: 4, NumNodes: 1, GroupsPerNode: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lay, err := layout.Build(g, hier, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewSGState(g, hier, lay, 0.85, 1)
+			P := hier.NumPartitions()
+			for p := 0; p < P; p++ {
+				s.ScatterPartition(p, 0)
+			}
+			st := lay.InterPullStats()
+			entries := float64(st.Entries + st.Padding)
+			eachKernel(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for p := 0; p < P; p++ {
+						s.GatherPartition(p, 0)
+					}
+				}
+				per := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(per/entries, "ns/entry")
+				b.ReportMetric(per/float64(g.NumVertices()), "ns/vertex")
+				b.ReportMetric(100*st.PadShare, "pad_pct")
+				b.ReportMetric(float64(st.IndexBytes)/entries, "stream_B/entry")
+			})
+		})
+	}
 }
 
 // BenchmarkScatterPartition times one thread's dense scatter — the intra

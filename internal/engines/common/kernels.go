@@ -1,6 +1,7 @@
 package common
 
 import (
+	"fmt"
 	"math"
 
 	"hipa/internal/graph"
@@ -54,11 +55,11 @@ func pullSELL(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool) {
 
 func pullSELLScalar(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool) {
 	const lanes = layout.PullLanes
-	off, idx := pull.Chunk, pull.Idx
 	sink := graph.VertexID(len(acc))
+	end := uint32(len(vals) - 1)
 	for c := clo; c < chi; c++ {
-		e, end := off[c], off[c+1]
-		if add && e == end {
+		w := pull.Steps(c)
+		if add && w == 0 {
 			continue
 		}
 		v := pull.Lanes(c)
@@ -71,16 +72,42 @@ func pullSELLScalar(pull *layout.SELL, vals, acc []float32, clo, chi int, add bo
 			}
 		}
 		s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
-		for ; e < end; e += lanes {
-			r := idx[e : e+lanes : e+lanes]
-			s0 += vals[r[0]]
-			s1 += vals[r[1]]
-			s2 += vals[r[2]]
-			s3 += vals[r[3]]
-			s4 += vals[r[4]]
-			s5 += vals[r[5]]
-			s6 += vals[r[6]]
-			s7 += vals[r[7]]
+		enc := pull.Enc[pull.Off[c]:pull.Off[c+1]]
+		if pull.Narrow(c) {
+			r := enc[:2*lanes]
+			x0, x1, x2, x3 := u32(r[0], r[1]), u32(r[2], r[3]), u32(r[4], r[5]), u32(r[6], r[7])
+			x4, x5, x6, x7 := u32(r[8], r[9]), u32(r[10], r[11]), u32(r[12], r[13]), u32(r[14], r[15])
+			for enc = enc[2*lanes:]; ; enc = enc[lanes:] {
+				s0 += vals[x0]
+				s1 += vals[x1]
+				s2 += vals[x2]
+				s3 += vals[x3]
+				s4 += vals[x4]
+				s5 += vals[x5]
+				s6 += vals[x6]
+				s7 += vals[x7]
+				if len(enc) == 0 {
+					break
+				}
+				d := enc[:lanes:lanes]
+				x0, x1, x2, x3 = step(x0, d[0], end), step(x1, d[1], end), step(x2, d[2], end), step(x3, d[3], end)
+				x4, x5, x6, x7 = step(x4, d[4], end), step(x5, d[5], end), step(x6, d[6], end), step(x7, d[7], end)
+			}
+		} else {
+			if int64(len(enc)) != 2*lanes*w {
+				panic(fmt.Sprintf("common: corrupt pull layout: chunk %d of %d steps is encoded in %d uint16s", c, w, len(enc)))
+			}
+			for ; len(enc) != 0; enc = enc[2*lanes:] {
+				r := enc[: 2*lanes : 2*lanes]
+				s0 += vals[u32(r[0], r[1])]
+				s1 += vals[u32(r[2], r[3])]
+				s2 += vals[u32(r[4], r[5])]
+				s3 += vals[u32(r[6], r[7])]
+				s4 += vals[u32(r[8], r[9])]
+				s5 += vals[u32(r[10], r[11])]
+				s6 += vals[u32(r[12], r[13])]
+				s7 += vals[u32(r[14], r[15])]
+			}
 		}
 		if v[lanes-1] == sink {
 			sums := [lanes]float32{s0, s1, s2, s3, s4, s5, s6, s7}
@@ -94,6 +121,18 @@ func pullSELLScalar(pull *layout.SELL, vals, acc []float32, clo, chi int, add bo
 		acc[v[0]], acc[v[1]], acc[v[2]], acc[v[3]] = s0, s1, s2, s3
 		acc[v[4]], acc[v[5]], acc[v[6]], acc[v[7]] = s4, s5, s6, s7
 	}
+}
+
+// u32 joins a wide entry's halves.
+func u32(lo, hi uint16) uint32 { return uint32(lo) | uint32(hi)<<16 }
+
+// step decodes one narrow step of a lane at index x: EndOfRow moves it to
+// the pull's sink, any other difference adds.
+func step(x uint32, d uint16, sink uint32) uint32 {
+	if d == layout.EndOfRow {
+		return sink
+	}
+	return x + uint32(d)
 }
 
 // PushCSR adds vals[u] to acc[d] for each out-edge (u,d) of each source u

@@ -32,19 +32,22 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// pullAVX2 runs a pull over the chunks whose offsets are off, with perm
-// their lanes (8 per chunk), vals the values the entries index and n =
-// len(acc) the lane sink. Each 8-entry step is one gather of vals plus one
-// add, lane by lane as the scalar chains; with add set, a chunk's sums
-// start from acc instead of +0 and a chunk with no entries is skipped.
-// Every index is clamped to len(vals)-1 before the gather, every lane ≥ n
-// is neither read nor stored, so a corrupt layout reads and writes nothing
-// out of bounds. It returns the largest index and lane seen, or maxIdx =
-// MaxUint32 if a chunk's offsets are out of order, past len(idx) or not a
-// whole number of steps.
+// pullAVX2 runs a pull over the chunks whose entry offsets are chunk and
+// encoding offsets off into enc, with perm their lanes (8 per chunk), vals
+// the values the entries index and n = len(acc) the lane sink. Each 8-entry
+// step is one gather of vals plus one add, lane by lane as the scalar
+// chains; a narrow chunk's step first widens and adds its 16-bit
+// differences (layout.EndOfRow moving a lane to the sink, len(vals)-1).
+// With add set, a chunk's sums start from acc instead of +0 and a chunk
+// with no entries is skipped. Every index is clamped to len(vals)-1 before
+// the gather, every lane ≥ n is neither read nor stored, so a corrupt
+// layout reads and writes nothing out of bounds. It returns the largest
+// index (decoded, before the clamp) and lane seen, or maxIdx = MaxUint32
+// if a chunk's offsets are out of order, past len(enc) or not a whole
+// number of steps, or its encoding is the size of neither kind.
 //
 //go:noescape
-func pullAVX2(off []int64, idx, perm []graph.VertexID, vals, acc []float32, add bool) (maxIdx, maxPerm uint32)
+func pullAVX2(chunk, off []int64, enc []uint16, perm []graph.VertexID, vals, acc []float32, add bool) (maxIdx, maxPerm uint32)
 
 // rankAVX2 is the rank update over len(ranks), a multiple of 8, vertices;
 // next, contrib, acc and inv, and add unless it is empty, are at least as
@@ -56,7 +59,7 @@ func rankAVX2(ranks, next, contrib, acc, inv, add []float32, d, base, redis floa
 
 func pullSELLAVX2(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool) {
 	const lanes = layout.PullLanes
-	off, perm := pull.Chunk[clo:chi+1], pull.Perm[clo*lanes:chi*lanes]
+	perm := pull.Perm[clo*lanes : chi*lanes]
 	n, clamp := len(acc), len(vals)-1
 	_ = vals[clamp] // the sink slot padding entries read
 	// Gather indices are signed 32-bit.
@@ -64,7 +67,7 @@ func pullSELLAVX2(pull *layout.SELL, vals, acc []float32, clo, chi int, add bool
 		pullSELLScalar(pull, vals, acc, clo, chi, add)
 		return
 	}
-	maxIdx, maxPerm := pullAVX2(off, pull.Idx, perm, vals, acc, add)
+	maxIdx, maxPerm := pullAVX2(pull.Chunk[clo:chi+1], pull.Off[clo:chi+1], pull.Enc, perm, vals, acc, add)
 	if int64(maxIdx) > int64(clamp) || int64(maxPerm) > int64(n) {
 		panic(fmt.Sprintf("common: corrupt pull layout in chunks [%d,%d): largest index %d (sink %d), largest lane %d (sink %d)", clo, chi, maxIdx, clamp, maxPerm, n))
 	}

@@ -32,50 +32,81 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	JCC        2(PC)           \
 	VEXTRACTPS $sel, x, (R11)(DX*4)
 
-// func pullAVX2(off []int64, idx, perm []graph.VertexID, vals, acc []float32, add bool) (maxIdx, maxPerm uint32)
+// func pullAVX2(chunk, off []int64, enc []uint16, perm []graph.VertexID, vals, acc []float32, add bool) (maxIdx, maxPerm uint32)
 //
-// SI = &off[k], CX = chunks left, AX = entry, BX = chunk end, R8/R9 = idx
-// base/len, DI = &perm[8k], R10 = vals, R11 = acc, R12 = n (the lane
-// sink), R13 = largest lane, Y13 = largest indices, Y14 = len(vals)-1 (the
-// index clamp) in every lane, Y15 = n in every lane, Y0 = the chunk's
-// eight sums.
-TEXT ·pullAVX2(SB), NOSPLIT, $0-136
-	MOVQ         off_base+0(FP), SI
-	MOVQ         off_len+8(FP), CX
+// SI = &chunk[k], R14 = &off[k], CX = chunks left, R8 = enc base, AX =
+// steps left in the chunk, BX = address of its next step, DX = 1 for a
+// narrow chunk, R9 scratch, DI = &perm[8k], R10 = vals, R11 = acc, R12 = n
+// (the lane sink), R13 = largest lane, Y1 = a narrow chunk's running
+// indices, Y12 = EndOfRow in every lane, Y13 = largest indices, Y14 =
+// len(vals)-1 (the index clamp and the sink) in every lane, Y15 = n in
+// every lane, Y0 = the chunk's eight sums.
+TEXT ·pullAVX2(SB), NOSPLIT, $0-160
+	MOVQ         chunk_base+0(FP), SI
+	MOVQ         chunk_len+8(FP), CX
 	DECQ         CX
-	MOVQ         idx_base+24(FP), R8
-	MOVQ         idx_len+32(FP), R9
-	MOVQ         perm_base+48(FP), DI
-	MOVQ         vals_base+72(FP), R10
-	MOVQ         vals_len+80(FP), DX
+	MOVQ         off_base+24(FP), R14
+	MOVQ         enc_base+48(FP), R8
+	MOVQ         perm_base+72(FP), DI
+	MOVQ         vals_base+96(FP), R10
+	MOVQ         vals_len+104(FP), DX
 	DECQ         DX
 	VMOVD        DX, X14
 	VPBROADCASTD X14, Y14
-	MOVQ         acc_base+96(FP), R11
-	MOVQ         acc_len+104(FP), R12
+	MOVQ         acc_base+120(FP), R11
+	MOVQ         acc_len+128(FP), R12
 	VMOVD        R12, X15
 	VPBROADCASTD X15, Y15
+	MOVL         $0xffff, DX
+	VMOVD        DX, X12
+	VPBROADCASTD X12, Y12
 	VPXOR        Y13, Y13, Y13
 	XORL         R13, R13
-	MOVQ         (SI), AX
 
 chunk:
-	TESTQ  CX, CX
-	JZ     done
-	MOVQ   8(SI), BX
-	CMPQ   AX, BX
-	JHI    bad
-	CMPQ   BX, R9
-	JHI    bad
-	MOVQ   BX, DX
-	SUBQ   AX, DX
-	TESTQ  $7, DX
-	JNZ    bad
+	TESTQ CX, CX
+	JZ    done
+
+	// The chunk's steps, from its entry offsets: whole steps, in order.
+	MOVQ  8(SI), AX
+	SUBQ  (SI), AX
+	JLT   bad
+	TESTQ $7, AX
+	JNZ   bad
+	SHRQ  $3, AX
+
+	// Its encoding, in order and inside enc, of 16·steps uint16s (wide)
+	// or, from two steps on, 8·(steps+1) (narrow).
+	MOVQ (R14), BX
+	MOVQ 8(R14), DX
+	CMPQ BX, DX
+	JHI  bad
+	CMPQ DX, enc_len+56(FP)
+	JHI  bad
+	SUBQ BX, DX
+	LEAQ (R8)(BX*2), BX
+	MOVQ AX, R9
+	SHLQ $4, R9
+	CMPQ DX, R9
+	JEQ  wide
+	CMPQ AX, $2
+	JCS  bad
+	LEAQ 1(AX), R9
+	SHLQ $3, R9
+	CMPQ DX, R9
+	JNE  bad
+	MOVL $1, DX
+	JMP  start
+
+wide:
+	XORL DX, DX
+
+start:
 	VXORPS Y0, Y0, Y0
-	CMPB   add+120(FP), $0
+	CMPB   add+144(FP), $0
 	JEQ    sum
-	CMPQ   AX, BX
-	JEQ    next
+	TESTQ  AX, AX
+	JZ     next
 
 	// Accumulate: the sums start from acc[perm[i]] for the real lanes.
 	VMOVDQU    (DI), Y5
@@ -86,20 +117,48 @@ chunk:
 	VGATHERDPS Y6, (R11)(Y5*4), Y0
 
 sum:
-	CMPQ AX, BX
-	JEQ  store
+	TESTQ AX, AX
+	JZ    store
+	TESTQ DX, DX
+	JNZ   narrow
 
-step:
-	VMOVDQU    (R8)(AX*4), Y1
+wstep:
+	VMOVDQU    (BX), Y1
 	VPMAXUD    Y1, Y13, Y13
 	VPMINUD    Y1, Y14, Y1
 	VPCMPEQD   Y2, Y2, Y2
 	VPXOR      Y3, Y3, Y3
 	VGATHERDPS Y2, (R10)(Y1*4), Y3
 	VADDPS     Y3, Y0, Y0
-	ADDQ       $8, AX
-	CMPQ       AX, BX
-	JNE        step
+	ADDQ       $32, BX
+	DECQ       AX
+	JNZ        wstep
+	JMP        store
+
+	// A narrow chunk: step 0 is eight 32-bit indices, each later step
+	// eight 16-bit differences, widened and added to the running indices;
+	// a lane at EndOfRow moves to the sink.
+narrow:
+	VMOVDQU (BX), Y1
+	ADDQ    $32, BX
+	JMP     nsum
+
+nstep:
+	VPMOVZXWD (BX), Y4
+	VPCMPEQD  Y4, Y12, Y5
+	VPADDD    Y4, Y1, Y1
+	VPBLENDVB Y5, Y14, Y1, Y1
+	ADDQ      $16, BX
+
+nsum:
+	VPMAXUD    Y1, Y13, Y13
+	VPMINUD    Y1, Y14, Y6
+	VPCMPEQD   Y2, Y2, Y2
+	VPXOR      Y3, Y3, Y3
+	VGATHERDPS Y2, (R10)(Y6*4), Y3
+	VADDPS     Y3, Y0, Y0
+	DECQ       AX
+	JNZ        nstep
 
 store:
 	VEXTRACTF128 $1, Y0, X4
@@ -114,6 +173,7 @@ store:
 
 next:
 	ADDQ $8, SI
+	ADDQ $8, R14
 	ADDQ $32, DI
 	DECQ CX
 	JMP  chunk
@@ -126,14 +186,14 @@ done:
 	VPSHUFD      $0xb1, X13, X1
 	VPMAXUD      X1, X13, X13
 	VMOVD        X13, AX
-	MOVL         AX, maxIdx+128(FP)
-	MOVL         R13, maxPerm+132(FP)
+	MOVL         AX, maxIdx+152(FP)
+	MOVL         R13, maxPerm+156(FP)
 	VZEROUPPER
 	RET
 
 bad:
-	MOVL $0xffffffff, maxIdx+128(FP)
-	MOVL R13, maxPerm+132(FP)
+	MOVL $0xffffffff, maxIdx+152(FP)
+	MOVL R13, maxPerm+156(FP)
 	VZEROUPPER
 	RET
 

@@ -51,7 +51,9 @@ func needAVX2(t *testing.T) {
 // padded with sink lanes when its size is not a multiple of 8. Rows are
 // random ascending entries below n: about a fifth of them empty, one a hub
 // of 1000–1500 entries. Each chunk is as wide as its longest lane, the rest
-// of a lane being sink entries (n).
+// of a lane being sink entries (n), and is encoded as layout.Build encodes
+// it: narrow when its rows step by less than layout.EndOfRow, which they
+// do when n is small.
 func randomSELL(rng *rand.Rand, n int) *layout.SELL {
 	const lanes = layout.PullLanes
 	sink := graph.VertexID(n)
@@ -72,6 +74,7 @@ func randomSELL(rng *rand.Rand, n int) *layout.SELL {
 	}
 	order := rng.Perm(n)
 	lay := &layout.SELL{Chunk: []int64{0}}
+	var idx []graph.VertexID
 	for lo := 0; lo < n; {
 		hi := min(n, lo+1+rng.IntN(n/2))
 		for c := lo; c < hi; c += lanes {
@@ -84,22 +87,23 @@ func randomSELL(rng *rand.Rand, n int) *layout.SELL {
 					width = max(width, len(rows[perm[i]]))
 				}
 			}
-			base := len(lay.Idx)
-			lay.Idx = append(lay.Idx, make([]graph.VertexID, lanes*width)...)
+			base := len(idx)
+			idx = append(idx, make([]graph.VertexID, lanes*width)...)
 			for i, v := range perm {
 				for k := range width {
 					u := sink
 					if v != sink && k < len(rows[v]) {
 						u = rows[v][k]
 					}
-					lay.Idx[base+k*lanes+i] = u
+					idx[base+k*lanes+i] = u
 				}
 			}
 			lay.Perm = append(lay.Perm, perm[:]...)
-			lay.Chunk = append(lay.Chunk, int64(len(lay.Idx)))
+			lay.Chunk = append(lay.Chunk, int64(len(idx)))
 		}
 		lo = hi
 	}
+	lay.Encode(idx, sink, true)
 	return lay
 }
 
@@ -304,28 +308,112 @@ func TestRankUpdateKernelsMatch(t *testing.T) {
 	}
 }
 
-// TestCorruptPullPanics: a pull index past the sink, a lane past the sink
-// and a chunk offset past the entries each make the pull panic, as a bounds
-// check does, from +0 (PullSELL, the intra pull) and from the accumulators
-// (AddSELL, the inter pull), on the scalar path and on the AVX2 path; the
-// AVX2 kernel clamps what it reads and skips what it cannot read or store,
-// and its wrapper panics on what the kernel reports.
+// chunkSELL builds one partition's pull over n vertices from the rows of
+// its first len(rows) vertices, one chunk per PullLanes rows in the given
+// order, padding lanes trailing, each chunk as wide as its longest row;
+// layout.SELL.Encode encodes it.
+func chunkSELL(n int, rows [][]graph.VertexID) *layout.SELL {
+	const lanes = layout.PullLanes
+	sink := graph.VertexID(n)
+	lay := &layout.SELL{Chunk: []int64{0}}
+	var idx []graph.VertexID
+	for c := 0; c < len(rows); c += lanes {
+		width := 0
+		for v := c; v < min(c+lanes, len(rows)); v++ {
+			width = max(width, len(rows[v]))
+		}
+		for k := range width {
+			for i := range lanes {
+				u, v := sink, c+i
+				if v < len(rows) && k < len(rows[v]) {
+					u = rows[v][k]
+				}
+				idx = append(idx, u)
+			}
+		}
+		for i := range lanes {
+			v := graph.VertexID(c + i)
+			if c+i >= len(rows) {
+				v = sink
+			}
+			lay.Perm = append(lay.Perm, v)
+		}
+		lay.Chunk = append(lay.Chunk, int64(len(idx)))
+	}
+	lay.Encode(idx, sink, true)
+	return lay
+}
+
+// TestCorruptPullPanics: in a wide chunk, an index past the sink or near
+// 2^32; in a narrow chunk, a first index past the sink, steps that run past
+// the sink, and steps whose running index wraps past 2^32 back below the
+// sink; a lane past the sink; and a chunk or encoding offset past the
+// stream each make the pull panic, as a bounds check does, from +0
+// (PullSELL, the intra pull) and from the accumulators (AddSELL, the inter
+// pull), on the scalar path and on the AVX2 path; the AVX2 kernel clamps
+// what it reads and skips what it cannot read or store, and its wrapper
+// panics on what the kernel reports.
 func TestCorruptPullPanics(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 0))
-	const n = 100
-	clean := randomSELL(rng, n)
-	contrib := randomContrib(rng, n)
+	const lanes = layout.PullLanes
+	// 200,000 vertices, so one step of a row can be too long for a narrow
+	// chunk. Chunk 0 is wide: each of its rows steps by 100,000; chunk 1
+	// narrow: rows of consecutive vertices, of 2 to 9 entries; chunk 2
+	// three short rows and five padding lanes.
+	const n = 200000
+	rows := make([][]graph.VertexID, 19)
+	for v := range rows {
+		switch {
+		case v < lanes:
+			rows[v] = []graph.VertexID{graph.VertexID(v), graph.VertexID(v + 100000), graph.VertexID(v + 150000)}
+		case v < 2*lanes:
+			for k := range 2 + v%lanes {
+				rows[v] = append(rows[v], graph.VertexID(1000+8*v+k))
+			}
+		default:
+			rows[v] = []graph.VertexID{graph.VertexID(v), graph.VertexID(v + 7)}
+		}
+	}
+	clean := chunkSELL(n, rows)
+	if clean.Narrow(0) || !clean.Narrow(1) || !clean.Narrow(2) {
+		t.Fatalf("chunks narrow %v, %v, %v; want wide, narrow, narrow", clean.Narrow(0), clean.Narrow(1), clean.Narrow(2))
+	}
+	contrib := randomContrib(rand.New(rand.NewPCG(31, 0)), n)
 	chunks := len(clean.Chunk) - 1
-	// The lane corruption goes to the first chunk, the widest of a
-	// partition: AddSELL skips a chunk with no entries.
+	set32 := func(l *layout.SELL, e int64, x uint32) { l.Enc[e], l.Enc[e+1] = uint16(x), uint16(x>>16) }
+	// wrap is one narrow chunk of 65,538 steps whose lane 0 starts at 10
+	// and steps by 65,534: its running index passes 2^32 and ends at 6.
+	var wrapIdx []graph.VertexID
+	const wrapSteps = 65538
+	for k := range wrapSteps {
+		for i := range lanes {
+			x := graph.VertexID(100)
+			if i == 0 {
+				x = graph.VertexID(10 + uint32(k)*65534)
+			}
+			wrapIdx = append(wrapIdx, x)
+		}
+	}
+	wrap := &layout.SELL{Chunk: []int64{0, int64(len(wrapIdx))}, Perm: []graph.VertexID{0, 100, 100, 100, 100, 100, 100, 100}}
+	wrap.Encode(wrapIdx, 100, true)
+	if !wrap.Narrow(0) {
+		t.Fatal("the wrapping chunk is not narrow")
+	}
+	wrapContrib := randomContrib(rand.New(rand.NewPCG(32, 0)), 100)
 	corruptions := []struct {
 		name   string
 		modify func(l *layout.SELL)
 	}{
-		{"index past the sink", func(l *layout.SELL) { l.Idx[len(l.Idx)/2] = n + 1 }},
-		{"index near 2^32", func(l *layout.SELL) { l.Idx[len(l.Idx)/3] = math.MaxUint32 - 3 }},
+		{"wide index past the sink", func(l *layout.SELL) { set32(l, l.Off[0]+2*(lanes+3), n+1) }},
+		{"wide index near 2^32", func(l *layout.SELL) { set32(l, l.Off[0]+2*(2*lanes+5), math.MaxUint32-3) }},
+		{"narrow first index past the sink", func(l *layout.SELL) { set32(l, l.Off[1]+2*2, n+1) }},
+		{"narrow steps past the sink", func(l *layout.SELL) {
+			for e := l.Off[1] + 2*lanes + 7; e < l.Off[2]; e += lanes {
+				l.Enc[e] = layout.EndOfRow - 1
+			}
+		}},
 		{"lane past the sink", func(l *layout.SELL) { l.Perm[3] = n + 2 }},
-		{"chunk offset past the entries", func(l *layout.SELL) { l.Chunk[chunks/2] = int64(len(l.Idx)) + 8 }},
+		{"chunk offset past the entries", func(l *layout.SELL) { l.Chunk[chunks-1] = l.Chunk[chunks] + lanes }},
+		{"encoding offset past the stream", func(l *layout.SELL) { l.Off[chunks-1] = int64(len(l.Enc)) + lanes }},
 	}
 	for _, avx2 := range []bool{false, true} {
 		name := "scalar"
@@ -336,26 +424,29 @@ func TestCorruptPullPanics(t *testing.T) {
 			if avx2 {
 				needAVX2(t)
 			}
-			for _, c := range corruptions {
-				for _, mode := range []struct {
-					name string
-					pull func(*layout.SELL, []float32, []float32, int, int)
-				}{{"PullSELL", PullSELL}, {"AddSELL", AddSELL}} {
+			for _, mode := range []struct {
+				name string
+				pull func(*layout.SELL, []float32, []float32, int, int)
+			}{{"PullSELL", PullSELL}, {"AddSELL", AddSELL}} {
+				panics := func(what string, lay *layout.SELL, vals []float32, n int) {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s, %s: the pull did not panic", what, mode.name)
+						}
+					}()
+					withKernels(avx2, func() { mode.pull(lay, vals, make([]float32, n), 0, len(lay.Chunk)-1) })
+				}
+				for _, c := range corruptions {
 					lay := &layout.SELL{
 						Chunk: slices.Clip(slices.Clone(clean.Chunk)),
+						Off:   slices.Clip(slices.Clone(clean.Off)),
 						Perm:  slices.Clip(slices.Clone(clean.Perm)),
-						Idx:   slices.Clip(slices.Clone(clean.Idx)),
+						Enc:   slices.Clip(slices.Clone(clean.Enc)),
 					}
 					c.modify(lay)
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Errorf("%s, %s: the pull did not panic", c.name, mode.name)
-							}
-						}()
-						withKernels(avx2, func() { mode.pull(lay, contrib, make([]float32, n), 0, chunks) })
-					}()
+					panics(c.name, lay, contrib, n)
 				}
+				panics("narrow steps wrap past 2^32", wrap, wrapContrib, 100)
 			}
 		})
 	}

@@ -153,8 +153,9 @@ func (s *state) pushes(p int) bool {
 
 // gatherPartition adds the messages targeting p to their destinations'
 // accumulators through p's inter pull (AddSELL, in ascending message
-// index, the push's order), consumes those bins back to zero block by
-// block, applies the delta recurrence to p's vertices, and regates them:
+// index, the push's order), consumes those bins, one contiguous range,
+// back to zero, applies the delta recurrence to p's vertices, and regates
+// them:
 //
 //	nd(v)   = d·acc(v) + redis  (+ base − rank(v) on the first superstep)
 //	rank(v) += nd(v)
@@ -166,10 +167,8 @@ func (s *state) gatherPartition(p int) {
 	lay := s.lay
 	clo, chi := lay.InterPull.Chunks(p)
 	common.AddSELL(&lay.InterPull, s.bins, acc, clo, chi)
-	for _, bi := range lay.DstBlocks[p] {
-		b := lay.Blocks[bi]
-		clear(s.bins[b.MsgStart:b.MsgEnd])
-	}
+	mlo, mhi := lay.DstMessages(p)
+	clear(s.bins[mlo:mhi])
 
 	part := s.hier.Partitions[p]
 	lo, hi := int(part.VertexStart), int(part.VertexEnd)

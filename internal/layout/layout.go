@@ -6,10 +6,13 @@
 // partition collapse into a single message carrying one rank value
 // (PCPM's compression, Lakhotia et al.).
 //
-// Messages are stored sorted by (source partition, destination partition,
-// source vertex). The scatter phase of the owning thread therefore streams
-// sequentially through its blocks, writing one value per message into the
-// engines' bins, while its random reads stay inside the cache-resident
+// Blocks are stored in (source partition, destination partition) order,
+// and messages are numbered destination-major, by (destination partition,
+// source partition, source vertex), so each destination partition's
+// messages, and their slots in the engines' bins, are one contiguous range.
+// The scatter phase of the owning thread streams through its blocks, one
+// sequential run per destination partition, writing one value per message
+// into the bins, while its random reads stay inside the cache-resident
 // source partition.
 //
 // Both edge kinds are pulled by their destination through a sliced
@@ -19,7 +22,10 @@
 // rows. A chunk is stored column-major, so one step through it reads one
 // entry for each of its rows, and every row is padded up to the chunk's
 // longest row with a sink index. A kernel keeps one running sum per lane:
-// PullLanes independent add chains and no per-row loop exit.
+// PullLanes independent add chains and no per-row loop exit. A chunk whose
+// rows step by less than 2^16 − 1 is stored narrow, as 16-bit differences
+// after a 32-bit first index per lane (encode.go), which halves the bytes
+// a pull streams.
 //
 //   - The intra pull (IntraPull) lists each vertex's intra in-neighbours in
 //     ascending order; its entries index the engines' per-vertex
@@ -79,16 +85,18 @@ func (b Block) Messages() int64 { return b.MsgEnd - b.MsgStart }
 // SELL is one pull: a sliced ELLPACK of a row per vertex, per partition.
 // Partition p's chunks are [Part[p], Part[p+1]), ceil(|p|/PullLanes) of
 // them. Perm[c·PullLanes+i] is the vertex of lane i of chunk c, or n for a
-// padding lane; padding lanes only trail a partition's last chunk. Chunk
-// c's entries are Idx[Chunk[c]:Chunk[c+1]], column-major: entry k of lane
-// i is Idx[Chunk[c]+k·PullLanes+i]. A lane holds its vertex's row, then
-// the pull's sink up to the chunk's width, the row length of its first
-// lane.
+// padding lane; padding lanes only trail a partition's last chunk. Chunk c
+// has Chunk[c+1]−Chunk[c] entries, column-major: PullLanes per step, over
+// as many steps as its first lane's row is long. A lane holds its vertex's
+// row, then the pull's sink up to the chunk's width. The entries are
+// stored encoded, chunk c as Enc[Off[c]:Off[c+1]] (encode.go); Decoder
+// decodes a chunk.
 type SELL struct {
 	Part  []int32
 	Chunk []int64
+	Off   []int64
 	Perm  []graph.VertexID
-	Idx   []graph.VertexID
+	Enc   []uint16
 }
 
 // Lanes returns the vertices of chunk c's lanes.
@@ -137,6 +145,16 @@ type Layout struct {
 
 // NumMessages returns the total compressed message count.
 func (l *Layout) NumMessages() int64 { return int64(len(l.MsgSrc)) }
+
+// DstMessages returns the range of the messages that target partition q:
+// messages are numbered destination-major, so they are contiguous.
+func (l *Layout) DstMessages(q int) (int64, int64) {
+	list := l.DstBlocks[q]
+	if len(list) == 0 {
+		return 0, 0
+	}
+	return l.Blocks[list[0]].MsgStart, l.Blocks[list[len(list)-1]].MsgEnd
+}
 
 // PartIntraEdges returns the intra-edges of partition p of h, the
 // hierarchy l was built under: its out-edges less those its blocks carry.
@@ -209,8 +227,8 @@ func BuildWorkers(g *graph.Graph, h *partition.Hierarchy, compress bool, workers
 	// Pass 2: fill messages, their destination runs and the intra pull in
 	// one row-parallel scan, through the per-block cursors placeBlocks
 	// left in msgCount and dstCount and the per-destination lane cursors
-	// fill derives from the intra pull's chunks; then build the inter pull
-	// from the push order.
+	// fill derives from the intra pull's chunks, writing each entry in its
+	// encoded place; then build the inter pull from the push order.
 	par.WeightedBlocks(w, partEdges, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
 			vlo, vhi := s.rowRange(p)
@@ -259,6 +277,7 @@ func newSELL(h *partition.Hierarchy) SELL {
 	}
 	chunks := int(s.Part[P])
 	s.Chunk = make([]int64, chunks+1)
+	s.Off = make([]int64, chunks+1)
 	s.Perm = make([]graph.VertexID, chunks*PullLanes)
 	return s
 }
@@ -301,38 +320,54 @@ func (s *SELL) sortLanes(p, vlo int, deg []int64, sink graph.VertexID, hist []in
 	return hist
 }
 
-// place turns the per-chunk entry counts into chunk offsets and allocates
-// the entries.
+// place turns the per-chunk entry counts into chunk offsets.
 func (s *SELL) place() {
 	for c := 0; c+1 < len(s.Chunk); c++ {
 		s.Chunk[c+1] += s.Chunk[c]
 	}
-	s.Idx = make([]graph.VertexID, s.Chunk[len(s.Chunk)-1])
+}
+
+// placeWide sets the encoding offsets of a pull whose chunks are all wide
+// and allocates its encoding, which the fill then writes in place: entry e
+// at Enc[2e:2e+2].
+func (s *SELL) placeWide() {
+	for c := 0; c+1 < len(s.Chunk); c++ {
+		s.Off[c+1] = 2 * s.Chunk[c+1]
+	}
+	s.Enc = make([]uint16, s.Off[len(s.Off)-1])
 }
 
 // pad turns the row length cur[v] of each vertex v of partition p into its
-// lane cursor, the lane's first entry, and writes sink into every entry of
-// p's chunks past the end of its lane's row. laneSink marks padding lanes.
-func (s *SELL) pad(p int, cur []int64, laneSink, sink graph.VertexID) {
+// lane cursor, the index of the lane's first entry less base, and calls
+// put(e) for every entry e (less base) of p's chunks past the end of its
+// lane's row, which the caller sets to the pull's sink. laneSink marks
+// padding lanes.
+func (s *SELL) pad(p int, cur []int64, base int64, laneSink graph.VertexID, put func(e int64)) {
 	for c := int(s.Part[p]); c < int(s.Part[p+1]); c++ {
-		end := s.Chunk[c+1]
+		end := s.Chunk[c+1] - base
 		for i, v := range s.Lanes(c) {
-			e := s.Chunk[c] + int64(i)
+			e := s.Chunk[c] - base + int64(i)
 			if v != laneSink {
 				deg := cur[v]
 				cur[v] = e
 				e += PullLanes * deg
 			}
 			for ; e < end; e += PullLanes {
-				s.Idx[e] = sink
+				put(e)
 			}
 		}
 	}
 }
 
+// put32 writes x as a wide entry at enc[e:e+2], in one 32-bit store.
+func put32(enc []uint16, e int64, x graph.VertexID) {
+	w := enc[e : e+2 : e+2]
+	w[0], w[1] = uint16(x), uint16(x>>16)
+}
+
 // bytes returns the resident size of the pull's arrays.
 func (s *SELL) bytes() int64 {
-	return 4*int64(cap(s.Part)+cap(s.Perm)+cap(s.Idx)) + 8*int64(cap(s.Chunk))
+	return 4*int64(cap(s.Part)+cap(s.Perm)) + 8*int64(cap(s.Chunk)+cap(s.Off)) + 2*int64(cap(s.Enc))
 }
 
 // rowScan walks the out-adjacency rows of one source partition's vertices,
@@ -426,21 +461,22 @@ type interPush struct {
 // messages follow the scan's source order and each message's destinations
 // are a contiguous run of its row, so one message cursor and one
 // destination cursor per block place everything. An intra edge (v,d) is
-// appended to d's intra pull lane through the cursor s.deg[d], which
-// steps by PullLanes; sources arrive in ascending order, so each lane ends
-// up sorted.
+// written in place, as a wide entry (the intra pull's chunks are all
+// wide), to d's intra pull lane through the cursor s.deg[d], which steps
+// by PullLanes; sources arrive in ascending order, so each lane ends up
+// sorted.
 func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64, push interPush, intra bool) {
+	cur, enc := s.deg, l.IntraPull.Enc
 	if intra {
-		l.IntraPull.pad(p, s.deg, s.sink, s.sink)
+		l.IntraPull.pad(p, cur, 0, s.sink, func(e int64) { put32(enc, 2*e, s.sink) })
 	}
-	cur, pullIdx := s.deg, l.IntraPull.Idx
 	lo, per := uint32(p*s.per), uint32(s.per)
 	for v := vlo; v < vhi; v++ {
 		lastQ := -1
 		for _, d := range s.adj[s.off[v]:s.off[v+1]] {
 			if uint32(d)-lo < per {
 				if intra {
-					pullIdx[cur[d]] = graph.VertexID(v)
+					put32(enc, 2*cur[d], graph.VertexID(v))
 					cur[d] += PullLanes
 				}
 				continue
@@ -462,12 +498,14 @@ func (s rowScan) fill(l *Layout, p, vlo, vhi int, msgCur, dstCur []int64, push i
 // pullInter builds the inter pull from the push order, in two passes
 // parallel over destination partitions, split by their inter in-edges:
 // the first counts each vertex's inter in-edges and sorts its partition's
-// lanes, the second pads the lanes and appends, block by block in
-// DstBlocks order and message by message, each message's index to the
-// lane of each of its destinations. The blocks targeting a partition are
-// in ascending source partition, so every lane lists its messages in
-// ascending index — the order in which a push decodes them. Every write
-// lands in the destination partition's own lanes and chunks.
+// lanes, the second pads the lanes and appends, message by message, each
+// message's index to the lane of each of its destinations, in the
+// worker's 32-bit scratch, then encodes the partition's chunks from it
+// while they are hot; join gathers the partitions' encodings. A
+// partition's messages are numbered in DstBlocks order, ascending source
+// partition, so every lane lists its messages in ascending index — the
+// order in which a push decodes them. Every write lands in the
+// destination partition's own lanes and chunks.
 func (s rowScan) pullInter(l *Layout, push interPush, workers int) {
 	P := l.NumPartitions
 	inEdges := make([]int64, P+1)
@@ -484,71 +522,76 @@ func (s rowScan) pullInter(l *Layout, push interPush, workers int) {
 		for q := qlo; q < qhi; q++ {
 			vlo, vhi := s.rowRange(q)
 			clear(deg[vlo:vhi])
-			for _, bi := range l.DstBlocks[q] {
-				b := l.Blocks[bi]
-				for _, d := range push.dst[push.off[b.MsgStart]:push.off[b.MsgEnd]] {
-					deg[d]++
-				}
+			mlo, mhi := l.DstMessages(q)
+			for _, d := range push.dst[push.off[mlo]:push.off[mhi]] {
+				deg[d]++
 			}
 			hist = ip.sortLanes(q, vlo, deg[vlo:vhi], s.sink, hist)
 		}
 	})
 	ip.place()
 	msgSink := graph.VertexID(l.NumMessages())
+	parts := make([][]uint16, P)
 	par.WeightedBlocks(workers, inEdges, func(_, qlo, qhi int) {
-		idx := ip.Idx
+		var idx []graph.VertexID
 		for q := qlo; q < qhi; q++ {
-			ip.pad(q, deg, s.sink, msgSink)
-			for _, bi := range l.DstBlocks[q] {
-				b := l.Blocks[bi]
-				for m := b.MsgStart; m < b.MsgEnd; m++ {
-					for _, d := range push.dst[push.off[m]:push.off[m+1]] {
-						idx[deg[d]] = graph.VertexID(m)
-						deg[d] += PullLanes
-					}
+			base := ip.Chunk[ip.Part[q]]
+			idx = slices.Grow(idx[:0], int(ip.Chunk[ip.Part[q+1]]-base))[:ip.Chunk[ip.Part[q+1]]-base]
+			ip.pad(q, deg, base, s.sink, func(e int64) { idx[e] = msgSink })
+			mlo, mhi := l.DstMessages(q)
+			for m := mlo; m < mhi; m++ {
+				for _, d := range push.dst[push.off[m]:push.off[m+1]] {
+					idx[deg[d]] = graph.VertexID(m)
+					deg[d] += PullLanes
 				}
 			}
+			parts[q] = ip.encode(q, idx, msgSink)
 		}
 	})
+	ip.join(parts, workers)
 }
 
 // placeBlocks turns the per-chunk entry counts into the intra pull's chunk
-// offsets, lays out the blocks in (p,q) order with global message and
-// destination prefix sums (the destinations are the inter-edges; the rest
-// of the graph's edges are intra), and allocates the edge arrays and the push
-// order the fill writes. msgCount and dstCount become each (p,q) pair's
-// first message and first destination index: the cursors of the fill
-// pass. It refuses a layout of 2^31 or more messages, whose indices would
-// not fit a pull.
+// offsets, lays out the blocks in (p,q) order, numbers the messages
+// destination-major — by destination partition, then source partition,
+// then source vertex, so partition q's messages are one contiguous range
+// and its blocks' ranges follow each other in DstBlocks order — with the
+// destinations (the inter-edges; the rest of the graph's edges are intra)
+// numbered alongside, and allocates the message sources and the push order
+// the fill writes. msgCount and dstCount become each (p,q) pair's first
+// message and first destination index: the cursors of the fill pass. It
+// refuses a layout of 2^31 or more messages, whose indices would not fit a
+// pull.
 func (l *Layout) placeBlocks(msgCount, dstCount []int64, edges int64) (interPush, error) {
 	P := l.NumPartitions
-	var totalMsgs, totalDsts int64
 	for p := 0; p < P; p++ {
 		l.SrcBlockStart[p] = int32(len(l.Blocks))
 		for q := 0; q < P; q++ {
-			idx := p*P + q
-			mc, dc := msgCount[idx], dstCount[idx]
-			msgCount[idx], dstCount[idx] = totalMsgs, totalDsts
-			if mc == 0 {
+			if msgCount[p*P+q] == 0 {
 				continue
 			}
-			bi := int32(len(l.Blocks))
-			l.Blocks = append(l.Blocks, Block{
-				SrcPart: int32(p), DstPart: int32(q),
-				MsgStart: totalMsgs, MsgEnd: totalMsgs + mc,
-				Edges: dc,
-			})
-			l.DstBlocks[q] = append(l.DstBlocks[q], bi)
-			totalMsgs += mc
-			totalDsts += dc
+			l.DstBlocks[q] = append(l.DstBlocks[q], int32(len(l.Blocks)))
+			l.Blocks = append(l.Blocks, Block{SrcPart: int32(p), DstPart: int32(q), Edges: dstCount[p*P+q]})
 		}
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
+	}
+	var totalMsgs, totalDsts int64
+	for q := 0; q < P; q++ {
+		for _, bi := range l.DstBlocks[q] {
+			b := &l.Blocks[bi]
+			idx := int(b.SrcPart)*P + q
+			b.MsgStart, b.MsgEnd = totalMsgs, totalMsgs+msgCount[idx]
+			msgCount[idx], dstCount[idx] = totalMsgs, totalDsts
+			totalMsgs = b.MsgEnd
+			totalDsts += b.Edges
+		}
 	}
 	l.InterEdges, l.IntraEdges = totalDsts, edges-totalDsts
 	if totalMsgs >= maxIndex {
 		return interPush{}, fmt.Errorf("layout: %d messages; a pull index holds fewer than 2^31", totalMsgs)
 	}
 	l.IntraPull.place()
+	l.IntraPull.placeWide()
 	l.MsgSrc = make([]graph.VertexID, totalMsgs)
 	push := interPush{off: make([]int64, totalMsgs+1), dst: make([]graph.VertexID, totalDsts)}
 	push.off[totalMsgs] = totalDsts
@@ -556,11 +599,12 @@ func (l *Layout) placeBlocks(msgCount, dstCount []int64, edges int64) (interPush
 }
 
 // Validate checks structural invariants; used by tests. The blocks must
-// tile the messages; the intra pull must replay the graph's intra-edges
-// and the inter pull its inter-edges, grouped into messages as the build
-// groups them: every lane lists, in order, exactly the sources or messages
-// a push over g's out-CSR would add into its vertex, and every entry past
-// a row is the pull's sink.
+// tile the messages in DstBlocks order; the intra pull must replay the
+// graph's intra-edges and the inter pull its inter-edges, grouped into
+// messages as the build groups them: every lane lists, in order, exactly
+// the sources or messages a push over g's out-CSR would add into its
+// vertex, and every entry past a row is the pull's sink. Every chunk must
+// be stored in the encoding the encoder's rule picks for its rows.
 func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	per := h.VerticesPerPartition
 	n := g.NumVertices()
@@ -568,15 +612,31 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	// block[(p,q)] is the index of block p->q; next[bi] its next message.
 	block := make(map[[2]int]int, len(l.Blocks))
 	next := make([]int64, len(l.Blocks))
+	listed := make([]int, len(l.Blocks))
 	var msgCur, interEdges int64
+	for q, list := range l.DstBlocks {
+		for _, bi := range list {
+			b := l.Blocks[bi]
+			if int(b.DstPart) != q {
+				return fmt.Errorf("layout: DstBlocks of %d lists block %d->%d", q, b.SrcPart, b.DstPart)
+			}
+			if b.MsgStart != msgCur || b.MsgEnd <= b.MsgStart || b.MsgEnd > msgs || b.Edges < b.Messages() {
+				return fmt.Errorf("layout: block %d->%d messages [%d,%d) carrying %d edges do not follow %d", b.SrcPart, b.DstPart, b.MsgStart, b.MsgEnd, b.Edges, msgCur)
+			}
+			msgCur = b.MsgEnd
+			listed[bi]++
+		}
+	}
+	if msgCur != msgs {
+		return fmt.Errorf("layout: blocks cover %d of %d messages", msgCur, msgs)
+	}
 	for bi, b := range l.Blocks {
 		if b.SrcPart == b.DstPart {
 			return fmt.Errorf("layout: block %d->%d is intra", b.SrcPart, b.DstPart)
 		}
-		if b.MsgStart != msgCur || b.MsgEnd <= b.MsgStart || b.MsgEnd > msgs || b.Edges < b.Messages() {
-			return fmt.Errorf("layout: block %d->%d messages [%d,%d) carrying %d edges do not follow %d", b.SrcPart, b.DstPart, b.MsgStart, b.MsgEnd, b.Edges, msgCur)
+		if listed[bi] != 1 {
+			return fmt.Errorf("layout: block %d->%d is listed %d times in DstBlocks", b.SrcPart, b.DstPart, listed[bi])
 		}
-		msgCur = b.MsgEnd
 		interEdges += b.Edges
 		for m := b.MsgStart; m < b.MsgEnd; m++ {
 			if int(l.MsgSrc[m])/per != int(b.SrcPart) {
@@ -586,15 +646,12 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 		block[[2]int{int(b.SrcPart), int(b.DstPart)}] = bi
 		next[bi] = b.MsgStart
 	}
-	if msgCur != msgs {
-		return fmt.Errorf("layout: blocks cover %d of %d messages", msgCur, msgs)
-	}
 
-	intra, err := l.IntraPull.lanes("intra", h, n)
+	intra, err := l.IntraPull.lanes("intra", h, n, graph.VertexID(n), false)
 	if err != nil {
 		return err
 	}
-	inter, err := l.InterPull.lanes("inter", h, n)
+	inter, err := l.InterPull.lanes("inter", h, n, graph.VertexID(msgs), true)
 	if err != nil {
 		return err
 	}
@@ -628,10 +685,10 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 			return fmt.Errorf("layout: block %d->%d holds %d messages the graph does not send", b.SrcPart, b.DstPart, b.MsgEnd-next[bi])
 		}
 	}
-	if err := intra.padding(graph.VertexID(n)); err != nil {
+	if err := intra.padding(); err != nil {
 		return err
 	}
-	if err := inter.padding(graph.VertexID(msgs)); err != nil {
+	if err := inter.padding(); err != nil {
 		return err
 	}
 
@@ -648,20 +705,26 @@ func (l *Layout) Validate(g *graph.Graph, h *partition.Hierarchy) error {
 	return nil
 }
 
-// laneCheck replays a pull's rows in the order they were filled: cur[v] is
-// the next entry of v's lane, end[v] its chunk's end.
+// laneCheck replays a pull's rows, decoded into idx, in the order they
+// were filled: cur[v] is the next entry of v's lane, end[v] its chunk's
+// end.
 type laneCheck struct {
 	name     string
 	s        *SELL
+	idx      []graph.VertexID
 	cur, end []int64
+	sink     graph.VertexID
+	narrow   bool
 }
 
-// lanes checks the shape of the pull named name against h and n, which is
-// everything the pull kernels rely on besides the entries: each
-// partition's lane slots hold each of its vertices once, then only padding
-// lanes (the sink n), and the chunk offsets tile Idx in whole steps of
-// PullLanes entries. It returns the checker that replays the rows.
-func (s *SELL) lanes(name string, h *partition.Hierarchy, n int) (*laneCheck, error) {
+// lanes checks the shape of the pull named name, whose sink is sink and
+// whose chunks are narrow where the rule allows if narrow is set, against
+// h and n, which is everything the pull kernels rely on besides the
+// entries: each partition's lane slots hold each of its vertices once,
+// then only padding lanes (the sink n), the chunk offsets count whole
+// steps of PullLanes entries, and each chunk's encoding is the size of a
+// wide or a narrow one. It returns the checker that replays the rows.
+func (s *SELL) lanes(name string, h *partition.Hierarchy, n int, sink graph.VertexID, narrow bool) (*laneCheck, error) {
 	P := len(h.Partitions)
 	if len(s.Part) != P+1 || s.Part[0] != 0 {
 		return nil, fmt.Errorf("layout: %d %s pull chunk ranges for %d partitions", len(s.Part)-1, name, P)
@@ -673,16 +736,20 @@ func (s *SELL) lanes(name string, h *partition.Hierarchy, n int) (*laneCheck, er
 	}
 	chunks := int(s.Part[P])
 	off := s.Chunk
-	if len(off) != chunks+1 || len(s.Perm) != chunks*PullLanes || off[0] != 0 || off[chunks] != int64(len(s.Idx)) {
-		return nil, fmt.Errorf("layout: %d %s pull chunk offsets and %d lanes do not tile %d chunks of %d entries", len(off), name, len(s.Perm), chunks, len(s.Idx))
+	if len(off) != chunks+1 || len(s.Off) != chunks+1 || len(s.Perm) != chunks*PullLanes || off[0] != 0 || s.Off[0] != 0 || s.Off[chunks] != int64(len(s.Enc)) {
+		return nil, fmt.Errorf("layout: %d %s pull chunk offsets, %d encoding offsets and %d lanes do not tile %d chunks of %d encoded entries", len(off), name, len(s.Off), len(s.Perm), chunks, len(s.Enc))
 	}
 	for c := 0; c < chunks; c++ {
-		if w := off[c+1] - off[c]; w < 0 || w%PullLanes != 0 {
-			return nil, fmt.Errorf("layout: %s pull chunk %d spans %d entries, not whole steps of %d", name, c, w, PullLanes)
+		e := off[c+1] - off[c]
+		if e < 0 || e%PullLanes != 0 {
+			return nil, fmt.Errorf("layout: %s pull chunk %d spans %d entries, not whole steps of %d", name, c, e, PullLanes)
+		}
+		if size, w := s.Off[c+1]-s.Off[c], e/PullLanes; size != wideSize(w) && (w < 2 || size != narrowSize(w)) {
+			return nil, fmt.Errorf("layout: %s pull chunk %d of %d steps is encoded in %d uint16s, neither wide (%d) nor narrow (%d)", name, c, w, size, wideSize(w), narrowSize(w))
 		}
 	}
-	sink := graph.VertexID(n)
-	lc := &laneCheck{name: name, s: s, cur: make([]int64, n), end: make([]int64, n)}
+	laneSink := graph.VertexID(n)
+	lc := &laneCheck{name: name, s: s, idx: s.Decode(sink), cur: make([]int64, n), end: make([]int64, n), sink: sink, narrow: narrow}
 	for i := range lc.cur {
 		lc.cur[i] = -1
 	}
@@ -690,8 +757,8 @@ func (s *SELL) lanes(name string, h *partition.Hierarchy, n int) (*laneCheck, er
 		clo, chi := int(s.Part[p]), int(s.Part[p+1])
 		for i, v := range s.Perm[clo*PullLanes : chi*PullLanes] {
 			if i >= part.Vertices() {
-				if v != sink {
-					return nil, fmt.Errorf("layout: %s pull padding lane %d of partition %d holds %d, not the sink %d", name, i, p, v, sink)
+				if v != laneSink {
+					return nil, fmt.Errorf("layout: %s pull padding lane %d of partition %d holds %d, not the sink %d", name, i, p, v, laneSink)
 				}
 				continue
 			}
@@ -707,16 +774,18 @@ func (s *SELL) lanes(name string, h *partition.Hierarchy, n int) (*laneCheck, er
 
 // next reports whether x is the next entry of d's lane, and steps past it.
 func (lc *laneCheck) next(d, x graph.VertexID) bool {
-	if lc.cur[d] >= lc.end[d] || lc.s.Idx[lc.cur[d]] != x {
+	if lc.cur[d] >= lc.end[d] || lc.idx[lc.cur[d]] != x {
 		return false
 	}
 	lc.cur[d] += PullLanes
 	return true
 }
 
-// padding checks, once every row has been replayed, that each entry past a
-// lane's row is sink.
-func (lc *laneCheck) padding(sink graph.VertexID) error {
+// padding checks, once every row has been replayed, that each entry past
+// a lane's row is the sink, and that the pull is encoded as the encoder
+// encodes its entries: each chunk of the kind the rule picks, a narrow
+// chunk's steps past a row's end all 0.
+func (lc *laneCheck) padding() error {
 	s, laneSink := lc.s, graph.VertexID(len(lc.cur))
 	for c := 0; c+1 < len(s.Chunk); c++ {
 		for i, v := range s.Lanes(c) {
@@ -725,29 +794,48 @@ func (lc *laneCheck) padding(sink graph.VertexID) error {
 				e = lc.cur[v]
 			}
 			for ; e < s.Chunk[c+1]; e += PullLanes {
-				if s.Idx[e] != sink {
-					return fmt.Errorf("layout: %s pull entry %d past the row of lane %d of chunk %d holds %d, not the sink %d", lc.name, e, i, c, s.Idx[e], sink)
+				if lc.idx[e] != lc.sink {
+					return fmt.Errorf("layout: %s pull entry %d past the row of lane %d of chunk %d holds %d, not the sink %d", lc.name, e, i, c, lc.idx[e], lc.sink)
 				}
 			}
+		}
+	}
+	want := SELL{Chunk: s.Chunk}
+	want.Encode(lc.idx, lc.sink, lc.narrow)
+	for c := 0; c+1 < len(s.Chunk); c++ {
+		if !slices.Equal(want.Enc[want.Off[c]:want.Off[c+1]], s.Enc[s.Off[c]:s.Off[c+1]]) {
+			return fmt.Errorf("layout: %s pull chunk %d (narrow %v) is not encoded as the encoder encodes its rows (narrow %v)", lc.name, c, s.Narrow(c), want.Narrow(c))
 		}
 	}
 	return nil
 }
 
 // PullStats describes one pull: its real entries (one per edge), its
-// padding entries, the padding as a share of the real entries, and the
-// resident bytes of its arrays.
+// padding entries, the padding as a share of the real entries, the
+// resident bytes of its arrays, the bytes of its encoded index stream, and
+// the share of its entries, padding included, in narrow chunks.
 type PullStats struct {
-	Entries  int64   `json:"entries"`
-	Padding  int64   `json:"padding"`
-	PadShare float64 `json:"padding_share"`
-	Bytes    int64   `json:"bytes"`
+	Entries     int64   `json:"entries"`
+	Padding     int64   `json:"padding"`
+	PadShare    float64 `json:"padding_share"`
+	Bytes       int64   `json:"bytes"`
+	IndexBytes  int64   `json:"index_bytes"`
+	NarrowShare float64 `json:"narrow_share"`
 }
 
 func (s *SELL) stats(edges int64) PullStats {
-	st := PullStats{Entries: edges, Padding: int64(len(s.Idx)) - edges, Bytes: s.bytes()}
+	st := PullStats{Entries: edges, Padding: s.Entries() - edges, Bytes: s.bytes(), IndexBytes: 2 * int64(len(s.Enc))}
 	if edges > 0 {
 		st.PadShare = float64(st.Padding) / float64(edges)
+	}
+	var narrow int64
+	for c := 0; c+1 < len(s.Chunk); c++ {
+		if s.Narrow(c) {
+			narrow += s.Chunk[c+1] - s.Chunk[c]
+		}
+	}
+	if all := s.Entries(); all > 0 {
+		st.NarrowShare = float64(narrow) / float64(all)
 	}
 	return st
 }

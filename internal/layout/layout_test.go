@@ -97,9 +97,28 @@ func TestBlocksOrderingAndIndexes(t *testing.T) {
 		if a.SrcPart > b.SrcPart || (a.SrcPart == b.SrcPart && a.DstPart >= b.DstPart) {
 			t.Fatalf("blocks not sorted at %d: %+v then %+v", i, a, b)
 		}
-		if a.MsgEnd != b.MsgStart {
-			t.Fatalf("message ranges not contiguous at block %d", i)
+	}
+	// Messages numbered destination-major: the blocks' message ranges tile
+	// [0, NumMessages()) in DstBlocks order, each DstBlocks list ascending
+	// by source partition, each block's sources ascending.
+	var next int64
+	for q, list := range l.DstBlocks {
+		for k, bi := range list {
+			b := l.Blocks[bi]
+			if b.MsgStart != next || b.MsgEnd <= b.MsgStart {
+				t.Fatalf("block %d->%d messages [%d,%d) do not follow %d", b.SrcPart, b.DstPart, b.MsgStart, b.MsgEnd, next)
+			}
+			if k > 0 && l.Blocks[list[k-1]].SrcPart >= b.SrcPart {
+				t.Fatalf("DstBlocks of %d not ascending by source at %d", q, k)
+			}
+			if !slices.IsSorted(l.MsgSrc[b.MsgStart:b.MsgEnd]) {
+				t.Fatalf("block %d->%d sources not ascending", b.SrcPart, b.DstPart)
+			}
+			next = b.MsgEnd
 		}
+	}
+	if next != l.NumMessages() {
+		t.Fatalf("blocks cover %d of %d messages", next, l.NumMessages())
 	}
 	for p := 0; p < l.NumPartitions; p++ {
 		for bi := l.SrcBlockStart[p]; bi < l.SrcBlockEnd[p]; bi++ {
@@ -277,9 +296,10 @@ func TestPropertyLayoutInvariants(t *testing.T) {
 // referenceLayout is a plain serial construction of the layout: one scan
 // over the vertices in ID order appends each inter-edge to its (p,q) block's
 // message list and each intra edge to its destination's intra pull row,
-// then the blocks are concatenated in (p,q) order and each inter-edge's
-// message index appended to its destination's inter pull row, block by
-// block, and both pulls are written by referenceSELL.
+// then the blocks are listed in (p,q) order, their messages numbered in
+// (q,p) order, and each inter-edge's message index appended to its
+// destination's inter pull row, block by block, and both pulls are written
+// by referenceSELL.
 func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Layout {
 	type message struct {
 		src  graph.VertexID
@@ -323,41 +343,41 @@ func referenceLayout(g *graph.Graph, h *partition.Hierarchy, compress bool) *Lay
 				continue
 			}
 			l.DstBlocks[q] = append(l.DstBlocks[q], int32(len(l.Blocks)))
-			start, edges := int64(len(l.MsgSrc)), int64(0)
+			var edges int64
 			for _, m := range msgs {
-				l.MsgSrc = append(l.MsgSrc, m.src)
 				edges += int64(len(m.dsts))
 			}
-			l.Blocks = append(l.Blocks, Block{
-				SrcPart: int32(p), DstPart: int32(q),
-				MsgStart: start, MsgEnd: int64(len(l.MsgSrc)),
-				Edges: edges,
-			})
+			l.Blocks = append(l.Blocks, Block{SrcPart: int32(p), DstPart: int32(q), Edges: edges})
 		}
 		l.SrcBlockEnd[p] = int32(len(l.Blocks))
 	}
 	for q := 0; q < P; q++ {
 		for _, bi := range l.DstBlocks[q] {
-			b := l.Blocks[bi]
-			for k, m := range blocks[int(b.SrcPart)*P+q] {
+			b := &l.Blocks[bi]
+			b.MsgStart = int64(len(l.MsgSrc))
+			for _, m := range blocks[int(b.SrcPart)*P+q] {
 				for _, d := range m.dsts {
-					interRows[d] = append(interRows[d], graph.VertexID(b.MsgStart+int64(k)))
+					interRows[d] = append(interRows[d], graph.VertexID(len(l.MsgSrc)))
 				}
+				l.MsgSrc = append(l.MsgSrc, m.src)
 			}
+			b.MsgEnd = int64(len(l.MsgSrc))
 		}
 	}
-	l.IntraPull = referenceSELL(h, intraRows, graph.VertexID(n))
-	l.InterPull = referenceSELL(h, interRows, graph.VertexID(len(l.MsgSrc)))
+	l.IntraPull = referenceSELL(h, intraRows, graph.VertexID(n), false)
+	l.InterPull = referenceSELL(h, interRows, graph.VertexID(len(l.MsgSrc)), true)
 	return l
 }
 
 // referenceSELL writes one pull from plain rows: each partition's rows are
 // sorted by length (longest first, ties by ID), cut into chunks of
 // PullLanes rows and written column-major, padding lanes set to n and
-// padding entries to sink.
-func referenceSELL(h *partition.Hierarchy, rows [][]graph.VertexID, sink graph.VertexID) SELL {
+// padding entries to sink, and encoded by Encode, narrow where narrow is
+// set and the rule allows.
+func referenceSELL(h *partition.Hierarchy, rows [][]graph.VertexID, sink graph.VertexID, narrow bool) SELL {
 	laneSink := graph.VertexID(len(rows))
 	s := SELL{Part: []int32{0}, Chunk: []int64{0}}
+	var idx []graph.VertexID
 	for _, part := range h.Partitions {
 		order := make([]graph.VertexID, 0, part.Vertices())
 		for v := part.VertexStart; v < part.VertexEnd; v++ {
@@ -373,30 +393,32 @@ func referenceSELL(h *partition.Hierarchy, rows [][]graph.VertexID, sink graph.V
 			for k := 0; k < len(rows[lanes[0]]); k++ {
 				for _, v := range lanes {
 					if v != laneSink && k < len(rows[v]) {
-						s.Idx = append(s.Idx, rows[v][k])
+						idx = append(idx, rows[v][k])
 					} else {
-						s.Idx = append(s.Idx, sink)
+						idx = append(idx, sink)
 					}
 				}
 			}
-			s.Chunk = append(s.Chunk, int64(len(s.Idx)))
+			s.Chunk = append(s.Chunk, int64(len(idx)))
 		}
 		s.Part = append(s.Part, int32(len(s.Chunk)-1))
 	}
+	s.Encode(idx, sink, narrow)
 	return s
 }
 
 // pullRows returns every vertex's row of a pull over n vertices whose
-// sink is sink: its lane's entries up to the first sink.
+// sink is sink, decoded from its lane up to the first sink.
 func pullRows(s SELL, n int, sink graph.VertexID) [][]graph.VertexID {
+	idx := s.Decode(sink)
 	rows := make([][]graph.VertexID, n)
 	for c := 0; c+1 < len(s.Chunk); c++ {
 		for i, v := range s.Lanes(c) {
 			if int(v) >= n {
 				continue
 			}
-			for e := s.Chunk[c] + int64(i); e < s.Chunk[c+1] && s.Idx[e] != sink; e += PullLanes {
-				rows[v] = append(rows[v], s.Idx[e])
+			for e := s.Chunk[c] + int64(i); e < s.Chunk[c+1] && idx[e] != sink; e += PullLanes {
+				rows[v] = append(rows[v], idx[e])
 			}
 		}
 	}
@@ -436,11 +458,13 @@ func TestBuildWorkersMatchesReference(t *testing.T) {
 				{"IntraPull.Part", slices.Equal(got.IntraPull.Part, want.IntraPull.Part)},
 				{"IntraPull.Chunk", slices.Equal(got.IntraPull.Chunk, want.IntraPull.Chunk)},
 				{"IntraPull.Perm", slices.Equal(got.IntraPull.Perm, want.IntraPull.Perm)},
-				{"IntraPull.Idx", slices.Equal(got.IntraPull.Idx, want.IntraPull.Idx)},
+				{"IntraPull.Off", slices.Equal(got.IntraPull.Off, want.IntraPull.Off)},
+				{"IntraPull.Enc", slices.Equal(got.IntraPull.Enc, want.IntraPull.Enc)},
 				{"InterPull.Part", slices.Equal(got.InterPull.Part, want.InterPull.Part)},
 				{"InterPull.Chunk", slices.Equal(got.InterPull.Chunk, want.InterPull.Chunk)},
 				{"InterPull.Perm", slices.Equal(got.InterPull.Perm, want.InterPull.Perm)},
-				{"InterPull.Idx", slices.Equal(got.InterPull.Idx, want.InterPull.Idx)},
+				{"InterPull.Off", slices.Equal(got.InterPull.Off, want.InterPull.Off)},
+				{"InterPull.Enc", slices.Equal(got.InterPull.Enc, want.InterPull.Enc)},
 				{"IntraEdges", got.IntraEdges == want.IntraEdges},
 				{"InterEdges", got.InterEdges == want.InterEdges},
 			} {
@@ -507,14 +531,16 @@ func TestValidateRejectsBadInterRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := buildHierarchy(t, g, 64)
-	// lane returns the InterPull.Idx positions of lane slot's row and
-	// padding.
+	// idx holds the inter pull's entries, decoded; a corruption edits
+	// them, and the test encodes them back.
+	var idx []graph.VertexID
+	// lane returns the idx positions of lane slot's row and padding.
 	lane := func(l *Layout, slot int) (row, pad []int64) {
 		sink := graph.VertexID(l.NumMessages())
 		ip := &l.InterPull
 		c := slot / PullLanes
 		for e := ip.Chunk[c] + int64(slot%PullLanes); e < ip.Chunk[c+1]; e += PullLanes {
-			if ip.Idx[e] == sink {
+			if idx[e] == sink {
 				pad = append(pad, e)
 			} else {
 				row = append(row, e)
@@ -533,7 +559,7 @@ func TestValidateRejectsBadInterRows(t *testing.T) {
 	}
 	twoMessages := func(l *Layout) []int64 {
 		row, _ := lane(l, pick(l, func(row, _ []int64) bool {
-			return len(row) >= 2 && l.InterPull.Idx[row[0]] != l.InterPull.Idx[row[1]]
+			return len(row) >= 2 && idx[row[0]] != idx[row[1]]
 		}))
 		return row
 	}
@@ -542,18 +568,18 @@ func TestValidateRejectsBadInterRows(t *testing.T) {
 		corrupt func(l *Layout)
 	}{
 		{"two messages swapped", func(l *Layout) {
-			row, idx := twoMessages(l), l.InterPull.Idx
+			row := twoMessages(l)
 			idx[row[0]], idx[row[1]] = idx[row[1]], idx[row[0]]
 		}},
 		{"foreign message", func(l *Layout) {
 			row := twoMessages(l)
-			m := l.InterPull.Idx[row[0]]
+			m := idx[row[0]]
 			for _, b := range l.Blocks {
 				if m >= graph.VertexID(b.MsgStart) && m < graph.VertexID(b.MsgEnd) {
 					// The first message of a block with another destination.
 					for _, o := range l.Blocks {
 						if o.DstPart != b.DstPart {
-							l.InterPull.Idx[row[0]] = graph.VertexID(o.MsgStart)
+							idx[row[0]] = graph.VertexID(o.MsgStart)
 							return
 						}
 					}
@@ -562,12 +588,12 @@ func TestValidateRejectsBadInterRows(t *testing.T) {
 			t.Fatal("no foreign message")
 		}},
 		{"sink inside a row", func(l *Layout) {
-			l.InterPull.Idx[twoMessages(l)[0]] = graph.VertexID(l.NumMessages())
+			idx[twoMessages(l)[0]] = graph.VertexID(l.NumMessages())
 		}},
 		{"padding entry holds a message", func(l *Layout) {
 			slot := pick(l, func(row, pad []int64) bool { return len(pad) > 0 })
 			_, pad := lane(l, slot)
-			l.InterPull.Idx[pad[0]] = 0
+			idx[pad[0]] = 0
 		}},
 		{"block claims an extra edge", func(l *Layout) {
 			l.Blocks[len(l.Blocks)/2].Edges++
@@ -581,10 +607,135 @@ func TestValidateRejectsBadInterRows(t *testing.T) {
 			if err := l.Validate(g, h); err != nil {
 				t.Fatalf("%s: intact layout rejected: %v", c.name, err)
 			}
+			sink := graph.VertexID(l.NumMessages())
+			idx = l.InterPull.Decode(sink)
 			c.corrupt(l)
+			l.InterPull.Encode(idx, sink, true)
 			if err := l.Validate(g, h); err == nil {
 				t.Errorf("%s (compress=%v): Validate accepted the corrupted layout", c.name, compress)
 			}
+		}
+	}
+}
+
+// TestEncodingRule: a chunk is stored narrow exactly when it has two steps
+// or more and every step within every row is below EndOfRow — at the
+// boundary, a step of 2^16 − 2 is narrow and 2^16 − 1, 2^16 and 2^16 + 1
+// are not — whatever its padding and repeated entries; and it decodes back
+// to its rows either way.
+func TestEncodingRule(t *testing.T) {
+	const sink = 1 << 24
+	for _, c := range []struct {
+		name   string
+		rows   [PullLanes][]graph.VertexID
+		narrow bool
+	}{
+		{"one step", [PullLanes][]graph.VertexID{{5}, {9}}, false},
+		{"no steps", [PullLanes][]graph.VertexID{}, false},
+		{"repeated entries and padding", [PullLanes][]graph.VertexID{{5, 5, 5}, {7, 8}, {}, {1}}, true},
+		{"step 2^16-2", [PullLanes][]graph.VertexID{{3, 3 + EndOfRow - 1, 3 + 2*(EndOfRow-1)}}, true},
+		{"step 2^16-1", [PullLanes][]graph.VertexID{{3, 3 + EndOfRow}, {0, 1, 2}}, false},
+		{"step 2^16", [PullLanes][]graph.VertexID{{3, 3 + 1<<16}}, false},
+		{"step 2^16+1", [PullLanes][]graph.VertexID{{0, 1, 2}, {3, 4 + 1<<16}}, false},
+	} {
+		w := 0
+		for _, r := range c.rows {
+			w = max(w, len(r))
+		}
+		idx := make([]graph.VertexID, w*PullLanes)
+		for i, r := range c.rows {
+			for k := range w {
+				idx[k*PullLanes+i] = sink
+				if k < len(r) {
+					idx[k*PullLanes+i] = r[k]
+				}
+			}
+		}
+		s := SELL{Chunk: []int64{0, int64(len(idx))}}
+		s.Encode(idx, sink, true)
+		if s.Narrow(0) != c.narrow {
+			t.Errorf("%s: narrow %v, want %v", c.name, s.Narrow(0), c.narrow)
+		}
+		if got := s.Decode(sink); !slices.Equal(got, idx) {
+			t.Errorf("%s: decodes to %v, want %v", c.name, got, idx)
+		}
+	}
+}
+
+// TestValidateRejectsBadEncoding: a pull whose rows are right but whose
+// encoding is not the one the encoder writes fails Validate: an inter pull
+// chunk the rule stores narrow stored wide, an intra pull stored narrow
+// where it can be (the intra pull is all wide), a narrow step past a row's
+// end that is not 0, a row's EndOfRow replaced by a step of 0 (the row
+// then repeats its last entry), and encoding offsets that end past the
+// stream.
+func TestValidateRejectsBadEncoding(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{Vertices: 250, Edges: 3000, OutAlpha: 2.1, InAlpha: 0.8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := buildHierarchy(t, g, 64)
+	n := graph.VertexID(g.NumVertices())
+	// narrowEnd returns a narrow inter pull chunk and the position in Enc
+	// of the EndOfRow of a lane whose row ends at least two steps before
+	// the chunk does.
+	narrowEnd := func(l *Layout) (int, int64) {
+		ip := &l.InterPull
+		for c := 0; c+1 < len(ip.Chunk); c++ {
+			if !ip.Narrow(c) {
+				continue
+			}
+			w := ip.Steps(c)
+			for e := ip.Off[c] + 2*PullLanes; e < ip.Off[c+1]-PullLanes; e++ {
+				if ip.Enc[e] == EndOfRow && (e-ip.Off[c])/PullLanes+1 < w {
+					return c, e
+				}
+			}
+		}
+		t.Fatal("no narrow chunk with a row two steps short")
+		return 0, 0
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(l *Layout)
+	}{
+		{"narrow chunk stored wide", func(l *Layout) {
+			ip := &l.InterPull
+			c, _ := narrowEnd(l)
+			idx := ip.Decode(graph.VertexID(l.NumMessages()))
+			wide := make([]uint16, wideSize(ip.Steps(c)))
+			putChunk(wide, idx[ip.Chunk[c]:ip.Chunk[c+1]], graph.VertexID(l.NumMessages()))
+			grow := int64(len(wide)) - (ip.Off[c+1] - ip.Off[c])
+			ip.Enc = slices.Concat(ip.Enc[:ip.Off[c]], wide, ip.Enc[ip.Off[c+1]:])
+			for k := c + 1; k < len(ip.Off); k++ {
+				ip.Off[k] += grow
+			}
+		}},
+		{"intra pull stored narrow", func(l *Layout) {
+			l.IntraPull.Encode(l.IntraPull.Decode(n), n, true)
+		}},
+		{"step past a row's end not 0", func(l *Layout) {
+			_, e := narrowEnd(l)
+			l.InterPull.Enc[e+PullLanes] = 1
+		}},
+		{"end of row replaced by 0", func(l *Layout) {
+			_, e := narrowEnd(l)
+			l.InterPull.Enc[e] = 0
+		}},
+		{"encoding offsets past the stream", func(l *Layout) {
+			l.InterPull.Off[len(l.InterPull.Off)-1] += PullLanes
+		}},
+	} {
+		l, err := Build(g, h, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Validate(g, h); err != nil {
+			t.Fatalf("%s: intact layout rejected: %v", c.name, err)
+		}
+		c.corrupt(l)
+		if err := l.Validate(g, h); err == nil {
+			t.Errorf("%s: Validate accepted the corrupted layout", c.name)
 		}
 	}
 }
@@ -619,13 +770,15 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 	}
 	h := buildHierarchy(t, g, 64)
 	sink := graph.VertexID(g.NumVertices())
-	// lane returns the IntraPull.Idx positions of lane slot's row and
-	// padding.
+	// idx holds the intra pull's entries, decoded; a corruption edits
+	// them, and the test encodes them back.
+	var idx []graph.VertexID
+	// lane returns the idx positions of lane slot's row and padding.
 	lane := func(l *Layout, slot int) (row, pad []int64) {
 		ip := &l.IntraPull
 		c := slot / PullLanes
 		for e := ip.Chunk[c] + int64(slot%PullLanes); e < ip.Chunk[c+1]; e += PullLanes {
-			if ip.Idx[e] == sink {
+			if idx[e] == sink {
 				pad = append(pad, e)
 			} else {
 				row = append(row, e)
@@ -644,7 +797,7 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 		return 0
 	}
 	twoSources := func(l *Layout) []int64 {
-		row, _ := lane(l, pick(l, func(row, _ []int64) bool { return len(row) >= 2 && l.IntraPull.Idx[row[0]] != l.IntraPull.Idx[row[1]] }))
+		row, _ := lane(l, pick(l, func(row, _ []int64) bool { return len(row) >= 2 && idx[row[0]] != idx[row[1]] }))
 		return row
 	}
 	for _, c := range []struct {
@@ -653,20 +806,20 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 	}{
 		{"two sources swapped", func(l *Layout) {
 			row := twoSources(l)
-			l.IntraPull.Idx[row[0]], l.IntraPull.Idx[row[1]] = l.IntraPull.Idx[row[1]], l.IntraPull.Idx[row[0]]
+			idx[row[0]], idx[row[1]] = idx[row[1]], idx[row[0]]
 		}},
 		{"source outside the partition", func(l *Layout) {
 			row := twoSources(l)
-			p := int(l.IntraPull.Idx[row[0]]) / h.VerticesPerPartition
-			l.IntraPull.Idx[row[0]] = graph.VertexID((p + 1) % l.NumPartitions * h.VerticesPerPartition)
+			p := int(idx[row[0]]) / h.VerticesPerPartition
+			idx[row[0]] = graph.VertexID((p + 1) % l.NumPartitions * h.VerticesPerPartition)
 		}},
 		{"row entry replaced by the sink", func(l *Layout) {
-			l.IntraPull.Idx[twoSources(l)[0]] = sink
+			idx[twoSources(l)[0]] = sink
 		}},
 		{"padding entry holds a vertex", func(l *Layout) {
 			slot := pick(l, func(_, pad []int64) bool { return len(pad) > 0 })
 			_, pad := lane(l, slot)
-			l.IntraPull.Idx[pad[0]] = l.IntraPull.Perm[slot]
+			idx[pad[0]] = l.IntraPull.Perm[slot]
 		}},
 		{"vertex in two lanes", func(l *Layout) {
 			l.IntraPull.Perm[1] = l.IntraPull.Perm[0]
@@ -683,7 +836,9 @@ func TestValidateRejectsBadIntraSrc(t *testing.T) {
 		if err := l.Validate(g, h); err != nil {
 			t.Fatalf("%s: intact layout rejected: %v", c.name, err)
 		}
+		idx = l.IntraPull.Decode(sink)
 		c.corrupt(l)
+		l.IntraPull.Encode(idx, sink, false)
 		if err := l.Validate(g, h); err == nil {
 			t.Errorf("%s: Validate accepted the corrupted layout", c.name)
 		}

@@ -13,9 +13,9 @@ import (
 // source partitions' rows and splicing their intra edges out of the old
 // layout. The result is bit-identical to BuildWorkers(g, h, old.Compressed,
 // ·): every intra edge (intra pull chunk) of an untouched source partition
-// is copied verbatim (the intra pull lanes hold vertex
-// IDs, so nothing is rebased but the partition's chunk offsets, which move
-// by one constant), and the messages and the inter pull are rebuilt from
+// is copied verbatim, encoded (the intra pull lanes hold vertex IDs, so
+// nothing is rebased but the partition's chunk and encoding offsets, which
+// each move by one constant), and the messages and the inter pull are rebuilt from
 // the rows exactly as Build builds them — the incremental-prep path behind
 // common.Prepared.Advance. The inter-edges are rebuilt whole: a touched
 // source partition renumbers every later message, and the inter pull's
@@ -89,21 +89,21 @@ func Patch(old *Layout, g *graph.Graph, h *partition.Hierarchy, touched []int) (
 		return nil, err
 	}
 
-	// Pass 2: touched partitions fill exactly like Build; untouched ones
-	// splice their intra edges out of the old layout and re-scan their rows
-	// for the messages and their destination runs alone, which the inter
-	// pull rebuild reads.
+	// Pass 2: touched partitions fill and encode exactly like Build;
+	// untouched ones splice their encoded intra pull chunks out of the old
+	// layout and re-scan their rows for the messages and their destination
+	// runs alone, which the inter pull rebuild reads.
 	for p := 0; p < P; p++ {
 		vlo, vhi := s.rowRange(p)
 		s.fill(l, p, vlo, vhi, msgCount[p*P:(p+1)*P], dstCount[p*P:(p+1)*P], push, isTouched[p])
 		if isTouched[p] {
 			continue
 		}
-		// An untouched partition's intra pull chunks are one contiguous
-		// run; its chunk offsets moved by one constant, which placeBlocks'
-		// prefix sum over the copied chunk sizes applied.
+		// A chunk's encoding depends on its entries alone, vertex IDs
+		// that did not move, so an untouched partition's chunks are copied
+		// as they are.
 		clo, chi := pull.Part[p], pull.Part[p+1]
-		copy(pull.Idx[pull.Chunk[clo]:pull.Chunk[chi]], oldPull.Idx[oldPull.Chunk[clo]:oldPull.Chunk[chi]])
+		copy(pull.Enc[pull.Off[clo]:pull.Off[chi]], oldPull.Enc[oldPull.Off[clo]:oldPull.Off[chi]])
 	}
 	s.pullInter(l, push, 1)
 	return l, nil

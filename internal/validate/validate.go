@@ -40,12 +40,12 @@ type Replay struct {
 	numaAware        bool
 	threadLogical    []int // logical core per thread
 	threadNode       []int
-	// binSlot maps a global message index to its position in the bins
-	// region, which is laid out destination-major so destination-local
-	// placement is a contiguous slice per node. dstSlot does the same for
-	// the message-destination array read during gather.
-	binSlot []int64
-	dstSlot []int64
+	// Messages are numbered destination-major, so the bins and the
+	// message-destination array are laid out destination-major and
+	// destination-local placement is a contiguous slice per node. srcSlot
+	// maps a message to its position in the message sources, which are
+	// priced as stored source-major, a contiguous slice per source node.
+	srcSlot []int64
 	// intraStart[p] is partition p's first intra-edge in the paper's push
 	// lists, stored in source order.
 	intraStart []int64
@@ -100,34 +100,26 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 	// ownership and places per-message arrays with the destination
 	// partition; the oblivious engines interleave everything.
 	n := int64(g.NumVertices())
-	// Bins are laid out destination-major (dst-partition order) so that
-	// destination-local placement is a contiguous slice per node; binSlot
-	// maps each global message index to its dst-major position.
-	r.binSlot = make([]int64, lay.NumMessages())
+	// Bins and destinations are laid out destination-major, as the
+	// messages are numbered: boundaries where the destination partition's
+	// node changes.
 	r.msgOff, r.msgDst = pushOrder(lay, g.NumVertices())
-	r.dstSlot = make([]int64, len(r.msgDst))
 	var binBounds, dstBounds []int64
 	{
-		var cum, dcum int64
 		node := 0
-		for _, bi := range orderBlocksByDst(lay) {
-			b := lay.Blocks[bi]
-			if dn := int(r.lookup.PartNode[b.DstPart]); dn != node {
-				binBounds = append(binBounds, cum*4)
-				dstBounds = append(dstBounds, dcum*4)
+		for q := range lay.DstBlocks {
+			m, end := lay.DstMessages(q)
+			if m == end {
+				continue
+			}
+			if dn := int(r.lookup.PartNode[q]); dn != node {
+				binBounds = append(binBounds, m*4)
+				dstBounds = append(dstBounds, r.msgOff[m]*4)
 				node = dn
 			}
-			for m := b.MsgStart; m < b.MsgEnd; m++ {
-				r.binSlot[m] = cum
-				cum++
-			}
-			for di := r.msgOff[b.MsgStart]; di < r.msgOff[b.MsgEnd]; di++ {
-				r.dstSlot[di] = dcum
-				dcum++
-			}
 		}
-		binBounds = append(binBounds, cum*4)
-		dstBounds = append(dstBounds, dcum*4)
+		binBounds = append(binBounds, lay.NumMessages()*4)
+		dstBounds = append(dstBounds, int64(len(r.msgDst))*4)
 	}
 	// Per-source-ordered arrays (message sources, the paper's intra-edge
 	// push lists, priced as stored though the layout keeps only the pull)
@@ -140,11 +132,17 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 	}
 	intraEdges := r.intraStart[hier.NumPartitions()]
 	{
+		r.srcSlot = make([]int64, lay.NumMessages())
+		var cum int64
 		node := 0
 		for _, b := range lay.Blocks {
 			if sn := int(r.lookup.PartNode[b.SrcPart]); sn != node {
-				srcBounds = append(srcBounds, b.MsgStart*4)
+				srcBounds = append(srcBounds, cum*4)
 				node = sn
+			}
+			for m := b.MsgStart; m < b.MsgEnd; m++ {
+				r.srcSlot[m] = cum
+				cum++
 			}
 		}
 		srcBounds = append(srcBounds, lay.NumMessages()*4)
@@ -193,16 +191,17 @@ func NewReplay(g *graph.Graph, m *machine.Machine, partitionBytes, threads int, 
 }
 
 // pushOrder rebuilds the paper's push order of the inter-edges from the
-// layout's inter pull over n vertices: message m's destinations are dst[off[m]:off[m+1]],
-// in ascending vertex order (its source's adjacency order, as CSR rows are
-// sorted), a repeated edge repeated, so block b's are
-// dst[off[b.MsgStart]:off[b.MsgEnd]].
+// layout's inter pull over n vertices: message m's destinations are
+// dst[off[m]:off[m+1]], in ascending vertex order (its source's adjacency
+// order, as CSR rows are sorted), a repeated edge repeated, so block b's
+// are dst[off[b.MsgStart]:off[b.MsgEnd]].
 func pushOrder(lay *layout.Layout, n int) (off []int64, dst []graph.VertexID) {
 	ip := &lay.InterPull
 	msgs := lay.NumMessages()
 	sink := graph.VertexID(msgs)
+	idx := ip.Decode(sink)
 	off = make([]int64, msgs+1)
-	for _, m := range ip.Idx {
+	for _, m := range idx {
 		if m != sink {
 			off[m+1]++
 		}
@@ -221,24 +220,13 @@ func pushOrder(lay *layout.Layout, n int) (off []int64, dst []graph.VertexID) {
 	dst = make([]graph.VertexID, off[msgs])
 	for v, k := range slot {
 		c := k / layout.PullLanes
-		for e := ip.Chunk[c] + int64(k%layout.PullLanes); e < ip.Chunk[c+1] && ip.Idx[e] != sink; e += layout.PullLanes {
-			m := ip.Idx[e]
+		for e := ip.Chunk[c] + int64(k%layout.PullLanes); e < ip.Chunk[c+1] && idx[e] != sink; e += layout.PullLanes {
+			m := idx[e]
 			dst[cur[m]] = graph.VertexID(v)
 			cur[m]++
 		}
 	}
 	return off, dst
-}
-
-// orderBlocksByDst returns block indices grouped by destination partition in
-// partition order — the order bins would be laid out for destination-local
-// placement.
-func orderBlocksByDst(lay *layout.Layout) []int32 {
-	var out []int32
-	for q := 0; q < lay.NumPartitions; q++ {
-		out = append(out, lay.DstBlocks[q]...)
-	}
-	return out
 }
 
 // access simulates one 4-byte reference by thread t at offset within region
@@ -282,9 +270,9 @@ func (r *Replay) RunIteration() {
 		for bi := lay.SrcBlockStart[p]; bi < lay.SrcBlockEnd[p]; bi++ {
 			b := lay.Blocks[bi]
 			for m := b.MsgStart; m < b.MsgEnd; m++ {
-				r.access(t, r.msgSrcR, m*4, false)
+				r.access(t, r.msgSrcR, r.srcSlot[m]*4, false)
 				r.access(t, r.ranks, int64(lay.MsgSrc[m])*4, false)
-				r.access(t, r.bins, r.binSlot[m]*4, false)
+				r.access(t, r.bins, m*4, false)
 			}
 		}
 	})
@@ -293,9 +281,9 @@ func (r *Replay) RunIteration() {
 		for _, bi := range lay.DstBlocks[p] {
 			b := lay.Blocks[bi]
 			for m := b.MsgStart; m < b.MsgEnd; m++ {
-				r.access(t, r.bins, r.binSlot[m]*4, false)
+				r.access(t, r.bins, m*4, false)
 				for di := r.msgOff[m]; di < r.msgOff[m+1]; di++ {
-					r.access(t, r.msgDstR, r.dstSlot[di]*4, false)
+					r.access(t, r.msgDstR, di*4, false)
 					r.access(t, r.acc, int64(r.msgDst[di])*4, true)
 				}
 			}
