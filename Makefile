@@ -68,14 +68,14 @@ purego:
 
 # One-iteration pass over the Prepare benchmarks so the parallel build paths
 # (scatter-and-row-sort CSR, CSC, fingerprint, partition+layout) are exercised
-# in CI, and over the gather, scatter and rank-update benchmarks so the inter
-# pull, the intra pull and the rank update compile and run, in the default
-# build (both kernel sets) and in the purego build, then over the blocked
-# scatter and the width-1 personalized query (BenchmarkBPPRQuery, the
-# sparse start's push and latch).
+# in CI, over the HGR1 file load and save, and over the gather, scatter and
+# rank-update benchmarks so the inter pull, the intra pull and the rank
+# update compile and run, in the default build (both kernel sets) and in the
+# purego build, then over the blocked scatter and the width-1 personalized
+# query (BenchmarkBPPRQuery, the sparse start's push and latch).
 KERNEL_BENCH = 'BenchmarkGatherPartition|BenchmarkScatterPartition|BenchmarkUpdateRanks'
 bench-prep:
-	$(GO) test -run '^$$' -bench 'BenchmarkPrepare' -benchtime 1x ./internal/graph/ .
+	$(GO) test -run '^$$' -bench 'BenchmarkPrepare|BenchmarkLoadBinary|BenchmarkSaveBinary' -benchtime 1x ./internal/graph/ .
 	$(GO) test -run '^$$' -bench $(KERNEL_BENCH) -benchtime 1x ./internal/engines/common/
 	$(GO) test -tags purego -run '^$$' -bench $(KERNEL_BENCH) -benchtime 1x ./internal/engines/common/
 	$(GO) test -run '^$$' -bench 'BenchmarkBlockScatter' -benchtime 1x ./internal/algorithms/

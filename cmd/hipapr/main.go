@@ -20,7 +20,8 @@
 // plus an amortization line over all N and the scratch-arena reuse count
 // (sequential Execs against one artifact recycle a single arena — see the
 // Exec memory model in DESIGN.md).
-// -stats writes a machine-readable run report (graph shape, run scalars,
+// -stats writes a machine-readable run report (graph shape, the graph
+// file's load time as load_seconds, run scalars,
 // model and scheduler stats, per-iteration residuals, dangling mass,
 // modelled local/remote accesses).
 // -trace writes a Chrome trace_event file loadable in chrome://tracing or
@@ -50,6 +51,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"hipa/internal/engines/common"
 	deltaengine "hipa/internal/engines/delta"
@@ -98,7 +100,13 @@ func main() {
 	if *graphPath == "" {
 		fail("missing -graph")
 	}
+	loadStart := time.Now()
 	g, err := graph.LoadBinary(*graphPath)
+	if err != nil {
+		fail(err.Error())
+	}
+	loadSeconds := time.Since(loadStart).Seconds()
+	graphFile, err := os.Stat(*graphPath)
 	if err != nil {
 		fail(err.Error())
 	}
@@ -212,6 +220,7 @@ func main() {
 	}
 	fmt.Printf("engine     : %s (%d threads, %d iterations)\n", res.Engine, res.Threads, res.Iterations)
 	fmt.Printf("graph      : %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	fmt.Printf("load       : %.4fs (%.0f MB/s of a %d-byte file)\n", loadSeconds, float64(graphFile.Size())/1e6/loadSeconds, graphFile.Size())
 	fmt.Printf("wall       : %.4fs (+ %.4fs preprocessing)\n", res.WallSeconds, res.PrepSeconds)
 	if *repeat > 1 {
 		fmt.Printf("amortized  : %d executions in %.4fs; prep is %.1f%% of total\n",
@@ -237,6 +246,7 @@ func main() {
 	if *statsPath != "" {
 		rep := harness.NewRunReport(g, m, res)
 		rep.Layout = lay
+		rep.LoadSeconds = loadSeconds
 		if err := rep.WriteJSONFile(*statsPath); err != nil {
 			fail(err.Error())
 		}

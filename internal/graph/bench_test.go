@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -76,5 +77,47 @@ func BenchmarkPrepareFingerprint(b *testing.B) {
 				fingerprintCSR(g.numVertices, g.numEdges, g.outOffsets, g.outEdges, wc.workers)
 			}
 		})
+	}
+}
+
+// benchGraphFile writes a graph of the serve-read benchmark's shape (300,000
+// vertices, 4,281,250 edges, out-edges only, as the program's own graph
+// files are) to a temporary HGR1 file and returns its path and size.
+func benchGraphFile(b *testing.B) (*Graph, string, int64) {
+	b.Helper()
+	g := benchGraph(300_000, 4_281_250)
+	path := b.TempDir() + "/g.hgr"
+	if err := SaveBinary(path, g); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, path, st.Size()
+}
+
+// BenchmarkLoadBinary measures LoadBinary, reading and validating a whole
+// HGR1 file; MB/s is of the file.
+func BenchmarkLoadBinary(b *testing.B) {
+	_, path, size := benchGraphFile(b)
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadBinary(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSaveBinary measures SaveBinary writing the same file.
+func BenchmarkSaveBinary(b *testing.B) {
+	g, path, size := benchGraphFile(b)
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SaveBinary(path, g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -86,7 +86,10 @@ func FuzzReadMutationBatches(f *testing.F) {
 
 // FuzzReadBinary exercises the binary loader with arbitrary bytes: it must
 // reject malformed input with an error, never panic or accept an invalid
-// graph.
+// graph. Read as a stream, read with its length known (LoadBinary's path)
+// and read through a tiny block, every input gets the same verdict and the
+// same graph, and every accepted input rewrites through WriteBinary to
+// exactly the bytes it was read from.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a valid file and some mutations.
 	b := NewBuilder(3)
@@ -105,13 +108,33 @@ func FuzzReadBinary(f *testing.F) {
 		corrupted[20] ^= 0xFF
 	}
 	f.Add(corrupted)
+	// An in-form file (flag bit 0) whose arrays cross the tiny block.
+	var withIn bytes.Buffer
+	if err := WriteBinary(&withIn, blockGraph(smallBlock/8+2, smallBlock/4+1, true)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withIn.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
+		sized, serr := readBinary(bytes.NewReader(data), int64(len(data)), make([]byte, binBlock))
+		tiny, terr := readBinary(bytes.NewReader(data), -1, make([]byte, smallBlock))
+		if (err == nil) != (serr == nil) || (err == nil) != (terr == nil) {
+			t.Fatalf("readers disagree: stream %v, sized %v, tiny block %v", err, serr, terr)
+		}
 		if err != nil {
 			return
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
+		}
+		sameGraph(t, sized, g)
+		sameGraph(t, tiny, g)
+		var out bytes.Buffer
+		if err := WriteBinary(&out, g); err != nil {
+			t.Fatalf("write-back failed: %v", err)
+		}
+		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+			t.Fatalf("accepted %d bytes rewrite to %d different ones", len(data), out.Len())
 		}
 	})
 }

@@ -345,20 +345,6 @@ func TestBinaryBadMagic(t *testing.T) {
 	}
 }
 
-func TestBinaryTruncated(t *testing.T) {
-	g := buildTestGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for _, cut := range []int{0, 3, 10, len(raw) / 2, len(raw) - 1} {
-		if _, err := ReadBinary(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("expected error for truncation at %d", cut)
-		}
-	}
-}
-
 func TestPropertyBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -13,20 +14,27 @@ import (
 // Binary graph format ("HGR1"):
 //
 //	magic    [4]byte  "HGR1"
-//	version  uint32   1
+//	version  uint64   1
 //	vertices uint64
 //	edges    uint64
-//	flags    uint32   bit 0: in-edge form present
+//	flags    uint64   bit 0: in-edge form present; no other bit is defined
 //	outOffsets [vertices+1]int64
 //	outEdges   [edges]uint32
 //	(if flag) inOffsets  [vertices+1]int64
 //	(if flag) inEdges    [edges]uint32
 //
-// All integers little-endian.
+// All integers little-endian. The header is 36 bytes.
 
 var binMagic = [4]byte{'H', 'G', 'R', '1'}
 
-const binVersion = 1
+const (
+	binVersion = 1
+	binHeader  = 4 + 4*8
+	// binBlock is the byte size of one read or write call: arrays move a
+	// block at a time through a reused buffer (8,192 offsets or 16,384
+	// endpoints), decoded or encoded while the block is in cache.
+	binBlock = 64 << 10
+)
 
 // MaxVertices and MaxEdges bound what the loaders will allocate for: a
 // malformed or hostile input (a 15-byte edge list naming vertex 2^32-1, a
@@ -49,85 +57,117 @@ const (
 
 // WriteBinary serialises g in the HGR1 binary format.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binMagic[:]); err != nil {
-		return err
-	}
-	in := g.in.Load()
-	var flags uint32
-	if in != nil {
-		flags |= 1
-	}
-	for _, v := range []uint64{binVersion, uint64(g.numVertices), uint64(g.numEdges), uint64(flags)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := writeInt64s(bw, g.outOffsets); err != nil {
-		return err
-	}
-	if err := writeUint32s(bw, g.outEdges); err != nil {
-		return err
-	}
-	if in != nil {
-		if err := writeInt64s(bw, in.offsets); err != nil {
-			return err
-		}
-		if err := writeUint32s(bw, in.edges); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeBinary(w, g, make([]byte, 0, binBlock))
 }
 
-// ReadBinary deserialises a graph written by WriteBinary.
+// writeBinary writes g through buf, one write call each time buf fills.
+func writeBinary(w io.Writer, g *Graph, buf []byte) error {
+	in := g.in.Load()
+	var flags int64
+	if in != nil {
+		flags = 1
+	}
+	bw := blockWriter{w: w, buf: append(buf[:0], binMagic[:]...)}
+	bw.int64s([]int64{binVersion, int64(g.numVertices), g.numEdges, flags})
+	bw.int64s(g.outOffsets)
+	bw.uint32s(g.outEdges)
+	if in != nil {
+		bw.int64s(in.offsets)
+		bw.uint32s(in.edges)
+	}
+	return bw.flush()
+}
+
+// blockWriter encodes values little-endian into buf and writes buf out
+// whenever it fills. The first write error sticks and ends all encoding.
+type blockWriter struct {
+	w   io.Writer
+	buf []byte // pending bytes; cap(buf) is the block size
+	err error
+}
+
+func (bw *blockWriter) flush() error {
+	if bw.err == nil && len(bw.buf) > 0 {
+		_, bw.err = bw.w.Write(bw.buf)
+		bw.buf = bw.buf[:0]
+	}
+	return bw.err
+}
+
+// room makes space for at least one value of size bytes and returns how
+// many values fit, or 0 after a write error.
+func (bw *blockWriter) room(size int) int {
+	if cap(bw.buf)-len(bw.buf) < size {
+		bw.flush()
+	}
+	if bw.err != nil {
+		return 0
+	}
+	return (cap(bw.buf) - len(bw.buf)) / size
+}
+
+func (bw *blockWriter) int64s(xs []int64) {
+	for len(xs) > 0 {
+		k := min(bw.room(8), len(xs))
+		if k == 0 {
+			return
+		}
+		n := len(bw.buf)
+		encodeInt64s(bw.buf[n:n+8*k], xs[:k])
+		bw.buf, xs = bw.buf[:n+8*k], xs[k:]
+	}
+}
+
+func (bw *blockWriter) uint32s(xs []uint32) {
+	for len(xs) > 0 {
+		k := min(bw.room(4), len(xs))
+		if k == 0 {
+			return
+		}
+		n := len(bw.buf)
+		encodeUint32s(bw.buf[n:n+4*k], xs[:k])
+		bw.buf, xs = bw.buf[:n+4*k], xs[k:]
+	}
+}
+
+// encodeInt64s and encodeUint32s write xs little-endian into b.
+func encodeInt64s(b []byte, xs []int64) {
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b, uint64(x))
+		b = b[8:]
+	}
+}
+
+func encodeUint32s(b []byte, xs []uint32) {
+	for _, x := range xs {
+		binary.LittleEndian.PutUint32(b, x)
+		b = b[4:]
+	}
+}
+
+// ReadBinary deserialises a graph written by WriteBinary. It reads exactly
+// the header and the arrays it announces, and checks everything Validate
+// checks while each block is decoded. The reader's length is unknown, so
+// arrays grow with the bytes actually read: a header announcing a huge graph
+// over a short stream costs about one block before it fails.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if magic != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var hdr [4]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %w", err)
-		}
-	}
-	version, nv, ne, flags := hdr[0], hdr[1], hdr[2], hdr[3]
-	if version != binVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	// Cap header sizes so a corrupt or hostile file cannot trigger a huge
-	// allocation before any content validation runs.
-	if nv > MaxVertices || ne > MaxEdges {
-		return nil, fmt.Errorf("graph: implausible header (v=%d e=%d)", nv, ne)
-	}
-	g := &Graph{numVertices: int(nv), numEdges: int64(ne)}
-	var err error
-	if g.outOffsets, err = readInt64s(br, int(nv)+1); err != nil {
+	return readBinary(r, -1, make([]byte, binBlock))
+}
+
+// LoadBinary reads a graph from the named file. The header's array sizes
+// are checked against the file's length before anything is allocated, so
+// each array is allocated once at its full size.
+func LoadBinary(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
 		return nil, err
 	}
-	if g.outEdges, err = readUint32s(br, int(ne)); err != nil {
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
 		return nil, err
 	}
-	if flags&1 != 0 {
-		inOff, err := readInt64s(br, int(nv)+1)
-		if err != nil {
-			return nil, err
-		}
-		inE, err := readUint32s(br, int(ne))
-		if err != nil {
-			return nil, err
-		}
-		g.setIn(inOff, inE)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return readBinary(f, st.Size(), make([]byte, binBlock))
 }
 
 // SaveBinary writes g to the named file.
@@ -143,60 +183,183 @@ func SaveBinary(path string, g *Graph) error {
 	return f.Close()
 }
 
-// LoadBinary reads a graph from the named file.
-func LoadBinary(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
+// readBinary reads an HGR1 graph from r through buf, one read call per
+// block. size is the number of bytes r holds, or -1 when unknown: a known
+// size shorter than the header announces fails before any array is
+// allocated, and lets each array be allocated once at its full length.
+func readBinary(r io.Reader, size int64, buf []byte) (*Graph, error) {
+	var hdr [binHeader]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return nil, fmt.Errorf("graph: reading magic: %w", err)
+	}
+	if [4]byte(hdr[:4]) != binMagic {
+		return nil, fmt.Errorf("graph: bad magic %q", hdr[:4])
+	}
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return nil, fmt.Errorf("graph: reading header: %w", err)
+	}
+	le := binary.LittleEndian
+	version, nv, ne, flags := le.Uint64(hdr[4:]), le.Uint64(hdr[12:]), le.Uint64(hdr[20:]), le.Uint64(hdr[28:])
+	if version != binVersion {
+		return nil, fmt.Errorf("graph: unsupported version %d", version)
+	}
+	if flags&^1 != 0 {
+		return nil, fmt.Errorf("graph: unknown flags %#x", flags)
+	}
+	// Cap header sizes so a corrupt or hostile file cannot trigger a huge
+	// allocation before any content validation runs.
+	if nv > MaxVertices || ne > MaxEdges {
+		return nil, fmt.Errorf("graph: implausible header (v=%d e=%d)", nv, ne)
+	}
+	forms := int64(1 + flags&1)
+	need := binHeader + forms*(8*int64(nv+1)+4*int64(ne))
+	if size >= 0 && size < need {
+		return nil, fmt.Errorf("graph: header announces %d bytes, file holds %d", need, size)
+	}
+	br := blockReader{r: r, buf: buf, sized: size >= 0}
+	n := int(nv)
+	g := &Graph{numVertices: n, numEdges: int64(ne)}
+	var err error
+	if g.outOffsets, err = br.offsets(n, int64(ne), "offsets"); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
-func writeInt64s(w io.Writer, xs []int64) error {
-	var buf [8]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
+	if g.outEdges, err = br.endpoints(int(ne), n, "edge %d destination %d out of range [0,%d)"); err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-func writeUint32s(w io.Writer, xs []uint32) error {
-	var buf [4]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint32(buf[:], x)
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
+	if flags&1 != 0 {
+		inOff, err := br.offsets(n, int64(ne), "in-edge offsets")
+		if err != nil {
+			return nil, err
 		}
+		inE, err := br.endpoints(int(ne), n, "in-edge %d source %d out of range [0,%d)")
+		if err != nil {
+			return nil, err
+		}
+		g.setIn(inOff, inE)
 	}
-	return nil
+	return g, nil
 }
 
-func readInt64s(r io.Reader, n int) ([]int64, error) {
-	xs := make([]int64, n)
-	var buf [8]byte
-	for i := range xs {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, fmt.Errorf("graph: reading int64 array: %w", err)
+// blockReader fills arrays from r a block at a time, checking each block
+// as it is decoded.
+type blockReader struct {
+	r     io.Reader
+	buf   []byte // one block
+	sized bool   // the source's length was checked against the header
+}
+
+// next reads the next k values of the given byte size into the block and
+// returns them.
+func (br *blockReader) next(k, size int) ([]byte, error) {
+	b := br.buf[:k*size]
+	if _, err := io.ReadFull(br.r, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		xs[i] = int64(binary.LittleEndian.Uint64(buf[:]))
+		return nil, err
+	}
+	return b, nil
+}
+
+// offsets reads one offset array of n+1 entries: the first must be 0, the
+// sequence monotone and the last ne, as Validate requires.
+func (br *blockReader) offsets(n int, ne int64, what string) ([]int64, error) {
+	per := len(br.buf) / 8
+	xs := start[int64](br.sized, n+1, per)
+	prev := int64(0)
+	for i := 0; i <= n; i += per {
+		k := min(per, n+1-i)
+		b, err := br.next(k, 8)
+		if err != nil {
+			return nil, fmt.Errorf("graph: reading %s: %w", what, err)
+		}
+		xs = grow(xs, i+k, n+1)
+		dst := xs[i : i+k]
+		j := decodeOffsets(dst, b, prev)
+		if i == 0 && dst[0] != 0 {
+			return nil, fmt.Errorf("graph: %s[0] = %d, want 0", what, dst[0])
+		}
+		if j < k {
+			return nil, fmt.Errorf("graph: %s not monotone at vertex %d", what, i+j-1)
+		}
+		prev = dst[k-1]
+	}
+	if xs[n] != ne {
+		return nil, fmt.Errorf("graph: %s[n] = %d, want %d", what, xs[n], ne)
 	}
 	return xs, nil
 }
 
-func readUint32s(r io.Reader, n int) ([]uint32, error) {
-	xs := make([]uint32, n)
-	var buf [4]byte
-	for i := range xs {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, fmt.Errorf("graph: reading uint32 array: %w", err)
+// endpoints reads one endpoint array of ne entries, each below n; bad
+// formats the error of the first that is not.
+func (br *blockReader) endpoints(ne, n int, bad string) ([]uint32, error) {
+	per := len(br.buf) / 4
+	xs := start[uint32](br.sized, ne, per)
+	for i := 0; i < ne; i += per {
+		k := min(per, ne-i)
+		b, err := br.next(k, 4)
+		if err != nil {
+			return nil, fmt.Errorf("graph: reading endpoints: %w", err)
 		}
-		xs[i] = binary.LittleEndian.Uint32(buf[:])
+		xs = grow(xs, i+k, ne)
+		dst := xs[i : i+k]
+		if uint64(decodeUint32s(dst, b)) >= uint64(n) {
+			j := slices.IndexFunc(dst, func(x uint32) bool { return uint64(x) >= uint64(n) })
+			return nil, fmt.Errorf("graph: "+bad, i+j, dst[j], n)
+		}
 	}
 	return xs, nil
+}
+
+// decodeOffsets decodes len(dst) little-endian int64s from b into dst and
+// returns the index of the first below its predecessor (the first's
+// predecessor is prev), or len(dst) when the block is monotone.
+func decodeOffsets(dst []int64, b []byte, prev int64) int {
+	for j := range dst {
+		x := int64(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		dst[j] = x
+		if x < prev {
+			return j
+		}
+		prev = x
+	}
+	return len(dst)
+}
+
+// decodeUint32s decodes len(dst) little-endian uint32s from b into dst and
+// returns the largest.
+func decodeUint32s(dst []uint32, b []byte) uint32 {
+	var hi uint32
+	for j := range dst {
+		x := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		if x > hi {
+			hi = x
+		}
+		dst[j] = x
+	}
+	return hi
+}
+
+// start returns an empty array with room for all n values when the
+// source's length was checked against the header, else for one block of per.
+func start[T any](sized bool, n, per int) []T {
+	if !sized {
+		n = min(n, per)
+	}
+	return make([]T, 0, n)
+}
+
+// grow returns xs resliced to length need, reallocating (doubling, capped
+// at n) only when the array started at one block.
+func grow[T any](xs []T, need, n int) []T {
+	if need > cap(xs) {
+		ys := make([]T, len(xs), min(n, max(need, 2*cap(xs))))
+		copy(ys, xs)
+		xs = ys
+	}
+	return xs[:need]
 }
 
 // ReadEdgeList parses a whitespace-separated "src dst" edge list, one edge

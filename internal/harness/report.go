@@ -31,6 +31,9 @@ type RunReport struct {
 	Kernels string `json:"kernels"`
 
 	WallSeconds float64 `json:"wall_seconds"`
+	// LoadSeconds is the wall time of reading the graph file, for runs
+	// that loaded one (hipapr).
+	LoadSeconds float64 `json:"load_seconds,omitempty"`
 	// PrepSeconds is this run's artifact-acquisition wall time; on a prep-
 	// cache hit it is the fetch cost, and PrepBuildSeconds keeps the cold
 	// construction cost of the artifact served.
